@@ -2,7 +2,7 @@
 
 from .catalog import Catalog, load_catalog
 from .cyclo import CycloNum, FieldCtx, cyclo_context, re_im, root_of_unity
-from .qseries import HalfWeight, QSeries
+from .qseries import QSeries
 from .verify import VerificationReport, full_report
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __all__ = [
     "Catalog",
     "CycloNum",
     "FieldCtx",
-    "HalfWeight",
     "QSeries",
     "VerificationReport",
     "cyclo_context",

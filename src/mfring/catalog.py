@@ -293,12 +293,10 @@ class Catalog:
         return ev.series(name, prec)
 
     def _infer_conductor(self, text: str) -> int:
-        from .exprs import _CONSTRUCTOR, parse_character, _split_top_level
-        import re as _re
+        from .exprs import _CONSTRUCTOR, _SEXPR_TOKEN, parse_character, _split_top_level
 
         L = 1
-        tokens = _re.findall(r"[^\s()]+", text)
-        for tok in tokens:
+        for tok in _SEXPR_TOKEN.findall(text):
             if tok in self.forms:
                 L = L * self.forms[tok].L // gcd(L, self.forms[tok].L)
                 continue

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .cyclo import CycloNum, FieldCtx, root_of_unity
-from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation
+from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -302,7 +302,7 @@ _NAMED_DEFS: dict[str, tuple[int, list[tuple[int, Fraction]]] | tuple[str, int]]
 @lru_cache(maxsize=None)
 def named_character(name: str) -> DirichletCharacter:
     if name not in _NAMED_DEFS:
-        raise KeyError(f"unknown character name {name!r}")
+        raise UnknownForm(f"unknown character name {name!r}")
     spec = _NAMED_DEFS[name]
     if isinstance(spec[0], str):
         return named_character(spec[0]) ** spec[1]

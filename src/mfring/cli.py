@@ -13,7 +13,7 @@ import json
 import sys
 
 from .catalog import Catalog, load_catalog
-from .errors import MfringError, OutOfTable, UnknownForm, UnknownIdentity
+from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
 from .hilbert import HilbertSeries
 from .verify import CaseRunner, VerificationReport, full_report
 
@@ -59,10 +59,11 @@ def cmd_qexp(args) -> int:
     if args.prec < 1:
         raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
     name = args.name
-    # CLI alias theta<h> for the q -> q^h image of theta
     try:
         series = catalog.lookup_form(name, args.prec)
-    except (UnknownForm, MfringError) as exc:
+    except CatalogError as exc:
+        raise CliError(f"malformed series {name!r}: {exc}", EXIT_BAD_CONFIG)
+    except MfringError as exc:
         raise CliError(f"unknown series {name!r}: {exc}", EXIT_UNKNOWN)
     if args.output == "json":
         print(json.dumps({"name": name, "prec": args.prec, "series": str(series)}))

@@ -66,13 +66,14 @@ class FieldCtx:
         self.L = L
         self.minpoly = cyclotomic_polynomial(L)
         self.degree = len(self.minpoly) - 1
-        # x^(degree+i) mod minpoly for i = 0..degree-2, used to fold products
-        red: list[tuple[Fraction, ...]] = []
-        cur = [-Fraction(c) for c in self.minpoly[:-1]]  # x^degree reduced
+        # x^(degree+i) mod minpoly for i = 0..degree-2, used to fold products;
+        # integral because the minimal polynomial is monic
+        red: list[tuple[int, ...]] = []
+        cur = [-c for c in self.minpoly[:-1]]  # x^degree reduced
         red.append(tuple(cur))
         for _ in range(self.degree - 2):
             top = cur[-1]
-            cur = [_ZERO] + cur[:-1]  # multiply by x
+            cur = [0] + cur[:-1]  # multiply by x
             if top:
                 for j in range(self.degree):
                     cur[j] += top * red[0][j]

@@ -70,11 +70,16 @@ def parse_expr(text: str):
             node = ("conj", walk())
         elif op == "pow":
             base = walk()
-            node = ("pow", base, int(tokens[pos]))
+            k = int(tokens[pos])
             pos += 1
+            if k < 0:
+                raise CatalogError(f"negative power in {text!r}")
+            node = ("pow", base, k)
         elif op in ("v", "low"):
             h = int(tokens[pos])
             pos += 1
+            if h < 1:
+                raise CatalogError(f"{op} needs h >= 1 in {text!r}")
             node = (op, h, walk())
         elif op == "scale":
             scalar = tokens[pos]
@@ -87,7 +92,12 @@ def parse_expr(text: str):
         pos += 1
         return node
 
-    ast = walk()
+    try:
+        ast = walk()
+    except IndexError:
+        raise CatalogError(f"unexpected end of expression: {text!r}") from None
+    except ValueError:  # only int() of an exponent or an h raises it
+        raise CatalogError(f"expected an integer in {text!r}") from None
     if pos != len(tokens):
         raise CatalogError(f"trailing tokens in {text!r}")
     return ast
@@ -267,17 +277,10 @@ def parse_character(text: str) -> DirichletCharacter:
     m = re.fullmatch(r"(conj|pow|mul)\((.*)\)", text)
     if not m:
         return named_character(text)
-    op, body = m.group(1), m.group(2)
-    args, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            args.append(body[start:i])
-            start = i + 1
-    args.append(body[start:])
+    op, args = m.group(1), _split_top_level(m.group(2))
+    if len(args) != (1 if op == "conj" else 2) or (
+            op == "pow" and not re.fullmatch(r"\s*-?\d+\s*", args[1])):
+        raise CatalogError(f"malformed character expression {text!r}")
     if op == "conj":
         (a,) = args
         return parse_character(a).conj()

@@ -8,44 +8,10 @@ the substitution q -> q^h expands precision to h*(prec-1)+1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclo import CycloNum, FieldCtx, render_cyclo, render_fraction
 from .errors import BadLeadingShape, ContextMismatch
-
-
-class HalfWeight:
-    """Weight in (1/2)Z, stored doubled so all arithmetic is integral."""
-
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled: int):
-        if doubled < 0:
-            raise ValueError("weights are nonnegative")
-        self.doubled = doubled
-
-    @classmethod
-    def of(cls, k: int) -> "HalfWeight":
-        return cls(2 * k)
-
-    def is_integral(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def __add__(self, other: "HalfWeight") -> "HalfWeight":
-        return HalfWeight(self.doubled + other.doubled)
-
-    def __eq__(self, other):
-        return isinstance(other, HalfWeight) and other.doubled == self.doubled
-
-    def __hash__(self):
-        return hash(("HalfWeight", self.doubled))
-
-    def __str__(self):
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self):
-        return f"HalfWeight({self.doubled})"
 
 
 class QSeries:
@@ -115,17 +81,7 @@ class QSeries:
             return NotImplemented
         self._check(other)
         p = min(self.prec, other.prec)
-        zero = self.ctx.zero
-        out = [zero] * p
-        for i in range(p):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(p - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(self.ctx, out)
+        return QSeries(self.ctx, _kronecker_product(self.ctx, self.coeffs[:p], other.coeffs[:p]))
 
     __rmul__ = __mul__
 
@@ -196,6 +152,62 @@ class QSeries:
 
     def __str__(self):
         return render_qseries(self)
+
+
+def _integer_coords(coeffs) -> tuple[int, list[int]]:
+    """Common denominator D and the flat integer coordinates of D*coeffs."""
+    flat = [x for c in coeffs for x in c.coords]
+    den = lcm(*[x.denominator for x in flat])
+    return den, [x.numerator * (den // x.denominator) for x in flat]
+
+
+def _kronecker_product(ctx: FieldCtx, a, b) -> list[CycloNum]:
+    """Truncated product of two equal-length coefficient tuples, exactly.
+
+    Coefficient n of a series and coordinate k of its zeta-part become
+    slot n*(2d-1)+k of one integer in base 2^W (d = phi(L)), so a single
+    big-int multiply convolves in q and in zeta at once.  A product slot
+    sums at most p*d terms, each bounded by max|a|*max|b|, so W bits hold
+    it as a signed value; slots are read back with an offset of 2^(W-1)
+    that makes every one of them nonnegative.  Powers zeta^(>=d) are then
+    folded with the integer reduction table (Phi_L is monic).
+    """
+    p, d = len(a), ctx.degree
+    stride = 2 * d - 1
+    da, xa = _integer_coords(a)
+    db, xb = _integer_coords(b)
+    height = max(map(abs, xa)) * max(map(abs, xb)) * p * d
+    if not height:  # a zero operand; its coordinates may not fit the slots
+        return [ctx.zero] * p
+    nb = (height.bit_length() + 2 + 7) // 8  # slot width in whole bytes
+    half = 1 << (8 * nb - 1)
+    half_slot = half.to_bytes(nb, "little")
+    pad = half_slot * (d - 1)
+    offset = int.from_bytes(half_slot * (p * stride), "little")
+
+    def pack(xs):
+        parts = []
+        for n in range(0, p * d, d):
+            parts.extend((v + half).to_bytes(nb, "little") for v in xs[n:n + d])
+            parts.append(pad)
+        return int.from_bytes(b"".join(parts), "little") - offset
+
+    raw = (pack(xa) * pack(xb) + offset) & ((1 << (8 * nb * p * stride)) - 1)
+    buf = memoryview(raw.to_bytes(nb * p * stride, "little"))
+    slots = [int.from_bytes(buf[i:i + nb], "little") - half
+             for i in range(0, len(buf), nb)]
+    den = da * db
+    red = ctx._red
+    out = []
+    for base in range(0, p * stride, stride):
+        coords = slots[base:base + d]
+        for i, c in enumerate(slots[base + d:base + stride]):
+            if c:
+                tail = red[i]
+                for j in range(d):
+                    coords[j] += c * tail[j]
+        out.append(CycloNum(ctx, tuple(Fraction(v, den) for v in coords)))
+    return out
 
 
 def _coeff_term(c: CycloNum, n: int) -> tuple[str, str]:

@@ -222,11 +222,13 @@ def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
     kmax2 = kmax2 if kmax2 is not None else (case.span_kmax2 or 8)
     weights, ranks, dims = [], [], []
     status, first_bad = "pass", None
+    prec_used = 0
     for j2 in _admissible_weights(runner, kmax2):
         want = _expected_dim(runner, j2)
         if want is None:
             continue
         prec = max(prec_override or 0, runner.sturm2(j2) + GUARD)
+        prec_used = max(prec_used, prec)
         rank = runner.span_rank(j2, prec)
         weights.append(j2)
         ranks.append(rank)
@@ -237,7 +239,6 @@ def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
     details = {"weights2": weights, "ranks": ranks, "dims": dims}
     if first_bad:
         details["first_failure"] = first_bad
-    prec_used = runner.sturm2(kmax2) + GUARD if weights else 0
     return VerificationReport(case_label, "span", (0, kmax2), prec_used, status,
                               details, int((time.monotonic() - t0) * 1000))
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mfring.cli import main
 
 
@@ -30,6 +32,25 @@ def test_qexp_json_and_errors(capsys):
     assert code == 2 and "unknown" in err
     code, _, err = _run(capsys, "qexp", "E4", "--prec", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("(add E4", 3),           # unbalanced: ran out of tokens
+    ("(pow E4 x)", 3),        # exponent is not an integer
+    ("(v 0 E4)", 3),          # q -> q^0 is not a substitution
+    ("f[1;pow(chi5)]", 3),    # character operator with a missing argument
+    ("f[1;rho9]", 2),         # no character of that name
+])
+def test_qexp_bad_expressions_exit_without_traceback(capsys, expr, want):
+    code, out, err = _run(capsys, "qexp", expr, "--prec", "5")
+    assert code == want
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_qexp_character_expression_conductor(capsys):
+    code, out, _ = _run(capsys, "qexp", "f[1;pow(chi5,3)]", "--prec", "3")
+    assert code == 0
+    assert out.strip() == "1 + (3 + z4)*q + (4 - 2*z4)*q^2 + O(q^3)"
 
 
 def test_dims(capsys):

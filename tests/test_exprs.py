@@ -28,6 +28,9 @@ def test_parse_expr_shapes():
         parse_expr("(add x)")
     with pytest.raises(CatalogError):
         parse_expr("(sub x y) trailing")
+    for bad in ("(add x", "(pow x y)", "(pow x -1)", "(v 0 x)", "(low x y)", "(scale"):
+        with pytest.raises(CatalogError):
+            parse_expr(bad)
 
 
 def test_parse_scalar():
@@ -58,8 +61,10 @@ def test_parse_character_expressions():
     assert parse_character("conj(chi5)") == parse_character("pow(chi5,3)")
     prod = parse_character("mul(rho3,rho4)")
     assert prod.modulus == 12 and prod.parity() == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownForm):
         parse_character("chi6")
+    with pytest.raises(CatalogError):
+        parse_character("pow(chi5)")
 
 
 def test_evaluator_precision_contract():

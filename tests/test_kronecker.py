@@ -1,0 +1,129 @@
+"""The packed series product against the schoolbook product it replaced.
+
+`schoolbook_mul` is the reference: a double loop over coefficient pairs,
+each a CycloNum product.  Every test compares exactly, coordinate by
+coordinate, so a slot overflow or a wrong fold shows as a mismatch.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfring.cyclo import cyclo_context
+from mfring.qseries import QSeries
+
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 10, 12)
+
+
+def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
+    p = min(f.prec, g.prec)
+    out = [f.ctx.zero] * p
+    for i in range(p):
+        a = f.coeffs[i]
+        if a.is_zero():
+            continue
+        for j in range(p - i):
+            b = g.coeffs[j]
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return QSeries(f.ctx, out)
+
+
+def schoolbook_pow(f: QSeries, n: int) -> QSeries:
+    out = QSeries.one(f.ctx, f.prec)
+    for _ in range(n):
+        out = schoolbook_mul(out, f)
+    return out
+
+
+# numerators from small to near 2^256, so the slot width varies widely
+_numerators = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**256), 2**256),
+)
+_denominators = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**64))
+_rationals = st.builds(Fraction, _numerators, _denominators)
+
+
+@st.composite
+def series(draw, ctx, prec=None):
+    if prec is None:
+        prec = draw(st.integers(1, 12))
+    sparse = st.one_of(st.just(Fraction(0)), _rationals)  # zero coefficients are common
+    coeffs = [ctx.reduce(draw(st.lists(sparse, min_size=ctx.degree, max_size=ctx.degree)))
+              for _ in range(prec)]
+    return QSeries(ctx, coeffs)
+
+
+@st.composite
+def series_pair(draw):
+    ctx = cyclo_context(draw(st.sampled_from(CONDUCTORS)))
+    return draw(series(ctx)), draw(series(ctx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pair())
+def test_product_matches_schoolbook(pair):
+    f, g = pair
+    got = f * g
+    assert got.prec == min(f.prec, g.prec)
+    assert got.coeffs == schoolbook_mul(f, g).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_precision_one_and_unequal_precisions(L, data):
+    ctx = cyclo_context(L)
+    f = data.draw(series(ctx, prec=1))
+    g = data.draw(series(ctx))
+    assert (f * g).coeffs == schoolbook_mul(f, g).coeffs
+    assert (g * f).coeffs == schoolbook_mul(g, f).coeffs
+    h = data.draw(series(ctx, prec=g.prec + data.draw(st.integers(1, 6))))
+    assert (g * h).coeffs == schoolbook_mul(g, h).coeffs
+    assert (g * h).prec == g.prec
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(0, 5), st.data())
+def test_power_matches_repeated_schoolbook(L, n, data):
+    f = data.draw(series(cyclo_context(L), prec=data.draw(st.integers(1, 8))))
+    assert (f ** n).coeffs == schoolbook_pow(f, n).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_pair(), st.integers(2, 4))
+def test_v_operator_and_lowered_products(pair, h):
+    f, g = pair
+    fv, gv = f.v_operator(h), g.v_operator(h)
+    assert (fv * gv).coeffs == schoolbook_mul(fv, gv).coeffs
+    assert (fv * gv) == (f * g).v_operator(h)
+    if f.prec >= 2 and not f.coeffs[1].is_zero():
+        # lowered needs 1 + a*q + ... with a != 0
+        f1 = QSeries(f.ctx, (f.ctx.one,) + f.coeffs[1:])
+        low = f1.lowered(h)
+        assert (low * g).coeffs == schoolbook_mul(low, g).coeffs
+
+
+def test_zero_operand_and_extreme_heights():
+    ctx = cyclo_context(12)
+    big = ctx.reduce([Fraction(2**256 - 1), Fraction(-(2**256) + 1, 3),
+                      Fraction(2**255, 2**64 + 1), Fraction(-1)])
+    f = QSeries(ctx, [big] * 9)
+    zero = QSeries.zero(ctx, 9)
+    assert (f * zero) == zero == (zero * f)
+    assert (f * f).coeffs == schoolbook_mul(f, f).coeffs
+    assert (f * f * f).coeffs == schoolbook_mul(schoolbook_mul(f, f), f).coeffs
+
+
+@pytest.mark.parametrize("L", CONDUCTORS)
+def test_slots_hold_the_largest_possible_sum(L):
+    # every coordinate at full height and of one sign: a product slot then
+    # reaches prec*phi(L)*max|a|*max|b|, the sum the slot width is sized for
+    ctx = cyclo_context(L)
+    f = QSeries(ctx, [ctx.reduce([Fraction(2**127 - 1)] * ctx.degree)] * 12)
+    g = QSeries(ctx, [ctx.reduce([Fraction(1 - 2**128)] * ctx.degree)] * 12)
+    assert (f * g).coeffs == schoolbook_mul(f, g).coeffs
+    assert (f * f).coeffs == schoolbook_mul(f, f).coeffs

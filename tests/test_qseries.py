@@ -6,7 +6,7 @@ import pytest
 from mfring.constructors import eisenstein_e
 from mfring.cyclo import cyclo_context
 from mfring.errors import BadLeadingShape, ContextMismatch
-from mfring.qseries import HalfWeight, QSeries
+from mfring.qseries import QSeries
 
 C1 = cyclo_context(1)
 C4 = cyclo_context(4)
@@ -18,13 +18,6 @@ def _sigma(k, n):
 
 def _series(values, ctx=C1, prec=None):
     return QSeries.from_rational_list(ctx, values, prec)
-
-
-def test_half_weight():
-    assert str(HalfWeight(1)) == "1/2"
-    assert str(HalfWeight.of(3)) == "3"
-    assert (HalfWeight(1) + HalfWeight(3)).doubled == 4
-    assert HalfWeight(4).is_integral() and not HalfWeight(5).is_integral()
 
 
 def test_basic_ops():

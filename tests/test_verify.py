@@ -130,6 +130,16 @@ def test_verify_span_reports():
     assert report.passed
 
 
+def test_verify_span_reports_precision_used():
+    runner = CaseRunner(CAT, CAT.cases["9"])
+    default = verify_span(CAT, "9")
+    assert default.precision == runner.sturm2(default.k_range[1]) + GUARD
+    # an override above every weight's cutoff is the precision of every rank
+    raised = verify_span(CAT, "9", prec_override=default.precision + 12)
+    assert raised.precision == default.precision + 12
+    assert raised.details["ranks"] == default.details["ranks"]
+
+
 def test_verify_kernel_examples():
     report = verify_kernel(CAT, "11h3", kmax2=12)
     assert report.passed
