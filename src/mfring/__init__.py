@@ -1,7 +1,7 @@
 """Exact q-expansion arithmetic and structure verification for graded rings of modular forms."""
 
 from .catalog import Catalog, load_catalog
-from .cyclo import CycloNum, FieldCtx, cyclo_context, re_im, root_of_unity
+from .cyclo import CycloNum, FieldCtx, cyclo_context, root_of_unity
 from .qseries import QSeries
 from .verify import VerificationReport, full_report
 
@@ -16,6 +16,5 @@ __all__ = [
     "cyclo_context",
     "full_report",
     "load_catalog",
-    "re_im",
     "root_of_unity",
 ]

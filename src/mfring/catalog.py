@@ -21,8 +21,6 @@ Schema (top-level keys):
   relations, relations_unknown?, base?, hilbert?}`` with relations given
   as infix polynomials in the generator names and ``hilbert`` as
   ``{num: [[coeff, deg2], ...], den: [deg2, ...]}``.
-* ``decompositions``: character eigenspace tables per group, kept as
-  unverified metadata.
 """
 
 from __future__ import annotations
@@ -234,8 +232,6 @@ class Catalog:
                 presentation=pres,
             )
             self.cases[case.label] = case
-        # eigenspace decomposition tables: unverified metadata, no checks run
-        self.decompositions = tuple(raw.get("decompositions", []))
         self._validate()
 
     # -- lookups ----------------------------------------------------------
@@ -440,9 +436,22 @@ def _constructor_weight(name: str) -> int:
 
 @lru_cache(maxsize=None)
 def load_catalog(path: str | None = None) -> Catalog:
-    if path is None:
-        text = resources.files("mfring").joinpath("data/catalog.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return Catalog(json.loads(text))
+    """Read and validate a catalog; every defect of the file is a CatalogError."""
+    where = path or "built-in catalog"
+    try:
+        if path is None:
+            text = resources.files("mfring").joinpath("data/catalog.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        raw = json.loads(text)
+    except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
+        raise CatalogError(f"cannot read {where}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CatalogError(f"{where}: top level must be a JSON object")
+    try:
+        return Catalog(raw)
+    except KeyError as exc:
+        raise CatalogError(f"{where}: an entry lacks the key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise CatalogError(f"{where}: malformed entry: {exc}") from exc

@@ -15,7 +15,7 @@ import sys
 from .catalog import Catalog, load_catalog
 from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
 from .hilbert import HilbertSeries
-from .verify import CaseRunner, VerificationReport, full_report
+from .verify import VerificationReport, check_plan, dim_or_none, full_report, scheduled_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -30,7 +30,10 @@ class CliError(Exception):
 
 
 def _load(args) -> Catalog:
-    return load_catalog(args.catalog)
+    try:
+        return load_catalog(args.catalog)
+    except MfringError as exc:  # any defect of the file, an unresolvable form name too
+        raise CliError(f"bad catalog: {exc}", EXIT_BAD_CONFIG)
 
 
 def _parse_group(catalog: Catalog, text: str):
@@ -103,14 +106,8 @@ def cmd_hilbert(args) -> int:
         raise CliError(f"case {label!r} has no claimed Hilbert series", EXIT_UNKNOWN)
     hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
     horizon2 = 2 * args.horizon
-    runner = CaseRunner(catalog, catalog.cases[label], presentation=True)
     coeffs = hs.expand(horizon2)
-    dims = []
-    for j2 in range(horizon2 + 1):
-        try:
-            dims.append(runner.dim2(j2) if j2 else 1)
-        except OutOfTable:
-            dims.append(None)
+    dims = [dim_or_none(catalog, catalog.cases[label], j2) for j2 in range(horizon2 + 1)]
     mismatches = [
         j2 for j2, (c, d) in enumerate(zip(coeffs, dims))
         if d is not None and c != d
@@ -140,33 +137,16 @@ _SELECTORS = {
 }
 
 
-def _check_prec_override(catalog: Catalog, checks, labels, prec: int):
-    """Refuse overrides below the certified cutoff of any selected check."""
-    needed = []
-    for label, case in catalog.cases.items():
-        if labels is not None and label not in labels:
-            continue
-        if "span" in checks and case.span_gens is not None:
-            needed.append((label, "span", catalog.sturm2(case.group, case.span_kmax2 or 8)))
-        pres = case.presentation
-        if pres is not None and pres.relations:
-            half = any(g.w2 % 2 for g in catalog.case_gens(case, presentation=True))
-            if "relation" in checks:
-                w2 = max(r.w2 for r in pres.relations)
-                needed.append((label, "relation",
-                               catalog.sturm2(case.group, 2 * w2 if half else w2)))
-            if "kernel" in checks and case.kernel_kmax2:
-                needed.append((label, "kernel", catalog.sturm2(case.group, case.kernel_kmax2)))
-    for name, ident in catalog.identities.items():
-        if "identity" not in checks or (labels is not None and name not in labels):
-            continue
-        w2 = 2 * ident.w2 if ident.half_members else ident.w2
-        needed.append((name, "identity", catalog.sturm2(ident.group, w2)))
-    for label, kind, bound in needed:
-        if prec < bound:
+def _check_prec_override(catalog: Catalog, checks, labels, prec: int, kmax2: int | None):
+    """Refuse overrides below the certified cutoff of any check that would run."""
+    for check, label in scheduled_checks(catalog, checks, labels):
+        if check in ("hilbert", "integrality"):
+            continue  # no precision override reaches these
+        plan = check_plan(catalog, check, label, kmax2)
+        if plan.skip is None and prec < plan.cutoff:
             raise CliError(
-                f"--prec {prec} is below the certified cutoff {bound} for "
-                f"{kind} check of {label!r}; refusing to run an uncertified check",
+                f"--prec {prec} is below the certified cutoff {plan.cutoff} for "
+                f"{check} check of {label!r}; refusing to run an uncertified check",
                 EXIT_BAD_CONFIG,
             )
 
@@ -188,7 +168,7 @@ def cmd_verify(args) -> int:
     if args.prec is not None:
         if args.prec < 1:
             raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
-        _check_prec_override(catalog, checks, labels, args.prec)
+        _check_prec_override(catalog, checks, labels, args.prec, kmax2)
     horizon2 = 2 * args.horizon if args.horizon is not None else 40
     reports = full_report(catalog, checks=checks, cases=labels,
                           kmax2=kmax2, prec_override=args.prec, horizon2=horizon2)
@@ -233,7 +213,6 @@ def cmd_catalog_list(args) -> int:
         print(f"  {label:12s} group={case.group:8s} L={case.L:<3d} " + ", ".join(bits))
     print("identities:", ", ".join(sorted(catalog.identities)))
     print("forms:", ", ".join(sorted(catalog.forms)))
-    print(f"decomposition tables (unverified metadata): {len(catalog.decompositions)} groups")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import ConductorMismatch, ContextMismatch, NotInSpan
+from .errors import ConductorMismatch, ContextMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -316,24 +316,6 @@ def _poly_sub(a, b):
     a = list(a) + [_ZERO] * (n - len(a))
     b = list(b) + [_ZERO] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def re_im(x: CycloNum, n: int) -> tuple[Fraction, Fraction]:
-    """Coordinates (r, s) with x = r + s*zeta_n; only n in {3, 4, 6}."""
-    if n not in (3, 4, 6):
-        raise ValueError("supported component maps: n in {3, 4, 6}")
-    if x.ctx.L % n != 0:
-        raise ConductorMismatch(f"order {n} does not divide conductor {x.ctx.L}")
-    v = x.ctx.zeta_power(x.ctx.L // n)
-    pivot = next((i for i in range(1, x.ctx.degree) if v.coords[i]), None)
-    if pivot is None:
-        raise NotInSpan("zeta_n is rational; component map undefined")
-    s = x.coords[pivot] / v.coords[pivot]
-    r = x.coords[0] - s * v.coords[0]
-    recomposed = x.ctx.from_rational(r) + v * x.ctx.from_rational(s)
-    if recomposed != x:
-        raise NotInSpan(f"{x} not in span of 1 and zeta_{n}")
-    return r, s
 
 
 def render_fraction(f: Fraction) -> str:

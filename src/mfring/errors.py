@@ -13,10 +13,6 @@ class ConductorMismatch(MfringError):
     """Requested root of unity does not live in this field."""
 
 
-class NotInSpan(MfringError):
-    """Element is outside the rational span of {1, zeta_n}."""
-
-
 class BadLeadingShape(MfringError):
     """Series does not start 1 + a*q with a nonzero."""
 
@@ -55,10 +51,6 @@ class UnknownIdentity(MfringError):
 
 class PrecisionTooLow(MfringError):
     """Fewer coefficients supplied than the certified cutoff needs."""
-
-
-class RelationsUnknown(MfringError):
-    """Presentation has no known relation ideal."""
 
 
 class OutOfTable(MfringError):

@@ -31,11 +31,6 @@ class HilbertSeries:
             raise ValueError("need at least one generator weight")
         return cls([(1, 0)], ws)
 
-    def times_one_plus_t(self, n2: int) -> "HilbertSeries":
-        """Multiply the numerator by (1 + t^n2): a degree-n2 extension with one square relation."""
-        new = [(c, d) for d, c in self.num] + [(c, d + n2) for d, c in self.num]
-        return HilbertSeries(new, self.den_weights2)
-
     def expand(self, horizon2: int) -> list[int]:
         """Exact power series coefficients for doubled degrees 0..horizon2."""
         den = [1]
@@ -92,36 +87,6 @@ class HilbertSeries:
 
     def __repr__(self):
         return f"HilbertSeries({self.render()!r})"
-
-
-def fit_numerator(target, den_weights2) -> HilbertSeries:
-    """Numerator with prescribed denominator matching a target coefficient list.
-
-    target[j] is the desired expansion coefficient at doubled degree j; the
-    product target * prod(1 - t^w) must terminate within the horizon or the
-    fit is rejected.
-    """
-    den = [1]
-    for w in den_weights2:
-        new = den + [0] * w
-        for i, c in enumerate(den):
-            new[i + w] -= c
-        den = new
-    prod = [0] * (len(target) + len(den) - 1)
-    for i, a in enumerate(target):
-        if a:
-            for j, b in enumerate(den):
-                prod[i + j] += a * b
-    cut = len(target) - 1
-    deg_den = len(den) - 1
-    # the numerator must fit below horizon - deg(den), else nothing certifies
-    # that the product keeps vanishing past the horizon
-    if any(prod[i] for i in range(max(0, cut - deg_den + 1), cut + 1)):
-        raise ValueError("numerator does not terminate within the horizon")
-    num = [(c, d) for d, c in enumerate(prod[: cut + 1]) if c]
-    hs = HilbertSeries(num, den_weights2)
-    assert hs.expand(cut) == list(target)
-    return hs
 
 
 def equal_to_dims(hs: HilbertSeries, dim_at, horizon2: int, lattice_mod: int = 1):

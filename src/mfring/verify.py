@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import Case, Catalog
 from .cyclo import CycloNum
@@ -100,7 +101,11 @@ def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
 
 
 def row_echelon_rank(rows) -> int:
-    """Rank by exact elimination; pivot on the leftmost nonzero entry."""
+    """Rank by exact elimination; pivot on the leftmost nonzero entry.
+
+    Each pivot row was reduced by every earlier one before it was stored, so
+    reducing by the pivots in insertion order clears all their columns.
+    """
     pivots: list[tuple[int, list[CycloNum]]] = []
     for row in rows:
         row = list(row)
@@ -113,7 +118,6 @@ def row_echelon_rank(rows) -> int:
         if lead is not None:
             inv = row[lead].invert()
             pivots.append((lead, [v * inv for v in row]))
-            pivots.sort(key=lambda t: t[0])
     return len(pivots)
 
 
@@ -135,17 +139,11 @@ class CaseRunner:
         self.evaluator = catalog.evaluator(case.L, locals_)
         self._monomials: dict = {}
 
-    def group(self):
-        return self.catalog.group(self.case.group)
-
     def dim2(self, j2: int) -> int:
         return self.catalog.dim2(self.case.group, j2, case=self.case.label)
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
-
-    def half_graded(self) -> bool:
-        return any(w % 2 for w in self.weights2)
 
     def gen_series(self, i: int, prec: int) -> QSeries:
         return self.evaluator.series(self.gens[i].name, prec)
@@ -195,75 +193,128 @@ class CaseRunner:
         return self.eval_poly(self.relation_poly(rel), prec)
 
 
-def _admissible_weights(runner: CaseRunner, kmax2: int):
-    """Doubled weights to check: the case lattice intersected with the table."""
-    step = 1 if runner.half_graded() else 2
-    for j2 in range(0, kmax2 + 1, step):
-        yield j2
+class Plan(NamedTuple):
+    """The weights one check evaluates and the cutoff that certifies it."""
+
+    k_range: tuple[int, int] = (0, 0)  # doubled weights, as reported
+    weights2: tuple[int, ...] = ()  # doubled weights evaluated
+    dims: tuple[int, ...] = ()  # dim M_k at each of them (span and kernel)
+    cutoff: int = 0  # certified coefficient cutoff
+    skip: str | None = None  # why the check does not run, if it does not
+
+    def prec(self, prec_override: int | None) -> int:
+        """The one working precision of the check."""
+        return max(prec_override or 0, self.cutoff + GUARD)
 
 
-def _expected_dim(runner: CaseRunner, j2: int) -> int | None:
+def dim_or_none(catalog: Catalog, case: Case, j2: int) -> int | None:
+    """dim M at doubled weight j2 (1 at weight 0), or None outside the table."""
     if j2 == 0:
         return 1
     try:
-        return runner.dim2(j2)
+        return catalog.dim2(case.group, j2, case=case.label)
     except OutOfTable:
         return None
+
+
+def _half_graded(gens) -> bool:
+    return any(g.w2 % 2 for g in gens)
+
+
+def _skip_reason(check: str, case: Case) -> str | None:
+    pres = case.presentation
+    if check == "span":
+        return None if case.span_gens is not None else "no spanning generator set"
+    if check == "relation":
+        if pres is None or not (pres.relations or pres.relations_unknown):
+            return "free presentation, nothing to vanish"
+    elif pres is None:
+        return "no presentation"
+    if pres.relations_unknown:
+        return "relation ideal marked unknown"
+    if check == "kernel" and pres.base is not None:
+        return ("extension over a base ring; degreewise "
+                "kernel checks cover plain presentations only")
+    return None
+
+
+def check_plan(catalog: Catalog, check: str, label: str,
+               kmax2: int | None = None) -> Plan:
+    """The precision rule of the identity, span, relation and kernel checks.
+
+    A check evaluates at the doubled weights ``weights2`` and works at
+    ``Plan.prec``: GUARD coefficients past ``cutoff``, the largest Sturm
+    bound over those weights.  The largest, not the top weight's, because
+    the bound is not monotone across parity: on g4, sturm2(8) = 4 but
+    sturm2(9) = 3.  Relations and identities of half-integral rings are
+    certified at twice their weight.
+    """
+    if check == "identity":
+        if label not in catalog.identities:
+            raise UnknownIdentity(label)
+        ident = catalog.identities[label]
+        group, weights2, dims, doubled = ident.group, (ident.w2,), (), ident.half_members
+        k_range = (ident.w2, ident.w2)
+    else:
+        case = catalog.cases[label]
+        skip = _skip_reason(check, case)
+        if skip is not None:
+            return Plan(skip=skip)
+        group = case.group
+        half = _half_graded(catalog.case_gens(case, presentation=check != "span"))
+        if check == "relation":
+            weights2, dims, doubled = tuple(r.w2 for r in case.presentation.relations), (), half
+            k_range = (min(weights2), max(weights2))
+        else:
+            default = (case.span_kmax2 or 8) if check == "span" else (case.kernel_kmax2 or 12)
+            top = kmax2 if kmax2 is not None else default
+            step = 1 if half else 2
+            lattice = range(0 if check == "span" else step, top + 1, step)
+            known = [(j2, d) for j2 in lattice if (d := dim_or_none(catalog, case, j2)) is not None]
+            weights2, dims = tuple(j2 for j2, _ in known), tuple(d for _, d in known)
+            doubled, k_range = False, (0, top)
+    cutoff = max((catalog.sturm2(group, 2 * w if doubled else w) for w in weights2), default=0)
+    return Plan(k_range, weights2, dims, cutoff)
+
+
+def _skipped(label: str, check: str, reason: str) -> VerificationReport:
+    return VerificationReport(label, check, (0, 0), 0, "skipped", {"reason": reason}, 0)
+
+
+def _ms_since(t0: float) -> int:
+    return int((time.monotonic() - t0) * 1000)
 
 
 def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
                 prec_override: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
-    case = catalog.cases[case_label]
-    if case.span_gens is None:
-        return VerificationReport(case_label, "span", (0, 0), 0, "skipped",
-                                  {"reason": "no spanning generator set"}, 0)
-    runner = CaseRunner(catalog, case)
-    kmax2 = kmax2 if kmax2 is not None else (case.span_kmax2 or 8)
-    weights, ranks, dims = [], [], []
-    status, first_bad = "pass", None
-    prec_used = 0
-    for j2 in _admissible_weights(runner, kmax2):
-        want = _expected_dim(runner, j2)
-        if want is None:
-            continue
-        prec = max(prec_override or 0, runner.sturm2(j2) + GUARD)
-        prec_used = max(prec_used, prec)
-        rank = runner.span_rank(j2, prec)
-        weights.append(j2)
-        ranks.append(rank)
-        dims.append(want)
-        if rank != want and first_bad is None:
-            status = "fail"
-            first_bad = {"j2": j2, "rank": rank, "dim": want}
-    details = {"weights2": weights, "ranks": ranks, "dims": dims}
-    if first_bad:
-        details["first_failure"] = first_bad
-    return VerificationReport(case_label, "span", (0, kmax2), prec_used, status,
-                              details, int((time.monotonic() - t0) * 1000))
+    plan = check_plan(catalog, "span", case_label, kmax2)
+    if plan.skip:
+        return _skipped(case_label, "span", plan.skip)
+    runner = CaseRunner(catalog, catalog.cases[case_label])
+    prec = plan.prec(prec_override)
+    ranks = [runner.span_rank(j2, prec) for j2 in plan.weights2]
+    details = {"weights2": list(plan.weights2), "ranks": ranks, "dims": list(plan.dims)}
+    bad = [(j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d]
+    if bad:
+        j2, rank, want = bad[0]
+        details["first_failure"] = {"j2": j2, "rank": rank, "dim": want}
+    return VerificationReport(case_label, "span", plan.k_range, prec,
+                              "fail" if bad else "pass", details, _ms_since(t0))
 
 
 def verify_relations(catalog: Catalog, case_label: str,
                      prec_override: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
+    plan = check_plan(catalog, "relation", case_label)
+    if plan.skip:
+        return _skipped(case_label, "relation", plan.skip)
     case = catalog.cases[case_label]
-    pres = case.presentation
-    if pres is None or (not pres.relations and not pres.relations_unknown):
-        return VerificationReport(case_label, "relation", (0, 0), 0, "skipped",
-                                  {"reason": "free presentation, nothing to vanish"}, 0)
-    if pres.relations_unknown:
-        return VerificationReport(case_label, "relation", (0, 0), 0, "skipped",
-                                  {"reason": "relation ideal marked unknown"}, 0)
     runner = CaseRunner(catalog, case, presentation=True)
+    prec = plan.prec(prec_override)
     names, orders = [], []
     status, first_bad = "pass", None
-    max_prec = 0
-    lo = min(r.w2 for r in pres.relations)
-    hi = max(r.w2 for r in pres.relations)
-    for rel in pres.relations:
-        prec_w2 = 2 * rel.w2 if runner.half_graded() else rel.w2
-        prec = max(prec_override or 0, runner.sturm2(prec_w2) + GUARD)
-        max_prec = max(max_prec, prec)
+    for rel in case.presentation.relations:
         series = runner.relation_series(rel, prec)
         order = series.vanishing_order()
         names.append(rel.name)
@@ -279,51 +330,38 @@ def verify_relations(catalog: Catalog, case_label: str,
     details = {"relations": names, "vanishing": orders}
     if first_bad:
         details["first_failure"] = first_bad
-    return VerificationReport(case_label, "relation", (lo, hi), max_prec, status,
-                              details, int((time.monotonic() - t0) * 1000))
+    return VerificationReport(case_label, "relation", plan.k_range, prec, status,
+                              details, _ms_since(t0))
 
 
 def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
                   prec_override: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
+    plan = check_plan(catalog, "kernel", case_label, kmax2)
+    if plan.skip:
+        return _skipped(case_label, "kernel", plan.skip)
     case = catalog.cases[case_label]
-    pres = case.presentation
-    if pres is None:
-        return VerificationReport(case_label, "kernel", (0, 0), 0, "skipped",
-                                  {"reason": "no presentation"}, 0)
-    if pres.relations_unknown:
-        return VerificationReport(case_label, "kernel", (0, 0), 0, "skipped",
-                                  {"reason": "relation ideal marked unknown"}, 0)
-    if pres.base is not None:
-        return VerificationReport(case_label, "kernel", (0, 0), 0, "skipped",
-                                  {"reason": "extension over a base ring; degreewise "
-                                             "kernel checks cover plain presentations only"}, 0)
     runner = CaseRunner(catalog, case, presentation=True)
-    kmax2 = kmax2 if kmax2 is not None else (case.kernel_kmax2 or 12)
-    gen_names = [g.name for g in runner.gens]
-    rel_terms = [(rel, runner.relation_terms(rel)) for rel in pres.relations]
-    weights, kernel_dims, ideal_dims = [], [], []
+    prec = plan.prec(prec_override)
     status, first_bad = "pass", None
-    max_prec = 0
-    for j2 in _admissible_weights(runner, kmax2):
-        want = _expected_dim(runner, j2)
-        if want is None or j2 == 0:
-            continue
-        prec = max(prec_override or 0, runner.sturm2(j2) + GUARD)
-        max_prec = max(max_prec, prec)
+    # the ideal lies in the kernel only if each relation vanishes; check each once
+    rel_prec = max(prec, check_plan(catalog, "relation", case_label).prec(prec_override))
+    rel_terms = []
+    for rel in case.presentation.relations:
+        if runner.relation_series(rel, rel_prec).vanishing_order() is not None:
+            status = "fail"
+            first_bad = first_bad or {"relation_nonzero": rel.name}
+        rel_terms.append((rel, runner.relation_terms(rel)))
+    kernel_dims, ideal_dims = [], []
+    zero = runner.evaluator.ctx.zero
+    for j2, want in zip(plan.weights2, plan.dims):
         mons = weighted_monomials(runner.weights2, j2)
         rank = row_echelon_rank(
             [runner.monomial_series(e, prec).coeffs for e in mons]
         )
         dim_kernel = len(mons) - rank
-        # containment re-check: the relations themselves vanish to this precision
-        for rel, _ in rel_terms:
-            if runner.relation_series(rel, prec).vanishing_order() is not None:
-                status = "fail"
-                first_bad = first_bad or {"j2": j2, "relation_nonzero": rel.name}
         index_of = {e: i for i, e in enumerate(mons)}
         vectors = []
-        zero = runner.evaluator.ctx.zero
         for rel, terms in rel_terms:
             if rel.w2 > j2:
                 continue
@@ -334,7 +372,6 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
                     vec[index_of[tot]] = vec[index_of[tot]] + coeff
                 vectors.append(vec)
         dim_ideal = row_echelon_rank(vectors)
-        weights.append(j2)
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -342,11 +379,12 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
             if first_bad is None:
                 first_bad = {"j2": j2, "rank": rank, "dim": want,
                              "dim_kernel": dim_kernel, "dim_ideal": dim_ideal}
-    details = {"weights2": weights, "kernel_dims": kernel_dims, "ideal_dims": ideal_dims}
+    details = {"weights2": list(plan.weights2), "kernel_dims": kernel_dims,
+               "ideal_dims": ideal_dims}
     if first_bad:
         details["first_failure"] = first_bad
-    return VerificationReport(case_label, "kernel", (0, kmax2), max_prec, status,
-                              details, int((time.monotonic() - t0) * 1000))
+    return VerificationReport(case_label, "kernel", plan.k_range, prec, status,
+                              details, _ms_since(t0))
 
 
 def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> VerificationReport:
@@ -357,30 +395,23 @@ def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> Ver
         return VerificationReport(case_label, "hilbert", (0, horizon2), 0, "skipped",
                                   {"reason": "no claimed Hilbert series"}, 0)
     hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
-    runner = CaseRunner(catalog, case, presentation=True)
-    lattice = 1 if runner.half_graded() else 2
-
-    def dim_at(j2: int):
-        return _expected_dim(runner, j2)
-
-    ok, first_bad = equal_to_dims(hs, dim_at, horizon2, lattice_mod=lattice)
+    lattice = 1 if _half_graded(catalog.case_gens(case, presentation=True)) else 2
+    ok, first_bad = equal_to_dims(hs, lambda j2: dim_or_none(catalog, case, j2),
+                                  horizon2, lattice_mod=lattice)
     details = {"series": hs.render(), "expansion": hs.expand(min(horizon2, 24))}
     if not ok:
         j2, got, want = first_bad
         details["first_failure"] = {"j2": j2, "coefficient": got, "dim": want}
     return VerificationReport(case_label, "hilbert", (0, horizon2), 0,
-                              "pass" if ok else "fail", details,
-                              int((time.monotonic() - t0) * 1000))
+                              "pass" if ok else "fail", details, _ms_since(t0))
 
 
 def verify_identity(catalog: Catalog, name: str,
                     prec_override: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
-    if name not in catalog.identities:
-        raise UnknownIdentity(name)
+    plan = check_plan(catalog, "identity", name)
     ident = catalog.identities[name]
-    prec_w2 = 2 * ident.w2 if ident.half_members else ident.w2
-    prec = max(prec_override or 0, catalog.sturm2(ident.group, prec_w2) + GUARD)
+    prec = plan.prec(prec_override)
     series = catalog.evaluator(ident.L).series(ident.expr, prec)
     order = series.vanishing_order()
     status = "pass" if order is None else "fail"
@@ -388,8 +419,8 @@ def verify_identity(catalog: Catalog, name: str,
     if order is not None:
         details["first_nonzero_index"] = order
         details["coefficient"] = str(series.coefficient(order))
-    return VerificationReport(name, "identity", (ident.w2, ident.w2), prec, status,
-                              details, int((time.monotonic() - t0) * 1000))
+    return VerificationReport(name, "identity", plan.k_range, prec, status,
+                              details, _ms_since(t0))
 
 
 def verify_integrality(catalog: Catalog, name: str, prec: int = 100) -> VerificationReport:
@@ -408,8 +439,7 @@ def verify_integrality(catalog: Catalog, name: str, prec: int = 100) -> Verifica
                 break
     details = {} if bad is None else {"first_failure": bad}
     return VerificationReport(name, "integrality", (0, 0), prec,
-                              "pass" if bad is None else "fail", details,
-                              int((time.monotonic() - t0) * 1000))
+                              "pass" if bad is None else "fail", details, _ms_since(t0))
 
 
 INTEGRALITY_FORMS = ("alpha1", "alpha7")
@@ -418,54 +448,50 @@ _CHECK_ORDER = {"identity": 0, "span": 1, "relation": 2, "kernel": 3,
                 "hilbert": 4, "integrality": 5}
 
 
+def scheduled_checks(catalog: Catalog, checks=None, cases=None):
+    """The (check, label) pairs that full_report runs for this selection."""
+    selected = set(checks) if checks else set(_CHECK_ORDER)
+
+    def wanted(label: str) -> bool:
+        return not cases or label in cases
+
+    if "identity" in selected:
+        yield from (("identity", n) for n in sorted(catalog.identities) if wanted(n))
+    for label in filter(wanted, sorted(catalog.cases)):
+        case = catalog.cases[label]
+        pres = case.presentation
+        runs = {
+            "span": case.span_gens is not None,
+            "relation": pres is not None and bool(pres.relations or pres.relations_unknown),
+            "kernel": pres is not None and bool(case.kernel_kmax2),
+            "hilbert": pres is not None and pres.hilbert_num is not None,
+        }
+        yield from ((check, label) for check, run in runs.items() if run and check in selected)
+    if "integrality" in selected:
+        yield from (("integrality", n) for n in INTEGRALITY_FORMS if wanted(n))
+
+
 def full_report(catalog: Catalog, checks=None, cases=None,
                 kmax2: int | None = None, prec_override: int | None = None,
                 horizon2: int = 40) -> list[VerificationReport]:
     """Run the selected checks over the selected cases; never aborts the batch."""
-    selected = set(checks) if checks else set(_CHECK_ORDER)
-    labels = list(cases) if cases else None
-    reports: list[VerificationReport] = []
-
-    def want_case(label: str) -> bool:
-        return labels is None or label in labels
-
-    if "identity" in selected:
-        for name in sorted(catalog.identities):
-            if labels is None or name in labels:
-                reports.append(_guard(lambda: verify_identity(catalog, name, prec_override),
-                                      name, "identity"))
-    for label in sorted(catalog.cases):
-        if not want_case(label):
-            continue
-        case = catalog.cases[label]
-        if "span" in selected and case.span_gens is not None:
-            reports.append(_guard(lambda: verify_span(catalog, label, kmax2, prec_override),
-                                  label, "span"))
-        if "relation" in selected and case.presentation is not None and (
-            case.presentation.relations or case.presentation.relations_unknown
-        ):
-            reports.append(_guard(lambda: verify_relations(catalog, label, prec_override),
-                                  label, "relation"))
-        if "kernel" in selected and case.presentation is not None and case.kernel_kmax2:
-            reports.append(_guard(lambda: verify_kernel(catalog, label, kmax2, prec_override),
-                                  label, "kernel"))
-        if "hilbert" in selected and case.presentation is not None and (
-            case.presentation.hilbert_num is not None
-        ):
-            reports.append(_guard(lambda: verify_hilbert(catalog, label, horizon2),
-                                  label, "hilbert"))
-    if "integrality" in selected:
-        for name in INTEGRALITY_FORMS:
-            if labels is None or name in labels:
-                reports.append(_guard(lambda: verify_integrality(catalog, name),
-                                      name, "integrality"))
+    run = {
+        "identity": lambda label: verify_identity(catalog, label, prec_override),
+        "span": lambda label: verify_span(catalog, label, kmax2, prec_override),
+        "relation": lambda label: verify_relations(catalog, label, prec_override),
+        "kernel": lambda label: verify_kernel(catalog, label, kmax2, prec_override),
+        "hilbert": lambda label: verify_hilbert(catalog, label, horizon2),
+        "integrality": lambda label: verify_integrality(catalog, label),
+    }
+    reports = [_guard(run[check], label, check)
+               for check, label in scheduled_checks(catalog, checks, cases)]
     reports.sort(key=lambda r: (r.case, _CHECK_ORDER.get(r.check, 9), r.k_range))
     return reports
 
 
-def _guard(thunk, label: str, kind: str) -> VerificationReport:
+def _guard(run, label: str, kind: str) -> VerificationReport:
     try:
-        return thunk()
+        return run(label)
     except Exception as exc:  # aggregated, never aborts the batch
         return VerificationReport(label, kind, (0, 0), 0, "fail",
                                   {"error": f"{type(exc).__name__}: {exc}"}, 0)

@@ -1,8 +1,16 @@
 import json
+import os
+import tempfile
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfring.catalog import load_catalog
 from mfring.cli import main
+
+SHIPPED = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
 
 
 def _run(capsys, *argv):
@@ -99,6 +107,12 @@ def test_verify_exit_codes(capsys):
     assert code == 3 and "cutoff" in err
     code, _, err = _run(capsys, "verify", "span", "--case", "7", "--kmax", "0")
     assert code == 3
+    # the guard plans the weights --kmax selects: weight 1 needs 4 coefficients
+    code, out, _ = _run(capsys, "verify", "span", "--case", "7", "--kmax", "1", "--prec", "5")
+    assert code == 0 and "PASS" in out
+    code, _, err = _run(capsys, "verify", "kernel", "--case", "7", "--kmax", "12",
+                        "--prec", "20")
+    assert code == 3 and "cutoff 26" in err
 
 
 def test_verify_small_batch_text(capsys):
@@ -130,3 +144,52 @@ def test_custom_catalog_and_failure_exit_code(tmp_path, capsys):
                         "verify", "identity", "--case", "c3_sq")
     assert code == 1
     assert "FAIL" in out
+
+
+def _without_group(raw):
+    del raw["cases"][0]["group"]
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    "{",  # malformed JSON
+    "[]",  # not an object
+    _without_group(json.loads(json.dumps(SHIPPED))),  # a case with no group
+], ids=["missing", "truncated", "list", "no-group"])
+def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
+    path = tmp_path / "catalog.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, "--catalog", str(path), "catalog", "list")
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _key_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, prefix + (i,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(_key_paths(SHIPPED))))
+def test_catalog_missing_any_key_exits_0_or_3(key_path):
+    raw = json.loads(json.dumps(SHIPPED))
+    node = raw
+    for step in key_path[:-1]:
+        node = node[step]
+    del node[key_path[-1]]
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(raw, fh)
+        assert main(["--catalog", path, "catalog", "list"]) in (0, 3), key_path
+    finally:
+        os.unlink(path)
+        load_catalog.cache_clear()

@@ -7,11 +7,10 @@ import pytest
 from mfring.cyclo import (
     cyclo_context,
     cyclotomic_polynomial,
-    re_im,
     render_cyclo,
     root_of_unity,
 )
-from mfring.errors import ConductorMismatch, NotInSpan
+from mfring.errors import ConductorMismatch
 
 
 def _phi_bruteforce(n):
@@ -111,24 +110,6 @@ def test_conjugation():
         assert x.conj().conj() == x
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x + y).conj() == x.conj() + y.conj()
-
-
-def test_re_im():
-    c12 = cyclo_context(12)
-    z6 = root_of_unity(c12, 1, 6)
-    assert re_im(c12.from_rational(3) + z6 * 2, 6) == (3, 2)
-    c4 = cyclo_context(4)
-    assert re_im(root_of_unity(c4, 1, 4), 4) == (0, 1)
-    with pytest.raises(NotInSpan):
-        re_im(c12.zeta_power(1), 4)  # primitive 12th root is outside span{1, i}
-    # recomposition on random members of the span
-    rng = random.Random(99)
-    for n in (3, 4, 6):
-        zn = root_of_unity(c12, 1, n)
-        for _ in range(10):
-            r, s = Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(-9, 9), 3)
-            x = c12.from_rational(r) + zn * c12.from_rational(s)
-            assert re_im(x, n) == (r, s)
 
 
 def test_rendering():

@@ -84,13 +84,6 @@ def test_batch_aggregates_errors_instead_of_raising():
     assert "BadLeadingShape" in reports[0].details["error"]
 
 
-def test_decomposition_metadata_loaded():
-    groups = {d["group"] for d in CAT.decompositions}
-    assert {"g5", "g11", "g15", "g17", "g25h6"} <= groups
-    fifteen = next(d for d in CAT.decompositions if d["group"] == "g15")
-    assert any("chi15" in piece for piece in fifteen["even"])  # flagged, not guessed
-
-
 def test_rank_monotone_in_precision():
     # truncating columns can only lose independence, never gain it
     runner = CaseRunner(CAT, CAT.cases["9"])

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mfring.catalog import Relation, load_catalog
+from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.errors import PrecisionTooLow, UnknownIdentity
 from mfring.verify import (
     GUARD,
     CaseRunner,
+    check_plan,
     full_report,
     row_echelon_rank,
     verify_hilbert,
@@ -161,6 +162,18 @@ def test_verify_kernel_examples():
     assert count == 12
 
 
+def test_verify_kernel_fails_on_a_nonvanishing_relation():
+    from importlib import resources
+
+    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+    seven = next(c for c in raw["cases"] if c["label"] == "7")
+    # doctored: homogeneous of weight 2 but equal to 2*frho7^2, not zero
+    seven["presentation"]["relations"][0]["poly"] = "frho7^2 + fchi7*fchi7_bar"
+    report = verify_kernel(Catalog(raw), "7", kmax2=4)
+    assert report.status == "fail"
+    assert report.details["first_failure"] == {"relation_nonzero": "O7"}
+
+
 def test_verify_relations_states():
     assert verify_relations(CAT, "7").passed
     unknown = verify_relations(CAT, "13h3")
@@ -204,6 +217,11 @@ def test_full_batch_all_green():
     assert skipped == {("13h3", "relation")}
     covered = {(r.case, r.check) for r in reports}
     assert ("4", "span") in covered and ("16full", "relation") in covered
+    # every rank and vanishing test ran at the one precision of the shared rule
+    for r in reports:
+        if r.check in ("identity", "span", "relation", "kernel") and r.status == "pass":
+            plan = check_plan(CAT, r.check, r.case)
+            assert r.precision == plan.cutoff + GUARD, (r.case, r.check)
 
 
 def test_full_report_deterministic_order():
