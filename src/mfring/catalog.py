@@ -13,7 +13,7 @@ Schema (top-level keys):
   ``{mod, res, jmin?, cj?: [p,q], floor?: [p,q], c?}`` applies when
   ``j % mod in res`` and ``j >= jmin`` and evaluates to
   ``p*j/q + p'*floor(j/q') + c``.
-* ``forms``: ``{name, w2, L, group?, char?, expr}`` with prefix expressions.
+* ``forms``: ``{name, w2, L, group?, expr}`` with prefix expressions.
 * ``identities``: ``{name, group, L, w2, half_members?, expr, note?}``;
   the expression must evaluate to the zero series.
 * ``cases``: ``{label, group, L, dim?, span_gens?, span_kmax2?,
@@ -31,7 +31,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd
 
-from .characters import _factorize, unit_group
+from .characters import _factorize, units
 from .cyclo import cyclo_context
 from .errors import CatalogError, OutOfTable, QuasiModularUse, UnknownForm
 from .exprs import Evaluator, parse_expr, parse_poly
@@ -92,7 +92,6 @@ class FormEntry:
     w2: int
     L: int
     group: str | None
-    char: str | None
     expr: str
 
 
@@ -136,8 +135,7 @@ def group_index(group: GroupSpec) -> int:
         return psi_index(group.level)
     N = group.level
     order = _subgroup_order(N, group.H + (N - 1,))
-    phi = len(unit_group(N).units) if N > 1 else 1
-    return psi_index(N) * (phi // order)
+    return psi_index(N) * (len(units(N)) // order)
 
 
 def sturm_bound2(group: GroupSpec, w2: int) -> int:
@@ -190,9 +188,7 @@ class Catalog:
                 self.dims[spec.label] = tuple(g["dim"])
         self.forms: dict[str, FormEntry] = {}
         for f in raw.get("forms", []):
-            entry = FormEntry(
-                f["name"], f["w2"], f["L"], f.get("group"), f.get("char"), f["expr"]
-            )
+            entry = FormEntry(f["name"], f["w2"], f["L"], f.get("group"), f["expr"])
             if entry.name in self.forms:
                 raise CatalogError(f"duplicate form {entry.name}")
             self.forms[entry.name] = entry
@@ -434,9 +430,21 @@ def _constructor_weight(name: str) -> int:
     return 2 if m.group("bqf") is not None else 1
 
 
-@lru_cache(maxsize=None)
 def load_catalog(path: str | None = None) -> Catalog:
-    """Read and validate a catalog; every defect of the file is a CatalogError."""
+    """Read and validate a catalog; every defect of the file is a CatalogError.
+
+    The built-in catalog is read once per process; a file given by `path`
+    is read again on every call, so a rewritten file is never served stale.
+    """
+    return _builtin_catalog() if path is None else _read_catalog(path)
+
+
+@lru_cache(maxsize=None)
+def _builtin_catalog() -> Catalog:
+    return _read_catalog(None)
+
+
+def _read_catalog(path: str | None) -> Catalog:
     where = path or "built-in catalog"
     try:
         if path is None:

@@ -15,7 +15,8 @@ import sys
 from .catalog import Catalog, load_catalog
 from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
 from .hilbert import HilbertSeries
-from .verify import VerificationReport, check_plan, dim_or_none, full_report, scheduled_checks
+from .verify import (INTEGRALITY_FORMS, VerificationReport, check_plan, dim_or_none,
+                     full_report, scheduled_checks)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -156,7 +157,7 @@ def cmd_verify(args) -> int:
     checks = _SELECTORS[args.selector]
     labels = args.case or None
     if labels:
-        known = set(catalog.cases) | set(catalog.identities) | {"alpha1", "alpha7"}
+        known = set(catalog.cases) | set(catalog.identities) | set(INTEGRALITY_FORMS)
         for label in labels:
             if label not in known:
                 raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
@@ -169,6 +170,8 @@ def cmd_verify(args) -> int:
         if args.prec < 1:
             raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
         _check_prec_override(catalog, checks, labels, args.prec, kmax2)
+    if args.horizon is not None and args.horizon < 0:
+        raise CliError("--horizon must be nonnegative", EXIT_BAD_CONFIG)
     horizon2 = 2 * args.horizon if args.horizon is not None else 40
     reports = full_report(catalog, checks=checks, cases=labels,
                           kmax2=kmax2, prec_override=args.prec, horizon2=horizon2)

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import ConductorMismatch, ContextMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def euler_phi(n: int) -> int:
-    return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

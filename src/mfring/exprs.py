@@ -187,6 +187,8 @@ def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise CatalogError(f"unexpected end of {text!r}")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -227,7 +229,10 @@ def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
             if peek() == "-":
                 take()
                 neg = True
-            k = int(take())
+            tok = take()
+            if not tok.isdigit():
+                raise CatalogError(f"exponent must be an integer in {text!r}")
+            k = int(tok)
             if neg:
                 c = base.constant_value()
                 if c is None or c.is_zero():
@@ -370,7 +375,7 @@ class Evaluator:
         if op == "v":
             h = ast[1]
             child_prec = (prec - 2) // h + 2 if h > 1 else prec
-            return self._eval(ast[2], child_prec).v_operator(h).truncate(prec)
+            return self._eval(ast[2], child_prec).v_operator(h, prec)
         if op == "low":
             return self._eval(ast[2], prec).lowered(ast[1])
         raise CatalogError(f"unknown AST node {op!r}")

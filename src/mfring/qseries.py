@@ -102,17 +102,18 @@ class QSeries:
             n >>= 1
         return result
 
-    def v_operator(self, h: int) -> "QSeries":
-        """Substitute q -> q^h; precision becomes h*(prec-1)+1."""
+    def v_operator(self, h: int, keep: int | None = None) -> "QSeries":
+        """Substitute q -> q^h; precision becomes h*(prec-1)+1, or `keep` if smaller."""
         if h < 1:
             raise ValueError("h must be positive")
-        if h == 1:
-            return self
         new_prec = h * (self.prec - 1) + 1
-        zero = self.ctx.zero
-        out = [zero] * new_prec
-        for i, c in enumerate(self.coeffs):
-            out[h * i] = c
+        if keep is not None and keep < new_prec:
+            new_prec = keep
+        if h == 1:
+            return self if new_prec == self.prec else self.truncate(new_prec)
+        out = [self.ctx.zero] * new_prec
+        for i in range((new_prec - 1) // h + 1):
+            out[h * i] = self.coeffs[i]
         return QSeries(self.ctx, out)
 
     def lowered(self, h: int) -> "QSeries":
@@ -124,7 +125,7 @@ class QSeries:
         a = self.coeffs[1]
         if a.is_zero():
             raise BadLeadingShape("q coefficient must be nonzero")
-        return (self - self.v_operator(h)).scale(a.invert())
+        return (self - self.v_operator(h, self.prec)).scale(a.invert())
 
     def conj(self) -> "QSeries":
         return QSeries(self.ctx, [c.conj() for c in self.coeffs])

@@ -1,3 +1,5 @@
+import json
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -165,3 +167,14 @@ def test_inhomogeneous_expression_rejected():
     }
     with pytest.raises(CatalogError):
         Catalog(raw)
+
+
+def test_catalog_file_is_read_again_after_a_rewrite(tmp_path):
+    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw))
+    assert "alpha23" in load_catalog(str(path)).forms
+    raw["forms"] = [f for f in raw["forms"] if f["name"] != "alpha23"]
+    path.write_text(json.dumps(raw))
+    assert "alpha23" not in load_catalog(str(path)).forms
+    assert load_catalog() is load_catalog()  # the built-in catalog is read once

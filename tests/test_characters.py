@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
 from mfring.characters import (
+    _NAMED_DEFS,
     character,
     named_character,
     sigma_twisted,
     sigma_two_char,
     sigma_upper_twisted,
     trivial_character,
-    unit_group,
+    units,
 )
 from mfring.cyclo import cyclo_context
 from mfring.errors import GroupMismatch, InvalidOrder
@@ -21,27 +23,38 @@ C4 = cyclo_context(4)
 C6 = cyclo_context(6)
 
 
-def test_unit_group_decompositions():
-    g5 = unit_group(5)
-    assert g5.orders == (4,)
-    # enumeration oracle: the generator really has full order
-    gen = g5.gens[0]
-    powers = {pow(gen, e, 5) for e in range(4)}
-    assert powers == {1, 2, 3, 4}
-    g8 = unit_group(8)
-    assert sorted(g8.orders) == [2, 2]
-    assert unit_group(2).gens == ()
-    assert unit_group(1).phi == 1
-    g16 = unit_group(16)
-    assert sorted(g16.orders) == [2, 4]
+def _phi(N):
+    return sum(1 for a in range(1, N + 1) if gcd(a, N) == 1)
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 24, 25])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 24, 25])
 def test_unit_group_generates(N):
-    g = unit_group(N)
-    phi = sum(1 for a in range(1, N + 1) if gcd(a, N) == 1)
-    assert g.phi == phi
-    assert len(g._dlog) == phi
+    us = units(N)
+    assert len(us) == _phi(N) and all(0 <= a < N for a in us)
+    # (Z/N)^x: closed under products, every element invertible
+    assert {a * b % N for a in us for b in us} == set(us)
+    assert all(pow(a, -1, N) in us for a in us)
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_DEFS))
+def test_named_tables_match_generator_powers(name):
+    # independent of the closure: chi(prod g_i^e_i) = sum e_i t_i for every
+    # exponent vector, so each unit gets the turn of some vector reaching it
+    spec, power = _NAMED_DEFS[name], 1
+    if isinstance(spec[0], str):  # a power of another named character
+        spec, power = _NAMED_DEFS[spec[0]], spec[1]
+    N, gens = spec
+    chi = named_character(name)
+    seen = {}
+    for exps in product(range(N), repeat=len(gens)):
+        u = prod(pow(g, e, N) for (g, _), e in zip(gens, exps)) % N
+        t = sum(e * t for (_, t), e in zip(gens, exps)) % 1
+        seen.setdefault(u, t)
+        assert seen[u] == t, (name, u)
+    assert sorted(seen) == list(units(N))
+    for a in range(N):
+        want = seen[a] * power % 1 if a in seen else None
+        assert chi.value_fraction(a) == want, (name, a)
 
 
 def test_character_construction_and_eval():
@@ -58,10 +71,22 @@ def test_character_construction_and_eval():
 
 
 def test_invalid_order_rejected():
+    # conflicting values: the order of the value does not divide that of the unit
     with pytest.raises(InvalidOrder):
-        character(unit_group(5), [(2, Fraction(1, 3))])
+        character(5, [(2, Fraction(1, 3))])
     with pytest.raises(InvalidOrder):
-        character(unit_group(4), [(3, Fraction(1, 4))])
+        character(4, [(3, Fraction(1, 4))])
+    # conflicting values: 4 = 2^2 mod 5 gets two turns
+    with pytest.raises(InvalidOrder):
+        character(5, [(2, Fraction(1, 4)), (4, Fraction(1, 4))])
+    with pytest.raises(InvalidOrder, match="not a unit"):
+        character(6, [(5, Fraction(1, 2)), (2, Fraction(1, 2))])
+    # 4 has order 2 mod 5, so its powers miss 2 and 3
+    with pytest.raises(InvalidOrder, match="reach every unit"):
+        character(5, [(4, Fraction(1, 2))])
+    with pytest.raises(InvalidOrder, match="reach every unit"):
+        character(8, [(7, Fraction(1, 2))])
+    assert character(5, [(2, Fraction(1, 4)), (4, Fraction(1, 2))]) == named_character("chi5")
 
 
 def test_char_ops():
@@ -78,11 +103,11 @@ def test_char_ops():
 
 def test_named_relations_pointwise():
     chi9, rho3 = named_character("chi9"), named_character("rho3")
-    for u in unit_group(9).units:
+    for u in units(9):
         assert (chi9**3).value_fraction(u) == rho3.value_fraction(u % 3)
     chi16 = named_character("chi16")
     prod = named_character("rho4").lift(16) * named_character("rho8").lift(16)
-    for u in unit_group(16).units:
+    for u in units(16):
         assert (chi16**2).value_fraction(u) == prod.value_fraction(u)
 
 
@@ -117,7 +142,7 @@ def test_orthogonality():
         chi = named_character(name)
         ctx = cyclo_context(L)
         total = ctx.zero
-        for u in unit_group(chi.modulus).units:
+        for u in units(chi.modulus):
             total = total + chi.eval(u, ctx)
         assert total.is_zero(), name
 
@@ -159,5 +184,5 @@ def test_twisted_sigma_other_shapes():
 def test_lift_roundtrip():
     rho3 = named_character("rho3")
     lifted = rho3.lift(12)
-    for u in unit_group(12).units:
+    for u in units(12):
         assert lifted.value_fraction(u) == rho3.value_fraction(u % 3)

@@ -1,13 +1,14 @@
+import io
 import json
 import os
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring.catalog import load_catalog
 from mfring.cli import main
 
 SHIPPED = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
@@ -48,11 +49,23 @@ def test_qexp_json_and_errors(capsys):
     ("(v 0 E4)", 3),          # q -> q^0 is not a substitution
     ("f[1;pow(chi5)]", 3),    # character operator with a missing argument
     ("f[1;rho9]", 2),         # no character of that name
+    ("(scale 2^ E4)", 3),     # scalar exponent missing
+    ("(scale 2^x E4)", 3),    # scalar exponent is not an integer
 ])
 def test_qexp_bad_expressions_exit_without_traceback(capsys, expr, want):
     code, out, err = _run(capsys, "qexp", expr, "--prec", "5")
     assert code == want
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("(v 99999999999 E4)", "1 + O(q^4)"),
+    ("(low 99999999999 E4)", "q + 9*q^2 + 28*q^3 + O(q^4)"),
+])
+def test_qexp_huge_h_builds_only_the_kept_coefficients(capsys, expr, want):
+    code, out, err = _run(capsys, "qexp", expr, "--prec", "4")
+    assert code == 0 and err == ""
+    assert out.strip() == want
 
 
 def test_qexp_character_expression_conductor(capsys):
@@ -113,6 +126,8 @@ def test_verify_exit_codes(capsys):
     code, _, err = _run(capsys, "verify", "kernel", "--case", "7", "--kmax", "12",
                         "--prec", "20")
     assert code == 3 and "cutoff 26" in err
+    code, out, err = _run(capsys, "verify", "hilbert", "--case", "1", "--horizon", "-1")
+    assert code == 3 and out == "" and "horizon" in err
 
 
 def test_verify_small_batch_text(capsys):
@@ -192,4 +207,66 @@ def test_catalog_missing_any_key_exits_0_or_3(key_path):
         assert main(["--catalog", path, "catalog", "list"]) in (0, 3), key_path
     finally:
         os.unlink(path)
-        load_catalog.cache_clear()
+
+
+# A small grammar of qexp inputs: the operators, constructors of weight <= 6,
+# scalar literals, h up to 10^11, then optionally truncated or salted with
+# garbage.  Scalar exponents stay at two digits: a literal such as 2^20000 is
+# exact but prints past Python's 4300-digit int-to-str limit.
+_CHARS = st.sampled_from([
+    "rho3", "rho4", "chi5", "rho5", "chi7", "rho7", "rho8", "chi9", "rho9",
+    "pow(chi5,3)", "conj(chi7)", "mul(rho3,rho4)", "pow(chi5)", "mul(rho3)",
+])
+_WEIGHT = st.integers(0, 6)
+_ATOMS = st.one_of(
+    st.sampled_from(["E2", "E3", "E4", "E6", "C1", "C2", "C7", "theta", "bqf[1,1,6]",
+                     "bqf[1,0,-1]", "alpha23", "nosuch"]),
+    st.builds("f[{};{}]".format, _WEIGHT, _CHARS),
+    st.builds("g[{};{}]".format, _WEIGHT, _CHARS),
+    st.builds("g[{};{},{}]".format, _WEIGHT, _CHARS, _CHARS),
+)
+_SCALARS = st.one_of(
+    st.builds(str, st.integers(-30, 30)),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
+    st.builds("{}^{}".format, st.integers(0, 9),
+              st.sampled_from(["", "x", "-", "-1", "2", "12", "99"])),
+    st.builds("z{}^{}".format, st.sampled_from([1, 2, 3, 4, 5, 12]), st.integers(0, 12)),
+    st.sampled_from(["z4/2", "(1+z4)", "1+", "*", "z", "2^^3"]),
+)
+_H = st.one_of(st.integers(0, 4), st.integers(0, 10**11))
+_EXPRS = st.recursive(_ATOMS, lambda sub: st.one_of(
+    st.builds("(add {} {})".format, sub, sub),
+    st.builds("(mul {} {} {})".format, sub, sub, sub),
+    st.builds("(sub {} {})".format, sub, sub),
+    st.builds("(pow {} {})".format, sub, st.integers(-1, 12)),
+    st.builds("(scale {} {})".format, _SCALARS, sub),
+    st.builds("({} {} {})".format, st.sampled_from(["v", "low"]), _H, sub),
+    st.builds("(conj {})".format, sub),
+), max_leaves=4)
+_GARBAGE = st.sampled_from(["(", ")", "^", "(add", "(v", "f[", "g[2;", "]", ";", ",", "zz", "E"])
+
+
+@st.composite
+def _qexp_inputs(draw):
+    expr = draw(_EXPRS)
+    cut = draw(st.integers(0, len(expr)))
+    mode = draw(st.sampled_from(["whole", "truncate", "insert"]))
+    if mode == "truncate":
+        expr = expr[:cut]
+    elif mode == "insert":
+        expr = expr[:cut] + draw(_GARBAGE) + expr[cut:]
+    return expr, str(draw(st.integers(-1, 10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_qexp_inputs())
+def test_qexp_fuzz_exit_code_contract(args):
+    expr, prec = args
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["qexp", expr, "--prec", prec])
+        except SystemExit as exc:  # argparse refusing an argv
+            code = exc.code
+    assert code in (0, 2, 3), (expr, prec, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from mfring.catalog import load_catalog
-from mfring.characters import named_character, unit_group
+from mfring.characters import named_character, units
 from mfring.cyclo import cyclo_context
 from mfring.qseries import QSeries
 from mfring.verify import GUARD, CaseRunner, row_echelon_rank, weighted_monomials
@@ -79,7 +79,7 @@ def prop_character_orthogonality():
         chi = named_character(name)
         ctx = cyclo_context(L)
         total = ctx.zero
-        for u in unit_group(chi.modulus).units:
+        for u in units(chi.modulus):
             total = total + chi.eval(u, ctx)
         assert total.is_zero(), name
 

@@ -68,6 +68,20 @@ def test_v_operator_ring_homomorphism_and_composition():
         assert f.v_operator(h).v_operator(2) == f.v_operator(2 * h)
 
 
+def test_v_operator_keep_equals_truncation():
+    rng = random.Random(5)
+    for _ in range(10):
+        f = _series([rng.randint(-5, 5) for _ in range(rng.randint(1, 7))])
+        h = rng.randint(1, 4)
+        full = f.v_operator(h)
+        for keep in range(1, full.prec + 3):
+            assert f.v_operator(h, keep) == full.truncate(min(keep, full.prec))
+    # only the kept coefficients are built, whatever h is
+    assert str(_series([1, 1, 1]).v_operator(10**11, 3)) == "1 + O(q^3)"
+    e4 = eisenstein_e(4, 4, C1)
+    assert str(e4.lowered(10**11)) == "q + 9*q^2 + 28*q^3 + O(q^4)"
+
+
 def test_lowered():
     e4 = eisenstein_e(4, 5, C1)
     alpha2 = e4.lowered(2)
