@@ -29,12 +29,12 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import lcm
 
-from .characters import _factorize, units
+from .characters import units
 from .cyclo import cyclo_context
-from .errors import CatalogError, OutOfTable, QuasiModularUse, UnknownForm
-from .exprs import Evaluator, parse_expr, parse_poly
+from .errors import CatalogError, OutOfTable, QuasiModularUse
+from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve
 from .qseries import QSeries
 
 
@@ -109,8 +109,9 @@ class Identity:
 def psi_index(N: int) -> int:
     """Index of Gamma0(N) in PSL2(Z): N * prod (1 + 1/p)."""
     out = N
-    for p, _ in _factorize(N):
-        out = out // p * (p + 1)
+    for p in range(2, N + 1):
+        if N % p == 0 and all(p % d for d in range(2, p)):
+            out = out // p * (p + 1)
     return out
 
 
@@ -228,6 +229,7 @@ class Catalog:
                 presentation=pres,
             )
             self.cases[case.label] = case
+        self._exprs = {name: e.expr for name, e in self.forms.items()}
         self._validate()
 
     # -- lookups ----------------------------------------------------------
@@ -272,127 +274,83 @@ class Catalog:
         return case.span_gens
 
     def evaluator(self, L: int, locals_: dict | None = None) -> Evaluator:
-        table = {name: e.expr for name, e in self.forms.items()}
-        return Evaluator(cyclo_context(L), form_table=table, locals_=locals_ or {})
+        return Evaluator(cyclo_context(L), form_table=self._exprs, locals_=locals_ or {})
 
     def lookup_form(self, name: str, prec: int) -> QSeries:
-        """Resolve a catalog form name or constructor expression to a q-expansion."""
-        if name in self.forms:
-            entry = self.forms[name]
-            return self.evaluator(entry.L).series(name, prec)
-        # bare constructor or inline prefix expression: infer a workable conductor
-        ev = self.evaluator(self._infer_conductor(name))
-        return ev.series(name, prec)
+        """Resolve a catalog form name or prefix expression to a q-expansion.
 
-    def _infer_conductor(self, text: str) -> int:
-        from .exprs import _CONSTRUCTOR, _SEXPR_TOKEN, parse_character, _split_top_level
-
-        L = 1
-        for tok in _SEXPR_TOKEN.findall(text):
-            if tok in self.forms:
-                L = L * self.forms[tok].L // gcd(L, self.forms[tok].L)
-                continue
-            m = _CONSTRUCTOR.fullmatch(tok)
-            if m is None:
-                continue
-            chars = []
-            if m.group("fchar"):
-                chars = [m.group("fchar")]
-            elif m.group("gchars"):
-                chars = _split_top_level(m.group("gchars"))
-            order = 1
-            for ch in chars:
-                o = parse_character(ch).order()
-                order = order * o // gcd(order, o)
-            if chars:
-                order = order * 2 // gcd(order, 2)  # parity values need -1
-            L = L * order // gcd(L, order)
-        return L
+        The field is the lcm of the conductors of the forms the expression
+        names and of the root-of-unity orders of its constructors.
+        """
+        ast = parse_expr(name)
+        L = lcm(*(self.forms[a].L if a in self.forms else constructor(a).order()
+                  for a in atoms(ast)))
+        return self.evaluator(L).series(ast, prec)
 
     # -- validation -------------------------------------------------------
 
-    def _expr_weight(self, ast, local_weights: dict[str, int], stack: tuple = ()) -> int:
+    def _w2(self, ast, locals_: dict[str, str], stack: tuple = ()) -> int:
+        """Doubled weight of a parsed expression; atoms resolve as the Evaluator resolves them."""
         op = ast[0]
         if op == "atom":
             name = ast[1]
-            if name in local_weights:
-                return local_weights[name]
             if name in stack:
-                raise CatalogError(f"cyclic form definition through {name!r}")
-            if name in self.forms:
-                entry = self.forms[name]
-                got = self._expr_weight(parse_expr(entry.expr) if entry.expr.startswith("(")
-                                        else ("atom", entry.expr),
-                                        {}, stack + (name,))
-                if got != entry.w2:
-                    raise CatalogError(f"form {name}: declared w2={entry.w2}, computed {got}")
-                return entry.w2
-            return _constructor_weight(name)
+                raise CatalogError(f"cyclic definition through {name!r}")
+            got = resolve(name, locals_, self._exprs)
+            if isinstance(got, str):
+                return self._w2(parse_expr(got), locals_, stack + (name,))
+            return got.w2
         if op in ("add", "mul"):
-            weights = [self._expr_weight(a, local_weights, stack) for a in ast[1]]
+            weights = [self._w2(a, locals_, stack) for a in ast[1]]
             if op == "add":
                 if len(set(weights)) != 1:
                     raise CatalogError(f"inhomogeneous sum: weights {weights}")
                 return weights[0]
             return sum(weights)
         if op == "sub":
-            w1 = self._expr_weight(ast[1], local_weights, stack)
-            w2 = self._expr_weight(ast[2], local_weights, stack)
+            w1 = self._w2(ast[1], locals_, stack)
+            w2 = self._w2(ast[2], locals_, stack)
             if w1 != w2:
                 raise CatalogError(f"inhomogeneous difference: {w1} vs {w2}")
             return w1
         if op == "pow":
-            return self._expr_weight(ast[1], local_weights, stack) * ast[2]
-        if op in ("conj", "scale", "v", "low"):
-            return self._expr_weight(ast[-1], local_weights, stack)
-        raise CatalogError(f"unknown node {op}")
+            return self._w2(ast[1], locals_, stack) * ast[2]
+        return self._w2(ast[-1], locals_, stack)  # conj, scale, v and low keep the weight
 
-    def _weight_of(self, expr: str, locals_w: dict[str, int] | None = None) -> int:
-        ast = parse_expr(expr) if expr.lstrip().startswith("(") else ("atom", expr.strip())
-        return self._expr_weight(ast, locals_w or {})
-
-    def _forbid_quasi_modular(self, expr: str, where: str):
-        tokens = expr.replace("(", " ").replace(")", " ").split()
-        if "E2" in tokens:
+    def _check_w2(self, where: str, declared: int, expr: str, locals_: dict[str, str],
+                  modular: bool = False):
+        ast = parse_expr(expr)
+        if modular and "E2" in atoms(ast):
             raise QuasiModularUse(f"{where}: E2 is quasi-modular and cannot be a form member")
+        got = self._w2(ast, locals_)
+        if got != declared:
+            raise CatalogError(f"{where}: declared w2={declared}, computed {got}")
 
     def _validate(self):
         for name, entry in self.forms.items():
-            self._weight_of(entry.expr)  # checks consistency recursively
             if entry.group is not None and entry.group not in self.groups:
                 raise CatalogError(f"form {name}: unknown group {entry.group}")
+            self._check_w2(f"form {name}", entry.w2, entry.expr, {})
         for ident in self.identities.values():
             if ident.group not in self.groups:
                 raise CatalogError(f"identity {ident.name}: unknown group {ident.group}")
-            got = self._weight_of(ident.expr)
-            if got != ident.w2:
-                raise CatalogError(f"identity {ident.name}: w2 {ident.w2} vs computed {got}")
+            self._check_w2(f"identity {ident.name}", ident.w2, ident.expr, {})
         for case in self.cases.values():
             if case.group not in self.groups:
                 raise CatalogError(f"case {case.label}: unknown group {case.group}")
-            if case.span_gens:
-                for gen in case.span_gens:
-                    self._forbid_quasi_modular(gen.expr, f"case {case.label} gen {gen.name}")
-                    got = self._weight_of(gen.expr)
-                    if got != gen.w2:
-                        raise CatalogError(
-                            f"case {case.label} gen {gen.name}: w2 {gen.w2} vs computed {got}"
-                        )
             pres = case.presentation
+            if pres is not None and pres.base is not None and pres.base not in self.cases:
+                raise CatalogError(f"case {case.label}: unknown base {pres.base}")
+            pres_gens = self.case_gens(case, presentation=True) + pres.aux if pres else ()
+            # each generator set with the locals a CaseRunner evaluates it with
+            for gens in (case.span_gens or (), pres_gens):
+                locals_ = {g.name: g.expr for g in gens}
+                for gen in gens:
+                    self._check_w2(f"case {case.label} gen {gen.name}", gen.w2, gen.expr,
+                                   locals_, modular=True)
             if pres is None:
                 continue
-            if pres.base is not None and pres.base not in self.cases:
-                raise CatalogError(f"case {case.label}: unknown base {pres.base}")
-            gens = self.case_gens(case, presentation=True)
-            var_w = {g.name: g.w2 for g in gens}
-            for gen in pres.gens + pres.aux:
-                self._forbid_quasi_modular(gen.expr, f"case {case.label} gen {gen.name}")
-                got = self._weight_of(gen.expr, var_w)
-                if got != gen.w2:
-                    raise CatalogError(
-                        f"case {case.label} gen {gen.name}: w2 {gen.w2} vs computed {got}"
-                    )
-            var_w.update({g.name: g.w2 for g in pres.aux})
+            var_w = {g.name: g.w2 for g in pres_gens}
             names = list(var_w)
             ctx = cyclo_context(case.L)
             for rel in pres.relations:
@@ -404,30 +362,12 @@ class Catalog:
                             f"relation {rel.name}: term of weight {w}, declared {rel.w2}"
                         )
             if pres.hilbert_den is not None:
-                gen_w = sorted(g.w2 for g in gens)
+                gen_w = sorted(g.w2 for g in self.case_gens(case, presentation=True))
                 if sorted(pres.hilbert_den) != gen_w:
                     raise CatalogError(
                         f"case {case.label}: Hilbert denominator {sorted(pres.hilbert_den)} "
                         f"vs generator weights {gen_w}"
                     )
-
-
-def _constructor_weight(name: str) -> int:
-    from .exprs import _CONSTRUCTOR
-
-    m = _CONSTRUCTOR.fullmatch(name)
-    if m is None:
-        raise UnknownForm(f"cannot resolve {name!r}")
-    if m.group("ek") is not None:
-        return 2 * int(m.group("ek"))
-    if m.group("cn") is not None:
-        return 4
-    if m.group("fk") is not None:
-        return 2 * int(m.group("fk"))
-    if m.group("gk") is not None:
-        return 2 * int(m.group("gk"))
-    # two-variable lattice sums have weight 1, the one-variable theta weight 1/2
-    return 2 if m.group("bqf") is not None else 1
 
 
 def load_catalog(path: str | None = None) -> Catalog:

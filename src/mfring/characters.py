@@ -17,22 +17,6 @@ from .cyclo import CycloNum, FieldCtx, root_of_unity
 from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -54,10 +38,6 @@ class DirichletCharacter:
         return DirichletCharacter(
             self.modulus, (None if t is None else f(t) % 1 for t in self.turns)
         )
-
-    def value_fraction(self, n: int) -> Fraction | None:
-        """chi(n) as a turn fraction in [0,1), or None when gcd(n,N) > 1."""
-        return self.turns[n % self.modulus]
 
     def eval(self, n: int, ctx: FieldCtx) -> CycloNum:
         """chi(n) embedded in Q(zeta_L); zero off the units."""

@@ -14,9 +14,8 @@ import sys
 
 from .catalog import Catalog, load_catalog
 from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
-from .hilbert import HilbertSeries
 from .verify import (INTEGRALITY_FORMS, VerificationReport, check_plan, dim_or_none,
-                     full_report, scheduled_checks)
+                     full_report, hilbert_mismatches, scheduled_checks)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -102,28 +101,24 @@ def cmd_hilbert(args) -> int:
     label = args.case
     if label not in catalog.cases:
         raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
-    pres = catalog.cases[label].presentation
-    if pres is None or pres.hilbert_num is None:
+    case = catalog.cases[label]
+    if case.presentation is None or case.presentation.hilbert_num is None:
         raise CliError(f"case {label!r} has no claimed Hilbert series", EXIT_UNKNOWN)
-    hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
     horizon2 = 2 * args.horizon
+    hs, bad = hilbert_mismatches(catalog, case, horizon2)
     coeffs = hs.expand(horizon2)
-    dims = [dim_or_none(catalog, catalog.cases[label], j2) for j2 in range(horizon2 + 1)]
-    mismatches = [
-        j2 for j2, (c, d) in enumerate(zip(coeffs, dims))
-        if d is not None and c != d
-    ]
+    dims = [dim_or_none(catalog, case, j2) for j2 in range(horizon2 + 1)]
     if args.output == "json":
         print(json.dumps({"case": label, "series": hs.render(),
                           "expansion": coeffs, "dims": dims,
-                          "mismatched_weights2": mismatches}))
+                          "mismatched_weights2": [j2 for j2, _, _ in bad]}))
     else:
         print(hs.render())
         print("expansion:", ",".join(str(c) for c in coeffs))
         print("dims:     ", ",".join("-" if d is None else str(d) for d in dims))
-        if mismatches:
-            print("MISMATCH at doubled weights", mismatches)
-    return EXIT_VERIFY_FAILED if mismatches else EXIT_OK
+        for j2, got, want in bad:
+            print(f"MISMATCH at j2={j2}: coefficient {got}, dim {want}")
+    return EXIT_VERIFY_FAILED if bad else EXIT_OK
 
 
 _SELECTORS = {
@@ -265,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:  # any coefficient that was computed prints, however many digits it has
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
@@ -276,6 +274,9 @@ def main(argv=None) -> int:
     except MfringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -85,6 +85,8 @@ def eisenstein_c(N: int, prec: int, ctx: FieldCtx) -> QSeries:
 
 def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
     """1 - (2k/B_(k,chi)) sum (sigma_(k-1)*chi)(n) q^n for primitive chi of matching parity."""
+    if k < 1:
+        raise BadWeight("weight must be positive")
     require_primitive(chi)
     require_parity(chi.parity(), k)
     b = gen_bernoulli(k, chi, ctx)

@@ -233,11 +233,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coords[0]
-
     def is_integer(self) -> bool:
         return self.is_rational() and self.coords[0].denominator == 1
 

@@ -15,7 +15,8 @@ Two small languages live here:
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
+from typing import Callable, NamedTuple
 
 from .characters import DirichletCharacter, named_character
 from .constructors import (
@@ -173,6 +174,18 @@ class _Poly:
         return None
 
 
+# the largest scalar power a literal may build; a 2^16-bit integer prints in milliseconds
+SCALAR_POWER_BITS = 1 << 16
+
+
+def _power_bits(c: CycloNum, k: int) -> int:
+    """An estimate of the bits of c^k, from the common denominator of c and
+    the sum of its absolute coordinates over it (0 for a root of unity)."""
+    den = lcm(*(x.denominator for x in c.coords))
+    num = sum(abs(x.numerator) * (den // x.denominator) for x in c.coords)
+    return k * (max(num, den) - 1).bit_length()
+
+
 def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
     """Parse an infix polynomial; returns {exponent-vector: CycloNum}."""
     names = list(var_names)
@@ -233,8 +246,10 @@ def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
             if not tok.isdigit():
                 raise CatalogError(f"exponent must be an integer in {text!r}")
             k = int(tok)
+            c = base.constant_value()
+            if c is not None and _power_bits(c, k) > SCALAR_POWER_BITS:
+                raise CatalogError(f"power ^{tok} exceeds {SCALAR_POWER_BITS} bits in {text!r}")
             if neg:
-                c = base.constant_value()
                 if c is None or c.is_zero():
                     raise CatalogError(f"negative power of non-scalar in {text!r}")
                 return _Poly.const(nvars, (c.invert()) ** k)
@@ -293,18 +308,16 @@ def parse_character(text: str) -> DirichletCharacter:
         a, k = args
         return parse_character(a) ** int(k)
     a, b = (parse_character(x) for x in args)
-    if a.modulus == b.modulus:
-        return a * b
-    lcm = a.modulus * b.modulus // gcd(a.modulus, b.modulus)
-    return a.lift(lcm) * b.lift(lcm)
+    m = lcm(a.modulus, b.modulus)
+    return a.lift(m) * b.lift(m)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# constructor atoms and atom resolution
 
 _CONSTRUCTOR = re.compile(
-    r"E(?P<ek>\d+)$|C(?P<cn>\d+)$|f\[(?P<fk>\d+);(?P<fchar>.+)\]$"
-    r"|g\[(?P<gk>\d+);(?P<gchars>.+)\]$|theta$|bqf\[(?P<bqf>-?\d+,-?\d+,-?\d+)\]$"
+    r"E(?P<E>\d+)|C(?P<C>\d+)|f\[(?P<f>\d+);(?P<fchars>.+)\]"
+    r"|g\[(?P<g>\d+);(?P<gchars>.+)\]|theta|bqf\[(?P<bqf>-?\d+,-?\d+,-?\d+)\]"
 )
 
 
@@ -322,11 +335,89 @@ def _split_top_level(text: str) -> list[str]:
     return args
 
 
+class Constructor(NamedTuple):
+    """A parsed constructor atom.
+
+    Its character texts are parsed only when its field order or its series
+    is asked for, so weight checks never build character tables.
+    """
+
+    w2: int  # doubled weight
+    chars: tuple[str, ...]  # character expressions
+    build: Callable  # (*characters, prec, ctx) -> QSeries
+
+    def order(self) -> int:
+        """The root-of-unity order its coefficients need; parity values need -1."""
+        if not self.chars:
+            return 1
+        return lcm(2, *(parse_character(c).order() for c in self.chars))
+
+    def series(self, prec: int, ctx: FieldCtx) -> QSeries:
+        return self.build(*map(parse_character, self.chars), prec, ctx)
+
+
+def constructor(name: str) -> Constructor:
+    """Parse E<k>, C<N>, f[k;chi], g[k;chi], g[k;chi,psi], theta or bqf[a,b,c].
+
+    The builders look the constructor functions up when they run.
+    """
+    m = _CONSTRUCTOR.fullmatch(name)
+    if m is None:
+        raise UnknownForm(f"cannot resolve {name!r}")
+    if m["E"]:
+        k = int(m["E"])
+        return Constructor(2 * k, (), lambda *a: eisenstein_e(k, *a))
+    if m["C"]:
+        N = int(m["C"])
+        return Constructor(4, (), lambda *a: eisenstein_c(N, *a))
+    if m["f"]:
+        k = int(m["f"])
+        return Constructor(2 * k, (m["fchars"],), lambda *a: eis_f(k, *a))
+    if m["g"]:
+        k, chars = int(m["g"]), tuple(_split_top_level(m["gchars"]))
+        if len(chars) > 2:
+            raise CatalogError(f"too many characters in {name!r}")
+        return Constructor(2 * k, chars, lambda *a: (eis_g if len(chars) == 1 else eis_g2)(k, *a))
+    if m["bqf"]:
+        a, b, c = (int(x) for x in m["bqf"].split(","))
+        # two-variable lattice sums have weight 1, the one-variable theta weight 1/2
+        return Constructor(2, (), lambda *rest: theta_bqf(a, b, c, *rest))
+    return Constructor(1, (), lambda *a: theta_series(*a))
+
+
+def atoms(ast) -> set[str]:
+    """The atom names a parsed expression mentions."""
+    if ast[0] == "atom":
+        return {ast[1]}
+    kids = ast[1] if ast[0] in ("add", "mul") else [x for x in ast[1:] if isinstance(x, tuple)]
+    return set().union(*map(atoms, kids))
+
+
+def resolve(name: str, locals_: dict, forms: dict) -> str | Constructor:
+    """What an atom names: the expression of its local definition, else of its
+    catalog form, else the constructor it spells; an entry whose expression
+    is the name itself is passed over.
+
+    Evaluation and the catalog's weight check both resolve atoms here, so a
+    generator's series and its checked weight come from one definition.
+    """
+    for table in (locals_, forms):
+        text = table.get(name)
+        if text is not None and text.strip() != name:
+            return text
+    return constructor(name)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
 class Evaluator:
     """Evaluates series expressions at a requested precision with caching.
 
-    ``resolve_atom`` consults, in order: local definitions (presentation or
-    case generators), the catalog form table, then constructor syntax.
+    An atom resolves (see ``resolve``) through the local definitions
+    (presentation or case generators), then the catalog form table, then
+    constructor syntax.
     """
 
     def __init__(self, ctx: FieldCtx, form_table: dict | None = None, locals_: dict | None = None):
@@ -338,7 +429,7 @@ class Evaluator:
     def series(self, expr, prec: int) -> QSeries:
         """Evaluate a parsed AST or source string to exactly `prec` coefficients."""
         if isinstance(expr, str):
-            expr = parse_expr(expr) if expr.lstrip().startswith("(") else ("atom", expr.strip())
+            expr = parse_expr(expr)
         got = self._eval(expr, prec)
         return got.truncate(prec) if got.prec > prec else got
 
@@ -381,31 +472,5 @@ class Evaluator:
         raise CatalogError(f"unknown AST node {op!r}")
 
     def _atom(self, name: str, prec: int) -> QSeries:
-        local = self.locals.get(name)
-        if local is not None and local.strip() != name:
-            return self.series(local, prec)
-        form = self.forms.get(name)
-        if form is not None and form.strip() != name:
-            return self.series(form, prec)
-        m = _CONSTRUCTOR.fullmatch(name)
-        if not m:
-            raise UnknownForm(f"cannot resolve {name!r}")
-        if m.group("ek") is not None:
-            return eisenstein_e(int(m.group("ek")), prec, self.ctx)
-        if m.group("cn") is not None:
-            return eisenstein_c(int(m.group("cn")), prec, self.ctx)
-        if m.group("fk") is not None:
-            chi = parse_character(m.group("fchar"))
-            return eis_f(int(m.group("fk")), chi, prec, self.ctx)
-        if m.group("gk") is not None:
-            chars = _split_top_level(m.group("gchars"))
-            k = int(m.group("gk"))
-            if len(chars) == 1:
-                return eis_g(k, parse_character(chars[0]), prec, self.ctx)
-            if len(chars) == 2:
-                return eis_g2(k, parse_character(chars[0]), parse_character(chars[1]), prec, self.ctx)
-            raise CatalogError(f"too many characters in {name!r}")
-        if m.group("bqf") is not None:
-            a, b, c = (int(x) for x in m.group("bqf").split(","))
-            return theta_bqf(a, b, c, prec, self.ctx)
-        return theta_series(prec, self.ctx)
+        got = resolve(name, self.locals, self.forms)
+        return self.series(got, prec) if isinstance(got, str) else got.series(prec, self.ctx)

@@ -89,22 +89,22 @@ class HilbertSeries:
         return f"HilbertSeries({self.render()!r})"
 
 
-def equal_to_dims(hs: HilbertSeries, dim_at, horizon2: int, lattice_mod: int = 1):
-    """Compare expansion with a dimension callback.
+def dim_mismatches(hs: HilbertSeries, dim_at, horizon2: int, lattice_mod: int = 1):
+    """The (j2, coefficient, dim) triples, up to horizon2, where the expansion
+    differs from a dimension callback.
 
     ``dim_at(j2)`` returns the expected dimension or None when the weight is
     outside the table; such weights must carry coefficient zero unless they
     are off the case's weight lattice entirely (j2 % lattice_mod != 0), in
-    which case they are skipped.  Returns (ok, first_bad) with first_bad a
-    (j2, got, want) triple or None.
+    which case they are skipped.
     """
-    coeffs = hs.expand(horizon2)
-    for j2, got in enumerate(coeffs):
+    out = []
+    for j2, got in enumerate(hs.expand(horizon2)):
         want = dim_at(j2)
         if want is None:
             if j2 % lattice_mod != 0:
                 continue
             want = 0
         if got != want:
-            return False, (j2, got, want)
-    return True, None
+            out.append((j2, got, want))
+    return out

@@ -32,10 +32,6 @@ class QSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def from_rational_list(cls, ctx: FieldCtx, values, prec: int | None = None) -> "QSeries":
-        return cls(ctx, [ctx.from_rational(v) for v in values], prec)
-
-    @classmethod
     def one(cls, ctx: FieldCtx, prec: int) -> "QSeries":
         return cls(ctx, [ctx.one] + [ctx.zero] * (prec - 1))
 

@@ -19,36 +19,10 @@ from .catalog import Case, Catalog
 from .cyclo import CycloNum
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
 from .exprs import parse_poly
-from .hilbert import HilbertSeries, equal_to_dims
+from .hilbert import HilbertSeries, dim_mismatches
 from .qseries import QSeries
 
 GUARD = 8  # extra coefficients beyond every certified cutoff
-
-
-@dataclass(frozen=True)
-class GenPoly:
-    """Polynomial in named generators with cyclotomic coefficients."""
-
-    variables: tuple[str, ...]
-    weights2: tuple[int, ...]
-    terms: dict  # exponent vector -> CycloNum
-
-    @classmethod
-    def from_text(cls, text: str, gens, ctx) -> "GenPoly":
-        names = tuple(g.name for g in gens)
-        weights = tuple(g.w2 for g in gens)
-        return cls(names, weights, parse_poly(text, names, ctx))
-
-    def weight2(self) -> int:
-        """Total weight; raises if the terms are not homogeneous."""
-        weights = {sum(e * w for e, w in zip(exps, self.weights2)) for exps in self.terms}
-        if len(weights) > 1:
-            raise ValueError(f"inhomogeneous polynomial: weights {sorted(weights)}")
-        return weights.pop() if weights else 0
-
-    def multiply_monomial(self, exps) -> "GenPoly":
-        shifted = {tuple(a + b for a, b in zip(t, exps)): c for t, c in self.terms.items()}
-        return GenPoly(self.variables, self.weights2, shifted)
 
 
 @dataclass
@@ -169,19 +143,17 @@ class CaseRunner:
         rows = [self.monomial_series(e, prec).coeffs for e in mons]
         return row_echelon_rank(rows)
 
-    def relation_poly(self, rel) -> GenPoly:
-        return GenPoly.from_text(rel.poly, tuple(self.gens) + tuple(self.aux),
-                                 self.evaluator.ctx)
-
     def relation_terms(self, rel) -> dict:
-        return self.relation_poly(rel).terms
+        """The relation as {exponent vector over gens then aux: CycloNum}."""
+        names = [g.name for g in self.gens + self.aux]
+        return parse_poly(rel.poly, names, self.evaluator.ctx)
 
-    def eval_poly(self, poly: GenPoly, prec: int) -> QSeries:
+    def eval_poly(self, terms: dict, prec: int) -> QSeries:
         """Substitute catalog q-expansions into a generator polynomial."""
         ngens = len(self.gens)
         aux_names = [g.name for g in self.aux]
         out = QSeries.zero(self.evaluator.ctx, prec)
-        for exps, coeff in poly.terms.items():
+        for exps, coeff in terms.items():
             term = self.monomial_series(exps[:ngens], prec).scale(coeff)
             for name, e in zip(aux_names, exps[ngens:]):
                 if e:
@@ -190,7 +162,7 @@ class CaseRunner:
         return out
 
     def relation_series(self, rel, prec: int) -> QSeries:
-        return self.eval_poly(self.relation_poly(rel), prec)
+        return self.eval_poly(self.relation_terms(rel), prec)
 
 
 class Plan(NamedTuple):
@@ -394,16 +366,23 @@ def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> Ver
     if pres is None or pres.hilbert_num is None:
         return VerificationReport(case_label, "hilbert", (0, horizon2), 0, "skipped",
                                   {"reason": "no claimed Hilbert series"}, 0)
-    hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
-    lattice = 1 if _half_graded(catalog.case_gens(case, presentation=True)) else 2
-    ok, first_bad = equal_to_dims(hs, lambda j2: dim_or_none(catalog, case, j2),
-                                  horizon2, lattice_mod=lattice)
+    hs, bad = hilbert_mismatches(catalog, case, horizon2)
     details = {"series": hs.render(), "expansion": hs.expand(min(horizon2, 24))}
-    if not ok:
-        j2, got, want = first_bad
+    if bad:
+        j2, got, want = bad[0]
         details["first_failure"] = {"j2": j2, "coefficient": got, "dim": want}
     return VerificationReport(case_label, "hilbert", (0, horizon2), 0,
-                              "pass" if ok else "fail", details, _ms_since(t0))
+                              "fail" if bad else "pass", details, _ms_since(t0))
+
+
+def hilbert_mismatches(catalog: Catalog, case: Case, horizon2: int):
+    """The case's claimed Hilbert series and its (j2, coefficient, dim) mismatches
+    up to doubled weight horizon2; weights on the case's lattice that have no
+    dimension row count as dimension 0."""
+    pres = case.presentation
+    hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
+    lattice = 1 if _half_graded(catalog.case_gens(case, presentation=True)) else 2
+    return hs, dim_mismatches(hs, lambda j2: dim_or_none(catalog, case, j2), horizon2, lattice)
 
 
 def verify_identity(catalog: Catalog, name: str,

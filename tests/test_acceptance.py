@@ -12,7 +12,7 @@ from mfring.catalog import load_catalog
 from mfring.characters import named_character
 from mfring.constructors import eis_f, eisenstein_c, eisenstein_e
 from mfring.cyclo import cyclo_context
-from mfring.hilbert import HilbertSeries, equal_to_dims
+from mfring.hilbert import HilbertSeries, dim_mismatches
 from mfring.verify import (
     verify_hilbert,
     verify_identity,
@@ -152,8 +152,7 @@ def test_criterion_6_hilbert_suite():
         assert verify_hilbert(CAT, label, horizon2=40).passed, label
     # the quoted closed forms, horizon 20
     free46 = HilbertSeries.free([8, 12])
-    ok, _ = equal_to_dims(free46, lambda j2: _dim_or_none("g1", j2), 40, lattice_mod=2)
-    assert ok
+    assert dim_mismatches(free46, lambda j2: _dim_or_none("g1", j2), 40, lattice_mod=2) == []
     ext = HilbertSeries([(1, 0), (1, 4)], [2, 2])
     assert ext.expand(40)[::2] == [1] + [2 * k for k in range(1, 21)]
     for n in range(1, 6):

@@ -121,7 +121,7 @@ def test_group_by_key():
 
 def test_lookup_form_fixtures():
     alpha1 = CAT.lookup_form("alpha1", 5)
-    assert [c.as_fraction() for c in alpha1.coeffs] == [0, 1, -24, 252, -1472]
+    assert list(alpha1.coeffs) == [0, 1, -24, 252, -1472]
     alpha4 = CAT.lookup_form("alpha4", 12)
     for n in range(1, 12):
         want = sum(d for d in range(1, n + 1) if n % d == 0) if n % 2 else 0
@@ -155,6 +155,39 @@ def test_quasi_modular_guard():
     }
     with pytest.raises(QuasiModularUse):
         Catalog(raw)
+
+
+def test_self_named_generator_is_checked_against_its_definition():
+    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+    pres = next(c for c in raw["cases"] if c["label"] == "1")["presentation"]
+    pres["gens"][0]["w2"] = 10  # E4, whose expression is its own name, has weight 4
+    pres["hilbert"]["den"] = [10, 12]
+    with pytest.raises(CatalogError, match="gen E4: declared w2=10, computed 8"):
+        Catalog(raw)
+
+
+def _one_case_catalog(forms=(), span_gens=()):
+    return {
+        "groups": [{"label": "g", "kind": "full", "level": 1,
+                    "dim": [{"mod": 4, "res": [0], "floor": [1, 24], "c": 1}]}],
+        "forms": list(forms),
+        "identities": [],
+        "cases": [{"label": "c", "group": "g", "L": 1, "span_gens": list(span_gens),
+                   "span_kmax2": 8}],
+    }
+
+
+def test_declared_weights_are_checked_where_atoms_resolve():
+    # a form's own declared weight, not only its weight where another form names it
+    with pytest.raises(CatalogError, match="form bad: declared w2=10, computed 8"):
+        Catalog(_one_case_catalog(forms=[{"name": "bad", "w2": 10, "L": 1, "expr": "E4"}]))
+    # generators resolve through one another, as the Evaluator resolves them
+    gens = [{"name": "a", "w2": 20, "expr": "(mul b E6)"}, {"name": "b", "w2": 8, "expr": "E6"}]
+    with pytest.raises(CatalogError, match="gen a: declared w2=20, computed 24"):
+        Catalog(_one_case_catalog(span_gens=gens))
+    gens = [{"name": "a", "w2": 8, "expr": "(mul b E4)"}, {"name": "b", "w2": 0, "expr": "a"}]
+    with pytest.raises(CatalogError, match="cyclic"):
+        Catalog(_one_case_catalog(span_gens=gens))
 
 
 def test_inhomogeneous_expression_rejected():

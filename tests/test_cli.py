@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -51,6 +52,9 @@ def test_qexp_json_and_errors(capsys):
     ("f[1;rho9]", 2),         # no character of that name
     ("(scale 2^ E4)", 3),     # scalar exponent missing
     ("(scale 2^x E4)", 3),    # scalar exponent is not an integer
+    ("(scale 2^99999999999 E4)", 3),  # scalar power past the bit budget, refused unbuilt
+    ("E4 E6", 3),             # two atoms are not one expression
+    ("f[0;rho5]", 2),         # weight outside the constructor's domain
 ])
 def test_qexp_bad_expressions_exit_without_traceback(capsys, expr, want):
     code, out, err = _run(capsys, "qexp", expr, "--prec", "5")
@@ -65,6 +69,19 @@ def test_qexp_bad_expressions_exit_without_traceback(capsys, expr, want):
 def test_qexp_huge_h_builds_only_the_kept_coefficients(capsys, expr, want):
     code, out, err = _run(capsys, "qexp", expr, "--prec", "4")
     assert code == 0 and err == ""
+    assert out.strip() == want
+
+
+def test_qexp_prints_coefficients_past_the_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, "qexp", "(scale 2^20000 E4)", "--prec", "2")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit  # lifted only while main runs
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{2**20000} + {240 * 2**20000}*q + O(q^2)"
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert out.strip() == want
 
 
@@ -98,6 +115,21 @@ def test_hilbert_command(capsys):
     assert code == 2
     code, _, err = _run(capsys, "hilbert", "--case", "8")
     assert code == 2  # no claimed Hilbert series for that case
+
+
+def test_hilbert_command_compares_weights_without_a_dimension_row_to_0(tmp_path, capsys):
+    raw = json.loads(json.dumps(SHIPPED))
+    case1 = next(c for c in raw["cases"] if c["label"] == "1")
+    case1["presentation"]["hilbert"]["num"] = [[1, 0], [1, 2]]  # claims a form of weight 1
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = _run(capsys, "--catalog", str(path), "hilbert", "--case", "1")
+    assert code == 1 and "MISMATCH at j2=2: coefficient 1, dim 0" in out
+    code, out, _ = _run(capsys, "--catalog", str(path), "hilbert", "--case", "1",
+                        "--output", "json")
+    assert code == 1 and json.loads(out)["mismatched_weights2"][0] == 2
+    code, out, _ = _run(capsys, "--catalog", str(path), "verify", "hilbert", "--case", "1")
+    assert code == 1 and '"j2": 2' in out
 
 
 def test_verify_identity_json_schema(capsys):
@@ -166,12 +198,21 @@ def _without_group(raw):
     return json.dumps(raw)
 
 
+def _self_named_generator_of_wrong_weight(raw):
+    pres = raw["cases"][0]["presentation"]  # case 1: E4 and E6, expressions their own names
+    assert pres["gens"][0] == {"name": "E4", "w2": 8, "expr": "E4"}
+    pres["gens"][0]["w2"] = 10
+    pres["hilbert"]["den"] = [10, 12]
+    return json.dumps(raw)
+
+
 @pytest.mark.parametrize("content", [
     None,  # no such file
     "{",  # malformed JSON
     "[]",  # not an object
     _without_group(json.loads(json.dumps(SHIPPED))),  # a case with no group
-], ids=["missing", "truncated", "list", "no-group"])
+    _self_named_generator_of_wrong_weight(json.loads(json.dumps(SHIPPED))),
+], ids=["missing", "truncated", "list", "no-group", "self-named-weight"])
 def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     path = tmp_path / "catalog.json"
     if content is not None:
@@ -211,8 +252,8 @@ def test_catalog_missing_any_key_exits_0_or_3(key_path):
 
 # A small grammar of qexp inputs: the operators, constructors of weight <= 6,
 # scalar literals, h up to 10^11, then optionally truncated or salted with
-# garbage.  Scalar exponents stay at two digits: a literal such as 2^20000 is
-# exact but prints past Python's 4300-digit int-to-str limit.
+# garbage.  Scalar exponents reach past the 4300-digit int-to-str limit
+# (9^5000, 2^20000) and past the scalar bit budget (2^99999999999).
 _CHARS = st.sampled_from([
     "rho3", "rho4", "chi5", "rho5", "chi7", "rho7", "rho8", "chi9", "rho9",
     "pow(chi5,3)", "conj(chi7)", "mul(rho3,rho4)", "pow(chi5)", "mul(rho3)",
@@ -229,7 +270,8 @@ _SCALARS = st.one_of(
     st.builds(str, st.integers(-30, 30)),
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
     st.builds("{}^{}".format, st.integers(0, 9),
-              st.sampled_from(["", "x", "-", "-1", "2", "12", "99"])),
+              st.sampled_from(["", "x", "-", "-1", "2", "12", "99", "5000", "20000",
+                               "99999999999"])),
     st.builds("z{}^{}".format, st.sampled_from([1, 2, 3, 4, 5, 12]), st.integers(0, 12)),
     st.sampled_from(["z4/2", "(1+z4)", "1+", "*", "z", "2^^3"]),
 )

@@ -5,7 +5,10 @@ import pytest
 from mfring.cyclo import cyclo_context
 from mfring.errors import CatalogError, UnknownForm
 from mfring.exprs import (
+    SCALAR_POWER_BITS,
     Evaluator,
+    atoms,
+    constructor,
     parse_character,
     parse_expr,
     parse_poly,
@@ -33,6 +36,33 @@ def test_parse_expr_shapes():
             parse_expr(bad)
 
 
+@pytest.mark.parametrize("name, w2, order", [
+    ("E4", 8, 1),
+    ("C2", 4, 1),
+    ("f[1;rho3]", 2, 2),
+    ("f[1;pow(chi11,3)]", 2, 10),
+    ("g[1;rho5,chi5]", 2, 4),
+    ("theta", 1, 1),
+    ("bqf[1,1,6]", 2, 1),
+])
+def test_constructor_weight_and_order(name, w2, order):
+    got = constructor(name)
+    assert (got.w2, got.order()) == (w2, order)
+
+
+def test_constructor_rejects_what_it_cannot_build():
+    with pytest.raises(UnknownForm):
+        constructor("alpha1")
+    with pytest.raises(CatalogError):
+        constructor("g[1;rho3,rho4,chi5]")
+
+
+def test_atoms():
+    assert atoms(parse_expr("(scale 2 (add (pow E4 3) (mul f[1;pow(chi11,3)] E4) (v 2 theta)))")) \
+        == {"E4", "f[1;pow(chi11,3)]", "theta"}
+    assert atoms(parse_expr("alpha1")) == {"alpha1"}
+
+
 def test_parse_scalar():
     assert parse_scalar("1/1728", C1) == Fraction(1, 1728)
     assert parse_scalar("-3", C1) == -3
@@ -41,6 +71,15 @@ def test_parse_scalar():
     phi = parse_scalar("-4*z10^4+5*z10^3+z10", C10)
     z = C10.zeta_power(1)
     assert phi == z**4 * (-4) + z**3 * 5 + z
+
+
+def test_scalar_power_bit_budget():
+    top = SCALAR_POWER_BITS
+    assert parse_scalar(f"2^{top}", C1) == 2**top
+    assert parse_scalar("z10^99999999999", C10) == C10.zeta_power(9)  # roots of unity stay small
+    for bad in (f"2^{top + 1}", f"2^-{top + 1}", f"(1+z4)^{top + 1}", f"(2^{top // 2})^3"):
+        with pytest.raises(CatalogError, match="bits"):
+            parse_scalar(bad, C4)
 
 
 def test_parse_poly():

@@ -1,6 +1,6 @@
 from math import comb
 
-from mfring.hilbert import HilbertSeries, equal_to_dims
+from mfring.hilbert import HilbertSeries, dim_mismatches
 
 
 def test_free_single_and_pair():
@@ -79,7 +79,7 @@ def test_nonnegativity_of_ring_series():
         assert all(c >= 0 for c in hs.expand(60))
 
 
-def test_equal_to_dims_callback():
+def test_dim_mismatches_callback():
     hs = HilbertSeries([(1, 0), (-1, 4)], [2, 2, 2])
 
     def dims(j2):
@@ -87,10 +87,11 @@ def test_equal_to_dims_callback():
             return None
         return j2 + 1
 
-    ok, bad = equal_to_dims(hs, dims, 30, lattice_mod=2)
-    assert ok and bad is None
-    ok, bad = equal_to_dims(hs, lambda j2: 5 if j2 == 6 else dims(j2), 30, lattice_mod=2)
-    assert not ok and bad == (6, 7, 5)
+    assert dim_mismatches(hs, dims, 30, lattice_mod=2) == []
+    assert dim_mismatches(hs, lambda j2: 5 if j2 == 6 else dims(j2), 30, 2) == [(6, 7, 5)]
+    # a lattice weight without a dimension row counts as dimension 0; off the lattice it is skipped
+    assert dim_mismatches(hs, lambda j2: None if j2 == 4 else dims(j2), 30, 2) == [(4, 5, 0)]
+    assert dim_mismatches(hs, dims, 30, lattice_mod=1) == []
 
 
 def test_render():

@@ -31,19 +31,20 @@ def test_ideal_closure_spot_check():
     rng = random.Random(31337)
     runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
     rel = CAT.cases["7"].presentation.relations[0]
-    poly = runner.relation_poly(rel)
+    terms = runner.relation_terms(rel)
     for _ in range(5):
         mult_weight = 2 * rng.randint(1, 3)
         mult = rng.choice(weighted_monomials(runner.weights2, mult_weight))
-        shifted = poly.multiply_monomial(mult)
-        prec = runner.sturm2(poly.weight2() + mult_weight) + GUARD
+        shifted = {tuple(a + b for a, b in zip(e, mult)): c for e, c in terms.items()}
+        prec = runner.sturm2(rel.w2 + mult_weight) + GUARD
         assert runner.eval_poly(shifted, prec).is_zero()
 
 
 def test_genpoly_homogeneity():
     runner = CaseRunner(CAT, CAT.cases["14h9"], presentation=True)
     rel = CAT.cases["14h9"].presentation.relations[0]
-    assert runner.relation_poly(rel).weight2() == rel.w2 == 8
+    terms = runner.relation_terms(rel)
+    assert {sum(e * w for e, w in zip(exps, runner.weights2)) for exps in terms} == {rel.w2} == {8}
 
 
 def test_theta_square_notes():

@@ -50,8 +50,8 @@ def prop_v_operator(seed: int, rounds: int = 15):
     rng = random.Random(seed)
     ctx = cyclo_context(1)
     for _ in range(rounds):
-        f = QSeries.from_rational_list(ctx, [rng.randint(-5, 5) for _ in range(8)])
-        g = QSeries.from_rational_list(ctx, [rng.randint(-5, 5) for _ in range(8)])
+        f = QSeries(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
+        g = QSeries(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
         h, hp = rng.choice([2, 3]), rng.choice([2, 3])
         assert (f * g).v_operator(h) == f.v_operator(h) * g.v_operator(h)
         assert (f + g).v_operator(h) == f.v_operator(h) + g.v_operator(h)
