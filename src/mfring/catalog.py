@@ -34,8 +34,11 @@ from math import lcm
 from .characters import units
 from .cyclo import cyclo_context
 from .errors import CatalogError, OutOfTable, QuasiModularUse
-from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve
+from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve, root_orders
 from .qseries import QSeries
+
+# the largest field lookup_form builds: Phi_L alone takes seconds to compute past it
+MAX_CONDUCTOR = 2520
 
 
 @dataclass(frozen=True)
@@ -280,11 +283,14 @@ class Catalog:
         """Resolve a catalog form name or prefix expression to a q-expansion.
 
         The field is the lcm of the conductors of the forms the expression
-        names and of the root-of-unity orders of its constructors.
+        names, of the root-of-unity orders of its constructors and of the
+        roots of unity its scale literals name.
         """
         ast = parse_expr(name)
         L = lcm(*(self.forms[a].L if a in self.forms else constructor(a).order()
-                  for a in atoms(ast)))
+                  for a in atoms(ast)), *root_orders(ast))
+        if L > MAX_CONDUCTOR:
+            raise CatalogError(f"field conductor {L} exceeds {MAX_CONDUCTOR} in {name!r}")
         return self.evaluator(L).series(ast, prec)
 
     # -- validation -------------------------------------------------------

@@ -84,6 +84,8 @@ def parse_expr(text: str):
             node = (op, h, walk())
         elif op == "scale":
             scalar = tokens[pos]
+            if scalar == "(":
+                raise CatalogError(f"a scale literal cannot contain parentheses in {text!r}")
             pos += 1
             node = ("scale", scalar, walk())
         else:
@@ -385,12 +387,26 @@ def constructor(name: str) -> Constructor:
     return Constructor(1, (), lambda *a: theta_series(*a))
 
 
+def _children(ast) -> list:
+    return ast[1] if ast[0] in ("add", "mul") else [x for x in ast[1:] if isinstance(x, tuple)]
+
+
 def atoms(ast) -> set[str]:
     """The atom names a parsed expression mentions."""
     if ast[0] == "atom":
         return {ast[1]}
-    kids = ast[1] if ast[0] in ("add", "mul") else [x for x in ast[1:] if isinstance(x, tuple)]
-    return set().union(*map(atoms, kids))
+    return set().union(*map(atoms, _children(ast)))
+
+
+def root_orders(ast) -> set[int]:
+    """The orders n >= 1 of the roots of unity z<n> its scale literals name."""
+    own = set()
+    if ast[0] == "scale":
+        for tok in _POLY_TOKEN.findall(ast[1]):
+            m = re.fullmatch(r"z(\d+)", tok)
+            if m and int(m[1]):
+                own.add(int(m[1]))
+    return own.union(*map(root_orders, _children(ast)))
 
 
 def resolve(name: str, locals_: dict, forms: dict) -> str | Constructor:

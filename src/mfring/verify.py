@@ -1,11 +1,13 @@
 """Verification engine: spanning ranks, relation vanishing, kernel exhaustion.
 
-Every check reduces to exact linear algebra over Q(zeta_L): rows are
-either truncated q-expansions (for spans and kernels of the evaluation
-map) or coefficient vectors on a monomial basis (for the degreewise span
-of a relation ideal).  Gaussian elimination pivots on the leftmost
-nonzero entry with no size heuristics, so runs are bit-for-bit
-reproducible.
+Every check reduces to linear algebra over Q(zeta_L): rows are either
+truncated q-expansions (for spans and kernels of the evaluation map) or
+coefficient vectors on a monomial basis (for the degreewise span of a
+relation ideal).  Each such rank has a known upper bound, and a rank
+modulo a prime that reaches the bound proves it (``certified_rank``);
+only where no prime does is the rank computed by exact elimination.
+Elimination pivots on the leftmost nonzero entry with no size
+heuristics, so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 from typing import NamedTuple
 
+from . import modp
 from .catalog import Case, Catalog
-from .cyclo import CycloNum
+from .cyclo import CycloNum, FieldCtx
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
 from .exprs import parse_poly
 from .hilbert import HilbertSeries, dim_mismatches
@@ -95,6 +100,26 @@ def row_echelon_rank(rows) -> int:
     return len(pivots)
 
 
+def certified_rank(ctx: FieldCtx, bound: int, reduced_rows, exact_rows) -> int:
+    """The rank of a matrix over Q(zeta_L) that is known to be at most bound.
+
+    ``reduced_rows(red)`` gives the matrix under a reduction mod p (see
+    ``modp``) and ``exact_rows()`` the matrix itself.  Reduction is a ring
+    map on p-integral entries, so rank_p <= rank <= bound, and rank_p ==
+    bound proves rank == bound.  Where no prime proves it, or a
+    denominator is divisible by every prime tried, the rank is computed by
+    exact elimination, so a check that fails reports the exact rank.
+    """
+    for red in modp.reductions(ctx):
+        try:
+            rows = reduced_rows(red)
+        except ZeroDivisionError:  # an entry is not p-integral: next prime
+            continue
+        if modp.rank(rows, red.p) == bound:
+            return bound
+    return row_echelon_rank(exact_rows())
+
+
 class CaseRunner:
     """Evaluates one catalog case: generator series, monomials, relations."""
 
@@ -112,6 +137,7 @@ class CaseRunner:
             locals_.update({g.name: g.expr for g in self.aux})
         self.evaluator = catalog.evaluator(case.L, locals_)
         self._monomials: dict = {}
+        self._reduced: dict = {}  # (p, exps) -> monomial_series(exps) mod p
 
     def dim2(self, j2: int) -> int:
         return self.catalog.dim2(self.case.group, j2, case=self.case.label)
@@ -135,13 +161,41 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def span_rank(self, k2: int, prec: int) -> int:
+    def reduced_monomial(self, exps: tuple[int, ...], prec: int, red) -> list[int]:
+        """monomial_series(exps, prec) reduced mod red.p, built from the
+        reduced generator series by products mod p."""
+        key = (red.p, exps)
+        cached = self._reduced.get(key)
+        if cached is not None and len(cached) >= prec:
+            return cached[:prec] if len(cached) > prec else cached
+        if not any(exps):
+            out = [1] + [0] * (prec - 1)
+        else:
+            i = next(j for j, e in enumerate(exps) if e)
+            rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            if any(rest):
+                gen = tuple(int(j == i) for j in range(len(exps)))
+                out = modp.mul(self.reduced_monomial(gen, prec, red),
+                               self.reduced_monomial(rest, prec, red), red.p)
+            else:
+                out = [red(c) for c in self.gen_series(i, prec).coeffs]
+        self._reduced[key] = out
+        return out
+
+    def span_rank(self, k2: int, prec: int, dim: int) -> int:
+        """Rank of the weight-k2 monomials truncated to prec coefficients.
+
+        They lie in M_k and truncation only lowers rank, so dim = dim M_k
+        bounds it and a rank mod p equal to dim proves it.
+        """
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
         mons = weighted_monomials(self.weights2, k2)
-        rows = [self.monomial_series(e, prec).coeffs for e in mons]
-        return row_echelon_rank(rows)
+        return certified_rank(
+            self.evaluator.ctx, dim,
+            lambda red: [self.reduced_monomial(e, prec, red) for e in mons],
+            lambda: [self.monomial_series(e, prec).coeffs for e in mons])
 
     def relation_terms(self, rel) -> dict:
         """The relation as {exponent vector over gens then aux: CycloNum}."""
@@ -265,7 +319,7 @@ def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
         return _skipped(case_label, "span", plan.skip)
     runner = CaseRunner(catalog, catalog.cases[case_label])
     prec = plan.prec(prec_override)
-    ranks = [runner.span_rank(j2, prec) for j2 in plan.weights2]
+    ranks = [runner.span_rank(j2, prec, d) for j2, d in zip(plan.weights2, plan.dims)]
     details = {"weights2": list(plan.weights2), "ranks": ranks, "dims": list(plan.dims)}
     bad = [(j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d]
     if bad:
@@ -323,27 +377,28 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         if runner.relation_series(rel, rel_prec).vanishing_order() is not None:
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
-        rel_terms.append((rel, runner.relation_terms(rel)))
+        rel_terms.append((rel.w2, runner.relation_terms(rel)))
+    # vanishing relations put the ideal's vectors in the kernel, which bounds their rank;
+    # a relation with aux series in it has no vector on the generators' monomials
+    in_kernel = status == "pass" and not runner.aux
+    ctx, zero = runner.evaluator.ctx, runner.evaluator.ctx.zero
+
+    @cache
+    def reduced(red):  # rel_terms with coefficients reduced mod red.p
+        return [(w2, {e: red(c) for e, c in terms.items()}) for w2, terms in rel_terms]
+
     kernel_dims, ideal_dims = [], []
-    zero = runner.evaluator.ctx.zero
     for j2, want in zip(plan.weights2, plan.dims):
         mons = weighted_monomials(runner.weights2, j2)
-        rank = row_echelon_rank(
-            [runner.monomial_series(e, prec).coeffs for e in mons]
-        )
+        rank = runner.span_rank(j2, prec, want)
         dim_kernel = len(mons) - rank
-        index_of = {e: i for i, e in enumerate(mons)}
-        vectors = []
-        for rel, terms in rel_terms:
-            if rel.w2 > j2:
-                continue
-            for mult in weighted_monomials(runner.weights2, j2 - rel.w2):
-                vec = [zero] * len(mons)
-                for exps, coeff in terms.items():
-                    tot = tuple(a + b for a, b in zip(exps, mult))
-                    vec[index_of[tot]] = vec[index_of[tot]] + coeff
-                vectors.append(vec)
-        dim_ideal = row_echelon_rank(vectors)
+        if in_kernel:
+            dim_ideal = certified_rank(
+                ctx, dim_kernel,
+                lambda red: _ideal_vectors(reduced(red), runner.weights2, mons, j2, 0),
+                lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
+        else:
+            dim_ideal = row_echelon_rank(_ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -357,6 +412,23 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         details["first_failure"] = first_bad
     return VerificationReport(case_label, "kernel", plan.k_range, prec, status,
                               details, _ms_since(t0))
+
+
+def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
+    """Coefficient vectors, on the monomials mons of weight j2, of every
+    relation times every monomial of the complementary weight."""
+    index_of = {e: i for i, e in enumerate(mons)}
+    vectors = []
+    for w2, terms in rel_terms:
+        if w2 > j2:
+            continue
+        for mult in weighted_monomials(weights2, j2 - w2):
+            vec = [zero] * len(mons)
+            for exps, coeff in terms.items():
+                i = index_of[tuple(map(add, exps, mult))]
+                vec[i] = vec[i] + coeff
+            vectors.append(vec)
+    return vectors
 
 
 def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> VerificationReport:

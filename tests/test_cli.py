@@ -91,6 +91,26 @@ def test_qexp_character_expression_conductor(capsys):
     assert out.strip() == "1 + (3 + z4)*q + (4 - 2*z4)*q^2 + O(q^3)"
 
 
+def test_qexp_scale_literal_roots_of_unity_set_the_conductor(capsys):
+    code, out, err = _run(capsys, "qexp", "(scale z4 E4)", "--prec", "3")
+    assert code == 0 and err == ""
+    assert out.strip() == "z4 + 240*z4*q + 2160*z4*q^2 + O(q^3)"
+    code, out, _ = _run(capsys, "qexp", "(add (scale z3 E4) (scale z4 E4))", "--prec", "2")
+    assert code == 0
+    # z3 + z4 in Q(zeta_12): z3 = z12^4 = z12^2 - 1 and z4 = z12^3
+    assert out.strip() == "(-1 + z12^2 + z12^3) + (-240 + 240*z12^2 + 240*z12^3)*q + O(q^2)"
+    code, _, err = _run(capsys, "qexp", "(scale z9999 E4)", "--prec", "3")
+    assert code == 3 and "9999" in err and "Traceback" not in err
+
+
+def test_qexp_scale_literal_with_parentheses_is_refused_by_name(capsys):
+    code, out, err = _run(capsys, "qexp", "(scale (1+z4) f[1;chi5])", "--prec", "3")
+    assert code == 3 and out == ""
+    assert "a scale literal cannot contain parentheses" in err
+    code, out, _ = _run(capsys, "qexp", "(scale 1+z4 f[1;chi5])", "--prec", "3")
+    assert code == 0 and out.startswith("(1 + z4)")
+
+
 def test_dims(capsys):
     code, out, _ = _run(capsys, "dims", "--group", "gammaH:11:[3]", "--kmax", "5")
     assert code == 0
@@ -311,4 +331,61 @@ def test_qexp_fuzz_exit_code_contract(args):
         except SystemExit as exc:  # argparse refusing an argv
             code = exc.code
     assert code in (0, 2, 3), (expr, prec, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# argv for the other subcommands: flags in any order, each value drawn from
+# good values, out-of-range numbers and garbage.  verify always names one case,
+# so an example costs at most one small case.
+_INTS = st.one_of(st.builds(str, st.integers(-3, 12)),
+                  st.sampled_from(["x", "", "1.5", "-0", "10**3"]))
+_OUTPUTS = st.sampled_from(["text", "json", "xml"])
+_GROUPS = st.one_of(
+    st.sampled_from(["full", "whatever", "", ":", "gamma0:", "gamma0:x", "gammaH:7:3",
+                     "gammaH:11:[3]", "gammaH:11:[a]", "gammaH:11:[3", "gammaH::[]",
+                     "gammaH:13:[3,9]", "gamma0:4:1"]),
+    st.builds("gamma0:{}".format, st.integers(-2, 30)),
+    st.builds("gammaH:{}:[{}]".format, st.integers(-2, 30), st.integers(-2, 30)),
+)
+_CASES = st.sampled_from(["7", "14h9", "half12", "c3_sq", "alpha1", "nosuch", "", "8"])
+_SMALL_CASES = st.sampled_from(["7", "c3_sq", "alpha1", "nosuch", ""])
+
+
+@st.composite
+def _flags(draw, options):
+    argv = []
+    for flag in draw(st.permutations(list(options))):
+        if draw(st.booleans()):
+            argv += [flag, draw(options[flag])]
+    return argv
+
+
+_ARGVS = st.one_of(
+    st.tuples(st.builds(lambda group: ["dims", "--group", group], _GROUPS),
+              _flags({"--kmax": _INTS, "--output": _OUTPUTS})),
+    st.tuples(st.builds(lambda case: ["hilbert", "--case", case], _CASES),
+              _flags({"--horizon": _INTS, "--output": _OUTPUTS})),
+    st.tuples(st.just(["catalog"]), st.lists(st.sampled_from(["list", "show", "", "--x"]),
+                                             max_size=2)),
+    st.tuples(st.builds(lambda sel, case: ["verify", sel, "--case", case],
+                        st.sampled_from(["all", "span", "kernel", "relations", "identity",
+                                         "hilbert", "integrality", "presentation", "nope"]),
+                        _SMALL_CASES),
+              _flags({"--kmax": _INTS, "--prec": st.one_of(_INTS, st.builds(str, st.integers(0, 60))),
+                      "--horizon": _INTS, "--output": _OUTPUTS})),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ARGVS)
+def test_other_subcommands_fuzz_exit_code_contract(argv):
+    head, tail = argv
+    argv = head + tail
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

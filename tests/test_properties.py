@@ -7,6 +7,10 @@ re-run them; the test wrappers pin the seeds used in CI.
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfring import modp
 from mfring.catalog import load_catalog
 from mfring.characters import named_character, units
 from mfring.cyclo import cyclo_context
@@ -122,8 +126,8 @@ def prop_rank_nullity(case_label: str = "9", j2: int = 8):
 
 def prop_rank_stabilization(case_label: str = "7", j2: int = 10):
     runner = CaseRunner(CAT, CAT.cases[case_label])
-    bound = runner.sturm2(j2)
-    ranks = [runner.span_rank(j2, bound + extra) for extra in (0, 3, GUARD)]
+    bound, dim = runner.sturm2(j2), runner.dim2(j2)
+    ranks = [runner.span_rank(j2, bound + extra, dim) for extra in (0, 3, GUARD)]
     assert ranks[0] == ranks[1] == ranks[2]
 
 
@@ -155,3 +159,94 @@ def test_rank_nullity_consistency():
 def test_rank_stabilization():
     prop_rank_stabilization("7", 10)
     prop_rank_stabilization("half8", 7)
+
+
+# -- reduction mod p ---------------------------------------------------------
+
+MODP_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+def schoolbook_mul_mod(a, b, p):
+    n = len(a)
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(n)]
+
+
+@st.composite
+def _residue_lists(draw, p):
+    n = draw(st.integers(1, 48))
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    return (draw(st.lists(entry, min_size=n, max_size=n)),
+            draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), st.integers(0, modp.PRIMES_PER_FIELD - 1), st.data())
+def test_packed_product_mod_p_equals_schoolbook(L, which, data):
+    p = modp.reductions(cyclo_context(L))[which].p
+    a, b = data.draw(_residue_lists(p))
+    assert modp.mul(a, b, p) == schoolbook_mul_mod(a, b, p)
+
+
+def test_packed_product_mod_p_full_slots():
+    # every product slot at its largest: n terms of (p-1)^2
+    for L in MODP_CONDUCTORS:
+        p = modp.reductions(cyclo_context(L))[0].p
+        for n in (1, 2, 63, 64, 65, 200):
+            a = [p - 1] * n
+            assert modp.mul(a, a, p) == schoolbook_mul_mod(a, a, p)
+
+
+def test_reduction_primes():
+    for L in MODP_CONDUCTORS + (2, 6, 7, 10):
+        ctx = cyclo_context(L)
+        reds = modp.reductions(ctx)
+        assert len(reds) == modp.PRIMES_PER_FIELD
+        assert [r.p for r in reds] == sorted((r.p for r in reds), reverse=True)
+        for red in reds:
+            p = red.p
+            assert p < modp.PRIME_CEILING and p % L == 1 % L and modp.is_prime(p)
+            # no prime = 1 (mod L) lies between p and the ceiling, except the ones above it
+            above = [q for q in range(p + L, modp.PRIME_CEILING, L) if modp.is_prime(q)]
+            assert [r.p for r in reds if r.p > p] == sorted(above, reverse=True)
+            # zeta goes to an element of order exactly L
+            r = red(ctx.zeta_power(1))
+            assert pow(r, L, p) == 1
+            assert all(pow(r, d, p) != 1 for d in range(1, L))
+
+
+def test_is_prime_small_numbers():
+    sieve = [n for n in range(2, 2000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(2000) if modp.is_prime(n)] == sieve
+    assert modp.is_prime(2**61 - 1) and not modp.is_prime(2**61 + 1)
+    assert not modp.is_prime(3215031751)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+
+
+def _cyclo(ctx, coords):
+    return ctx.reduce([Fraction(n, d) for n, d in coords])
+
+
+_COORDS = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9)), min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), _COORDS, _COORDS)
+def test_reduction_is_a_ring_map(L, xs, ys):
+    ctx = cyclo_context(L)
+    x, y = _cyclo(ctx, xs), _cyclo(ctx, ys)
+    for red in modp.reductions(ctx):
+        p = red.p
+        assert red(x * y) == red(x) * red(y) % p
+        assert red(x + y) == (red(x) + red(y)) % p
+        if not x.is_zero():
+            assert red(x.invert()) * red(x) % p == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), st.lists(_COORDS, min_size=1, max_size=20), st.data())
+def test_reduced_series_product_is_the_product_of_reductions(L, fs, data):
+    ctx = cyclo_context(L)
+    f = QSeries(ctx, [_cyclo(ctx, c) for c in fs])
+    g = QSeries(ctx, [_cyclo(ctx, data.draw(_COORDS)) for _ in fs])
+    red = modp.reductions(ctx)[0]
+    assert [red(c) for c in (f * g).coeffs] == modp.mul(
+        [red(c) for c in f.coeffs], [red(c) for c in g.coeffs], red.p)

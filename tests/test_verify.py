@@ -1,13 +1,20 @@
 import json
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfring import modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
+from mfring.cyclo import cyclo_context
 from mfring.errors import PrecisionTooLow, UnknownIdentity
 from mfring.verify import (
     GUARD,
     CaseRunner,
+    certified_rank,
     check_plan,
     full_report,
     row_echelon_rank,
@@ -21,6 +28,23 @@ from mfring.verify import (
 )
 
 CAT = load_catalog()
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
+
+
+def _shipped():
+    return json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+
+
+def _count_exact_ranks(monkeypatch) -> list:
+    """Record the rows of every exact elimination from now on."""
+    seen = []
+
+    def counted(rows):
+        seen.append(rows)
+        return row_echelon_rank(rows)
+
+    monkeypatch.setattr(verify, "row_echelon_rank", counted)
+    return seen
 
 
 def test_weighted_monomial_counts():
@@ -67,12 +91,13 @@ def _left_nullspace(rows, ctx):
 def test_span_rank_examples():
     five = CaseRunner(CAT, CAT.cases["5"])
     prec = five.sturm2(6) + GUARD
-    assert five.span_rank(6, prec) == 4  # weight 3 at level 5
-    assert five.span_rank(0, 4) == 1
+    assert five.span_rank(6, prec, five.dim2(6)) == 4  # weight 3 at level 5
+    assert five.span_rank(6, prec, 5) == 4  # a bound no prime reaches: the exact rank
+    assert five.span_rank(0, 4, 1) == 1
     one = CaseRunner(CAT, CAT.cases["1"])
-    assert one.span_rank(24, one.sturm2(24) + GUARD) == 2
+    assert one.span_rank(24, one.sturm2(24) + GUARD, one.dim2(24)) == 2
     with pytest.raises(PrecisionTooLow):
-        five.span_rank(12, 3)
+        five.span_rank(12, 3, five.dim2(12))
 
 
 def test_rank_nullity_against_explicit_nullspace():
@@ -106,8 +131,8 @@ def test_rank_invariant_under_generator_scaling():
 
 def test_rank_stabilizes_at_sturm_precision():
     runner = CaseRunner(CAT, CAT.cases["7"])
-    bound = runner.sturm2(12)
-    assert runner.span_rank(12, bound) == runner.span_rank(12, bound + GUARD)
+    bound, dim = runner.sturm2(12), runner.dim2(12)
+    assert runner.span_rank(12, bound, dim) == runner.span_rank(12, bound + GUARD, dim)
 
 
 def test_relation_series_examples():
@@ -162,16 +187,113 @@ def test_verify_kernel_examples():
     assert count == 12
 
 
-def test_verify_kernel_fails_on_a_nonvanishing_relation():
-    from importlib import resources
-
-    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
+    raw = _shipped()
     seven = next(c for c in raw["cases"] if c["label"] == "7")
     # doctored: homogeneous of weight 2 but equal to 2*frho7^2, not zero
     seven["presentation"]["relations"][0]["poly"] = "frho7^2 + fchi7*fchi7_bar"
+    exact = _count_exact_ranks(monkeypatch)
+    modp_ranks = []
+    rank_mod_p = modp.rank
+    monkeypatch.setattr(modp, "rank", lambda rows, p: modp_ranks.append(rows) or rank_mod_p(rows, p))
     report = verify_kernel(Catalog(raw), "7", kmax2=4)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
+    # the ideal no longer lies in the kernel, so nothing bounds its rank: it is ranked
+    # exactly at each weight, and only the q-expansion matrices are reduced mod p
+    assert len(exact) == len(modp_ranks) == len(report.details["weights2"]) == 2
+    assert report.details["kernel_dims"] == [0, 1]
+    assert report.details["ideal_dims"] == [0, 1]
+
+
+def _dim_one_too_high(raw, label: str, from_j2: int):
+    """Give a case a dimension row one above its group's from doubled weight from_j2 on."""
+    case = next(c for c in raw["cases"] if c["label"] == label)
+    group = next(g for g in raw["groups"] if g["label"] == case["group"])
+    high = [dict(br, jmin=max(br.get("jmin", 0), from_j2), c=br.get("c", 0) + 1)
+            for br in group["dim"]]
+    case["dim"] = high + group["dim"]
+    return Catalog(raw)
+
+
+def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
+    cat = _dim_one_too_high(_shipped(), "7", 8)
+    exact = _count_exact_ranks(monkeypatch)
+    span = verify_span(cat, "7")
+    assert span.status == "fail"
+    golden = json.loads(GOLDEN.read_text())
+    # the ranks are the exact ones, not the catalog's dimensions
+    assert span.details["ranks"] == golden["7|span"]["details"]["ranks"]
+    assert span.details["dims"][4:] == [r + 1 for r in span.details["ranks"][4:]]
+    assert span.details["first_failure"] == {"j2": 8, "rank": 9, "dim": 10}
+    doctored = [j2 for j2 in span.details["weights2"] if j2 >= 8]
+    assert len(exact) == len(doctored)  # no prime reached the doctored bound: exact fallback
+    exact.clear()
+    kernel = verify_kernel(cat, "7")
+    assert kernel.status == "fail"
+    assert kernel.details["first_failure"] == {"j2": 8, "rank": 9, "dim": 10,
+                                               "dim_kernel": 6, "dim_ideal": 6}
+    assert kernel.details["kernel_dims"] == golden["7|kernel"]["details"]["kernel_dims"]
+    assert kernel.details["ideal_dims"] == golden["7|kernel"]["details"]["ideal_dims"]
+    # the q-expansion matrices of the doctored weights fell back; every ideal was certified
+    assert len(exact) == len(doctored)
+    assert all(not rows or isinstance(rows[0], tuple) for rows in exact)
+
+
+def test_a_denominator_divisible_by_the_first_prime_is_decided_by_the_second(monkeypatch):
+    ctx = cyclo_context(4)
+    first, second = modp.reductions(ctx)
+    z = ctx.zeta_power(1)
+    x = ctx.from_rational(Fraction(1, first.p)) + z
+    rows = [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]
+    with pytest.raises(ZeroDivisionError):
+        first(x)
+    assert second(x) == (pow(first.p, -1, second.p) + second(z)) % second.p
+    exact = _count_exact_ranks(monkeypatch)
+    got = certified_rank(ctx, 2, lambda red: [[red(c) for c in row] for row in rows],
+                         lambda: rows)
+    assert got == 2 == row_echelon_rank(rows)
+    assert exact == []
+
+
+def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
+    ctx = cyclo_context(3)
+    z = ctx.zeta_power(1)
+    rows = [[ctx.one, z], [z, z * z]]  # rank 1
+    exact = _count_exact_ranks(monkeypatch)
+    reduce = lambda red: [[red(c) for c in row] for row in rows]  # noqa: E731
+    assert certified_rank(ctx, 1, reduce, lambda: rows) == 1
+    assert exact == []
+    assert certified_rank(ctx, 2, reduce, lambda: rows) == 1
+    assert exact == [rows]
+    assert certified_rank(ctx, 0, lambda red: [], lambda: []) == 0
+
+
+_ENTRY = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5), st.data())
+def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
+    ctx = cyclo_context(L)
+    z = ctx.zeta_power(1)
+
+    def entry():
+        a, b, d = data.draw(_ENTRY)
+        return ctx.from_rational(Fraction(a, d)) + z * b
+
+    # a product of nrows x inner and inner x ncols matrices: rank at most inner
+    left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+    rows = [[sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero) for j in range(ncols)]
+            for row in left]
+    rank = row_echelon_rank(rows)
+    reduce = lambda red: [[red(c) for c in row] for row in rows]  # noqa: E731
+    for red in modp.reductions(ctx):
+        assert modp.rank(reduce(red), red.p) <= rank
+    for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
+        assert certified_rank(ctx, bound, reduce, lambda: rows) == rank
 
 
 def test_verify_relations_states():
@@ -222,6 +344,17 @@ def test_full_batch_all_green():
         if r.check in ("identity", "span", "relation", "kernel") and r.status == "pass":
             plan = check_plan(CAT, r.check, r.case)
             assert r.precision == plan.cutoff + GUARD, (r.case, r.check)
+    # every report field but elapsed_ms equals the benchmark's golden record
+    golden = json.loads(GOLDEN.read_text())
+    records = {}
+    for r in reports:
+        rec = json.loads(r.to_json())
+        del rec["elapsed_ms"]
+        records[f"{r.case}|{r.check}"] = rec
+    assert len(records) == len(reports)
+    assert sorted(records) == sorted(golden)
+    for key, rec in records.items():
+        assert rec == golden[key], key
 
 
 def test_full_report_deterministic_order():
