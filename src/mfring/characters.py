@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import CycloNum, FieldCtx, root_of_unity
 from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
@@ -185,36 +185,38 @@ def require_parity(chi_parity: int, k: int):
         raise ParityViolation(f"chi(-1) = {chi_parity} but weight {k} needs {(-1) ** k}")
 
 
-def sigma_twisted(k: int, rho: DirichletCharacter, n: int, ctx: FieldCtx) -> CycloNum:
-    """(sigma_k * rho)(n) = sum over d | n of rho(d) * d^k."""
-    out = ctx.zero
-    for d in divisors(n):
-        v = rho.eval(d, ctx)
-        if not v.is_zero():
-            out = out + v * (d**k)
-    return out
+def divisor_sums(
+    k: int, chi: DirichletCharacter, psi: DirichletCharacter, prec: int, ctx: FieldCtx
+) -> list[CycloNum]:
+    """Coefficients 0..prec-1 of sum_n (sum over d | n of chi(d) psi(n/d) d^(k-1)) q^n.
 
-
-def sigma_upper_twisted(k: int, chi: DirichletCharacter, n: int, ctx: FieldCtx) -> CycloNum:
-    """sum over d | n of chi(n/d) * d^(k-1)."""
-    out = ctx.zero
-    for d in divisors(n):
-        v = chi.eval(n // d, ctx)
-        if not v.is_zero():
-            out = out + v * (d ** (k - 1))
-    return out
-
-
-def sigma_two_char(
-    k: int, chi: DirichletCharacter, psi: DirichletCharacter, n: int, ctx: FieldCtx
-) -> CycloNum:
-    """sum over d | n of chi(d) * psi(n/d) * d^(k-1)."""
-    out = ctx.zero
-    for d in divisors(n):
-        a = chi.eval(d, ctx)
-        if a.is_zero():
+    One sieve over d and m = n/d adds the integer d^(k-1) into bucket
+    m0*(turn chi(d) + turn psi(m)) mod m0 of coefficient d*m, where m0 is
+    the lcm of the two orders; each coefficient's buckets are then folded
+    into the power basis once.  Needs m0 | L.
+    """
+    m0 = lcm(chi.order(), psi.order())
+    powers = [tuple(map(int, root_of_unity(ctx, j, m0).coords)) for j in range(m0)]
+    a_of, b_of = (
+        [None if t is None else t.numerator * m0 // t.denominator for t in c.turns]
+        for c in (chi, psi)
+    )
+    buckets = [0] * (prec * m0)
+    for d in range(1, prec):
+        a = a_of[d % chi.modulus]
+        if a is None:
             continue
-        b = psi.eval(n // d, ctx)
-        if not b.is_zero():
-            out = out + a * b * (d ** (k - 1))
+        w = d ** (k - 1)
+        for n in range(d, prec, d):
+            b = b_of[(n // d) % psi.modulus]
+            if b is not None:
+                buckets[n * m0 + (a + b) % m0] += w
+    out = []
+    for n in range(prec):
+        coords = [0] * ctx.degree
+        for c, p in zip(buckets[n * m0:(n + 1) * m0], powers):
+            if c:
+                for i, x in enumerate(p):
+                    coords[i] += c * x
+        out.append(CycloNum(ctx, tuple(map(Fraction, coords))))
     return out

@@ -22,6 +22,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_UNKNOWN = 2
 EXIT_BAD_CONFIG = 3
 
+# the largest dims --kmax and hilbert/verify --horizon; each costs well under a second there
+MAX_WEIGHT_FLAG = 10_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -57,6 +60,11 @@ def _parse_group(catalog: Catalog, text: str):
                    "(expected full, gamma0:<N> or gammaH:<N>:[a,b])", EXIT_BAD_CONFIG)
 
 
+def _require_weight_flag(flag: str, value: int):
+    if not 0 <= value <= MAX_WEIGHT_FLAG:
+        raise CliError(f"{flag} must be between 0 and {MAX_WEIGHT_FLAG}", EXIT_BAD_CONFIG)
+
+
 def cmd_qexp(args) -> int:
     catalog = _load(args)
     if args.prec < 1:
@@ -77,8 +85,7 @@ def cmd_qexp(args) -> int:
 
 def cmd_dims(args) -> int:
     catalog = _load(args)
-    if args.kmax < 0:
-        raise CliError("--kmax must be nonnegative", EXIT_BAD_CONFIG)
+    _require_weight_flag("--kmax", args.kmax)
     group = _parse_group(catalog, args.group)
     rows = []
     for k in range(0, args.kmax + 1):
@@ -96,8 +103,7 @@ def cmd_dims(args) -> int:
 
 def cmd_hilbert(args) -> int:
     catalog = _load(args)
-    if args.horizon < 0:
-        raise CliError("--horizon must be nonnegative", EXIT_BAD_CONFIG)
+    _require_weight_flag("--horizon", args.horizon)
     label = args.case
     if label not in catalog.cases:
         raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
@@ -165,8 +171,8 @@ def cmd_verify(args) -> int:
         if args.prec < 1:
             raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
         _check_prec_override(catalog, checks, labels, args.prec, kmax2)
-    if args.horizon is not None and args.horizon < 0:
-        raise CliError("--horizon must be nonnegative", EXIT_BAD_CONFIG)
+    if args.horizon is not None:
+        _require_weight_flag("--horizon", args.horizon)
     horizon2 = 2 * args.horizon if args.horizon is not None else 40
     reports = full_report(catalog, checks=checks, cases=labels,
                           kmax2=kmax2, prec_override=args.prec, horizon2=horizon2)

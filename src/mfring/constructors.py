@@ -13,11 +13,9 @@ from math import comb, isqrt
 
 from .characters import (
     DirichletCharacter,
+    divisor_sums,
     require_parity,
     require_primitive,
-    sigma_two_char,
-    sigma_twisted,
-    sigma_upper_twisted,
     trivial_character,
 )
 from .cyclo import CycloNum, FieldCtx
@@ -57,15 +55,11 @@ def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
 
 
 def eisenstein_e(k: int, prec: int, ctx: FieldCtx) -> QSeries:
-    """Level-1 weight-k series 1 - (2k/B_k) sum sigma_(k-1)(n) q^n, k even >= 2."""
+    """Level-1 weight-k series 1 - (2k/B_k) sum sigma_(k-1)(n) q^n, k even >= 2:
+    f_k at the trivial character mod 1."""
     if k <= 0 or k % 2 != 0:
         raise BadWeight(f"weight {k} outside the even positive domain")
-    lead = ctx.from_rational(Fraction(-2 * k) / bernoulli(k))
-    triv = trivial_character(1)
-    coeffs = [ctx.one]
-    for n in range(1, prec):
-        coeffs.append(lead * sigma_twisted(k - 1, triv, n, ctx))
-    return QSeries(ctx, coeffs)
+    return eis_f(k, trivial_character(1), prec, ctx)
 
 
 def eisenstein_c(N: int, prec: int, ctx: FieldCtx) -> QSeries:
@@ -89,24 +83,16 @@ def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
         raise BadWeight("weight must be positive")
     require_primitive(chi)
     require_parity(chi.parity(), k)
-    b = gen_bernoulli(k, chi, ctx)
-    lead = ctx.from_rational(-2 * k) * b.invert()
-    coeffs = [ctx.one]
-    for n in range(1, prec):
-        coeffs.append(lead * sigma_twisted(k - 1, chi, n, ctx))
-    return QSeries(ctx, coeffs)
+    lead = ctx.from_rational(-2 * k) * gen_bernoulli(k, chi, ctx).invert()
+    sums = divisor_sums(k, chi, trivial_character(1), prec, ctx)
+    return QSeries(ctx, [ctx.one] + [lead * c for c in sums[1:]])
 
 
 def eis_g(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
     """sum_n (sum_{d|n} chi(n/d) d^(k-1)) q^n, k >= 2; zero constant term."""
     if k < 2:
         raise BadWeight("this family needs weight at least 2")
-    require_primitive(chi)
-    require_parity(chi.parity(), k)
-    coeffs = [ctx.zero]
-    for n in range(1, prec):
-        coeffs.append(sigma_upper_twisted(k, chi, n, ctx))
-    return QSeries(ctx, coeffs)
+    return eis_g2(k, trivial_character(1), chi, prec, ctx)
 
 
 def eis_g2(
@@ -122,10 +108,7 @@ def eis_g2(
     require_primitive(chi)
     require_primitive(psi)
     require_parity(chi.parity() * psi.parity(), k)
-    coeffs = [ctx.zero]
-    for n in range(1, prec):
-        coeffs.append(sigma_two_char(k, chi, psi, n, ctx))
-    return QSeries(ctx, coeffs)
+    return QSeries(ctx, divisor_sums(k, chi, psi, prec, ctx))
 
 
 def theta_series(prec: int, ctx: FieldCtx) -> QSeries:

@@ -179,6 +179,10 @@ class _Poly:
 # the largest scalar power a literal may build; a 2^16-bit integer prints in milliseconds
 SCALAR_POWER_BITS = 1 << 16
 
+# the largest weight of E<k>, f[k;chi] and g[k;chi]; Bernoulli numbers cost about k^3,
+# and f[199;chi23] already takes seconds
+MAX_CONSTRUCTOR_WEIGHT = 200
+
 
 def _power_bits(c: CycloNum, k: int) -> int:
     """An estimate of the bits of c^k, from the common denominator of c and
@@ -366,17 +370,18 @@ def constructor(name: str) -> Constructor:
     m = _CONSTRUCTOR.fullmatch(name)
     if m is None:
         raise UnknownForm(f"cannot resolve {name!r}")
+    k = int(m["E"] or m["f"] or m["g"] or 0)
+    if k > MAX_CONSTRUCTOR_WEIGHT:
+        raise CatalogError(f"weight {k} exceeds {MAX_CONSTRUCTOR_WEIGHT} in {name!r}")
     if m["E"]:
-        k = int(m["E"])
         return Constructor(2 * k, (), lambda *a: eisenstein_e(k, *a))
     if m["C"]:
         N = int(m["C"])
         return Constructor(4, (), lambda *a: eisenstein_c(N, *a))
     if m["f"]:
-        k = int(m["f"])
         return Constructor(2 * k, (m["fchars"],), lambda *a: eis_f(k, *a))
     if m["g"]:
-        k, chars = int(m["g"]), tuple(_split_top_level(m["gchars"]))
+        chars = tuple(_split_top_level(m["gchars"]))
         if len(chars) > 2:
             raise CatalogError(f"too many characters in {name!r}")
         return Constructor(2 * k, chars, lambda *a: (eis_g if len(chars) == 1 else eis_g2)(k, *a))

@@ -23,14 +23,6 @@ class HilbertSeries:
         if any(w <= 0 for w in self.den_weights2):
             raise ValueError("denominator weights must be positive")
 
-    @classmethod
-    def free(cls, weights2) -> "HilbertSeries":
-        """Hilbert series of a free weighted polynomial ring."""
-        ws = tuple(weights2)
-        if not ws:
-            raise ValueError("need at least one generator weight")
-        return cls([(1, 0)], ws)
-
     def expand(self, horizon2: int) -> list[int]:
         """Exact power series coefficients for doubled degrees 0..horizon2."""
         den = [1]

@@ -53,10 +53,6 @@ class VerificationReport:
             }
         )
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
     """All exponent vectors e with sum(e*w) == k2, lexicographically ordered."""

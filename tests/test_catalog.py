@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from mfring.catalog import (
 from mfring.errors import CatalogError, OutOfTable, QuasiModularUse
 
 CAT = load_catalog()
+FORMS_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "qexp_forms.json"
 
 
 # -- independent index oracles ------------------------------------------
@@ -130,6 +132,26 @@ def test_lookup_form_fixtures():
     assert all(c.is_rational() for c in f5.coeffs)
     with pytest.raises(Exception):
         CAT.lookup_form("nosuch", 5)
+
+
+def _joined(terms, prec):
+    """'c0 + c1*q + ... + O(q^prec)' from golden (n, sign, text) terms."""
+    parts = []
+    for _, sign, text in terms:
+        if parts:
+            parts.append(f"{sign} {text}")
+        else:
+            parts.append(text if sign == "+" else f"-{text}")
+    return " ".join(parts or ["0"]) + f" + O(q^{prec})"
+
+
+def test_every_catalog_form_renders_as_its_golden_expansion():
+    # the benchmark's reference expansions, only read here
+    golden = json.loads(FORMS_GOLDEN.read_text())
+    assert sorted(golden) == sorted(CAT.forms)
+    for name, ref in golden.items():
+        got = str(CAT.lookup_form(name, ref["prec"]))
+        assert got == _joined(ref["terms"], ref["prec"]), name
 
 
 def test_catalog_closure_and_weights_validated_on_load():

@@ -1,22 +1,22 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfring.characters import (
     _NAMED_DEFS,
     character,
+    divisor_sums,
     named_character,
-    sigma_twisted,
-    sigma_two_char,
-    sigma_upper_twisted,
     trivial_character,
     units,
 )
 from mfring.cyclo import cyclo_context
-from mfring.errors import GroupMismatch, InvalidOrder
+from mfring.errors import ConductorMismatch, GroupMismatch, InvalidOrder
 
 C2 = cyclo_context(2)
 C4 = cyclo_context(4)
@@ -153,32 +153,60 @@ def _divisors(n):
 
 def test_twisted_sigma_against_enumeration():
     triv1 = trivial_character(1)
-    assert sigma_twisted(1, triv1, 6, C2) == 12
-    rho4 = named_character("rho4")
-    assert sigma_twisted(0, rho4, 5, C2) == 2
-    assert sigma_twisted(0, rho4, 3, C2).is_zero()
+    assert divisor_sums(2, triv1, triv1, 7, C2)[6] == 12
+    got = divisor_sums(1, named_character("rho4"), triv1, 6, C2)
+    assert got[5] == 2
+    assert got[3].is_zero()
     for rho in (named_character("rho3"), trivial_character(6)):
-        assert sigma_twisted(0, rho, 1, C2) == 1
-    # ordinary sigma_k via the unit indicator mod 1
-    for n in range(1, 30):
-        for k in (0, 1, 3):
-            assert sigma_twisted(k, triv1, n, C2) == sum(d**k for d in _divisors(n))
+        assert divisor_sums(1, rho, triv1, 2, C2)[1] == 1
+    # ordinary sigma_(k-1) via the unit indicator mod 1
+    for k in (1, 2, 4):
+        got = divisor_sums(k, triv1, triv1, 30, C2)
+        assert got[0].is_zero()
+        for n in range(1, 30):
+            assert got[n] == sum(d ** (k - 1) for d in _divisors(n))
     # indicator mod 2 keeps only odd divisors
-    ind2 = trivial_character(2)
+    got = divisor_sums(2, trivial_character(2), triv1, 20, C2)
     for n in range(1, 20):
-        want = sum(d for d in _divisors(n) if d % 2 == 1)
-        assert sigma_twisted(1, ind2, n, C2) == want
+        assert got[n] == sum(d for d in _divisors(n) if d % 2 == 1)
 
 
 def test_twisted_sigma_other_shapes():
-    rho3 = named_character("rho3")
-    # upper-twisted form used by the g-family
-    got = sigma_upper_twisted(3, rho3, 2, C2)
+    triv1, rho3 = trivial_character(1), named_character("rho3")
+    # psi on the codivisor, as in the g-family
+    got = divisor_sums(3, triv1, rho3, 3, C2)[2]
     want = rho3.eval(2, C2) * 1 + rho3.eval(1, C2) * 4
     assert got == want == 3
     rho5, chi5 = named_character("rho5"), named_character("chi5")
-    assert sigma_two_char(1, rho5, chi5, 5, C4).is_zero()
-    assert sigma_two_char(1, rho5, chi5, 1, C4) == 1
+    got = divisor_sums(1, rho5, chi5, 6, C4)
+    assert got[5].is_zero()
+    assert got[1] == 1
+
+
+_SUM_CHARACTERS = [trivial_character(1)] + [named_character(n) for n in sorted(_NAMED_DEFS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SUM_CHARACTERS), st.sampled_from(_SUM_CHARACTERS),
+       st.integers(1, 6), st.integers(1, 80), st.integers(1, 3))
+def test_divisor_sums_equal_the_enumerated_sums(chi, psi, k, prec, cofactor):
+    ctx = cyclo_context(lcm(chi.order(), psi.order()) * cofactor)
+    got = divisor_sums(k, chi, psi, prec, ctx)
+    assert len(got) == prec
+    assert got[0].is_zero()
+    for n in range(1, prec):
+        want = ctx.zero
+        for d in _divisors(n):
+            want = want + chi.eval(d, ctx) * psi.eval(n // d, ctx) * d ** (k - 1)
+        assert got[n] == want, (n, chi, psi)
+
+
+def test_divisor_sums_refuse_a_field_without_the_values():
+    chi5, triv1 = named_character("chi5"), trivial_character(1)
+    with pytest.raises(ConductorMismatch):
+        divisor_sums(1, chi5, triv1, 5, C2)
+    with pytest.raises(ConductorMismatch):
+        divisor_sums(2, triv1, named_character("chi7"), 5, C4)
 
 
 def test_lift_roundtrip():

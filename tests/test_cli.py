@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -226,13 +227,19 @@ def _self_named_generator_of_wrong_weight(raw):
     return json.dumps(raw)
 
 
+def _form_above_the_weight_ceiling(raw):
+    raw["forms"].append({"name": "heavy", "w2": 2000, "L": 1, "expr": "E1000", "group": "g1"})
+    return json.dumps(raw)
+
+
 @pytest.mark.parametrize("content", [
     None,  # no such file
     "{",  # malformed JSON
     "[]",  # not an object
     _without_group(json.loads(json.dumps(SHIPPED))),  # a case with no group
     _self_named_generator_of_wrong_weight(json.loads(json.dumps(SHIPPED))),
-], ids=["missing", "truncated", "list", "no-group", "self-named-weight"])
+    _form_above_the_weight_ceiling(json.loads(json.dumps(SHIPPED))),
+], ids=["missing", "truncated", "list", "no-group", "self-named-weight", "heavy-form"])
 def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     path = tmp_path / "catalog.json"
     if content is not None:
@@ -270,18 +277,29 @@ def test_catalog_missing_any_key_exits_0_or_3(key_path):
         os.unlink(path)
 
 
-# A small grammar of qexp inputs: the operators, constructors of weight <= 6,
-# scalar literals, h up to 10^11, then optionally truncated or salted with
-# garbage.  Scalar exponents reach past the 4300-digit int-to-str limit
-# (9^5000, 2^20000) and past the scalar bit budget (2^99999999999).
+@pytest.mark.parametrize("expr", ["E1200", "E10000", "f[1000000000;rho3]",
+                                  "g[10000;rho3]", "g[1000000000;rho5,chi5]"])
+def test_qexp_weight_above_the_ceiling_exits_3_at_once(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "qexp", expr, "--prec", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "exceeds" in err and "Traceback" not in err
+
+
+# A small grammar of qexp inputs: the operators, constructors of weight <= 6
+# or far above the weight ceiling, scalar literals, h up to 10^11, then
+# optionally truncated or salted with garbage.  Scalar exponents reach past
+# the 4300-digit int-to-str limit (9^5000, 2^20000) and past the scalar bit
+# budget (2^99999999999).
 _CHARS = st.sampled_from([
     "rho3", "rho4", "chi5", "rho5", "chi7", "rho7", "rho8", "chi9", "rho9",
     "pow(chi5,3)", "conj(chi7)", "mul(rho3,rho4)", "pow(chi5)", "mul(rho3)",
 ])
-_WEIGHT = st.integers(0, 6)
+_WEIGHT = st.one_of(st.integers(0, 6), st.sampled_from([10**4, 10**9]))
 _ATOMS = st.one_of(
-    st.sampled_from(["E2", "E3", "E4", "E6", "C1", "C2", "C7", "theta", "bqf[1,1,6]",
-                     "bqf[1,0,-1]", "alpha23", "nosuch"]),
+    st.sampled_from(["E2", "E3", "E4", "E6", "E10000", "E1000000000", "C1", "C2", "C7",
+                     "theta", "bqf[1,1,6]", "bqf[1,0,-1]", "alpha23", "nosuch"]),
     st.builds("f[{};{}]".format, _WEIGHT, _CHARS),
     st.builds("g[{};{}]".format, _WEIGHT, _CHARS),
     st.builds("g[{};{},{}]".format, _WEIGHT, _CHARS, _CHARS),
@@ -339,6 +357,8 @@ def test_qexp_fuzz_exit_code_contract(args):
 # so an example costs at most one small case.
 _INTS = st.one_of(st.builds(str, st.integers(-3, 12)),
                   st.sampled_from(["x", "", "1.5", "-0", "10**3"]))
+# dims --kmax and the --horizon flags, also at and past their ceiling
+_SIZES = st.one_of(_INTS, st.sampled_from(["10000", "10001", "100000000"]))
 _OUTPUTS = st.sampled_from(["text", "json", "xml"])
 _GROUPS = st.one_of(
     st.sampled_from(["full", "whatever", "", ":", "gamma0:", "gamma0:x", "gammaH:7:3",
@@ -362,9 +382,9 @@ def _flags(draw, options):
 
 _ARGVS = st.one_of(
     st.tuples(st.builds(lambda group: ["dims", "--group", group], _GROUPS),
-              _flags({"--kmax": _INTS, "--output": _OUTPUTS})),
+              _flags({"--kmax": _SIZES, "--output": _OUTPUTS})),
     st.tuples(st.builds(lambda case: ["hilbert", "--case", case], _CASES),
-              _flags({"--horizon": _INTS, "--output": _OUTPUTS})),
+              _flags({"--horizon": _SIZES, "--output": _OUTPUTS})),
     st.tuples(st.just(["catalog"]), st.lists(st.sampled_from(["list", "show", "", "--x"]),
                                              max_size=2)),
     st.tuples(st.builds(lambda sel, case: ["verify", sel, "--case", case],
@@ -372,7 +392,7 @@ _ARGVS = st.one_of(
                                          "hilbert", "integrality", "presentation", "nope"]),
                         _SMALL_CASES),
               _flags({"--kmax": _INTS, "--prec": st.one_of(_INTS, st.builds(str, st.integers(0, 60))),
-                      "--horizon": _INTS, "--output": _OUTPUTS})),
+                      "--horizon": _SIZES, "--output": _OUTPUTS})),
 )
 
 
@@ -389,3 +409,17 @@ def test_other_subcommands_fuzz_exit_code_contract(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--group", "full", "--kmax"],
+    ["hilbert", "--case", "7", "--horizon"],
+    ["verify", "hilbert", "--case", "7", "--horizon"],
+])
+def test_size_flags_stop_at_their_ceiling(capsys, argv):
+    code, _, _ = _run(capsys, *argv, "10000")
+    assert code == 0
+    for value in ("10001", "100000000"):
+        code, out, err = _run(capsys, *argv, value)
+        assert code == 3 and out == ""
+        assert "must be between 0 and 10000" in err

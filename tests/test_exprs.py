@@ -5,6 +5,7 @@ import pytest
 from mfring.cyclo import cyclo_context
 from mfring.errors import CatalogError, UnknownForm
 from mfring.exprs import (
+    MAX_CONSTRUCTOR_WEIGHT,
     SCALAR_POWER_BITS,
     Evaluator,
     atoms,
@@ -55,6 +56,16 @@ def test_constructor_rejects_what_it_cannot_build():
         constructor("alpha1")
     with pytest.raises(CatalogError):
         constructor("g[1;rho3,rho4,chi5]")
+
+
+def test_constructor_weight_ceiling():
+    top = MAX_CONSTRUCTOR_WEIGHT
+    assert constructor(f"E{top}").w2 == 2 * top
+    assert constructor(f"g[{top};rho3]").w2 == 2 * top
+    for bad in (f"E{top + 2}", f"f[{top + 1};rho3]", f"g[{top + 2};rho3]",
+                f"g[{top + 1};rho5,chi5]", "E1000000000"):
+        with pytest.raises(CatalogError, match=f"exceeds {top}"):
+            constructor(bad)
 
 
 def test_atoms():

@@ -146,14 +146,14 @@ def test_relation_series_examples():
 
 def test_verify_span_reports():
     report = verify_span(CAT, "7", kmax2=10)
-    assert report.passed
+    assert report.status == "pass"
     assert report.details["ranks"] == [1, 3, 5, 7, 9, 11]
     assert report.details["dims"] == [1, 3, 5, 7, 9, 11]
     report = verify_span(CAT, "11h3", kmax2=12)
     assert report.details["ranks"] == [1, 1, 2, 3, 4, 5, 6]
     report = verify_span(CAT, "13h3", kmax2=8)
     assert report.details["dims"] == [1, 2, 3, 8, 9]
-    assert report.passed
+    assert report.status == "pass"
 
 
 def test_verify_span_reports_precision_used():
@@ -168,15 +168,15 @@ def test_verify_span_reports_precision_used():
 
 def test_verify_kernel_examples():
     report = verify_kernel(CAT, "11h3", kmax2=12)
-    assert report.passed
+    assert report.status == "pass"
     assert report.details["weights2"][-1] == 12
     assert report.details["kernel_dims"][-1] == 1
     assert report.details["ideal_dims"][-1] == 1
     report = verify_kernel(CAT, "7", kmax2=4)
-    assert report.passed
+    assert report.status == "pass"
     assert report.details["kernel_dims"] == [0, 1]  # weight 2: 6 monomials - dim 5
     nine = verify_kernel(CAT, "9", kmax2=6)
-    assert nine.passed
+    assert nine.status == "pass"
     assert nine.details["weights2"] == [2, 4, 6]
     assert nine.details["kernel_dims"][-1] == 10
     assert nine.details["ideal_dims"][-1] == 10
@@ -297,7 +297,7 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
 
 
 def test_verify_relations_states():
-    assert verify_relations(CAT, "7").passed
+    assert verify_relations(CAT, "7").status == "pass"
     unknown = verify_relations(CAT, "13h3")
     assert unknown.status == "skipped"
     assert "unknown" in unknown.details["reason"]
@@ -309,13 +309,13 @@ def test_verify_relations_states():
 
 
 def test_verify_identity_and_errors():
-    assert verify_identity(CAT, "c4_sq").passed
+    assert verify_identity(CAT, "c4_sq").status == "pass"
     with pytest.raises(UnknownIdentity):
         verify_identity(CAT, "nope")
 
 
 def test_verify_integrality_negative_control():
-    assert verify_integrality(CAT, "alpha1").passed
+    assert verify_integrality(CAT, "alpha1").status == "pass"
     bad = verify_integrality(CAT, "f[1;chi5]", prec=20)
     assert bad.status == "fail"
     assert bad.details["first_failure"]["index"] == 0
