@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import CycloNum, FieldCtx, root_of_unity
+from .cyclo import CycloNum, FieldCtx, fold_buckets, root_of_unity, roots_of_unity
 from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
 
 
@@ -187,8 +187,9 @@ def require_parity(chi_parity: int, k: int):
 
 def divisor_sums(
     k: int, chi: DirichletCharacter, psi: DirichletCharacter, prec: int, ctx: FieldCtx
-) -> list[CycloNum]:
-    """Coefficients 0..prec-1 of sum_n (sum over d | n of chi(d) psi(n/d) d^(k-1)) q^n.
+) -> list[int]:
+    """Coefficients 0..prec-1 of sum_n (sum over d | n of chi(d) psi(n/d) d^(k-1)) q^n,
+    as flat integer coordinates: coordinate j of coefficient n is entry n*phi(L) + j.
 
     One sieve over d and m = n/d adds the integer d^(k-1) into bucket
     m0*(turn chi(d) + turn psi(m)) mod m0 of coefficient d*m, where m0 is
@@ -196,7 +197,7 @@ def divisor_sums(
     into the power basis once.  Needs m0 | L.
     """
     m0 = lcm(chi.order(), psi.order())
-    powers = [tuple(map(int, root_of_unity(ctx, j, m0).coords)) for j in range(m0)]
+    powers = roots_of_unity(ctx, m0)
     a_of, b_of = (
         [None if t is None else t.numerator * m0 // t.denominator for t in c.turns]
         for c in (chi, psi)
@@ -211,12 +212,4 @@ def divisor_sums(
             b = b_of[(n // d) % psi.modulus]
             if b is not None:
                 buckets[n * m0 + (a + b) % m0] += w
-    out = []
-    for n in range(prec):
-        coords = [0] * ctx.degree
-        for c, p in zip(buckets[n * m0:(n + 1) * m0], powers):
-            if c:
-                for i, x in enumerate(p):
-                    coords[i] += c * x
-        out.append(CycloNum(ctx, tuple(map(Fraction, coords))))
-    return out
+    return fold_buckets(buckets, powers, ctx.degree)

@@ -18,7 +18,7 @@ from .characters import (
     require_primitive,
     trivial_character,
 )
-from .cyclo import CycloNum, FieldCtx
+from .cyclo import CycloNum, FieldCtx, cyclo_context, embed, fold_buckets, roots_of_unity
 from .errors import BadWeight, NotPositiveDefinite
 from .qseries import QSeries
 
@@ -44,14 +44,20 @@ def bernoulli_poly(k: int, x: Fraction) -> Fraction:
 
 
 def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
-    """Generalized Bernoulli number N^(k-1) * sum chi(a) B_k(a/N)."""
-    N = chi.modulus
-    out = ctx.zero
+    """Generalized Bernoulli number N^(k-1) * sum chi(a) B_k(a/N).
+
+    The rationals B_k(a/N) are summed into one bucket per value of chi,
+    which are then folded into the power basis once."""
+    N, m0 = chi.modulus, chi.order()
+    powers = roots_of_unity(ctx, m0)
+    buckets = [Fraction(0)] * m0
     for a in range(1, N + 1):
-        v = chi.eval(a, ctx)
-        if not v.is_zero():
-            out = out + v * ctx.from_rational(bernoulli_poly(k, Fraction(a, N)))
-    return out * (N ** (k - 1))
+        t = chi.turns[a % N]
+        if t is not None:
+            buckets[t.numerator * m0 // t.denominator] += bernoulli_poly(k, Fraction(a, N))
+    scale = N ** (k - 1)
+    coords = fold_buckets(buckets, powers, ctx.degree)
+    return CycloNum(ctx, tuple(Fraction(x * scale) for x in coords))
 
 
 def eisenstein_e(k: int, prec: int, ctx: FieldCtx) -> QSeries:
@@ -67,14 +73,7 @@ def eisenstein_c(N: int, prec: int, ctx: FieldCtx) -> QSeries:
     if N < 2:
         raise BadWeight("level must be at least 2")
     e2 = eisenstein_e(2, prec, ctx)
-    scale = Fraction(1, N - 1)
-    coeffs = []
-    for n in range(prec):
-        val = -e2.coeffs[n]
-        if n % N == 0:
-            val = val + e2.coeffs[n // N] * N
-        coeffs.append(val * ctx.from_rational(scale))
-    return QSeries(ctx, coeffs)
+    return (e2.v_operator(N, prec).scale(N) - e2).scale(Fraction(1, N - 1))
 
 
 def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
@@ -83,9 +82,11 @@ def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
         raise BadWeight("weight must be positive")
     require_primitive(chi)
     require_parity(chi.parity(), k)
-    lead = ctx.from_rational(-2 * k) * gen_bernoulli(k, chi, ctx).invert()
-    sums = divisor_sums(k, chi, trivial_character(1), prec, ctx)
-    return QSeries(ctx, [ctx.one] + [lead * c for c in sums[1:]])
+    # B_(k,chi) lies in Q(zeta_m), m = ord chi, whose degree can be far below L's
+    small = cyclo_context(chi.order())
+    lead = embed(gen_bernoulli(k, chi, small).invert() * (-2 * k), ctx)
+    sums = QSeries.from_ints(ctx, divisor_sums(k, chi, trivial_character(1), prec, ctx))
+    return QSeries.one(ctx, prec) + sums.scale(lead)
 
 
 def eis_g(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
@@ -108,7 +109,7 @@ def eis_g2(
     require_primitive(chi)
     require_primitive(psi)
     require_parity(chi.parity() * psi.parity(), k)
-    return QSeries(ctx, divisor_sums(k, chi, psi, prec, ctx))
+    return QSeries.from_ints(ctx, divisor_sums(k, chi, psi, prec, ctx))
 
 
 def theta_series(prec: int, ctx: FieldCtx) -> QSeries:
@@ -119,7 +120,7 @@ def theta_series(prec: int, ctx: FieldCtx) -> QSeries:
     while n * n < prec:
         counts[n * n] = 2
         n += 1
-    return QSeries(ctx, [ctx.from_rational(c) for c in counts])
+    return _rational_series(counts, ctx)
 
 
 def theta_bqf(a: int, b: int, c: int, prec: int, ctx: FieldCtx) -> QSeries:
@@ -137,4 +138,11 @@ def theta_bqf(a: int, b: int, c: int, prec: int, ctx: FieldCtx) -> QSeries:
             val = a * m * m + b * m * n + c * n * n
             if val < prec:
                 counts[val] += 1
-    return QSeries(ctx, [ctx.from_rational(v) for v in counts])
+    return _rational_series(counts, ctx)
+
+
+def _rational_series(counts: list[int], ctx: FieldCtx) -> QSeries:
+    """The series sum counts[n] q^n, whose coefficients are integers."""
+    nums = [0] * (len(counts) * ctx.degree)
+    nums[::ctx.degree] = counts
+    return QSeries.from_ints(ctx, nums)

@@ -4,12 +4,17 @@ Elements are stored by their coordinates in the power basis
 1, z, ..., z^(phi(L)-1) where z is a primitive L-th root of unity;
 every operation reduces modulo the L-th cyclotomic polynomial, so
 equality is coordinatewise.  All coordinates are exact rationals.
+Linear maps of the field that q-series apply coefficient by coefficient
+(multiplication by an element, complex conjugation) are exposed as
+integer matrices whose row k is the image of z^k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ConductorMismatch, ContextMismatch
 
@@ -53,7 +58,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 class FieldCtx:
     """Field context for Q(zeta_L): conductor, minimal polynomial, reduction data."""
 
-    __slots__ = ("L", "degree", "minpoly", "_red", "zero", "one")
+    __slots__ = ("L", "degree", "minpoly", "fold", "zero", "one")
 
     def __init__(self, L: int):
         if L < 1:
@@ -73,7 +78,7 @@ class FieldCtx:
                 for j in range(self.degree):
                     cur[j] += top * red[0][j]
             red.append(tuple(cur))
-        self._red = tuple(red)
+        self.fold = tuple(red)
         self.zero = CycloNum(self, (_ZERO,) * self.degree)
         one = [_ZERO] * self.degree
         one[0] = _ONE
@@ -129,6 +134,89 @@ def root_of_unity(ctx: FieldCtx, a: int, b: int) -> "CycloNum":
     return ctx.zeta_power((a % b) * (ctx.L // b))
 
 
+def roots_of_unity(ctx: FieldCtx, m: int) -> list[tuple[int, ...]]:
+    """Integer coordinates of e^(2*pi*i*j/m) for j = 0..m-1; needs m | L.
+
+    Each power is the previous one times z^(L/m), one shift and fold per
+    factor z, so the cost is below L*phi(L) integer steps.
+    """
+    if m < 1 or ctx.L % m != 0:
+        raise ConductorMismatch(f"order {m} does not divide conductor {ctx.L}")
+    step = ctx.L // m
+    cur = [1] + [0] * (ctx.degree - 1)
+    out = [tuple(cur)]
+    while len(out) < m:
+        for _ in range(step):
+            cur = _times_zeta(cur, ctx.fold[0])
+        out.append(tuple(cur))
+    return out
+
+
+def fold_buckets(buckets, powers, degree: int) -> list:
+    """Flat power-basis coordinates of consecutive blocks of len(powers) buckets,
+    bucket j of a block weighing the root of unity powers[j]."""
+    m = len(powers)
+    out = []
+    for n in range(0, len(buckets), m):
+        coords = [0] * degree
+        for c, p in zip(buckets[n:n + m], powers):
+            if c:
+                for i, x in enumerate(p):
+                    coords[i] += c * x
+        out.extend(coords)
+    return out
+
+
+def embed(c: "CycloNum", ctx: FieldCtx) -> "CycloNum":
+    """c, an element of Q(zeta_M), as an element of Q(zeta_L) for M | L."""
+    powers = roots_of_unity(ctx, c.ctx.L)[:c.ctx.degree]
+    return CycloNum(ctx, tuple(map(Fraction, fold_buckets(c.coords, powers, ctx.degree))))
+
+
+def _times_zeta(v: list[int], top_row) -> list[int]:
+    """v*z reduced, for a coordinate list v; top_row is z^degree reduced."""
+    top = v[-1]
+    v = [0] + v[:-1]
+    if top:
+        v = [x + top * t for x, t in zip(v, top_row)]
+    return v
+
+
+def multiplication_matrix(c: "CycloNum") -> tuple[int, list[list[int]]]:
+    """(D, M) with row k of the integer matrix M the coordinates of D*c*z^k.
+
+    D is the least common denominator of c's coordinates, so a coordinate
+    vector a maps to a*c = (1/D) * sum_k a_k M[k].
+    """
+    den, row = c.integral()
+    rows = [row]
+    for _ in range(c.ctx.degree - 1):
+        row = _times_zeta(row, c.ctx.fold[0])
+        rows.append(row)
+    return den, rows
+
+
+@lru_cache(maxsize=None)
+def conj_matrix(L: int) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix of complex conjugation on Q(zeta_L): row k is z^(-k) reduced.
+
+    z^(-1) = -(a_1 + a_2 z + ... + z^(d-1)) / a_0 for Phi_L = a_0 + a_1 x + ...
+    + x^d, and a_0 = +-1, so each row is the previous one divided by z in
+    integers.
+    """
+    poly = cyclotomic_polynomial(L)
+    d, a0 = len(poly) - 1, poly[0]
+    cur = [1] + [0] * (d - 1)
+    rows = [tuple(cur)]
+    for _ in range(d - 1):
+        low = cur[0]
+        cur = cur[1:] + [0]
+        if low:
+            cur = [x - low * a0 * t for x, t in zip(cur, poly[1:])]
+        rows.append(tuple(cur))
+    return tuple(rows)
+
+
 class CycloNum:
     """Element of Q(zeta_L) in the power basis; immutable."""
 
@@ -182,7 +270,7 @@ class CycloNum:
                     raw[i + j] += ai * bj
         # fold x^(d+i) terms using the precomputed reduced powers
         coords = list(raw[:d])
-        red = self.ctx._red
+        red = self.ctx.fold
         for i in range(d, len(raw)):
             c = raw[i]
             if c:
@@ -236,36 +324,33 @@ class CycloNum:
     def is_integer(self) -> bool:
         return self.is_rational() and self.coords[0].denominator == 1
 
+    def integral(self) -> tuple[int, list[int]]:
+        """(D, [D*x for x in coords]) over the least common denominator D."""
+        den = lcm(*(x.denominator for x in self.coords))
+        return den, [x.numerator * (den // x.denominator) for x in self.coords]
+
     def invert(self) -> "CycloNum":
-        """Extended Euclid against the minimal polynomial."""
+        """Solve self*y = 1 as a linear system over the integers.
+
+        With (D, M) = multiplication_matrix(self), y's coordinates satisfy
+        sum_k y_k M[k] = D*e_0, which fraction-free elimination solves
+        with exact integer divisions only.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         if self.is_rational():
             return self.ctx.from_rational(1 / self.coords[0])
-        # r0 = minpoly, r1 = self; track s with r = s*self (mod minpoly)
-        r0 = [Fraction(c) for c in self.ctx.minpoly]
-        r1 = list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.ctx.reduce([c * inv for c in s1])
-            q, r = _poly_divmod_frac(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
+        den, rows = multiplication_matrix(self)
+        system = [list(col) + [den if j == 0 else 0] for j, col in enumerate(zip(*rows))]
+        nums, det = _bareiss_solve(system)
+        return CycloNum(self.ctx, tuple(Fraction(x, det) for x in nums))
 
     def conj(self) -> "CycloNum":
         """Complex conjugation: zeta -> zeta^(L-1)."""
-        L = self.ctx.L
         if self.ctx.degree <= 1:
             return self
-        raw = [_ZERO] * L
-        for i, c in enumerate(self.coords):
-            if c:
-                raw[(L - i) % L] += c
-        return self.ctx.reduce(raw)
+        cols = zip(*conj_matrix(self.ctx.L))
+        return CycloNum(self.ctx, tuple(sum(map(mul, self.coords, col)) for col in cols))
 
     def __repr__(self):
         return f"CycloNum({render_cyclo(self)!r}, L={self.ctx.L})"
@@ -274,59 +359,75 @@ class CycloNum:
         return render_cyclo(self)
 
 
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    d = len(den) - 1
-    lead = den[d]
-    q = [_ZERO] * max(1, len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
+def _bareiss_solve(a: list[list[int]]) -> tuple[list[int], int]:
+    """Solve the n x (n+1) augmented integer system a, which must be nonsingular.
+
+    Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): step k
+    replaces each row r below the pivot row p by (p_k*r - r_k*p) / p_(k-1),
+    where p_k is the pivot, and every entry it makes is a minor of the
+    row-permuted system, so each division is exact.  A row with r_k = 0 would
+    only be scaled by p_k / p_(k-1); those scalings telescope, so the row is
+    left alone and scaled once, exactly, when it is next used, and sparse
+    systems skip most of the work.  Returns (X, D) with solution X/D, where D
+    is the last pivot, the determinant up to sign; X is then integral by
+    Cramer's rule, and back substitution divides exactly too.
+    """
+    n = len(a)
+    piv = [1]  # piv[k] divides at step k: the pivot of step k-1
+    since = [0] * n  # row i holds its entries from before step since[i]
+
+    def current(i, k):  # row i as it stands before step k
+        if piv[k] != piv[since[i]]:
+            a[i] = [x * piv[k] // piv[since[i]] for x in a[i]]
+        since[i] = k
+        return a[i]
+
+    for k in range(n):
+        i = next(i for i in range(k, n) if a[i][k])
+        a[k], a[i], since[k], since[i] = a[i], a[k], since[i], since[k]
+        rk = current(k, k)
+        pk, prev, tail = rk[k], piv[k], rk[k + 1:]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                ri = current(i, k)
+                c = ri[k]
+                a[i] = [0] * (k + 1) + [(pk * x - c * y) // prev for x, y in zip(ri[k + 1:], tail)]
+                since[i] = k + 1
+        piv.append(pk)
+    det = piv[n]
+    xs = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = a[i]
+        s = det * ri[n] - sum(ri[j] * xs[j] for j in range(i + 1, n))
+        xs[i] = s // ri[i]
+    return xs, det
+
+
+def render_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms: 'n' or 'n/d'."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def render_coords(L: int, nums, den: int) -> str:
+    """Canonical text of sum_i (nums[i]/den) z<L>^i: ascending powers, e.g. '1/2 - 3*z12^2'."""
+    sym = f"z{L}"
+    parts = []
+    for i, c in enumerate(nums):
         if not c:
             continue
-        c = c / lead
-        q[i - d] = c
-        for j in range(d + 1):
-            num[i - d + j] -= c * den[j]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def render_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        mag = render_ratio(abs(c), den)
+        if i:
+            head = "" if mag == "1" else mag + "*"
+            mag = head + (sym if i == 1 else f"{sym}^{i}")
+        if not parts:
+            parts.append(("-" if c < 0 else "") + mag)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + mag)
+    return " ".join(parts) if parts else "0"
 
 
 def render_cyclo(x: CycloNum) -> str:
     """Canonical text form: ascending powers of z<L>, e.g. '1/2 - 3*z12^2'."""
-    sym = f"z{x.ctx.L}"
-    parts = []
-    for i, c in enumerate(x.coords):
-        if not c:
-            continue
-        if i == 0:
-            term = render_fraction(abs(c))
-        else:
-            mag = abs(c)
-            head = "" if mag == 1 else render_fraction(mag) + "*"
-            term = head + (sym if i == 1 else f"{sym}^{i}")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts) if parts else "0"
+    den, nums = x.integral()
+    return render_coords(x.ctx.L, nums, den)

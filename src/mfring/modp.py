@@ -11,6 +11,7 @@ reduces with the same map.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .cyclo import CycloNum, FieldCtx
@@ -63,6 +64,15 @@ class Reduction:
                     raise ZeroDivisionError(f"denominator {den} is divisible by {p}")
                 acc += x.numerator * rk * (1 if den == 1 else pow(den, -1, p))
         return acc % p
+
+    def series(self, f) -> list[int]:
+        """The coefficients of a QSeries reduced mod p, with one inverse of its denominator."""
+        p, d = self.p, len(self.powers)
+        if f.den % p == 0:
+            raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")
+        inv, nums, powers = pow(f.den, -1, p), f.nums, self.powers
+        return [sum(map(operator.mul, nums[n:n + d], powers)) * inv % p
+                for n in range(0, len(nums), d)]
 
 
 @lru_cache(maxsize=None)

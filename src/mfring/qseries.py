@@ -3,21 +3,34 @@
 A QSeries stores exactly `prec` coefficients: the series is known
 modulo q^prec.  Binary operations truncate to the shorter precision;
 the substitution q -> q^h expands precision to h*(prec-1)+1.
+
+Storage is one positive common denominator `den` and flat integer
+coordinates `nums`: coordinate k of coefficient n (in the power basis
+1, z, ..., z^(d-1), d = phi(L)) is nums[n*d + k] / den.  The pair is kept
+canonical, gcd(den, *nums) == 1, so equal series have equal storage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul, sub
 
-from .cyclo import CycloNum, FieldCtx, render_cyclo, render_fraction
+from .cyclo import (
+    CycloNum,
+    FieldCtx,
+    conj_matrix,
+    multiplication_matrix,
+    render_coords,
+    render_ratio,
+)
 from .errors import BadLeadingShape, ContextMismatch
 
 
 class QSeries:
-    """Immutable truncated power series in q with CycloNum coefficients."""
+    """Immutable truncated power series in q with coefficients in Q(zeta_L)."""
 
-    __slots__ = ("ctx", "prec", "coeffs")
+    __slots__ = ("ctx", "prec", "den", "nums")
 
     def __init__(self, ctx: FieldCtx, coeffs, prec: int | None = None):
         coeffs = tuple(coeffs)
@@ -27,22 +40,52 @@ class QSeries:
             raise ValueError("precision must be positive")
         if len(coeffs) != prec:
             raise ValueError("coefficient count must equal precision")
+        flat = [x for c in coeffs for x in c.coords]
+        den = lcm(*(x.denominator for x in flat))
+        self._set(ctx, prec, den, tuple(x.numerator * (den // x.denominator) for x in flat))
+
+    def _set(self, ctx: FieldCtx, prec: int, den: int, nums: tuple[int, ...]):
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(x // g for x in nums)
         self.ctx = ctx
         self.prec = prec
-        self.coeffs = coeffs
+        self.den = den
+        self.nums = nums
+
+    @classmethod
+    def from_ints(cls, ctx: FieldCtx, nums, den: int = 1) -> "QSeries":
+        """The series with coordinate k of coefficient n equal to nums[n*d + k] / den."""
+        nums = tuple(nums)
+        prec, extra = divmod(len(nums), ctx.degree)
+        if den < 1 or extra or prec < 1:
+            raise ValueError("need den >= 1 and a positive whole number of coefficients")
+        out = cls.__new__(cls)
+        out._set(ctx, prec, den, nums)
+        return out
+
+    def _new(self, nums, den: int) -> "QSeries":
+        return QSeries.from_ints(self.ctx, nums, den)
 
     @classmethod
     def one(cls, ctx: FieldCtx, prec: int) -> "QSeries":
-        return cls(ctx, [ctx.one] + [ctx.zero] * (prec - 1))
+        return cls.from_ints(ctx, [1] + [0] * (prec * ctx.degree - 1))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, prec: int) -> "QSeries":
-        return cls(ctx, [ctx.zero] * prec)
+        return cls.from_ints(ctx, [0] * (prec * ctx.degree))
 
     def coefficient(self, n: int) -> CycloNum:
         if not 0 <= n < self.prec:
             raise IndexError(f"coefficient {n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        d, den = self.ctx.degree, self.den
+        return CycloNum(self.ctx, tuple(Fraction(x, den) for x in self.nums[n * d:(n + 1) * d]))
+
+    @property
+    def coeffs(self) -> tuple[CycloNum, ...]:
+        """The coefficients as CycloNums, built on each access."""
+        return tuple(self.coefficient(n) for n in range(self.prec))
 
     def _check(self, other: "QSeries"):
         if self.ctx != other.ctx:
@@ -51,24 +94,38 @@ class QSeries:
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
-        return QSeries(self.ctx, self.coeffs[:prec])
+        return self._new(self.nums[:prec * self.ctx.degree], self.den)
+
+    def _aligned(self, other: "QSeries"):
+        """Both coordinate lists over one denominator, cut to the shorter precision."""
+        self._check(other)
+        n = min(self.prec, other.prec) * self.ctx.degree
+        a, b = self.nums[:n], other.nums[:n]
+        da, db = self.den, other.den
+        if da == db:
+            return a, b, da
+        den = lcm(da, db)
+        ma, mb = den // da, den // db
+        if ma != 1:
+            a = [x * ma for x in a]
+        if mb != 1:
+            b = [x * mb for x in b]
+        return a, b, den
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        self._check(other)
-        p = min(self.prec, other.prec)
-        return QSeries(self.ctx, [a + b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
+        a, b, den = self._aligned(other)
+        return self._new(map(add, a, b), den)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        self._check(other)
-        p = min(self.prec, other.prec)
-        return QSeries(self.ctx, [a - b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
+        a, b, den = self._aligned(other)
+        return self._new(map(sub, a, b), den)
 
     def __neg__(self):
-        return QSeries(self.ctx, [-a for a in self.coeffs])
+        return self._new([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
@@ -76,15 +133,20 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check(other)
-        p = min(self.prec, other.prec)
-        return QSeries(self.ctx, _kronecker_product(self.ctx, self.coeffs[:p], other.coeffs[:p]))
+        n = min(self.prec, other.prec) * self.ctx.degree
+        return self._new(_kronecker_product(self.ctx, self.nums[:n], other.nums[:n]),
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
-        if not isinstance(c, CycloNum):
-            c = self.ctx.from_rational(c)
-        return QSeries(self.ctx, [c * a for a in self.coeffs])
+        if isinstance(c, CycloNum):
+            if not c.is_rational():
+                den, rows = multiplication_matrix(c)
+                return self._new(_transform(self.nums, rows), self.den * den)
+            c = c.coords[0]
+        c = Fraction(c)
+        return self._new([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -107,42 +169,47 @@ class QSeries:
             new_prec = keep
         if h == 1:
             return self if new_prec == self.prec else self.truncate(new_prec)
-        out = [self.ctx.zero] * new_prec
-        for i in range((new_prec - 1) // h + 1):
-            out[h * i] = self.coeffs[i]
-        return QSeries(self.ctx, out)
+        d = self.ctx.degree
+        count = (new_prec - 1) // h + 1  # coefficients that land below new_prec
+        out = [0] * (new_prec * d)
+        for k in range(d):
+            out[k::h * d] = self.nums[k:count * d:d]
+        return self._new(out, self.den)
 
     def lowered(self, h: int) -> "QSeries":
         """(1/a)(f - f(q^h)) for f = 1 + a*q + ...; starts q + O(q^2)."""
         if self.prec < 2:
             raise BadLeadingShape("need at least two coefficients")
-        if self.coeffs[0] != self.ctx.one:
+        if self.coefficient(0) != self.ctx.one:
             raise BadLeadingShape("constant term must be 1")
-        a = self.coeffs[1]
+        a = self.coefficient(1)
         if a.is_zero():
             raise BadLeadingShape("q coefficient must be nonzero")
         return (self - self.v_operator(h, self.prec)).scale(a.invert())
 
     def conj(self) -> "QSeries":
-        return QSeries(self.ctx, [c.conj() for c in self.coeffs])
+        if self.ctx.degree == 1:
+            return self
+        return self._new(_transform(self.nums, conj_matrix(self.ctx.L)), self.den)
 
     def vanishing_order(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to precision."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
+        for i, x in enumerate(self.nums):
+            if x:
+                return i // self.ctx.degree
         return None
 
     def is_zero(self) -> bool:
-        return self.vanishing_order() is None
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self.prec == other.prec and self.coeffs == other.coeffs
+        return (self.ctx == other.ctx and self.prec == other.prec
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.ctx.L, self.coeffs))
+        return hash((self.ctx.L, self.den, self.nums))
 
     def __repr__(self):
         return f"QSeries({render_qseries(self)!r})"
@@ -151,15 +218,22 @@ class QSeries:
         return render_qseries(self)
 
 
-def _integer_coords(coeffs) -> tuple[int, list[int]]:
-    """Common denominator D and the flat integer coordinates of D*coeffs."""
-    flat = [x for c in coeffs for x in c.coords]
-    den = lcm(*[x.denominator for x in flat])
-    return den, [x.numerator * (den // x.denominator) for x in flat]
+def _transform(nums, rows) -> list[int]:
+    """Each coefficient's coordinate vector a mapped to sum_k a_k rows[k]."""
+    d = len(rows)
+    cols = list(zip(*rows))
+    out: list[int] = []
+    for n in range(0, len(nums), d):
+        a = nums[n:n + d]
+        if any(a):
+            out.extend(sum(map(mul, a, col)) for col in cols)
+        else:
+            out.extend(a)
+    return out
 
 
-def _kronecker_product(ctx: FieldCtx, a, b) -> list[CycloNum]:
-    """Truncated product of two equal-length coefficient tuples, exactly.
+def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
+    """Truncated product of two equal-length integer coordinate lists, exactly.
 
     Coefficient n of a series and coordinate k of its zeta-part become
     slot n*(2d-1)+k of one integer in base 2^W (d = phi(L)), so a single
@@ -169,13 +243,12 @@ def _kronecker_product(ctx: FieldCtx, a, b) -> list[CycloNum]:
     that makes every one of them nonnegative.  Powers zeta^(>=d) are then
     folded with the integer reduction table (Phi_L is monic).
     """
-    p, d = len(a), ctx.degree
+    d = ctx.degree
+    p = len(xa) // d
     stride = 2 * d - 1
-    da, xa = _integer_coords(a)
-    db, xb = _integer_coords(b)
     height = max(map(abs, xa)) * max(map(abs, xb)) * p * d
     if not height:  # a zero operand; its coordinates may not fit the slots
-        return [ctx.zero] * p
+        return [0] * (p * d)
     nb = (height.bit_length() + 2 + 7) // 8  # slot width in whole bytes
     half = 1 << (8 * nb - 1)
     half_slot = half.to_bytes(nb, "little")
@@ -193,9 +266,8 @@ def _kronecker_product(ctx: FieldCtx, a, b) -> list[CycloNum]:
     buf = memoryview(raw.to_bytes(nb * p * stride, "little"))
     slots = [int.from_bytes(buf[i:i + nb], "little") - half
              for i in range(0, len(buf), nb)]
-    den = da * db
-    red = ctx._red
-    out = []
+    red = ctx.fold
+    out: list[int] = []
     for base in range(0, p * stride, stride):
         coords = slots[base:base + d]
         for i, c in enumerate(slots[base + d:base + stride]):
@@ -203,45 +275,40 @@ def _kronecker_product(ctx: FieldCtx, a, b) -> list[CycloNum]:
                 tail = red[i]
                 for j in range(d):
                     coords[j] += c * tail[j]
-        out.append(CycloNum(ctx, tuple(Fraction(v, den) for v in coords)))
+        out.extend(coords)
     return out
-
-
-def _coeff_term(c: CycloNum, n: int) -> tuple[str, str]:
-    """(sign, magnitude-text) for coefficient c of q^n."""
-    qpart = "q" if n == 1 else f"q^{n}"
-    nonzero = [i for i in range(len(c.coords)) if c.coords[i]]
-    if len(nonzero) != 1:
-        # general cyclotomic coefficient: parenthesize
-        body = f"({render_cyclo(c)})"
-        return "+", body if n == 0 else f"{body}*{qpart}"
-    i = nonzero[0]
-    val = c.coords[i]
-    sign = "-" if val < 0 else "+"
-    mag = abs(val)
-    sym = "" if i == 0 else (f"z{c.ctx.L}" if i == 1 else f"z{c.ctx.L}^{i}")
-    if sym:
-        coeff_txt = sym if mag == 1 else f"{render_fraction(mag)}*{sym}"
-    else:
-        coeff_txt = render_fraction(mag)
-    if n == 0:
-        return sign, coeff_txt
-    if coeff_txt == "1":
-        return sign, qpart
-    return sign, f"{coeff_txt}*{qpart}"
 
 
 def render_qseries(f: QSeries) -> str:
     """Canonical rendering 'c0 + c1*q + ... + O(q^P)', omitting zero terms."""
+    L, d, den, nums = f.ctx.L, f.ctx.degree, f.den, f.nums
+    sym = f"z{L}"
     parts: list[str] = []
-    for n, c in enumerate(f.coeffs):
-        if c.is_zero():
+    for n in range(f.prec):
+        block = nums[n * d:(n + 1) * d]
+        nonzero = [i for i, x in enumerate(block) if x]
+        if not nonzero:
             continue
-        sign, text = _coeff_term(c, n)
+        qpart = "q" if n == 1 else f"q^{n}"
+        if len(nonzero) != 1:
+            # general cyclotomic coefficient: parenthesize
+            sign, text = "+", f"({render_coords(L, block, den)})"
+            if n:
+                text = f"{text}*{qpart}"
+        else:
+            i = nonzero[0]
+            val = block[i]
+            sign = "-" if val < 0 else "+"
+            text = render_ratio(abs(val), den)
+            if i:
+                zpart = sym if i == 1 else f"{sym}^{i}"
+                text = zpart if text == "1" else f"{text}*{zpart}"
+            if n:
+                text = qpart if text == "1" else f"{text}*{qpart}"
         if not parts:
             parts.append(text if sign == "+" else f"-{text}")
         else:
-            parts.append(f"{'+' if sign == '+' else '-'} {text}")
+            parts.append(f"{sign} {text}")
     if not parts:
         parts = ["0"]
     return " ".join(parts) + f" + O(q^{f.prec})"

@@ -174,7 +174,7 @@ class CaseRunner:
                 out = modp.mul(self.reduced_monomial(gen, prec, red),
                                self.reduced_monomial(rest, prec, red), red.p)
             else:
-                out = [red(c) for c in self.gen_series(i, prec).coeffs]
+                out = red.series(self.gen_series(i, prec))
         self._reduced[key] = out
         return out
 

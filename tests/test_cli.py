@@ -277,6 +277,16 @@ def test_catalog_missing_any_key_exits_0_or_3(key_path):
         os.unlink(path)
 
 
+def test_qexp_character_of_large_modulus_is_fast(capsys):
+    # mul(chi23,chi19) has modulus 437 and field degree 60; inverting its
+    # generalized Bernoulli number once took seconds
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "qexp", "f[2;mul(chi23,chi19)]", "--prec", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert out.startswith("1 + (") and out.strip().endswith("*q^2 + O(q^3)")
+
+
 @pytest.mark.parametrize("expr", ["E1200", "E10000", "f[1000000000;rho3]",
                                   "g[10000;rho3]", "g[1000000000;rho5,chi5]"])
 def test_qexp_weight_above_the_ceiling_exits_3_at_once(capsys, expr):

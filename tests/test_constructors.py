@@ -15,9 +15,10 @@ from mfring.constructors import (
     theta_bqf,
     theta_series,
 )
-from mfring.cyclo import cyclo_context
+from mfring.cyclo import cyclo_context, embed
 from mfring.errors import (
     BadWeight,
+    ConductorMismatch,
     ImprimitiveCharacter,
     NotPositiveDefinite,
     ParityViolation,
@@ -117,6 +118,18 @@ def test_f_series_leading_coefficients():
         assert series.coefficient(1) == want, name
     extra = eis_f(1, named_character("chi11") ** 3, 3, C10)
     assert extra.coefficient(1) == -(C10.zeta_power(2) * 2 + C10.zeta_power(4))
+
+
+def test_f_series_in_a_larger_field_is_the_embedded_series():
+    # the lead is computed in Q(zeta_ord chi) and embedded; ConductorMismatch
+    # still comes first when the field lacks the character's values
+    for name, small, L in (("chi5", C4, 20), ("chi7", C6, 30), ("rho3", C2, 12)):
+        chi, big = named_character(name), cyclo_context(L)
+        k = 1 if chi.parity() < 0 else 2
+        want = tuple(embed(c, big) for c in eis_f(k, chi, 6, small).coeffs)
+        assert eis_f(k, chi, 6, big).coeffs == want, name
+    with pytest.raises(ConductorMismatch):
+        eis_f(1, named_character("chi5"), 3, C6)
 
 
 def test_f_series_support_classes():

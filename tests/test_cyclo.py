@@ -3,10 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfring.cyclo import (
     cyclo_context,
     cyclotomic_polynomial,
+    embed,
+    multiplication_matrix,
     render_cyclo,
     root_of_unity,
 )
@@ -96,6 +100,46 @@ def test_inverse_law_random(L):
         if x.is_zero():
             continue
         assert x * x.invert() == ctx.one
+
+
+_INVERT_CONDUCTORS = (3, 5, 7, 8, 9, 12, 15, 16, 20, 21, 60)
+
+
+@st.composite
+def _nonzero_elements(draw):
+    ctx = cyclo_context(draw(st.sampled_from(_INVERT_CONDUCTORS)))
+    rationals = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**20))
+    coords = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                           min_size=ctx.degree, max_size=ctx.degree))
+    x = ctx.reduce(coords)
+    return x if not x.is_zero() else ctx.zeta_power(1) + 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(_nonzero_elements())
+def test_inverse_law_by_fraction_free_elimination(x):
+    y = x.invert()
+    assert x * y == x.ctx.one
+    assert y * x == x.ctx.one
+
+
+def test_multiplication_matrix_rows_are_the_products_with_powers_of_zeta():
+    ctx = cyclo_context(12)
+    x = ctx.from_rational(Fraction(1, 6)) - ctx.zeta_power(3) * Fraction(3, 4)
+    den, rows = multiplication_matrix(x)
+    assert den == 12
+    for k, row in enumerate(rows):
+        assert ctx.reduce([Fraction(v, den) for v in row]) == x * ctx.zeta_power(k)
+
+
+def test_embed_sends_zeta_m_to_the_matching_power_of_zeta_l():
+    c4, c12 = cyclo_context(4), cyclo_context(12)
+    i = root_of_unity(c4, 1, 4)
+    assert embed(i, c12) == root_of_unity(c12, 1, 4) == c12.zeta_power(3)
+    x = c4.from_rational(Fraction(3, 2)) - i * 5
+    y = c4.from_rational(-7) + i * Fraction(1, 3)
+    assert embed(x * y, c12) == embed(x, c12) * embed(y, c12)
+    assert embed(x.invert(), c12) == embed(x, c12).invert()
 
 
 def test_conjugation():

@@ -19,13 +19,14 @@ CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 10, 12)
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
     p = min(f.prec, g.prec)
+    fc, gc = f.coeffs, g.coeffs  # built on each access, so read once
     out = [f.ctx.zero] * p
     for i in range(p):
-        a = f.coeffs[i]
+        a = fc[i]
         if a.is_zero():
             continue
         for j in range(p - i):
-            b = g.coeffs[j]
+            b = gc[j]
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
     return QSeries(f.ctx, out)
