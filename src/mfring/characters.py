@@ -2,8 +2,8 @@
 
 A character mod N is stored as its value at every residue, as a fraction
 of a full turn (chi(a) = e^(2*pi*i*t) stored as t mod 1, None off the
-units), and embedded into a concrete cyclotomic field only on
-evaluation, so one character can serve any field context whose
+units), and embedded into a concrete cyclotomic field only by the sums
+that use it, so one character can serve any field context whose
 conductor is a multiple of the value order.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import CycloNum, FieldCtx, fold_buckets, root_of_unity, roots_of_unity
+from .cyclo import FieldCtx, fold_buckets, roots_of_unity
 from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
 
 
@@ -38,13 +38,6 @@ class DirichletCharacter:
         return DirichletCharacter(
             self.modulus, (None if t is None else f(t) % 1 for t in self.turns)
         )
-
-    def eval(self, n: int, ctx: FieldCtx) -> CycloNum:
-        """chi(n) embedded in Q(zeta_L); zero off the units."""
-        t = self.turns[n % self.modulus]
-        if t is None:
-            return ctx.zero
-        return root_of_unity(ctx, t.numerator, t.denominator)
 
     def order(self) -> int:
         out = 1

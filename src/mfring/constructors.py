@@ -9,7 +9,7 @@ series but is never registered as a modular form by the catalog.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .characters import (
     DirichletCharacter,
@@ -47,7 +47,8 @@ def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
     """Generalized Bernoulli number N^(k-1) * sum chi(a) B_k(a/N).
 
     The rationals B_k(a/N) are summed into one bucket per value of chi,
-    which are then folded into the power basis once."""
+    which are then put over one denominator and folded into the power
+    basis once."""
     N, m0 = chi.modulus, chi.order()
     powers = roots_of_unity(ctx, m0)
     buckets = [Fraction(0)] * m0
@@ -55,9 +56,9 @@ def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
         t = chi.turns[a % N]
         if t is not None:
             buckets[t.numerator * m0 // t.denominator] += bernoulli_poly(k, Fraction(a, N))
-    scale = N ** (k - 1)
-    coords = fold_buckets(buckets, powers, ctx.degree)
-    return CycloNum(ctx, tuple(Fraction(x * scale) for x in coords))
+    den, scale = lcm(*(b.denominator for b in buckets)), N ** (k - 1)
+    ints = [b.numerator * (den // b.denominator) * scale for b in buckets]
+    return CycloNum(ctx, fold_buckets(ints, powers, ctx.degree), den)
 
 
 def eisenstein_e(k: int, prec: int, ctx: FieldCtx) -> QSeries:

@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
 Elements are stored by their coordinates in the power basis
-1, z, ..., z^(phi(L)-1) where z is a primitive L-th root of unity;
-every operation reduces modulo the L-th cyclotomic polynomial, so
-equality is coordinatewise.  All coordinates are exact rationals.
+1, z, ..., z^(phi(L)-1) where z is a primitive L-th root of unity, as
+integers `nums` over one positive common denominator `den`, kept
+canonical (gcd(den, *nums) == 1, see ``canonical``) so that equality is
+coordinatewise; q-series store each coefficient the same way.  Every
+operation reduces modulo the L-th cyclotomic polynomial.
 Linear maps of the field that q-series apply coefficient by coefficient
 (multiplication by an element, complex conjugation) are exposed as
 integer matrices whose row k is the image of z^k.
@@ -13,13 +15,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import ConductorMismatch, ContextMismatch
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) divided by gcd(den, *nums), signed so that den > 0."""
+    nums = tuple(nums)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return den // g, tuple(x // g for x in nums)
+    return den, nums
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -79,10 +89,8 @@ class FieldCtx:
                     cur[j] += top * red[0][j]
             red.append(tuple(cur))
         self.fold = tuple(red)
-        self.zero = CycloNum(self, (_ZERO,) * self.degree)
-        one = [_ZERO] * self.degree
-        one[0] = _ONE
-        self.one = CycloNum(self, tuple(one))
+        self.zero = CycloNum(self, (0,) * self.degree)
+        self.one = CycloNum(self, (1,) + (0,) * (self.degree - 1))
 
     def __repr__(self):
         return f"FieldCtx(L={self.L})"
@@ -94,32 +102,18 @@ class FieldCtx:
         return hash(("FieldCtx", self.L))
 
     def from_rational(self, value) -> "CycloNum":
-        coords = [_ZERO] * self.degree
-        coords[0] = Fraction(value)
-        return CycloNum(self, tuple(coords))
-
-    def reduce(self, raw: list[Fraction]) -> "CycloNum":
-        """Reduce an arbitrary-degree coefficient list modulo the minimal polynomial."""
-        d = self.degree
-        raw = list(raw)
-        for i in range(len(raw) - 1, d - 1, -1):
-            c = raw[i]
-            if c:
-                raw[i] = _ZERO
-                for j in range(d):
-                    raw[i - d + j] -= c * self.minpoly[j]
-        coords = raw[:d] + [_ZERO] * (d - len(raw))
-        return CycloNum(self, tuple(coords[:d]))
+        value = Fraction(value)
+        return CycloNum(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta_power(self, e: int) -> "CycloNum":
+        """z^e, shifted from z^min(e, degree-1) one factor z at a time."""
         e %= self.L
-        if e < self.degree:
-            coords = [_ZERO] * self.degree
-            coords[e] = _ONE
-            return CycloNum(self, tuple(coords))
-        raw = [_ZERO] * (e + 1)
-        raw[e] = _ONE
-        return self.reduce(raw)
+        k = min(e, self.degree - 1)
+        cur = [0] * self.degree
+        cur[k] = 1
+        for _ in range(e - k):
+            cur = _times_zeta(cur, self.fold[0])
+        return CycloNum(self, cur)
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +164,7 @@ def fold_buckets(buckets, powers, degree: int) -> list:
 def embed(c: "CycloNum", ctx: FieldCtx) -> "CycloNum":
     """c, an element of Q(zeta_M), as an element of Q(zeta_L) for M | L."""
     powers = roots_of_unity(ctx, c.ctx.L)[:c.ctx.degree]
-    return CycloNum(ctx, tuple(map(Fraction, fold_buckets(c.coords, powers, ctx.degree))))
+    return CycloNum(ctx, fold_buckets(c.nums, powers, ctx.degree), c.den)
 
 
 def _times_zeta(v: list[int], top_row) -> list[int]:
@@ -185,15 +179,15 @@ def _times_zeta(v: list[int], top_row) -> list[int]:
 def multiplication_matrix(c: "CycloNum") -> tuple[int, list[list[int]]]:
     """(D, M) with row k of the integer matrix M the coordinates of D*c*z^k.
 
-    D is the least common denominator of c's coordinates, so a coordinate
-    vector a maps to a*c = (1/D) * sum_k a_k M[k].
+    D is c's denominator, the least common denominator of its coordinates,
+    so a coordinate vector a maps to a*c = (1/D) * sum_k a_k M[k].
     """
-    den, row = c.integral()
+    row = list(c.nums)
     rows = [row]
     for _ in range(c.ctx.degree - 1):
         row = _times_zeta(row, c.ctx.fold[0])
         rows.append(row)
-    return den, rows
+    return c.den, rows
 
 
 @lru_cache(maxsize=None)
@@ -218,13 +212,18 @@ def conj_matrix(L: int) -> tuple[tuple[int, ...], ...]:
 
 
 class CycloNum:
-    """Element of Q(zeta_L) in the power basis; immutable."""
+    """Element of Q(zeta_L): coordinate i is nums[i] / den; immutable."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "den", "nums")
 
-    def __init__(self, ctx: FieldCtx, coords: tuple):
+    def __init__(self, ctx: FieldCtx, nums, den: int = 1):
         self.ctx = ctx
-        self.coords = coords
+        self.den, self.nums = canonical(den, nums)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, built on each access; perfbench's tracer reads them."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
@@ -235,41 +234,44 @@ class CycloNum:
             return self.ctx.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, op add or sub, coordinatewise over one denominator."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloNum(self.ctx, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            return CycloNum(self.ctx, map(op, self.nums, o.nums), da)
+        return CycloNum(self.ctx, [op(x * db, y * da) for x, y in zip(self.nums, o.nums)], da * db)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycloNum(self.ctx, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycloNum(self.ctx, tuple(-a for a in self.coords))
+        return CycloNum(self.ctx, [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self.ctx.degree
-        a, b = self.coords, o.coords
-        raw = [_ZERO] * (2 * d - 1) if d > 0 else [_ZERO]
-        for i, ai in enumerate(a):
+        raw = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.nums):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(o.nums):
                 if bj:
                     raw[i + j] += ai * bj
         # fold x^(d+i) terms using the precomputed reduced powers
-        coords = list(raw[:d])
+        coords = raw[:d]
         red = self.ctx.fold
         for i in range(d, len(raw)):
             c = raw[i]
@@ -277,7 +279,7 @@ class CycloNum:
                 tail = red[i - d]
                 for j in range(d):
                     coords[j] += c * tail[j]
-        return CycloNum(self.ctx, tuple(coords))
+        return CycloNum(self.ctx, coords, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -307,27 +309,22 @@ class CycloNum:
             other = self.ctx.from_rational(other)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.ctx == other.ctx and self.coords == other.coords
+        return self.ctx == other.ctx and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ctx.L, self.coords))
+        return hash((self.ctx.L, self.den, self.nums))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coords[0].denominator == 1
-
-    def integral(self) -> tuple[int, list[int]]:
-        """(D, [D*x for x in coords]) over the least common denominator D."""
-        den = lcm(*(x.denominator for x in self.coords))
-        return den, [x.numerator * (den // x.denominator) for x in self.coords]
+        return self.den == 1 and self.is_rational()
 
     def invert(self) -> "CycloNum":
         """Solve self*y = 1 as a linear system over the integers.
@@ -339,18 +336,18 @@ class CycloNum:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         if self.is_rational():
-            return self.ctx.from_rational(1 / self.coords[0])
+            return CycloNum(self.ctx, (self.den,) + (0,) * (self.ctx.degree - 1), self.nums[0])
         den, rows = multiplication_matrix(self)
         system = [list(col) + [den if j == 0 else 0] for j, col in enumerate(zip(*rows))]
         nums, det = _bareiss_solve(system)
-        return CycloNum(self.ctx, tuple(Fraction(x, det) for x in nums))
+        return CycloNum(self.ctx, nums, det)
 
     def conj(self) -> "CycloNum":
         """Complex conjugation: zeta -> zeta^(L-1)."""
         if self.ctx.degree <= 1:
             return self
         cols = zip(*conj_matrix(self.ctx.L))
-        return CycloNum(self.ctx, tuple(sum(map(mul, self.coords, col)) for col in cols))
+        return CycloNum(self.ctx, [sum(map(mul, self.nums, col)) for col in cols], self.den)
 
     def __repr__(self):
         return f"CycloNum({render_cyclo(self)!r}, L={self.ctx.L})"
@@ -429,5 +426,4 @@ def render_coords(L: int, nums, den: int) -> str:
 
 def render_cyclo(x: CycloNum) -> str:
     """Canonical text form: ascending powers of z<L>, e.g. '1/2 - 3*z12^2'."""
-    den, nums = x.integral()
-    return render_coords(x.ctx.L, nums, den)
+    return render_coords(x.ctx.L, x.nums, x.den)

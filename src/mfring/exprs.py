@@ -187,9 +187,8 @@ MAX_CONSTRUCTOR_WEIGHT = 200
 def _power_bits(c: CycloNum, k: int) -> int:
     """An estimate of the bits of c^k, from the common denominator of c and
     the sum of its absolute coordinates over it (0 for a root of unity)."""
-    den, nums = c.integral()
-    num = sum(map(abs, nums))
-    return k * (max(num, den) - 1).bit_length()
+    num = sum(map(abs, c.nums))
+    return k * (max(num, c.den) - 1).bit_length()
 
 
 def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:

@@ -56,17 +56,11 @@ class Reduction:
         self.powers = powers  # r^0, ..., r^(phi(L)-1) mod p
 
     def __call__(self, c: CycloNum) -> int:
-        p, acc = self.p, 0
-        for x, rk in zip(c.coords, self.powers):
-            if x:
-                den = x.denominator
-                if den % p == 0:
-                    raise ZeroDivisionError(f"denominator {den} is divisible by {p}")
-                acc += x.numerator * rk * (1 if den == 1 else pow(den, -1, p))
-        return acc % p
+        return self.series(c)[0]
 
     def series(self, f) -> list[int]:
-        """The coefficients of a QSeries reduced mod p, with one inverse of its denominator."""
+        """The coefficients of a QSeries reduced mod p, with one inverse of its
+        denominator; a CycloNum, stored the same way, is a series of one coefficient."""
         p, d = self.p, len(self.powers)
         if f.den % p == 0:
             raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")

@@ -7,18 +7,20 @@ the substitution q -> q^h expands precision to h*(prec-1)+1.
 Storage is one positive common denominator `den` and flat integer
 coordinates `nums`: coordinate k of coefficient n (in the power basis
 1, z, ..., z^(d-1), d = phi(L)) is nums[n*d + k] / den.  The pair is kept
-canonical, gcd(den, *nums) == 1, so equal series have equal storage.
+canonical, gcd(den, *nums) == 1, so equal series have equal storage; a
+CycloNum stores one coefficient the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub
 
 from .cyclo import (
     CycloNum,
     FieldCtx,
+    canonical,
     conj_matrix,
     multiplication_matrix,
     render_coords,
@@ -40,19 +42,13 @@ class QSeries:
             raise ValueError("precision must be positive")
         if len(coeffs) != prec:
             raise ValueError("coefficient count must equal precision")
-        flat = [x for c in coeffs for x in c.coords]
-        den = lcm(*(x.denominator for x in flat))
-        self._set(ctx, prec, den, tuple(x.numerator * (den // x.denominator) for x in flat))
+        den = lcm(*(c.den for c in coeffs))
+        self._set(ctx, prec, den, [x * (den // c.den) for c in coeffs for x in c.nums])
 
-    def _set(self, ctx: FieldCtx, prec: int, den: int, nums: tuple[int, ...]):
-        g = gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = tuple(x // g for x in nums)
+    def _set(self, ctx: FieldCtx, prec: int, den: int, nums):
         self.ctx = ctx
         self.prec = prec
-        self.den = den
-        self.nums = nums
+        self.den, self.nums = canonical(den, nums)
 
     @classmethod
     def from_ints(cls, ctx: FieldCtx, nums, den: int = 1) -> "QSeries":
@@ -79,8 +75,8 @@ class QSeries:
     def coefficient(self, n: int) -> CycloNum:
         if not 0 <= n < self.prec:
             raise IndexError(f"coefficient {n} beyond precision {self.prec}")
-        d, den = self.ctx.degree, self.den
-        return CycloNum(self.ctx, tuple(Fraction(x, den) for x in self.nums[n * d:(n + 1) * d]))
+        d = self.ctx.degree
+        return CycloNum(self.ctx, self.nums[n * d:(n + 1) * d], self.den)
 
     @property
     def coeffs(self) -> tuple[CycloNum, ...]:
@@ -140,13 +136,13 @@ class QSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
-        if isinstance(c, CycloNum):
-            if not c.is_rational():
-                den, rows = multiplication_matrix(c)
-                return self._new(_transform(self.nums, rows), self.den * den)
-            c = c.coords[0]
-        c = Fraction(c)
-        return self._new([x * c.numerator for x in self.nums], self.den * c.denominator)
+        if not isinstance(c, CycloNum):
+            c = self.ctx.from_rational(c)
+        if not c.is_rational():
+            den, rows = multiplication_matrix(c)
+            return self._new(_transform(self.nums, rows), self.den * den)
+        a = c.nums[0]
+        return self._new([x * a for x in self.nums], self.den * c.den)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:

@@ -214,6 +214,26 @@ def test_custom_catalog_and_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_kernel_check_of_a_presentation_with_aux_series_is_skipped(tmp_path, capsys):
+    raw = json.loads(json.dumps(SHIPPED))
+    pres = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]
+    # frho7 written once through an auxiliary series r = f[1;rho7]
+    pres["aux"] = [{"name": "r", "w2": 2, "expr": "f[1;rho7]"}]
+    pres["relations"][0]["poly"] = "r*frho7 - fchi7*fchi7_bar"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = _run(capsys, "--catalog", str(path), "verify", "presentation",
+                        "--case", "7", "--output", "json")
+    assert code == 0
+    reports = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert reports["relation"]["status"] == "pass"
+    assert reports["kernel"]["status"] == "skipped"
+    assert "auxiliary series" in reports["kernel"]["details"]["reason"]
+    code, out, _ = _run(capsys, "--catalog", str(path), "verify", "kernel", "--case", "7",
+                        "--prec", "3")
+    assert code == 0 and "SKIPPED" in out
+
+
 def _without_group(raw):
     del raw["cases"][0]["group"]
     return json.dumps(raw)

@@ -1,6 +1,9 @@
-"""Module boundaries: no mfring module imports another one's private names."""
+"""Module boundaries: no mfring module imports another one's private names,
+and nothing is defined in the package that the package never names."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import mfring
@@ -21,3 +24,22 @@ def test_no_module_imports_private_names_of_another():
     found = {path.name: list(_private_imports(path)) for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 5
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def _definitions():
+    """Every function, class and method defined in the package, dunders aside."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield node.name
+
+
+def test_every_definition_is_named_again_in_the_package():
+    # a name that only tests use belongs in the tests
+    text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    defined = Counter(_definitions())
+    assert len(defined) > 50
+    unused = {name for name, count in defined.items()
+              if len(re.findall(rf"\b{name}\b", text)) <= count}
+    assert unused == set()

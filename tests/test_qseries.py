@@ -105,7 +105,8 @@ def test_lowered_with_cyclotomic_leading_coefficient():
 
 def test_conj_series():
     rng = random.Random(5)
-    coeffs = [C4.reduce([Fraction(rng.randint(-4, 4)) for _ in range(2)]) for _ in range(8)]
+    coeffs = [C4.from_rational(rng.randint(-4, 4)) + C4.zeta_power(1) * rng.randint(-4, 4)
+              for _ in range(8)]
     f = QSeries(C4, coeffs)
     assert f.conj().conj() == f
     rational = _series([1, 5, -2])

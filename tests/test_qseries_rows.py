@@ -28,10 +28,15 @@ _denominators = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**130)
 _rationals = st.builds(Fraction, _numerators, _denominators)
 
 
+def _reduce(ctx, raw):
+    """sum_i raw[i] z^i for rationals raw[i], as an element of ctx."""
+    return sum((ctx.zeta_power(i) * x for i, x in enumerate(raw) if x), ctx.zero)
+
+
 def _elements(ctx):
     coords = st.lists(st.one_of(st.just(Fraction(0)), _rationals),
                       min_size=ctx.degree, max_size=ctx.degree)
-    return coords.map(ctx.reduce)
+    return coords.map(lambda raw: _reduce(ctx, raw))
 
 
 @st.composite
@@ -60,9 +65,9 @@ def _check(got: QSeries, want: list):
 def ref_conj(c):
     ctx = c.ctx
     raw = [Fraction(0)] * ctx.L
-    for i, x in enumerate(c.coords):
-        raw[(ctx.L - i) % ctx.L] += x
-    return ctx.reduce(raw)
+    for i, x in enumerate(c.nums):
+        raw[(ctx.L - i) % ctx.L] += Fraction(x, c.den)
+    return _reduce(ctx, raw)
 
 
 def ref_mul(a, b):
