@@ -51,18 +51,33 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the L-th cyclotomic polynomial."""
+    """Coefficients (ascending) of the L-th cyclotomic polynomial.
+
+    One exact division per prime p of L, Phi_(pm)(x) = Phi_m(x^p) / Phi_m(x)
+    for p not dividing m, builds Phi_r for the radical r of L; then
+    Phi_L(x) = Phi_r(x^(L/r)).
+    """
     if L < 1:
         raise ValueError("conductor must be positive")
-    if L == 1:
-        return (-1, 1)
-    poly = [0] * (L + 1)
-    poly[0], poly[L] = -1, 1  # x^L - 1
-    for d in range(1, L):
-        if L % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert all(c == 0 for c in rem)
-    return tuple(poly)
+    poly, r, rest, p = [-1, 1], 1, L, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            poly, rem = _poly_divmod_int(_substitute_power(poly, p), poly)
+            assert not any(rem)
+            r *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return tuple(_substitute_power(poly, L // r))
+
+
+def _substitute_power(poly: list[int], k: int) -> list[int]:
+    """The coefficients of poly(x^k)."""
+    out = [0] * (k * (len(poly) - 1) + 1)
+    out[::k] = poly
+    return out
 
 
 class FieldCtx:

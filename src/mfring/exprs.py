@@ -278,6 +278,8 @@ def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
             return _Poly.var(nvars, names.index(tok), ctx)
         m = re.fullmatch(r"z(\d+)", tok)
         if m:
+            if not int(m.group(1)):
+                raise CatalogError(f"root of unity {tok!r} of order 0 in {text!r}")
             return _Poly.const(nvars, root_of_unity(ctx, 1, int(m.group(1))))
         raise CatalogError(f"unknown symbol {tok!r} in {text!r}")
 

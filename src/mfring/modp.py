@@ -1,23 +1,32 @@
-"""Linear algebra over F_p for rank certificates.
+"""Linear algebra over F_p for rank certificates, on packed 64-bit slots.
 
 For p = 1 (mod L) the cyclotomic polynomial Phi_L splits mod p, and
 sending zeta_L to one of its roots r is a ring map from the p-integral
 elements of Q(zeta_L) onto F_p.  A ring map can only lower the rank of a
 matrix, so a rank mod p is a lower bound on the exact rank (Stein,
-*Modular Forms: A Computational Approach*, AMS GSM 79, ch. 7).  The primes
-are fixed: the largest ones below 2^61 that are 1 mod L, so every run
-reduces with the same map.
+*Modular Forms: A Computational Approach*, AMS GSM 79, ch. 7).
+
+A vector of n residues is one int of n unsigned 64-bit slots, residue j
+in bits [64j, 64j + 64), packed and unpacked in C by ``struct``.  The
+primes depend on the width n only: the largest ones that are 1 mod L
+below ``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2), so that
+n * (p - 1)^2 + p < 2^64 and no slot ever carries.  A truncated product
+is one big-int multiply (Kronecker substitution: a slot sums at most n
+products below p^2), and an elimination step is one big-int multiply-add
+(each of at most n pivots adds a multiple below p^2 to a slot that
+started below p).  Every run reduces with the same primes and roots.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from struct import Struct
 
 from .cyclo import CycloNum, FieldCtx
 
-PRIME_CEILING = 1 << 61
 PRIMES_PER_FIELD = 2
+SLOT = (1 << 64) - 1
 
 # these bases decide primality for every n < 3.3 * 10^24 (Sorenson and Webster, 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -46,6 +55,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_ceiling(n: int) -> int:
+    """The bound below which the primes for vectors of n residues lie."""
+    return 1 << ((64 - n.bit_length()) // 2)
+
+
+@lru_cache(maxsize=None)
+def _slots(n: int) -> Struct:
+    return Struct(f"<{n}Q")
+
+
+def pack(xs) -> int:
+    """The residues xs, each below 2^64, as one int with xs[j] in slot j."""
+    return int.from_bytes(_slots(len(xs)).pack(*xs), "little")
+
+
+def unpack(x: int, n: int) -> tuple[int, ...]:
+    """The n slots of a packed int below 2^(64n)."""
+    return _slots(n).unpack(x.to_bytes(8 * n, "little"))
+
+
 class Reduction:
     """The map Q(zeta_L) -> F_p, zeta_L -> r, on elements whose denominators p does not divide."""
 
@@ -56,26 +85,32 @@ class Reduction:
         self.powers = powers  # r^0, ..., r^(phi(L)-1) mod p
 
     def __call__(self, c: CycloNum) -> int:
-        return self.series(c)[0]
+        """A CycloNum reduced mod p: a series of one coefficient, whose one slot is the int."""
+        return self.series(c)
 
-    def series(self, f) -> list[int]:
-        """The coefficients of a QSeries reduced mod p, with one inverse of its
-        denominator; a CycloNum, stored the same way, is a series of one coefficient."""
+    def series(self, f) -> int:
+        """The coefficients of a QSeries reduced mod p and packed, with one
+        inverse of its denominator."""
         p, d = self.p, len(self.powers)
         if f.den % p == 0:
             raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")
         inv, nums, powers = pow(f.den, -1, p), f.nums, self.powers
-        return [sum(map(operator.mul, nums[n:n + d], powers)) * inv % p
-                for n in range(0, len(nums), d)]
+        return pack([sum(map(operator.mul, nums[n:n + d], powers)) * inv % p
+                     for n in range(0, len(nums), d)])
+
+
+def reductions(ctx: FieldCtx, n: int) -> tuple[Reduction, ...]:
+    """The reductions of Q(zeta_L) for vectors of n residues, largest prime first."""
+    return _reductions(ctx, prime_ceiling(n))
 
 
 @lru_cache(maxsize=None)
-def reductions(ctx: FieldCtx) -> tuple[Reduction, ...]:
-    """The reductions of Q(zeta_L) at the PRIMES_PER_FIELD largest primes
-    p = 1 (mod L) below PRIME_CEILING, largest first."""
+def _reductions(ctx: FieldCtx, ceiling: int) -> tuple[Reduction, ...]:
+    """The reductions at the PRIMES_PER_FIELD largest primes p = 1 (mod L)
+    below ceiling (fewer if there are fewer)."""
     L, out = ctx.L, []
-    n = (PRIME_CEILING - 2) // L * L + 1
-    while len(out) < PRIMES_PER_FIELD:
+    n = (ceiling - 2) // L * L + 1
+    while len(out) < PRIMES_PER_FIELD and n > 1:
         if is_prime(n):
             r = _root_of_cyclotomic(L, n)
             out.append(Reduction(n, tuple(pow(r, k, n) for k in range(ctx.degree))))
@@ -93,40 +128,30 @@ def _root_of_cyclotomic(L: int, p: int) -> int:
         a += 1
 
 
-def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """Truncated product mod p of two equal-length coefficient lists in [0, p).
+def mul(a: int, b: int, n: int, p: int) -> int:
+    """Truncated product mod p of two packed vectors of n residues in [0, p)."""
+    raw = (a * b) & ((1 << 64 * n) - 1)
+    return pack([x % p for x in unpack(raw, n)])
 
-    Each list is packed into one integer, coefficient n in slot n, and one
-    big-int multiply convolves them.  A product slot sums at most len(a)
-    terms below p^2, so slots of 2*bits(p) + bits(len(a)) bits never carry.
+
+def rank(rows, n: int, p: int) -> int:
+    """Rank over F_p of packed rows of n residues in [0, p), by elimination;
+    pivot on the leftmost nonzero entry.
+
+    A pivot is kept as its column's bit offset and the negation of its row
+    scaled to lead 1, so clearing the column adds c times it.  Each pivot
+    row was reduced by every earlier one before it was stored, so reducing
+    by the pivots in insertion order clears all their columns.
     """
-    n = len(a)
-    nb = (2 * p.bit_length() + n.bit_length() + 7) // 8  # slot width in whole bytes
-
-    def pack(xs):
-        return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in xs), "little")
-
-    width = nb * n
-    raw = (pack(a) * pack(b)) & ((1 << (8 * width)) - 1)
-    buf = memoryview(raw.to_bytes(width, "little"))
-    return [int.from_bytes(buf[i:i + nb], "little") % p for i in range(0, width, nb)]
-
-
-def rank(rows, p: int) -> int:
-    """Rank over F_p by elimination; pivot on the leftmost nonzero entry.
-
-    Each pivot row was reduced by every earlier one before it was stored, so
-    reducing by the pivots in insertion order clears all their columns.
-    """
-    pivots: list[tuple[int, list[int]]] = []
+    pivots: list[tuple[int, int]] = []
     for row in rows:
-        row = [x % p for x in row]
-        for col, prow in pivots:
-            c = row[col]
+        for shift, neg in pivots:
+            c = ((row >> shift) & SLOT) % p
             if c:
-                row = [(x - c * y) % p for x, y in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if v), None)
+                row += c * neg
+        slots = unpack(row, n)
+        lead = next((j for j, v in enumerate(slots) if v % p), None)
         if lead is not None:
-            inv = pow(row[lead], -1, p)
-            pivots.append((lead, [v * inv % p for v in row]))
+            neg_inv = p - pow(slots[lead], -1, p)
+            pivots.append((64 * lead, pack([v * neg_inv % p for v in slots])))
     return len(pivots)

@@ -96,22 +96,24 @@ def row_echelon_rank(rows) -> int:
     return len(pivots)
 
 
-def certified_rank(ctx: FieldCtx, bound: int, reduced_rows, exact_rows) -> int:
-    """The rank of a matrix over Q(zeta_L) that is known to be at most bound.
+def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows, exact_rows) -> int:
+    """The rank of a matrix over Q(zeta_L) with width columns that is known
+    to be at most bound.
 
-    ``reduced_rows(red)`` gives the matrix under a reduction mod p (see
-    ``modp``) and ``exact_rows()`` the matrix itself.  Reduction is a ring
-    map on p-integral entries, so rank_p <= rank <= bound, and rank_p ==
-    bound proves rank == bound.  Where no prime proves it, or a
-    denominator is divisible by every prime tried, the rank is computed by
-    exact elimination, so a check that fails reports the exact rank.
+    ``reduced_rows(red)`` gives the matrix under a reduction mod p, one
+    packed int per row (see ``modp``), and ``exact_rows()`` the matrix
+    itself.  Reduction is a ring map on p-integral entries, so rank_p <=
+    rank <= bound, and rank_p == bound proves rank == bound.  Where no
+    prime proves it, or a denominator is divisible by every prime tried,
+    the rank is computed by exact elimination, so a check that fails
+    reports the exact rank.
     """
-    for red in modp.reductions(ctx):
+    for red in modp.reductions(ctx, width):
         try:
             rows = reduced_rows(red)
         except ZeroDivisionError:  # an entry is not p-integral: next prime
             continue
-        if modp.rank(rows, red.p) == bound:
+        if modp.rank(rows, width, red.p) == bound:
             return bound
     return row_echelon_rank(exact_rows())
 
@@ -133,7 +135,7 @@ class CaseRunner:
             locals_.update({g.name: g.expr for g in self.aux})
         self.evaluator = catalog.evaluator(case.L, locals_)
         self._monomials: dict = {}
-        self._reduced: dict = {}  # (p, exps) -> monomial_series(exps) mod p
+        self._reduced: dict = {}  # (p, exps) -> (prec, monomial_series(exps, prec) mod p packed)
 
     def dim2(self, j2: int) -> int:
         return self.catalog.dim2(self.case.group, j2, case=self.case.label)
@@ -157,25 +159,25 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], prec: int, red) -> list[int]:
-        """monomial_series(exps, prec) reduced mod red.p, built from the
-        reduced generator series by products mod p."""
+    def reduced_monomial(self, exps: tuple[int, ...], prec: int, red) -> int:
+        """monomial_series(exps, prec) reduced mod red.p and packed, built
+        from the reduced generator series by products mod p."""
         key = (red.p, exps)
         cached = self._reduced.get(key)
-        if cached is not None and len(cached) >= prec:
-            return cached[:prec] if len(cached) > prec else cached
+        if cached is not None and cached[0] >= prec:
+            return cached[1] & ((1 << 64 * prec) - 1) if cached[0] > prec else cached[1]
         if not any(exps):
-            out = [1] + [0] * (prec - 1)
+            out = 1
         else:
             i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
                 gen = tuple(int(j == i) for j in range(len(exps)))
                 out = modp.mul(self.reduced_monomial(gen, prec, red),
-                               self.reduced_monomial(rest, prec, red), red.p)
+                               self.reduced_monomial(rest, prec, red), prec, red.p)
             else:
                 out = red.series(self.gen_series(i, prec))
-        self._reduced[key] = out
+        self._reduced[key] = (prec, out)
         return out
 
     def span_rank(self, k2: int, prec: int, dim: int) -> int:
@@ -189,7 +191,7 @@ class CaseRunner:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
         mons = weighted_monomials(self.weights2, k2)
         return certified_rank(
-            self.evaluator.ctx, dim,
+            self.evaluator.ctx, dim, prec,
             lambda red: [self.reduced_monomial(e, prec, red) for e in mons],
             lambda: [self.monomial_series(e, prec).coeffs for e in mons])
 
@@ -392,8 +394,9 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         dim_kernel = len(mons) - rank
         if in_kernel:
             dim_ideal = certified_rank(
-                ctx, dim_kernel,
-                lambda red: _ideal_vectors(reduced(red), runner.weights2, mons, j2, 0),
+                ctx, dim_kernel, len(mons),
+                lambda red: list(map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
+                                                               mons, j2, 0))),
                 lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
         else:
             dim_ideal = row_echelon_rank(_ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))

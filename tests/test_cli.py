@@ -56,6 +56,9 @@ def test_qexp_json_and_errors(capsys):
     ("(scale 2^99999999999 E4)", 3),  # scalar power past the bit budget, refused unbuilt
     ("E4 E6", 3),             # two atoms are not one expression
     ("f[0;rho5]", 2),         # weight outside the constructor's domain
+    ("(scale z0 E4)", 3),     # a root of unity of order 0 is a malformed literal
+    ("(scale 2*z0 E4)", 3),
+    ("(scale z00 E4)", 3),
 ])
 def test_qexp_bad_expressions_exit_without_traceback(capsys, expr, want):
     code, out, err = _run(capsys, "qexp", expr, "--prec", "5")

@@ -58,6 +58,43 @@ def test_degree_is_euler_phi_and_divides_x_L_minus_1(L):
     assert acc == want
 
 
+def _mobius_product(L):
+    """Phi_L = prod_{d | L} (x^d - 1)^mu(L/d): the factors with mu = 1 multiplied,
+    then the ones with mu = -1 divided out, each division exact."""
+    def mu(n):
+        out, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    poly = [1]
+    for d in divisors:
+        if mu(L // d) == 1:
+            poly = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly[:len(poly) - d]):
+                poly[i + d] -= c  # poly * (x^d - 1)
+    for d in divisors:
+        if mu(L // d) == -1:
+            poly = list(poly)
+            quo = [0] * (len(poly) - d)
+            for i in range(len(poly) - 1, d - 1, -1):
+                quo[i - d], poly[i - d] = poly[i], poly[i - d] + poly[i]
+            assert not any(poly[:d])
+            poly = quo
+    return tuple(poly)
+
+
+def test_cyclotomic_polynomial_matches_the_divisor_product():
+    for L in list(range(1, 301)) + [2520]:
+        assert cyclotomic_polynomial(L) == _mobius_product(L), L
+
+
 def test_roots_of_unity():
     c4 = cyclo_context(4)
     assert root_of_unity(c4, 1, 2) == -1

@@ -175,6 +175,8 @@ def test_rank_stabilization():
 # -- reduction mod p ---------------------------------------------------------
 
 MODP_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+# the largest width with each bit length, and the smallest with the next
+EDGE_WIDTHS = tuple(w for b in range(1, 13) for w in ((1 << b) - 1, 1 << b))
 
 
 def schoolbook_mul_mod(a, b, p):
@@ -182,47 +184,124 @@ def schoolbook_mul_mod(a, b, p):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(n)]
 
 
+def list_rank(rows, p):
+    """Rank over F_p by elimination on lists; oracle for the packed rank."""
+    pivots = []
+    for row in rows:
+        row = [x % p for x in row]
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, prow)]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [v * inv % p for v in row]))
+    return len(pivots)
+
+
+def _prime(L, n, which=0):
+    return modp.reductions(cyclo_context(L), n)[which].p
+
+
 @st.composite
-def _residue_lists(draw, p):
-    n = draw(st.integers(1, 48))
+def _residue_lists(draw, L, which):
+    n = draw(st.one_of(st.integers(1, 48), st.sampled_from(EDGE_WIDTHS[:14])))
+    p = _prime(L, n, which)
     entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
-    return (draw(st.lists(entry, min_size=n, max_size=n)),
+    return (p, draw(st.lists(entry, min_size=n, max_size=n)),
             draw(st.lists(entry, min_size=n, max_size=n)))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(MODP_CONDUCTORS), st.integers(0, modp.PRIMES_PER_FIELD - 1), st.data())
 def test_packed_product_mod_p_equals_schoolbook(L, which, data):
-    p = modp.reductions(cyclo_context(L))[which].p
-    a, b = data.draw(_residue_lists(p))
-    assert modp.mul(a, b, p) == schoolbook_mul_mod(a, b, p)
+    p, a, b = data.draw(_residue_lists(L, which))
+    n = len(a)
+    got = modp.mul(modp.pack(a), modp.pack(b), n, p)
+    assert list(modp.unpack(got, n)) == schoolbook_mul_mod(a, b, p)
 
 
 def test_packed_product_mod_p_full_slots():
-    # every product slot at its largest: n terms of (p-1)^2
+    # every product slot at its largest: n terms of (p-1)^2, at the widest n of
+    # each prime; slot k of the square is (k+1)(p-1)^2 = k+1 (mod p)
     for L in MODP_CONDUCTORS:
-        p = modp.reductions(cyclo_context(L))[0].p
-        for n in (1, 2, 63, 64, 65, 200):
-            a = [p - 1] * n
-            assert modp.mul(a, a, p) == schoolbook_mul_mod(a, a, p)
+        for n in EDGE_WIDTHS:
+            for red in modp.reductions(cyclo_context(L), n):
+                p, full = red.p, [red.p - 1] * n
+                want = [(k + 1) % p for k in range(n)]
+                a = modp.pack(full)
+                assert list(modp.unpack(modp.mul(a, a, n, p), n)) == want
+                if n <= 64:
+                    assert schoolbook_mul_mod(full, full, p) == want
+
+
+def test_packed_rank_full_slots():
+    # pivots e_i + e_(n-1) scale to lead 1 with negation p-1 in slots i and n-1;
+    # a row that is p-1 in slots 0..n-2 takes c = p-1 at each of them, so its
+    # last slot collects (n-1) * (p-1)^2 on top of its own entry, and ends at
+    # that entry plus n-1 (mod p); L = 1 gives the largest primes below each ceiling
+    for n in (w for w in EDGE_WIDTHS if w < 512):
+        for red in modp.reductions(cyclo_context(1), n):
+            p = red.p
+            pivots = [[int(j == i or j == n - 1) for j in range(n)] for i in range(n - 1)]
+            full = [p - 1] * n  # ends at n - 2, zero only for n = 2
+            in_span = [p - 1] * (n - 1) + [(1 - n) % p]  # ends at 0
+            for extra, want in ((full, n - int(n == 2)), (in_span, n - 1)):
+                rows = pivots + [extra]
+                assert modp.rank(map(modp.pack, rows), n, p) == want, (n, p)
+                if n <= 64:
+                    assert list_rank(rows, p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), st.integers(0, modp.PRIMES_PER_FIELD - 1),
+       st.integers(1, 10), st.integers(1, 40), st.integers(0, 10), st.data())
+def test_packed_rank_equals_list_elimination(L, which, nrows, n, inner, data):
+    p = _prime(L, n, which)
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    # a product of nrows x inner and inner x n matrices, plus sparse rows: rank at most inner
+    left = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(nrows)]
+    right = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(inner)]
+    rows = [[sum(a * right[k][j] for k, a in enumerate(row)) % p for j in range(n)]
+            for row in left]
+    rows += data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, p - 1]), min_size=n, max_size=n),
+                               max_size=3))
+    assert modp.rank([modp.pack(r) for r in rows], n, p) == list_rank(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, modp.SLOT), st.sampled_from([0, 1, modp.SLOT])),
+                max_size=70))
+def test_pack_unpack_round_trip(xs):
+    packed = modp.pack(xs)
+    assert packed == sum(x << 64 * j for j, x in enumerate(xs))
+    assert modp.unpack(packed, len(xs)) == tuple(xs)
 
 
 def test_reduction_primes():
     for L in MODP_CONDUCTORS + (2, 6, 7, 10):
         ctx = cyclo_context(L)
-        reds = modp.reductions(ctx)
-        assert len(reds) == modp.PRIMES_PER_FIELD
-        assert [r.p for r in reds] == sorted((r.p for r in reds), reverse=True)
-        for red in reds:
-            p = red.p
-            assert p < modp.PRIME_CEILING and p % L == 1 % L and modp.is_prime(p)
-            # no prime = 1 (mod L) lies between p and the ceiling, except the ones above it
-            above = [q for q in range(p + L, modp.PRIME_CEILING, L) if modp.is_prime(q)]
-            assert [r.p for r in reds if r.p > p] == sorted(above, reverse=True)
-            # zeta goes to an element of order exactly L
-            r = red(ctx.zeta_power(1))
-            assert pow(r, L, p) == 1
-            assert all(pow(r, d, p) != 1 for d in range(1, L))
+        for n in (0, 1, 24, 48, 255, 256, 1023, 1024):
+            ceiling = modp.prime_ceiling(n)
+            assert ceiling == 1 << (64 - n.bit_length()) // 2
+            reds = modp.reductions(ctx, n)
+            assert len(reds) == modp.PRIMES_PER_FIELD
+            assert [r.p for r in reds] == sorted((r.p for r in reds), reverse=True)
+            for red in reds:
+                p = red.p
+                assert p < ceiling and p % L == 1 % L and modp.is_prime(p)
+                # no slot carries, in products or in elimination
+                assert n * (p - 1) ** 2 + p < 1 << 64
+                # no prime = 1 (mod L) lies between p and the ceiling, except the ones above it
+                above = [q for q in range(p + L, ceiling, L) if modp.is_prime(q)]
+                assert [r.p for r in reds if r.p > p] == sorted(above, reverse=True)
+                # zeta goes to an element of order exactly L
+                r = red(ctx.zeta_power(1))
+                assert pow(r, L, p) == 1
+                assert all(pow(r, d, p) != 1 for d in range(1, L))
+    # catalog widths, all below 256, get the primes below 2^28
+    assert {modp.prime_ceiling(n) for n in range(64, 256)} == {1 << 28}
 
 
 def test_is_prime_small_numbers():
@@ -244,7 +323,7 @@ _COORDS = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9)), min_size=
 def test_reduction_is_a_ring_map(L, xs, ys):
     ctx = cyclo_context(L)
     x, y = _cyclo(ctx, xs), _cyclo(ctx, ys)
-    for red in modp.reductions(ctx):
+    for red in modp.reductions(ctx, 1) + modp.reductions(ctx, 256):
         p = red.p
         assert red(x * y) == red(x) * red(y) % p
         assert red(x + y) == (red(x) + red(y)) % p
@@ -258,6 +337,8 @@ def test_reduced_series_product_is_the_product_of_reductions(L, fs, data):
     ctx = cyclo_context(L)
     f = QSeries(ctx, [_cyclo(ctx, c) for c in fs])
     g = QSeries(ctx, [_cyclo(ctx, data.draw(_COORDS)) for _ in fs])
-    red = modp.reductions(ctx)[0]
-    assert [red(c) for c in (f * g).coeffs] == modp.mul(
-        [red(c) for c in f.coeffs], [red(c) for c in g.coeffs], red.p)
+    n = len(fs)
+    red = modp.reductions(ctx, n)[0]
+    product = modp.mul(red.series(f), red.series(g), n, red.p)
+    assert red.series(f * g) == product
+    assert [red(c) for c in (f * g).coeffs] == list(modp.unpack(product, n))

@@ -195,7 +195,8 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     exact = _count_exact_ranks(monkeypatch)
     modp_ranks = []
     rank_mod_p = modp.rank
-    monkeypatch.setattr(modp, "rank", lambda rows, p: modp_ranks.append(rows) or rank_mod_p(rows, p))
+    monkeypatch.setattr(modp, "rank",
+                        lambda rows, n, p: modp_ranks.append(rows) or rank_mod_p(rows, n, p))
     report = verify_kernel(Catalog(raw), "7", kmax2=4)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
@@ -242,7 +243,7 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
 
 def test_a_denominator_divisible_by_the_first_prime_is_decided_by_the_second(monkeypatch):
     ctx = cyclo_context(4)
-    first, second = modp.reductions(ctx)
+    first, second = modp.reductions(ctx, 3)
     z = ctx.zeta_power(1)
     x = ctx.from_rational(Fraction(1, first.p)) + z
     rows = [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]
@@ -250,7 +251,7 @@ def test_a_denominator_divisible_by_the_first_prime_is_decided_by_the_second(mon
         first(x)
     assert second(x) == (pow(first.p, -1, second.p) + second(z)) % second.p
     exact = _count_exact_ranks(monkeypatch)
-    got = certified_rank(ctx, 2, lambda red: [[red(c) for c in row] for row in rows],
+    got = certified_rank(ctx, 2, 3, lambda red: [modp.pack([red(c) for c in row]) for row in rows],
                          lambda: rows)
     assert got == 2 == row_echelon_rank(rows)
     assert exact == []
@@ -261,12 +262,12 @@ def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     z = ctx.zeta_power(1)
     rows = [[ctx.one, z], [z, z * z]]  # rank 1
     exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [[red(c) for c in row] for row in rows]  # noqa: E731
-    assert certified_rank(ctx, 1, reduce, lambda: rows) == 1
+    reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
+    assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == 1
     assert exact == []
-    assert certified_rank(ctx, 2, reduce, lambda: rows) == 1
+    assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == 1
     assert exact == [rows]
-    assert certified_rank(ctx, 0, lambda red: [], lambda: []) == 0
+    assert certified_rank(ctx, 0, 0, lambda red: [], lambda: []) == 0
 
 
 _ENTRY = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
@@ -289,11 +290,11 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
     rows = [[sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero) for j in range(ncols)]
             for row in left]
     rank = row_echelon_rank(rows)
-    reduce = lambda red: [[red(c) for c in row] for row in rows]  # noqa: E731
-    for red in modp.reductions(ctx):
-        assert modp.rank(reduce(red), red.p) <= rank
+    reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
+    for red in modp.reductions(ctx, ncols):
+        assert modp.rank(reduce(red), ncols, red.p) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
-        assert certified_rank(ctx, bound, reduce, lambda: rows) == rank
+        assert certified_rank(ctx, bound, ncols, reduce, lambda: rows) == rank
 
 
 def test_verify_relations_states():
@@ -329,10 +330,13 @@ def test_report_json_schema():
     assert data["status"] == "pass"
 
 
-def test_full_batch_all_green():
+def test_full_batch_all_green(monkeypatch):
     """The default batch over the whole catalog: no failures, only the
-    documented skip for the case whose relation ideal is unknown."""
+    documented skip for the case whose relation ideal is unknown, and every
+    rank decided modulo a prime."""
+    exact = _count_exact_ranks(monkeypatch)
     reports = full_report(CAT)
+    assert exact == []  # no exact elimination ran
     failures = [r for r in reports if r.status == "fail"]
     assert not failures, [(r.case, r.check, r.details) for r in failures]
     skipped = {(r.case, r.check) for r in reports if r.status == "skipped"}
