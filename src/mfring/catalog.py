@@ -21,6 +21,13 @@ Schema (top-level keys):
   relations, relations_unknown?, base?, hilbert?}`` with relations given
   as infix polynomials in the generator names and ``hilbert`` as
   ``{num: [[coeff, deg2], ...], den: [deg2, ...]}``.
+
+An atom of any expression names a catalog form, else a constructor
+(``exprs.resolve``).  A generator's or aux series' ``name`` only labels it
+in relation polynomials; its series is its ``expr``.  So an atom means one
+series in a given field, and ``Catalog.evaluator(L)`` keeps one Evaluator
+per conductor, whose cache holds one series per distinct atom, at the
+largest precision asked, for the life of the Catalog.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from math import lcm
 
 from .characters import units
 from .cyclo import cyclo_context
-from .errors import CatalogError, OutOfTable, QuasiModularUse
+from .errors import CatalogError, OutOfTable, QuasiModularUse, UnknownForm
 from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve, root_orders
 from .qseries import QSeries
 
@@ -233,6 +240,7 @@ class Catalog:
             )
             self.cases[case.label] = case
         self._exprs = {name: e.expr for name, e in self.forms.items()}
+        self._evaluators: dict[int, Evaluator] = {}
         self._validate()
 
     # -- lookups ----------------------------------------------------------
@@ -276,8 +284,11 @@ class Catalog:
             raise CatalogError(f"case {case.label} has no span generators")
         return case.span_gens
 
-    def evaluator(self, L: int, locals_: dict | None = None) -> Evaluator:
-        return Evaluator(cyclo_context(L), form_table=self._exprs, locals_=locals_ or {})
+    def evaluator(self, L: int) -> Evaluator:
+        """The one Evaluator, and so the one series cache, of conductor L."""
+        if L not in self._evaluators:
+            self._evaluators[L] = Evaluator(cyclo_context(L), form_table=self._exprs)
+        return self._evaluators[L]
 
     def lookup_form(self, name: str, prec: int) -> QSeries:
         """Resolve a catalog form name or prefix expression to a q-expansion.
@@ -295,40 +306,42 @@ class Catalog:
 
     # -- validation -------------------------------------------------------
 
-    def _w2(self, ast, locals_: dict[str, str], stack: tuple = ()) -> int:
+    def _w2(self, ast, stack: tuple = ()) -> int:
         """Doubled weight of a parsed expression; atoms resolve as the Evaluator resolves them."""
         op = ast[0]
         if op == "atom":
             name = ast[1]
             if name in stack:
                 raise CatalogError(f"cyclic definition through {name!r}")
-            got = resolve(name, locals_, self._exprs)
+            got = resolve(name, self._exprs)
             if isinstance(got, str):
-                return self._w2(parse_expr(got), locals_, stack + (name,))
+                return self._w2(parse_expr(got), stack + (name,))
             return got.w2
         if op in ("add", "mul"):
-            weights = [self._w2(a, locals_, stack) for a in ast[1]]
+            weights = [self._w2(a, stack) for a in ast[1]]
             if op == "add":
                 if len(set(weights)) != 1:
                     raise CatalogError(f"inhomogeneous sum: weights {weights}")
                 return weights[0]
             return sum(weights)
         if op == "sub":
-            w1 = self._w2(ast[1], locals_, stack)
-            w2 = self._w2(ast[2], locals_, stack)
+            w1 = self._w2(ast[1], stack)
+            w2 = self._w2(ast[2], stack)
             if w1 != w2:
                 raise CatalogError(f"inhomogeneous difference: {w1} vs {w2}")
             return w1
         if op == "pow":
-            return self._w2(ast[1], locals_, stack) * ast[2]
-        return self._w2(ast[-1], locals_, stack)  # conj, scale, v and low keep the weight
+            return self._w2(ast[1], stack) * ast[2]
+        return self._w2(ast[-1], stack)  # conj, scale, v and low keep the weight
 
-    def _check_w2(self, where: str, declared: int, expr: str, locals_: dict[str, str],
-                  modular: bool = False):
+    def _check_w2(self, where: str, declared: int, expr: str, modular: bool = False):
         ast = parse_expr(expr)
         if modular and "E2" in atoms(ast):
             raise QuasiModularUse(f"{where}: E2 is quasi-modular and cannot be a form member")
-        got = self._w2(ast, locals_)
+        try:
+            got = self._w2(ast)
+        except UnknownForm as exc:
+            raise CatalogError(f"{where}: {exc}") from exc
         if got != declared:
             raise CatalogError(f"{where}: declared w2={declared}, computed {got}")
 
@@ -336,11 +349,11 @@ class Catalog:
         for name, entry in self.forms.items():
             if entry.group is not None and entry.group not in self.groups:
                 raise CatalogError(f"form {name}: unknown group {entry.group}")
-            self._check_w2(f"form {name}", entry.w2, entry.expr, {})
+            self._check_w2(f"form {name}", entry.w2, entry.expr)
         for ident in self.identities.values():
             if ident.group not in self.groups:
                 raise CatalogError(f"identity {ident.name}: unknown group {ident.group}")
-            self._check_w2(f"identity {ident.name}", ident.w2, ident.expr, {})
+            self._check_w2(f"identity {ident.name}", ident.w2, ident.expr)
         for case in self.cases.values():
             if case.group not in self.groups:
                 raise CatalogError(f"case {case.label}: unknown group {case.group}")
@@ -348,12 +361,9 @@ class Catalog:
             if pres is not None and pres.base is not None and pres.base not in self.cases:
                 raise CatalogError(f"case {case.label}: unknown base {pres.base}")
             pres_gens = self.case_gens(case, presentation=True) + pres.aux if pres else ()
-            # each generator set with the locals a CaseRunner evaluates it with
-            for gens in (case.span_gens or (), pres_gens):
-                locals_ = {g.name: g.expr for g in gens}
-                for gen in gens:
-                    self._check_w2(f"case {case.label} gen {gen.name}", gen.w2, gen.expr,
-                                   locals_, modular=True)
+            for gen in (case.span_gens or ()) + pres_gens:
+                self._check_w2(f"case {case.label} gen {gen.name}", gen.w2, gen.expr,
+                               modular=True)
             if pres is None:
                 continue
             var_w = {g.name: g.w2 for g in pres_gens}

@@ -35,7 +35,7 @@ class CliError(Exception):
 def _load(args) -> Catalog:
     try:
         return load_catalog(args.catalog)
-    except MfringError as exc:  # any defect of the file, an unresolvable form name too
+    except MfringError as exc:  # any defect of the file
         raise CliError(f"bad catalog: {exc}", EXIT_BAD_CONFIG)
 
 

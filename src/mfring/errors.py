@@ -57,9 +57,9 @@ class OutOfTable(MfringError):
     """No dimension table entry covers this group/weight."""
 
 
-class QuasiModularUse(MfringError):
-    """A quasi-modular series was used where a modular form is required."""
-
-
 class CatalogError(MfringError):
     """Malformed catalog data."""
+
+
+class QuasiModularUse(CatalogError):
+    """A quasi-modular series was used where a modular form is required."""

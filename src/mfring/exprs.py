@@ -415,19 +415,15 @@ def root_orders(ast) -> set[int]:
     return own.union(*map(root_orders, _children(ast)))
 
 
-def resolve(name: str, locals_: dict, forms: dict) -> str | Constructor:
-    """What an atom names: the expression of its local definition, else of its
-    catalog form, else the constructor it spells; an entry whose expression
-    is the name itself is passed over.
+def resolve(name: str, forms: dict) -> str | Constructor:
+    """What an atom names: the expression of its catalog form, else the
+    constructor it spells.
 
     Evaluation and the catalog's weight check both resolve atoms here, so a
-    generator's series and its checked weight come from one definition.
+    series and its checked weight come from one definition.
     """
-    for table in (locals_, forms):
-        text = table.get(name)
-        if text is not None and text.strip() != name:
-            return text
-    return constructor(name)
+    text = forms.get(name)
+    return text if text is not None else constructor(name)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +433,14 @@ def resolve(name: str, locals_: dict, forms: dict) -> str | Constructor:
 class Evaluator:
     """Evaluates series expressions at a requested precision with caching.
 
-    An atom resolves (see ``resolve``) through the local definitions
-    (presentation or case generators), then the catalog form table, then
-    constructor syntax.
+    An atom resolves (see ``resolve``) to a catalog form, else to constructor
+    syntax, so it names one series: the cache holds one per atom, at the
+    largest precision asked.
     """
 
-    def __init__(self, ctx: FieldCtx, form_table: dict | None = None, locals_: dict | None = None):
+    def __init__(self, ctx: FieldCtx, form_table: dict | None = None):
         self.ctx = ctx
         self.forms = form_table or {}
-        self.locals = locals_ or {}
         self._cache: dict = {}
 
     def series(self, expr, prec: int) -> QSeries:
@@ -494,5 +489,5 @@ class Evaluator:
         raise CatalogError(f"unknown AST node {op!r}")
 
     def _atom(self, name: str, prec: int) -> QSeries:
-        got = resolve(name, self.locals, self.forms)
+        got = resolve(name, self.forms)
         return self.series(got, prec) if isinstance(got, str) else got.series(prec, self.ctx)

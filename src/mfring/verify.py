@@ -124,16 +124,10 @@ class CaseRunner:
     def __init__(self, catalog: Catalog, case: Case, presentation: bool = False):
         self.catalog = catalog
         self.case = case
-        self.presentation = presentation
-        gens = catalog.case_gens(case, presentation=presentation)
-        self.gens = gens
-        self.weights2 = tuple(g.w2 for g in gens)
-        locals_ = {g.name: g.expr for g in gens}
-        self.aux = ()
-        if presentation and case.presentation is not None:
-            self.aux = case.presentation.aux
-            locals_.update({g.name: g.expr for g in self.aux})
-        self.evaluator = catalog.evaluator(case.L, locals_)
+        self.gens = catalog.case_gens(case, presentation=presentation)
+        self.weights2 = tuple(g.w2 for g in self.gens)
+        self.aux = case.presentation.aux if presentation else ()  # case_gens checked it exists
+        self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
         self._reduced: dict = {}  # (p, exps) -> (prec, monomial_series(exps, prec) mod p packed)
 
@@ -144,7 +138,7 @@ class CaseRunner:
         return self.catalog.sturm2(self.case.group, w2)
 
     def gen_series(self, i: int, prec: int) -> QSeries:
-        return self.evaluator.series(self.gens[i].name, prec)
+        return self.evaluator.series(self.gens[i].expr, prec)
 
     def monomial_series(self, exps: tuple[int, ...], prec: int) -> QSeries:
         cached = self._monomials.get(exps)
@@ -203,13 +197,12 @@ class CaseRunner:
     def eval_poly(self, terms: dict, prec: int) -> QSeries:
         """Substitute catalog q-expansions into a generator polynomial."""
         ngens = len(self.gens)
-        aux_names = [g.name for g in self.aux]
         out = QSeries.zero(self.evaluator.ctx, prec)
         for exps, coeff in terms.items():
             term = self.monomial_series(exps[:ngens], prec).scale(coeff)
-            for name, e in zip(aux_names, exps[ngens:]):
+            for aux, e in zip(self.aux, exps[ngens:]):
                 if e:
-                    term = term * self.evaluator.series(name, prec) ** e
+                    term = term * self.evaluator.series(aux.expr, prec) ** e
             out = out + term
         return out
 
@@ -246,14 +239,17 @@ def _half_graded(gens) -> bool:
 
 
 def _skip_reason(check: str, case: Case) -> str | None:
+    """Why a span, relation, kernel or Hilbert check of a case does not run,
+    or None if it runs."""
     pres = case.presentation
     if check == "span":
         return None if case.span_gens is not None else "no spanning generator set"
-    if check == "relation":
-        if pres is None or not (pres.relations or pres.relations_unknown):
-            return "free presentation, nothing to vanish"
-    elif pres is None:
+    if pres is None:
         return "no presentation"
+    if check == "hilbert":
+        return None if pres.hilbert_num is not None else "no claimed Hilbert series"
+    if check == "relation" and not (pres.relations or pres.relations_unknown):
+        return "free presentation, nothing to vanish"
     if pres.relations_unknown:
         return "relation ideal marked unknown"
     if check == "kernel" and pres.base is not None:
@@ -262,6 +258,8 @@ def _skip_reason(check: str, case: Case) -> str | None:
     if check == "kernel" and pres.aux:
         return ("relations in auxiliary series; degreewise "
                 "kernel checks cover plain presentations only")
+    if check == "kernel" and not case.kernel_kmax2:
+        return "no kernel bound (kernel_kmax2) in the catalog"
     return None
 
 
@@ -293,7 +291,7 @@ def check_plan(catalog: Catalog, check: str, label: str,
             weights2, dims, doubled = tuple(r.w2 for r in case.presentation.relations), (), half
             k_range = (min(weights2), max(weights2))
         else:
-            default = (case.span_kmax2 or 8) if check == "span" else (case.kernel_kmax2 or 12)
+            default = (case.span_kmax2 or 8) if check == "span" else case.kernel_kmax2
             top = kmax2 if kmax2 is not None else default
             step = 1 if half else 2
             lattice = range(0 if check == "span" else step, top + 1, step)
@@ -435,10 +433,9 @@ def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
 def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> VerificationReport:
     t0 = time.monotonic()
     case = catalog.cases[case_label]
-    pres = case.presentation
-    if pres is None or pres.hilbert_num is None:
-        return VerificationReport(case_label, "hilbert", (0, horizon2), 0, "skipped",
-                                  {"reason": "no claimed Hilbert series"}, 0)
+    skip = _skip_reason("hilbert", case)
+    if skip:
+        return _skipped(case_label, "hilbert", skip)
     hs, bad = hilbert_mismatches(catalog, case, horizon2)
     details = {"series": hs.render(), "expansion": hs.expand(min(horizon2, 24))}
     if bad:
@@ -501,7 +498,12 @@ _CHECK_ORDER = {"identity": 0, "span": 1, "relation": 2, "kernel": 3,
 
 
 def scheduled_checks(catalog: Catalog, checks=None, cases=None):
-    """The (check, label) pairs that full_report runs for this selection."""
+    """The (check, label) pairs that full_report reports for this selection.
+
+    A case check is scheduled where the catalog claims something for it; a
+    case named in `cases` gets every selected check, and one that cannot run
+    reports why it was skipped (``_skip_reason``).
+    """
     selected = set(checks) if checks else set(_CHECK_ORDER)
 
     def wanted(label: str) -> bool:
@@ -512,13 +514,14 @@ def scheduled_checks(catalog: Catalog, checks=None, cases=None):
     for label in filter(wanted, sorted(catalog.cases)):
         case = catalog.cases[label]
         pres = case.presentation
-        runs = {
+        claimed = {
             "span": case.span_gens is not None,
             "relation": pres is not None and bool(pres.relations or pres.relations_unknown),
             "kernel": pres is not None and bool(case.kernel_kmax2),
             "hilbert": pres is not None and pres.hilbert_num is not None,
         }
-        yield from ((check, label) for check, run in runs.items() if run and check in selected)
+        yield from ((check, label) for check, claims in claimed.items()
+                    if check in selected and (claims or cases))
     if "integrality" in selected:
         yield from (("integrality", n) for n in INTEGRALITY_FORMS if wanted(n))
 

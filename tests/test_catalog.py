@@ -154,6 +154,21 @@ def test_every_catalog_form_renders_as_its_golden_expansion():
         assert got == _joined(ref["terms"], ref["prec"]), name
 
 
+def test_one_evaluator_per_conductor():
+    assert CAT.evaluator(10) is CAT.evaluator(10)
+    assert CAT.evaluator(1) is not CAT.evaluator(10)
+    assert CAT.evaluator(10).ctx.L == 10
+
+
+def test_a_shared_series_cache_serves_lower_precisions_exactly():
+    # each form first at a high precision, then at a lower one from the cache
+    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+    warm = Catalog(raw)
+    for name in sorted(warm.forms):
+        warm.lookup_form(name, 61)
+        assert warm.lookup_form(name, 17) == Catalog(raw).lookup_form(name, 17), name
+
+
 def test_catalog_closure_and_weights_validated_on_load():
     # loading ran the full validation; spot-check a couple of weights
     assert CAT.forms["alpha1"].w2 == 24
@@ -203,13 +218,17 @@ def test_declared_weights_are_checked_where_atoms_resolve():
     # a form's own declared weight, not only its weight where another form names it
     with pytest.raises(CatalogError, match="form bad: declared w2=10, computed 8"):
         Catalog(_one_case_catalog(forms=[{"name": "bad", "w2": 10, "L": 1, "expr": "E4"}]))
-    # generators resolve through one another, as the Evaluator resolves them
+    # a generator's name labels relations only: a sibling's name does not resolve
     gens = [{"name": "a", "w2": 20, "expr": "(mul b E6)"}, {"name": "b", "w2": 8, "expr": "E6"}]
-    with pytest.raises(CatalogError, match="gen a: declared w2=20, computed 24"):
+    with pytest.raises(CatalogError, match="gen a: cannot resolve 'b'"):
         Catalog(_one_case_catalog(span_gens=gens))
-    gens = [{"name": "a", "w2": 8, "expr": "(mul b E4)"}, {"name": "b", "w2": 0, "expr": "a"}]
+    # an atom that resolves nowhere is a defect of the file, named with its entry
+    with pytest.raises(CatalogError, match="form bad: cannot resolve 'nosuch'"):
+        Catalog(_one_case_catalog(forms=[{"name": "bad", "w2": 8, "L": 1, "expr": "nosuch"}]))
+    forms = [{"name": "a", "w2": 8, "L": 1, "expr": "(mul b E4)"},
+             {"name": "b", "w2": 0, "L": 1, "expr": "a"}]
     with pytest.raises(CatalogError, match="cyclic"):
-        Catalog(_one_case_catalog(span_gens=gens))
+        Catalog(_one_case_catalog(forms=forms))
 
 
 def test_inhomogeneous_expression_rejected():

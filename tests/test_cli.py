@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,59 @@ def test_verify_small_batch_text(capsys):
     lines = out.splitlines()
     assert len(lines) == 3  # relation, kernel, hilbert
     assert all("PASS" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "kernel", "--case", "11full"],
+     [("kernel", "no kernel bound (kernel_kmax2) in the catalog")]),
+    (["verify", "span", "--case", "11full"], [("span", "no spanning generator set")]),
+    (["verify", "presentation", "--case", "8"],
+     [("relation", "no presentation"), ("kernel", "no presentation"),
+      ("hilbert", "no presentation")]),
+    (["verify", "relations", "--case", "5"],
+     [("relation", "free presentation, nothing to vanish")]),
+])
+def test_a_selected_check_that_cannot_run_reports_why(capsys, argv, want):
+    code, out, _ = _run(capsys, *argv, "--output", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["check"], r["details"].get("reason")) for r in reports] == want
+    assert all(r["status"] == "skipped" for r in reports)
+
+
+def test_verify_all_reports_only_what_the_catalog_claims(capsys):
+    code, out, _ = _run(capsys, "verify", "all", "--output", "json")
+    assert code == 0
+    assert len(out.splitlines()) == 76
+    code, out, _ = _run(capsys, "verify", "all", "--case", "8", "--output", "json")
+    statuses = [(r["check"], r["status"]) for r in map(json.loads, out.splitlines())]
+    assert statuses == [("span", "pass"), ("relation", "skipped"), ("kernel", "skipped"),
+                        ("hilbert", "skipped")]
+
+
+def _readme_cli_block():
+    """The (argv, printed line or None) pairs of the README's CLI examples."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    examples = []
+    for line in block:
+        if line.startswith("mfring "):
+            examples.append([shlex.split(line.split("  #")[0])[1:], None])
+        elif line.startswith("# ") and examples:
+            examples[-1][1] = line[2:]
+    return examples
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = _readme_cli_block()
+    assert len(examples) == 9
+    for argv, printed in examples:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if printed is not None:
+            assert out.strip() == printed, argv
+    assert any(printed for _, printed in examples)
 
 
 def test_catalog_list(capsys):

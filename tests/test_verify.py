@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring import modp, verify
+from mfring import exprs, modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.cyclo import cyclo_context
 from mfring.errors import PrecisionTooLow, UnknownIdentity
@@ -359,6 +359,23 @@ def test_full_batch_all_green(monkeypatch):
     assert sorted(records) == sorted(golden)
     for key, rec in records.items():
         assert rec == golden[key], key
+
+
+def test_full_report_builds_each_constructor_series_once(monkeypatch):
+    """With one series cache per conductor, no constructor runs twice with
+    the same arguments, field and precision over the whole batch."""
+    calls = []
+    for fname in ("eisenstein_e", "eisenstein_c", "eis_f", "eis_g", "eis_g2",
+                  "theta_series", "theta_bqf"):
+        def counted(*args, _f=getattr(exprs, fname), _name=fname):
+            *params, prec, ctx = args
+            calls.append((_name, repr(params), ctx.L, prec))
+            return _f(*args)
+        monkeypatch.setattr(exprs, fname, counted)
+    full_report(Catalog(_shipped()))
+    assert calls
+    repeated = {key for key in calls if calls.count(key) > 1}
+    assert not repeated, sorted(repeated)
 
 
 def test_full_report_deterministic_order():
