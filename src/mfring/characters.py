@@ -187,7 +187,9 @@ def divisor_sums(
     One sieve over d and m = n/d adds the integer d^(k-1) into bucket
     m0*(turn chi(d) + turn psi(m)) mod m0 of coefficient d*m, where m0 is
     the lcm of the two orders; each coefficient's buckets are then folded
-    into the power basis once.  Needs m0 | L.
+    into the power basis once.  Needs m0 | L.  A divisor d with more than
+    M = psi.modulus multiples below prec takes the multiples with m = r mod M
+    together: their buckets lie d*M*m0 apart, so each residue r is one slice.
     """
     m0 = lcm(chi.order(), psi.order())
     powers = roots_of_unity(ctx, m0)
@@ -195,14 +197,22 @@ def divisor_sums(
         [None if t is None else t.numerator * m0 // t.denominator for t in c.turns]
         for c in (chi, psi)
     )
+    M = psi.modulus
     buckets = [0] * (prec * m0)
     for d in range(1, prec):
         a = a_of[d % chi.modulus]
         if a is None:
             continue
         w = d ** (k - 1)
-        for n in range(d, prec, d):
-            b = b_of[(n // d) % psi.modulus]
-            if b is not None:
-                buckets[n * m0 + (a + b) % m0] += w
+        if (prec - 1) // d > M:
+            step = d * M * m0
+            for r, b in enumerate(b_of):
+                if b is not None:
+                    start = d * (r or M) * m0 + (a + b) % m0
+                    buckets[start::step] = map(w.__add__, buckets[start::step])
+        else:
+            for n in range(d, prec, d):
+                b = b_of[(n // d) % M]
+                if b is not None:
+                    buckets[n * m0 + (a + b) % m0] += w
     return fold_buckets(buckets, powers, ctx.degree)

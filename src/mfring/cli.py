@@ -138,6 +138,9 @@ _SELECTORS = {
     "all": {"identity", "span", "relation", "kernel", "hilbert", "integrality"},
 }
 
+# the checks that take a case label; identity and integrality take their own labels
+_CASE_CHECKS = {"span", "relation", "kernel", "hilbert"}
+
 
 def _check_prec_override(catalog: Catalog, checks, labels, prec: int, kmax2: int | None):
     """Refuse overrides below the certified cutoff of any check that would run."""
@@ -157,11 +160,16 @@ def cmd_verify(args) -> int:
     catalog = _load(args)
     checks = _SELECTORS[args.selector]
     labels = args.case or None
-    if labels:
-        known = set(catalog.cases) | set(catalog.identities) | set(INTEGRALITY_FORMS)
-        for label in labels:
-            if label not in known:
-                raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
+    for label in labels or ():
+        kinds = {"identity"} if label in catalog.identities else set()
+        if label in catalog.cases:
+            kinds |= _CASE_CHECKS
+        if label in INTEGRALITY_FORMS:
+            kinds.add("integrality")
+        if not kinds:
+            raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
+        if not kinds & checks:
+            raise CliError(f"verify {args.selector} does not apply to {label!r}", EXIT_UNKNOWN)
     kmax2 = None
     if args.kmax is not None:
         if args.kmax < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt, lcm
+from operator import mul
 
 from .characters import (
     DirichletCharacter,
@@ -38,26 +39,31 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_cache[k]
 
 
-def bernoulli_poly(k: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_k evaluated at a rational point."""
-    return sum((comb(k, j) * bernoulli(j)) * x ** (k - j) for j in range(k + 1))
-
-
 def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
-    """Generalized Bernoulli number N^(k-1) * sum chi(a) B_k(a/N).
+    """Generalized Bernoulli number N^(k-1) * sum chi(a) B_k(a/N), a = 1..N.
 
-    The rationals B_k(a/N) are summed into one bucket per value of chi,
-    which are then put over one denominator and folded into the power
-    basis once."""
+    N^(k-1) B_k(a/N) = sum_j C(k,j) B_j N^(j-1) a^(k-j), so the residues a
+    on which chi takes one value need only their integer power sums
+    S_e = sum a^e: that bucket is sum_j c_j S_(k-j), c_j = C(k,j) B_j N^(j-1),
+    one integer dot product over the common denominator of the c_j.  The
+    buckets are then folded into the power basis once."""
     N, m0 = chi.modulus, chi.order()
     powers = roots_of_unity(ctx, m0)
-    buckets = [Fraction(0)] * m0
+    coeffs = [comb(k, j) * bernoulli(j) * Fraction(N) ** (j - 1) for j in range(k + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    residues: list[list[int]] = [[] for _ in range(m0)]
     for a in range(1, N + 1):
         t = chi.turns[a % N]
         if t is not None:
-            buckets[t.numerator * m0 // t.denominator] += bernoulli_poly(k, Fraction(a, N))
-    den, scale = lcm(*(b.denominator for b in buckets)), N ** (k - 1)
-    ints = [b.numerator * (den // b.denominator) * scale for b in buckets]
+            residues[t.numerator * m0 // t.denominator].append(a)
+    ints = []
+    for res in residues:
+        sums, pw = [], [1] * len(res)  # sums[e] = S_e
+        for _ in range(k + 1):
+            sums.append(sum(pw))
+            pw = list(map(mul, pw, res))
+        ints.append(sum(map(mul, scaled, reversed(sums))))
     return CycloNum(ctx, fold_buckets(ints, powers, ctx.degree), den)
 
 
@@ -129,13 +135,17 @@ def theta_bqf(a: int, b: int, c: int, prec: int, ctx: FieldCtx) -> QSeries:
     disc = 4 * a * c - b * b
     if a <= 0 or disc <= 0:
         raise NotPositiveDefinite(f"form ({a},{b},{c}) is not positive definite")
-    # rational lower bound for the least eigenvalue: det / trace
-    lam_num, lam_den = disc, 4 * (a + c)
-    # Q(m,n) < prec forces m^2, n^2 <= prec/lambda_min
-    bound = 1 + isqrt(prec * lam_den // lam_num) + 1
+    # 4a*Q(m,n) = (2am + bn)^2 + disc*n^2, so Q < prec needs disc*n^2 <= 4a(prec-1),
+    # and for each n, m lies between the roots of a m^2 + bn m + c n^2 - (prec-1)
+    top = prec - 1
+    bound = isqrt(4 * a * top // disc) + 1
     counts = [0] * prec
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
+    for n in range(-bound, bound + 1):
+        root_disc = 4 * a * top - disc * n * n
+        if root_disc < 0:
+            continue
+        r = isqrt(root_disc)
+        for m in range((-b * n - r) // (2 * a) - 1, (-b * n + r) // (2 * a) + 2):
             val = a * m * m + b * m * n + c * n * n
             if val < prec:
                 counts[val] += 1

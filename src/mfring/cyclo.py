@@ -163,16 +163,24 @@ def roots_of_unity(ctx: FieldCtx, m: int) -> list[tuple[int, ...]]:
 
 def fold_buckets(buckets, powers, degree: int) -> list:
     """Flat power-basis coordinates of consecutive blocks of len(powers) buckets,
-    bucket j of a block weighing the root of unity powers[j]."""
+    bucket j of a block weighing the root of unity powers[j].
+
+    Column j (bucket j of every block) is added into coordinate i of every
+    block with one slice assignment per nonzero coordinate of powers[j].
+    """
     m = len(powers)
-    out = []
-    for n in range(0, len(buckets), m):
-        coords = [0] * degree
-        for c, p in zip(buckets[n:n + m], powers):
-            if c:
-                for i, x in enumerate(p):
-                    coords[i] += c * x
-        out.extend(coords)
+    out = [0] * (len(buckets) // m * degree)
+    for j, p in enumerate(powers):
+        col = buckets[j::m]
+        if not any(col):
+            continue
+        for i, x in enumerate(p):
+            if x == 1:
+                out[i::degree] = map(add, out[i::degree], col)
+            elif x == -1:
+                out[i::degree] = map(sub, out[i::degree], col)
+            elif x:
+                out[i::degree] = [o + x * c for o, c in zip(out[i::degree], col)]
     return out
 
 
@@ -428,7 +436,7 @@ def render_coords(L: int, nums, den: int) -> str:
     for i, c in enumerate(nums):
         if not c:
             continue
-        mag = render_ratio(abs(c), den)
+        mag = str(abs(c)) if den == 1 else render_ratio(abs(c), den)
         if i:
             head = "" if mag == "1" else mag + "*"
             mag = head + (sym if i == 1 else f"{sym}^{i}")

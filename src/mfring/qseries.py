@@ -277,25 +277,24 @@ def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
 
 def render_qseries(f: QSeries) -> str:
     """Canonical rendering 'c0 + c1*q + ... + O(q^P)', omitting zero terms."""
-    L, d, den, nums = f.ctx.L, f.ctx.degree, f.den, f.nums
+    L, d, den = f.ctx.L, f.ctx.degree, f.den
     sym = f"z{L}"
     parts: list[str] = []
-    for n in range(f.prec):
-        block = nums[n * d:(n + 1) * d]
-        nonzero = [i for i, x in enumerate(block) if x]
-        if not nonzero:
+    for n, block in enumerate(zip(*[iter(f.nums)] * d)):
+        zeros = block.count(0)
+        if zeros == d:
             continue
         qpart = "q" if n == 1 else f"q^{n}"
-        if len(nonzero) != 1:
+        if zeros != d - 1:
             # general cyclotomic coefficient: parenthesize
             sign, text = "+", f"({render_coords(L, block, den)})"
             if n:
                 text = f"{text}*{qpart}"
         else:
-            i = nonzero[0]
+            i = next(i for i, x in enumerate(block) if x) if d > 1 else 0
             val = block[i]
             sign = "-" if val < 0 else "+"
-            text = render_ratio(abs(val), den)
+            text = str(abs(val)) if den == 1 else render_ratio(abs(val), den)
             if i:
                 zpart = sym if i == 1 else f"{sym}^{i}"
                 text = zpart if text == "1" else f"{text}*{zpart}"

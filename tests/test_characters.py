@@ -218,6 +218,25 @@ def test_divisor_sums_equal_the_enumerated_sums(chi, psi, k, prec, cofactor):
         assert got[n] == _ints(want), (n, chi, psi)
 
 
+@pytest.mark.parametrize("name", ["triv1"] + sorted(_NAMED_DEFS))
+def test_divisor_sums_with_many_multiples_per_divisor(name):
+    # prec 200-600 gives every small d more than psi.modulus multiples, so the
+    # residue classes of m = n/d mod psi.modulus are summed as slices
+    psi = trivial_character(1) if name == "triv1" else named_character(name)
+    rng = random.Random(name)
+    chi = rng.choice(_SUM_CHARACTERS)
+    k, prec = rng.randint(1, 5), rng.randint(200, 600)
+    ctx = cyclo_context(lcm(chi.order(), psi.order()))
+    got = _rows(divisor_sums(k, chi, psi, prec, ctx), ctx)
+    chi_of = [_value(chi, n, ctx) for n in range(chi.modulus)]
+    psi_of = [_value(psi, n, ctx) for n in range(psi.modulus)]
+    want = [ctx.zero] * prec
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            want[n] += chi_of[d % chi.modulus] * psi_of[(n // d) % psi.modulus] * d ** (k - 1)
+    assert got == [_ints(w) for w in want], (chi, psi, k, prec)
+
+
 def test_divisor_sums_refuse_a_field_without_the_values():
     chi5, triv1 = named_character("chi5"), trivial_character(1)
     with pytest.raises(ConductorMismatch):

@@ -214,6 +214,26 @@ def test_a_selected_check_that_cannot_run_reports_why(capsys, argv, want):
     assert all(r["status"] == "skipped" for r in reports)
 
 
+@pytest.mark.parametrize("selector, label", [
+    ("identity", "7"),       # a case label
+    ("integrality", "7"),    # a case label
+    ("span", "c3_sq"),       # an identity label
+    ("presentation", "alpha1"),  # an integrality form
+])
+def test_a_label_no_selected_check_applies_to_is_unknown(capsys, selector, label):
+    code, out, err = _run(capsys, "verify", selector, "--case", label)
+    assert code == 2 and out == ""
+    assert f"verify {selector} does not apply to {label!r}" in err
+    # verify all has a check for each of them
+    code, out, _ = _run(capsys, "verify", "all", "--case", label)
+    assert code == 0 and out
+
+
+def test_one_label_no_selected_check_applies_to_fails_the_selection(capsys):
+    code, out, err = _run(capsys, "verify", "identity", "--case", "c3_sq", "--case", "7")
+    assert code == 2 and out == "" and "'7'" in err
+
+
 def test_verify_all_reports_only_what_the_catalog_claims(capsys):
     code, out, _ = _run(capsys, "verify", "all", "--output", "json")
     assert code == 0

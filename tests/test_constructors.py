@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfring.characters import named_character, trivial_character
 from mfring.constructors import (
     bernoulli,
-    bernoulli_poly,
     eis_f,
     eis_g,
     eis_g2,
@@ -15,7 +17,7 @@ from mfring.constructors import (
     theta_bqf,
     theta_series,
 )
-from mfring.cyclo import cyclo_context, embed
+from mfring.cyclo import cyclo_context, embed, root_of_unity
 from mfring.errors import (
     BadWeight,
     ConductorMismatch,
@@ -29,6 +31,11 @@ C2 = cyclo_context(2)
 C4 = cyclo_context(4)
 C6 = cyclo_context(6)
 C10 = cyclo_context(10)
+
+
+def bernoulli_poly(k, x):
+    """Bernoulli polynomial B_k evaluated at a rational point, term by term."""
+    return sum((comb(k, j) * bernoulli(j)) * x ** (k - j) for j in range(k + 1))
 
 
 def _sigma(k, n):
@@ -58,6 +65,20 @@ def test_generalized_bernoulli_pins_the_convention():
         assert gen_bernoulli(k, triv, C1) == bernoulli(k)
     assert gen_bernoulli(1, triv, C1) == Fraction(1, 2)
     assert bernoulli_poly(1, Fraction(1)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name", ["rho3", "rho4", "chi5", "chi7", "rho8", "chi9", "chi16", "rho23"])
+def test_generalized_bernoulli_equals_the_polynomial_sum(name):
+    chi = named_character(name)
+    N, ctx = chi.modulus, cyclo_context(chi.order())
+    for k in [1, 2, 3, 4, 5, 6, 17, 40]:
+        want = ctx.zero
+        for a in range(1, N + 1):
+            t = chi.turns[a % N]
+            if t is not None:
+                value = N ** (k - 1) * bernoulli_poly(k, Fraction(a, N))
+                want += root_of_unity(ctx, t.numerator, t.denominator) * value
+        assert gen_bernoulli(k, chi, ctx) == want, (name, k)
 
 
 def test_eisenstein_level_one():
@@ -198,3 +219,22 @@ def test_theta_bqf_against_larger_box():
         theta_bqf(1, 5, 1, 10, C1)
     with pytest.raises(NotPositiveDefinite):
         theta_bqf(-1, 0, 1, 10, C1)
+
+
+@st.composite
+def _positive_definite(draw):
+    """(a, b, c) with 4ac - b^2 > 0, b of either sign and often |b| > a."""
+    a, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    top = isqrt(4 * a * c - 1)
+    return a, draw(st.integers(-top, top)), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(_positive_definite(), st.integers(1, 600))
+@example((1, -9, 21), 600)  # disc 3, long thin ellipse
+@example((2, 5, 4), 257)
+def test_theta_bqf_equals_the_box_count(form, prec):
+    a, b, c = form
+    # Q >= lambda_min (m^2 + n^2) and lambda_min >= det/trace = disc / (4(a+c))
+    box = isqrt(prec * 4 * (a + c) // (4 * a * c - b * b)) + 1
+    assert list(theta_bqf(a, b, c, prec, C1).coeffs) == _bqf_oracle(a, b, c, prec, box)

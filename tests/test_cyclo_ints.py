@@ -13,10 +13,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfring.cyclo import CycloNum, _bareiss_solve, cyclo_context, multiplication_matrix
+from mfring.cyclo import (
+    CycloNum,
+    _bareiss_solve,
+    cyclo_context,
+    fold_buckets,
+    multiplication_matrix,
+    roots_of_unity,
+)
 
 CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
 
@@ -175,3 +182,44 @@ def test_inverse_whose_elimination_determinant_is_negative(L):
     a = fractions_of(z)
     assert fractions_of(z.invert()) == ref_inv(ctx, a)
     assert z * z.invert() == ctx.one
+
+
+def ref_fold(buckets, powers, degree):
+    """fold_buckets one coefficient and one bucket at a time."""
+    m, out = len(powers), []
+    for n in range(0, len(buckets), m):
+        coords = [0] * degree
+        for c, p in zip(buckets[n:n + m], powers):
+            for i, x in enumerate(p):
+                coords[i] += c * x
+        out.extend(coords)
+    return out
+
+
+@st.composite
+def fold_inputs(draw):
+    """Buckets over the roots of unity of an order m0 | L (often m0 > phi(L)),
+    or over arbitrary integer weights, with some columns all zero."""
+    L = draw(st.sampled_from(CONDUCTORS))
+    ctx = cyclo_context(L)
+    if draw(st.booleans()):
+        m0 = draw(st.sampled_from([m for m in range(1, L + 1) if L % m == 0]))
+        powers = roots_of_unity(ctx, m0)
+    else:
+        m0 = draw(st.integers(1, 6))
+        powers = [tuple(draw(st.lists(st.integers(-3, 3), min_size=ctx.degree,
+                                      max_size=ctx.degree))) for _ in range(m0)]
+    blocks = draw(st.integers(0, 12))
+    zero_cols = draw(st.sets(st.integers(0, m0 - 1)))
+    buckets = [0 if j % m0 in zero_cols else draw(st.integers(-10**20, 10**20))
+               for j in range(blocks * m0)]
+    return buckets, powers, ctx.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_inputs())
+# twelve roots over a degree-4 field; columns 1, 3, 6, 7 and 10 are all zero
+@example(([1, 0, 2, 0, 3, -1, 0, 0, 5, 7, 0, 4] * 2, roots_of_unity(cyclo_context(12), 12), 4))
+def test_fold_buckets_equals_the_per_coefficient_fold(inputs):
+    buckets, powers, degree = inputs
+    assert fold_buckets(buckets, powers, degree) == ref_fold(buckets, powers, degree)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfring.constructors import eisenstein_e
-from mfring.cyclo import cyclo_context
+from mfring.cyclo import cyclo_context, render_cyclo
 from mfring.errors import BadLeadingShape, ContextMismatch
 from mfring.qseries import QSeries
 
@@ -139,3 +141,46 @@ def test_rendering():
     mixed = QSeries(C4, [C4.one, C4.from_rational(3) - C4.zeta_power(1), C4.zero])
     assert str(mixed) == "1 + (3 - z4)*q + O(q^3)"
     assert str(QSeries.zero(C1, 3)) == "0 + O(q^3)"
+
+
+def _render_each_coefficient(f):
+    """render_qseries rebuilt from render_cyclo, one coefficient at a time."""
+    parts = []
+    for n, c in enumerate(f.coeffs):
+        if c.is_zero():
+            continue
+        text = render_cyclo(c)
+        qpart = "q" if n == 1 else f"q^{n}"
+        if sum(1 for x in c.nums if x) > 1:
+            sign, text = "+", f"({text})" + (f"*{qpart}" if n else "")
+        else:
+            sign, text = ("-", text[1:]) if text.startswith("-") else ("+", text)
+            if n:
+                text = qpart if text == "1" else f"{text}*{qpart}"
+        parts.append(f"{sign} {text}" if parts else text if sign == "+" else f"-{text}")
+    return " ".join(parts or ["0"]) + f" + O(q^{f.prec})"
+
+
+@st.composite
+def _random_series(draw):
+    """Series over fields of degree 1 to 8 with random denominators, whole zero
+    coefficients, and coefficients with one or several nonzero coordinates."""
+    ctx = cyclo_context(draw(st.sampled_from([1, 3, 4, 5, 12, 15])))
+    prec = draw(st.integers(1, 20))
+    nums = []
+    for _ in range(prec):
+        shape = draw(st.sampled_from(["zero", "one", "any"]))
+        block = [0] * ctx.degree
+        if shape == "one":
+            block[draw(st.integers(0, ctx.degree - 1))] = draw(st.integers(-30, 30))
+        elif shape == "any":
+            block = draw(st.lists(st.integers(-30, 30), min_size=ctx.degree,
+                                  max_size=ctx.degree))
+        nums += block
+    return QSeries.from_ints(ctx, nums, draw(st.sampled_from([1, 1, 2, 6, 35, 720])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_series())
+def test_rendering_equals_the_per_coefficient_rendering(f):
+    assert str(f) == _render_each_coefficient(f)
