@@ -30,13 +30,32 @@ def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number (B1 = -1/2 convention)."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    while len(_bernoulli_cache) <= k:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
+    if len(_bernoulli_cache) <= k:
+        # grow at least twofold, so that calls for k = 0, 1, 2, ... build about log2(k) tables
+        _bernoulli_cache[:] = _bernoulli_numbers(max(k, 2 * len(_bernoulli_cache)))
     return _bernoulli_cache[k]
+
+
+def _bernoulli_numbers(k: int) -> list[Fraction]:
+    """B_0, ..., B_k from the tangent numbers T_1, ..., T_m, m = k // 2, all integers.
+
+    T_j is (2j-1)! times the coefficient of x^(2j-1) in tan x, built in place
+    by Brent and Harvey's recurrence (*Fast computation of Bernoulli, tangent
+    and secant numbers*, 2011), and B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    The odd numbers past B_1 vanish.
+    """
+    m = k // 2
+    t = [0, 1] + [0] * (m - 1)  # t[j] = T_j; t[0] unused
+    for j in range(2, m + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, m + 1):
+        for j in range(i, m + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)]
+    for j in range(1, m + 1):
+        four = 4 ** j
+        out += [Fraction((-1) ** (j - 1) * 2 * j * t[j], four * (four - 1)), Fraction(0)]
+    return out[:k + 1]
 
 
 def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:

@@ -163,7 +163,8 @@ def roots_of_unity(ctx: FieldCtx, m: int) -> list[tuple[int, ...]]:
 
 def fold_buckets(buckets, powers, degree: int) -> list:
     """Flat power-basis coordinates of consecutive blocks of len(powers) buckets,
-    bucket j of a block weighing the root of unity powers[j].
+    bucket j of a block weighing the field element with integer coordinates
+    powers[j] (a root of unity, a power of z to reduce, a matrix row).
 
     Column j (bucket j of every block) is added into coordinate i of every
     block with one slice assignment per nonzero coordinate of powers[j].

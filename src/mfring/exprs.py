@@ -179,8 +179,8 @@ class _Poly:
 # the largest scalar power a literal may build; a 2^16-bit integer prints in milliseconds
 SCALAR_POWER_BITS = 1 << 16
 
-# the largest weight of E<k>, f[k;chi] and g[k;chi]; Bernoulli numbers cost about k^3,
-# and f[199;chi23] already takes seconds
+# the largest weight of E<k>, f[k;chi] and g[k;chi]; coefficients grow like n^(k-1),
+# and inverting B_(k,chi) grows with k (the largest part of f[199;chi23])
 MAX_CONSTRUCTOR_WEIGHT = 200
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import repeat
 from struct import Struct
 
 from .cyclo import CycloNum, FieldCtx
@@ -94,9 +95,11 @@ class Reduction:
         p, d = self.p, len(self.powers)
         if f.den % p == 0:
             raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")
-        inv, nums, powers = pow(f.den, -1, p), f.nums, self.powers
-        return pack([sum(map(operator.mul, nums[n:n + d], powers)) * inv % p
-                     for n in range(0, len(nums), d)])
+        inv, nums = pow(f.den, -1, p), f.nums
+        acc = nums[::d]  # coordinate k of every coefficient is one column, weighed by r^k
+        for k in range(1, d):
+            acc = list(map(operator.add, acc, map(operator.mul, nums[k::d], repeat(self.powers[k]))))
+        return pack(tuple(map(operator.mod, map(operator.mul, acc, repeat(inv)), repeat(p))))
 
 
 def reductions(ctx: FieldCtx, n: int) -> tuple[Reduction, ...]:
@@ -131,7 +134,7 @@ def _root_of_cyclotomic(L: int, p: int) -> int:
 def mul(a: int, b: int, n: int, p: int) -> int:
     """Truncated product mod p of two packed vectors of n residues in [0, p)."""
     raw = (a * b) & ((1 << 64 * n) - 1)
-    return pack([x % p for x in unpack(raw, n)])
+    return pack(tuple(map(operator.mod, unpack(raw, n), repeat(p))))
 
 
 def rank(rows, n: int, p: int) -> int:

@@ -14,14 +14,18 @@ CycloNum stores one coefficient the same way.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, sub
+from struct import Struct
 
 from .cyclo import (
     CycloNum,
     FieldCtx,
     canonical,
     conj_matrix,
+    fold_buckets,
     multiplication_matrix,
     render_coords,
     render_ratio,
@@ -130,8 +134,9 @@ class QSeries:
             return NotImplemented
         self._check(other)
         n = min(self.prec, other.prec) * self.ctx.degree
-        return self._new(_kronecker_product(self.ctx, self.nums[:n], other.nums[:n]),
-                         self.den * other.den)
+        a = self.nums[:n]
+        b = a if other is self else other.nums[:n]
+        return self._new(_kronecker_product(self.ctx, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -140,7 +145,7 @@ class QSeries:
             c = self.ctx.from_rational(c)
         if not c.is_rational():
             den, rows = multiplication_matrix(c)
-            return self._new(_transform(self.nums, rows), self.den * den)
+            return self._new(fold_buckets(self.nums, rows, self.ctx.degree), self.den * den)
         a = c.nums[0]
         return self._new([x * a for x in self.nums], self.den * c.den)
 
@@ -186,7 +191,8 @@ class QSeries:
     def conj(self) -> "QSeries":
         if self.ctx.degree == 1:
             return self
-        return self._new(_transform(self.nums, conj_matrix(self.ctx.L)), self.den)
+        return self._new(fold_buckets(self.nums, conj_matrix(self.ctx.L), self.ctx.degree),
+                         self.den)
 
     def vanishing_order(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to precision."""
@@ -214,65 +220,79 @@ class QSeries:
         return render_qseries(self)
 
 
-def _transform(nums, rows) -> list[int]:
-    """Each coefficient's coordinate vector a mapped to sum_k a_k rows[k]."""
-    d = len(rows)
-    cols = list(zip(*rows))
-    out: list[int] = []
-    for n in range(0, len(nums), d):
-        a = nums[n:n + d]
-        if any(a):
-            out.extend(sum(map(mul, a, col)) for col in cols)
-        else:
-            out.extend(a)
-    return out
+# struct codes of the slot widths, in bytes, that pack and unpack in C
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=None)
+def _slots(code: str, n: int) -> Struct:
+    return Struct(f"<{n}{code}")
+
+
+def _to_bytes(slots, nb: int, n: int) -> bytes:
+    """n unsigned slot values of nb bytes each, little-endian."""
+    code = _CODES.get(nb)
+    if code:
+        return _slots(code, n).pack(*slots)
+    return b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little")))
+
+
+def _from_bytes(buf: bytes, nb: int):
+    """The unsigned slot values of nb bytes each in buf."""
+    code = _CODES.get(nb)
+    if code:
+        return _slots(code, len(buf) // nb).unpack(buf)
+    cuts = map(slice, range(0, len(buf), nb), range(nb, len(buf) + 1, nb))
+    return map(int.from_bytes, map(buf.__getitem__, cuts), repeat("little"))
+
+
+@lru_cache(maxsize=None)
+def _slot_powers(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
+    """The power-basis coordinates of z^0, ..., z^(2d-2), d = phi(L): the
+    weights of the 2d-1 slots of one product coefficient."""
+    d = ctx.degree
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) + ctx.fold
 
 
 def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
-    """Truncated product of two equal-length integer coordinate lists, exactly.
+    """Truncated product of two equal-length integer coordinate lists, exactly;
+    pass the same object twice to square.
 
     Coefficient n of a series and coordinate k of its zeta-part become
     slot n*(2d-1)+k of one integer in base 2^W (d = phi(L)), so a single
     big-int multiply convolves in q and in zeta at once.  A product slot
     sums at most p*d terms, each bounded by max|a|*max|b|, so W bits hold
     it as a signed value; slots are read back with an offset of 2^(W-1)
-    that makes every one of them nonnegative.  Powers zeta^(>=d) are then
-    folded with the integer reduction table (Phi_L is monic).
+    that makes every one of them nonnegative.  W is rounded up to 8, 16, 32
+    or 64 bits, packed by one ``struct`` call, or else to whole bytes.  The
+    slots of zeta^(>=d) are then folded column by column with the integer
+    reduction table (Phi_L is monic).
     """
-    d = ctx.degree
-    p = len(xa) // d
-    stride = 2 * d - 1
-    height = max(map(abs, xa)) * max(map(abs, xb)) * p * d
+    d, n = ctx.degree, len(xa)
+    top = max(map(abs, xa))
+    height = top * (top if xb is xa else max(map(abs, xb))) * n
     if not height:  # a zero operand; its coordinates may not fit the slots
-        return [0] * (p * d)
+        return [0] * n
     nb = (height.bit_length() + 2 + 7) // 8  # slot width in whole bytes
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
     half = 1 << (8 * nb - 1)
-    half_slot = half.to_bytes(nb, "little")
-    pad = half_slot * (d - 1)
-    offset = int.from_bytes(half_slot * (p * stride), "little")
+    stride = 2 * d - 1
+    size = n // d * stride
+    offset = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
 
     def pack(xs):
-        parts = []
-        for n in range(0, p * d, d):
-            parts.extend((v + half).to_bytes(nb, "little") for v in xs[n:n + d])
-            parts.append(pad)
-        return int.from_bytes(b"".join(parts), "little") - offset
+        if d > 1:
+            slots = [0] * size
+            for k in range(d):
+                slots[k::stride] = xs[k::d]
+            xs = slots
+        return int.from_bytes(_to_bytes(map(add, xs, repeat(half)), nb, size), "little") - offset
 
-    raw = (pack(xa) * pack(xb) + offset) & ((1 << (8 * nb * p * stride)) - 1)
-    buf = memoryview(raw.to_bytes(nb * p * stride, "little"))
-    slots = [int.from_bytes(buf[i:i + nb], "little") - half
-             for i in range(0, len(buf), nb)]
-    red = ctx.fold
-    out: list[int] = []
-    for base in range(0, p * stride, stride):
-        coords = slots[base:base + d]
-        for i, c in enumerate(slots[base + d:base + stride]):
-            if c:
-                tail = red[i]
-                for j in range(d):
-                    coords[j] += c * tail[j]
-        out.extend(coords)
-    return out
+    a = pack(xa)
+    raw = (a * (a if xb is xa else pack(xb)) + offset) & ((1 << (8 * nb * size)) - 1)
+    out = list(map(sub, _from_bytes(raw.to_bytes(nb * size, "little"), nb), repeat(half)))
+    return out if d == 1 else fold_buckets(out, _slot_powers(ctx), d)
 
 
 def render_qseries(f: QSeries) -> str:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfring.characters import named_character, trivial_character
 from mfring.constructors import (
+    _bernoulli_cache,
     bernoulli,
     eis_f,
     eis_g,
@@ -40,6 +41,24 @@ def bernoulli_poly(k, x):
 
 def _sigma(k, n):
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+def reference_bernoulli(k):
+    """B_0..B_k by the recurrence sum_(j<=m) C(m+1, j) B_j = 0, in Fractions."""
+    out = [Fraction(1)]
+    for m in range(1, k + 1):
+        out.append(-sum(comb(m + 1, j) * b for j, b in enumerate(out)) / (m + 1))
+    return out
+
+
+def test_bernoulli_numbers_equal_the_rational_recurrence():
+    want = reference_bernoulli(300)
+    _bernoulli_cache[:] = [Fraction(1)]  # cold, then every index in turn
+    assert [bernoulli(k) for k in range(301)] == want
+    for top in (0, 1, 2, 3, 4, 5, 17, 300):  # one table of each size
+        _bernoulli_cache[:] = [Fraction(1)]
+        assert bernoulli(top) == want[top]
+        assert _bernoulli_cache[:top + 1] == want[:top + 1]
 
 
 def test_bernoulli_numbers():

@@ -6,6 +6,7 @@ coordinate, so a slot overflow or a wrong fold shows as a mismatch.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +134,81 @@ def test_slots_hold_the_largest_possible_sum(L):
     g = QSeries(ctx, [_reduce(ctx, [Fraction(1 - 2**128)] * ctx.degree)] * 12)
     assert (f * g).coeffs == schoolbook_mul(f, g).coeffs
     assert (f * f).coeffs == schoolbook_mul(f, f).coeffs
+
+
+def _slot_bits(f: QSeries, g: QSeries) -> int:
+    """The slot bound of the product: bits(max|a|*max|b|*prec*phi(L)) + 2, over
+    the numerators (each operand's denominator is cleared before packing)."""
+    n = min(f.prec, g.prec) * f.ctx.degree
+    top_a, top_b = max(map(abs, f.nums[:n])), max(map(abs, g.nums[:n]))
+    return (top_a * top_b * n).bit_length() + 2
+
+
+def _extreme_pair(L: int, prec: int, bits: int, signs=(1, -1)):
+    """Two series whose every coordinate has the largest magnitude that keeps
+    the slot bound at `bits`, with the given signs.  Coordinate phi(L)-1 of
+    the last coefficient of their product then sums prec*phi(L) equal terms:
+    the largest slot the bound allows, up to rounding of the square root."""
+    ctx = cyclo_context(L)
+    n = prec * ctx.degree
+    top = isqrt(((1 << (bits - 2)) - 1) // n)
+    f = QSeries.from_ints(ctx, [signs[0] * top] * n)
+    g = QSeries.from_ints(ctx, [signs[1] * top] * n)
+    assert _slot_bits(f, g) == bits
+    return f, g
+
+
+# 8, 16, 32 and 64 fill a struct slot width, and one bit more needs the next;
+# 65 and up go through whole bytes.  At 10, 66 and 74 the height alone fills
+# whole bytes, so only the bound's two guard bits widen the slot.
+@pytest.mark.parametrize("bits", [8, 9, 10, 16, 17, 32, 33, 64, 65, 66, 72, 74])
+@pytest.mark.parametrize("L", [1, 4, 12])
+def test_slot_width_edges_match_schoolbook(bits, L):
+    prec = 3 if L == 1 else 2  # keeps sqrt of the bound above 1 at 8 bits
+    for signs in [(1, -1), (-1, 1), (-1, -1)]:  # the most negative slot either way, the largest
+        f, g = _extreme_pair(L, prec, bits, signs)
+        want = schoolbook_mul(f, g)
+        assert f * g == want, signs
+        assert g * f == want, signs
+        assert f * f == schoolbook_mul(f, f), signs
+
+
+@pytest.mark.parametrize("L", [1, 4, 10])
+def test_zero_on_either_side_and_squared(L):
+    ctx = cyclo_context(L)
+    f, _ = _extreme_pair(L, 5, 40)
+    zero = QSeries.zero(ctx, 5)
+    assert f * zero == zero == zero * f
+    assert zero * zero == zero
+    assert zero ** 3 == zero
+    assert f * QSeries.zero(ctx, 3) == QSeries.zero(ctx, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_a_square_equals_the_product_with_an_equal_copy(L, data):
+    f = data.draw(series(cyclo_context(L)))
+    copy = QSeries.from_ints(f.ctx, f.nums, f.den)
+    assert copy is not f and copy == f
+    square = f * f
+    assert square == f * copy == copy * f
+    assert square.coeffs == schoolbook_mul(f, copy).coeffs
+
+
+def _with_zero_blocks(ctx, draw):
+    """A series of mixed coefficients in which some whole coefficients are zero."""
+    f = draw(series(ctx, prec=draw(st.integers(2, 10))))
+    d, keep = ctx.degree, draw(st.lists(st.booleans(), min_size=f.prec, max_size=f.prec))
+    nums = [x if keep[i // d] else 0 for i, x in enumerate(f.nums)]
+    return QSeries.from_ints(ctx, nums, f.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_scale_by_a_field_element_and_conj_match_each_coefficient(L, data):
+    ctx = cyclo_context(L)
+    f = _with_zero_blocks(ctx, data.draw)
+    c = data.draw(series(ctx, prec=1)).coefficient(0) + ctx.zeta_power(1)  # rarely rational
+    assert f.scale(c).coeffs == tuple(a * c for a in f.coeffs)
+    assert (f * c).coeffs == tuple(a * c for a in f.coeffs)
+    assert f.conj().coeffs == tuple(a.conj() for a in f.coeffs)
