@@ -12,7 +12,8 @@ Schema (top-level keys):
   ``dim`` is a list of branches over the doubled weight ``j``; a branch
   ``{mod, res, jmin?, cj?: [p,q], floor?: [p,q], c?}`` applies when
   ``j % mod in res`` and ``j >= jmin`` and evaluates to
-  ``p*j/q + p'*floor(j/q') + c``.
+  ``p*j/q + p'*floor(j/q') + c``.  Weight 0 needs no branch: ``Catalog.dim2``
+  gives dim M_0 = 1 (the constants) on every group and case.
 * ``forms``: ``{name, w2, L, group?, expr}`` with prefix expressions.
 * ``identities``: ``{name, group, L, w2, half_members?, expr, note?}``;
   the expression must evaluate to the zero series.
@@ -258,10 +259,11 @@ class Catalog:
         raise OutOfTable(f"no group {kind}:{level}:{list(H)}")
 
     def dim2(self, label: str, j2: int, case: str | None = None) -> int:
-        """Dimension at doubled weight j2 for a group label or case override."""
+        """Dimension at doubled weight j2 for a group label or case override;
+        1 at weight 0, where the forms are the constants, on every group."""
+        if j2 == 0:
+            return 1
         if case is not None and self.cases[case].dim_branches is not None:
-            if j2 == 0:
-                return 1  # weight-0 forms are the constants
             return eval_dim_branches(self.cases[case].dim_branches, j2)
         if label not in self.dims:
             raise OutOfTable(f"no dimension table for group {label!r}")
@@ -287,7 +289,7 @@ class Catalog:
     def evaluator(self, L: int) -> Evaluator:
         """The one Evaluator, and so the one series cache, of conductor L."""
         if L not in self._evaluators:
-            self._evaluators[L] = Evaluator(cyclo_context(L), form_table=self._exprs)
+            self._evaluators[L] = Evaluator(cyclo_context(L), self._exprs)
         return self._evaluators[L]
 
     def lookup_form(self, name: str, prec: int) -> QSeries:

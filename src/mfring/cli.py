@@ -14,8 +14,8 @@ import sys
 
 from .catalog import Catalog, load_catalog
 from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
-from .verify import (INTEGRALITY_FORMS, VerificationReport, check_plan, dim_or_none,
-                     full_report, hilbert_mismatches, scheduled_checks)
+from .verify import (VerificationReport, check_plan, dim_or_none, full_report,
+                     hilbert_mismatches, scheduled_checks)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -138,9 +138,6 @@ _SELECTORS = {
     "all": {"identity", "span", "relation", "kernel", "hilbert", "integrality"},
 }
 
-# the checks that take a case label; identity and integrality take their own labels
-_CASE_CHECKS = {"span", "relation", "kernel", "hilbert"}
-
 
 def _check_prec_override(catalog: Catalog, checks, labels, prec: int, kmax2: int | None):
     """Refuse overrides below the certified cutoff of any check that would run."""
@@ -161,14 +158,9 @@ def cmd_verify(args) -> int:
     checks = _SELECTORS[args.selector]
     labels = args.case or None
     for label in labels or ():
-        kinds = {"identity"} if label in catalog.identities else set()
-        if label in catalog.cases:
-            kinds |= _CASE_CHECKS
-        if label in INTEGRALITY_FORMS:
-            kinds.add("integrality")
-        if not kinds:
+        if not any(scheduled_checks(catalog, None, [label])):
             raise CliError(f"unknown case {label!r}", EXIT_UNKNOWN)
-        if not kinds & checks:
+        if not any(scheduled_checks(catalog, checks, [label])):
             raise CliError(f"verify {args.selector} does not apply to {label!r}", EXIT_UNKNOWN)
     kmax2 = None
     if args.kmax is not None:

@@ -111,7 +111,7 @@ def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
     # B_(k,chi) lies in Q(zeta_m), m = ord chi, whose degree can be far below L's
     small = cyclo_context(chi.order())
     lead = embed(gen_bernoulli(k, chi, small).invert() * (-2 * k), ctx)
-    sums = QSeries.from_ints(ctx, divisor_sums(k, chi, trivial_character(1), prec, ctx))
+    sums = QSeries(ctx, divisor_sums(k, chi, trivial_character(1), prec, ctx))
     return QSeries.one(ctx, prec) + sums.scale(lead)
 
 
@@ -135,7 +135,7 @@ def eis_g2(
     require_primitive(chi)
     require_primitive(psi)
     require_parity(chi.parity() * psi.parity(), k)
-    return QSeries.from_ints(ctx, divisor_sums(k, chi, psi, prec, ctx))
+    return QSeries(ctx, divisor_sums(k, chi, psi, prec, ctx))
 
 
 def theta_series(prec: int, ctx: FieldCtx) -> QSeries:
@@ -175,4 +175,4 @@ def _rational_series(counts: list[int], ctx: FieldCtx) -> QSeries:
     """The series sum counts[n] q^n, whose coefficients are integers."""
     nums = [0] * (len(counts) * ctx.degree)
     nums[::ctx.degree] = counts
-    return QSeries.from_ints(ctx, nums)
+    return QSeries(ctx, nums)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import ConductorMismatch, ContextMismatch
 
@@ -93,17 +93,10 @@ class FieldCtx:
         self.degree = len(self.minpoly) - 1
         # x^(degree+i) mod minpoly for i = 0..degree-2, used to fold products;
         # integral because the minimal polynomial is monic
-        red: list[tuple[int, ...]] = []
-        cur = [-c for c in self.minpoly[:-1]]  # x^degree reduced
-        red.append(tuple(cur))
+        red = [[-c for c in self.minpoly[:-1]]]  # x^degree reduced
         for _ in range(self.degree - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]  # multiply by x
-            if top:
-                for j in range(self.degree):
-                    cur[j] += top * red[0][j]
-            red.append(tuple(cur))
-        self.fold = tuple(red)
+            red.append(_times_zeta(red[-1], red[0]))
+        self.fold = tuple(map(tuple, red))
         self.zero = CycloNum(self, (0,) * self.degree)
         self.one = CycloNum(self, (1,) + (0,) * (self.degree - 1))
 
@@ -276,9 +269,6 @@ class CycloNum:
     def __sub__(self, other):
         return self._combine(other, sub)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return CycloNum(self.ctx, [-x for x in self.nums], self.den)
 
@@ -307,26 +297,8 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
-
     def __pow__(self, n: int):
-        if n < 0:
-            return self.invert() ** (-n)
-        result = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ctx.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -366,18 +338,33 @@ class CycloNum:
         nums, det = _bareiss_solve(system)
         return CycloNum(self.ctx, nums, det)
 
-    def conj(self) -> "CycloNum":
-        """Complex conjugation: zeta -> zeta^(L-1)."""
-        if self.ctx.degree <= 1:
-            return self
-        cols = zip(*conj_matrix(self.ctx.L))
-        return CycloNum(self.ctx, [sum(map(mul, self.nums, col)) for col in cols], self.den)
-
     def __repr__(self):
         return f"CycloNum({render_cyclo(self)!r}, L={self.ctx.L})"
 
     def __str__(self):
         return render_cyclo(self)
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by binary powering, with one = x**0.  The result
+    starts from x itself, not from one * x, and x is squared (one object on
+    both sides, which q-series products take as a squaring) only while
+    bits of n remain."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    if not n:
+        return one
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    out = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            out = out * x
+        n >>= 1
+    return out
 
 
 def _bareiss_solve(a: list[list[int]]) -> tuple[list[int], int]:

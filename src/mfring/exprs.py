@@ -28,7 +28,7 @@ from .constructors import (
     theta_bqf,
     theta_series,
 )
-from .cyclo import CycloNum, FieldCtx, root_of_unity
+from .cyclo import CycloNum, FieldCtx, power, root_of_unity
 from .errors import CatalogError, UnknownForm
 from .qseries import QSeries
 
@@ -155,20 +155,6 @@ class _Poly:
                 out[e] = out[e] + c if e in out else c
         return _Poly(self.nvars, out)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise CatalogError("negative powers are not polynomial")
-        out = _Poly.const(self.nvars, next(iter(self.terms.values())).ctx.one) if self.terms else None
-        if out is None:
-            raise CatalogError("cannot raise the zero polynomial context-free")
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def constant_value(self) -> CycloNum | None:
         zero_exp = (0,) * self.nvars
         if all(e == zero_exp for e in self.terms):
@@ -257,8 +243,8 @@ def parse_poly(text: str, var_names, ctx: FieldCtx) -> dict:
             if neg:
                 if c is None or c.is_zero():
                     raise CatalogError(f"negative power of non-scalar in {text!r}")
-                return _Poly.const(nvars, (c.invert()) ** k)
-            return base**k
+                return _Poly.const(nvars, c.invert() ** k)
+            return power(base, k, _Poly.const(nvars, ctx.one))
         return base
 
     def parse_atom():
@@ -438,9 +424,9 @@ class Evaluator:
     largest precision asked.
     """
 
-    def __init__(self, ctx: FieldCtx, form_table: dict | None = None):
+    def __init__(self, ctx: FieldCtx, forms: dict):
         self.ctx = ctx
-        self.forms = form_table or {}
+        self.forms = forms  # catalog form name -> expression text
         self._cache: dict = {}
 
     def series(self, expr, prec: int) -> QSeries:

@@ -27,6 +27,7 @@ from .cyclo import (
     conj_matrix,
     fold_buckets,
     multiplication_matrix,
+    power,
     render_coords,
     render_ratio,
 )
@@ -38,43 +39,23 @@ class QSeries:
 
     __slots__ = ("ctx", "prec", "den", "nums")
 
-    def __init__(self, ctx: FieldCtx, coeffs, prec: int | None = None):
-        coeffs = tuple(coeffs)
-        if prec is None:
-            prec = len(coeffs)
-        if prec < 1:
-            raise ValueError("precision must be positive")
-        if len(coeffs) != prec:
-            raise ValueError("coefficient count must equal precision")
-        den = lcm(*(c.den for c in coeffs))
-        self._set(ctx, prec, den, [x * (den // c.den) for c in coeffs for x in c.nums])
-
-    def _set(self, ctx: FieldCtx, prec: int, den: int, nums):
-        self.ctx = ctx
-        self.prec = prec
-        self.den, self.nums = canonical(den, nums)
-
-    @classmethod
-    def from_ints(cls, ctx: FieldCtx, nums, den: int = 1) -> "QSeries":
+    def __init__(self, ctx: FieldCtx, nums, den: int = 1):
         """The series with coordinate k of coefficient n equal to nums[n*d + k] / den."""
-        nums = tuple(nums)
-        prec, extra = divmod(len(nums), ctx.degree)
-        if den < 1 or extra or prec < 1:
-            raise ValueError("need den >= 1 and a positive whole number of coefficients")
-        out = cls.__new__(cls)
-        out._set(ctx, prec, den, nums)
-        return out
-
-    def _new(self, nums, den: int) -> "QSeries":
-        return QSeries.from_ints(self.ctx, nums, den)
+        if den < 1:
+            raise ValueError("need den >= 1")
+        self.ctx = ctx
+        self.den, self.nums = canonical(den, nums)
+        self.prec, extra = divmod(len(self.nums), ctx.degree)
+        if extra or self.prec < 1:
+            raise ValueError("need a positive whole number of coefficients")
 
     @classmethod
     def one(cls, ctx: FieldCtx, prec: int) -> "QSeries":
-        return cls.from_ints(ctx, [1] + [0] * (prec * ctx.degree - 1))
+        return cls(ctx, [1] + [0] * (prec * ctx.degree - 1))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, prec: int) -> "QSeries":
-        return cls.from_ints(ctx, [0] * (prec * ctx.degree))
+        return cls(ctx, [0] * (prec * ctx.degree))
 
     def coefficient(self, n: int) -> CycloNum:
         if not 0 <= n < self.prec:
@@ -94,7 +75,7 @@ class QSeries:
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
-        return self._new(self.nums[:prec * self.ctx.degree], self.den)
+        return QSeries(self.ctx, self.nums[:prec * self.ctx.degree], self.den)
 
     def _aligned(self, other: "QSeries"):
         """Both coordinate lists over one denominator, cut to the shorter precision."""
@@ -116,16 +97,13 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b, den = self._aligned(other)
-        return self._new(map(add, a, b), den)
+        return QSeries(self.ctx, map(add, a, b), den)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b, den = self._aligned(other)
-        return self._new(map(sub, a, b), den)
-
-    def __neg__(self):
-        return self._new([-x for x in self.nums], self.den)
+        return QSeries(self.ctx, map(sub, a, b), den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
@@ -136,7 +114,7 @@ class QSeries:
         n = min(self.prec, other.prec) * self.ctx.degree
         a = self.nums[:n]
         b = a if other is self else other.nums[:n]
-        return self._new(_kronecker_product(self.ctx, a, b), self.den * other.den)
+        return QSeries(self.ctx, _kronecker_product(self.ctx, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -145,21 +123,12 @@ class QSeries:
             c = self.ctx.from_rational(c)
         if not c.is_rational():
             den, rows = multiplication_matrix(c)
-            return self._new(fold_buckets(self.nums, rows, self.ctx.degree), self.den * den)
+            return QSeries(self.ctx, fold_buckets(self.nums, rows, self.ctx.degree), self.den * den)
         a = c.nums[0]
-        return self._new([x * a for x in self.nums], self.den * c.den)
+        return QSeries(self.ctx, [x * a for x in self.nums], self.den * c.den)
 
     def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("negative series powers unsupported")
-        result = QSeries.one(self.ctx, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, QSeries.one(self.ctx, self.prec))
 
     def v_operator(self, h: int, keep: int | None = None) -> "QSeries":
         """Substitute q -> q^h; precision becomes h*(prec-1)+1, or `keep` if smaller."""
@@ -175,7 +144,7 @@ class QSeries:
         out = [0] * (new_prec * d)
         for k in range(d):
             out[k::h * d] = self.nums[k:count * d:d]
-        return self._new(out, self.den)
+        return QSeries(self.ctx, out, self.den)
 
     def lowered(self, h: int) -> "QSeries":
         """(1/a)(f - f(q^h)) for f = 1 + a*q + ...; starts q + O(q^2)."""
@@ -191,8 +160,8 @@ class QSeries:
     def conj(self) -> "QSeries":
         if self.ctx.degree == 1:
             return self
-        return self._new(fold_buckets(self.nums, conj_matrix(self.ctx.L), self.ctx.degree),
-                         self.den)
+        d = self.ctx.degree
+        return QSeries(self.ctx, fold_buckets(self.nums, conj_matrix(self.ctx.L), d), self.den)
 
     def vanishing_order(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to precision."""

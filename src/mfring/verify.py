@@ -55,7 +55,8 @@ class VerificationReport:
 
 
 def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
-    """All exponent vectors e with sum(e*w) == k2, lexicographically ordered."""
+    """All exponent vectors e with sum(e*w) == k2, in descending lexicographic
+    order: each exponent runs down from its largest value."""
     weights2 = list(weights2)
     out: list[tuple[int, ...]] = []
 
@@ -72,7 +73,7 @@ def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
             rec(i + 1, remaining - e * weights2[i], prefix + (e,))
 
     rec(0, k2, ())
-    return sorted(out, reverse=True)
+    return out
 
 
 def row_echelon_rank(rows) -> int:
@@ -130,9 +131,6 @@ class CaseRunner:
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
         self._reduced: dict = {}  # (p, exps) -> (prec, monomial_series(exps, prec) mod p packed)
-
-    def dim2(self, j2: int) -> int:
-        return self.catalog.dim2(self.case.group, j2, case=self.case.label)
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -209,6 +207,13 @@ class CaseRunner:
     def relation_series(self, rel, prec: int) -> QSeries:
         return self.eval_poly(self.relation_terms(rel), prec)
 
+    def relation_values(self, prec: int):
+        """(relation, its series to prec, index of its first nonzero
+        coefficient or None) for each relation of the presentation."""
+        for rel in self.case.presentation.relations:
+            series = self.relation_series(rel, prec)
+            yield rel, series, series.vanishing_order()
+
 
 class Plan(NamedTuple):
     """The weights one check evaluates and the cutoff that certifies it."""
@@ -225,9 +230,7 @@ class Plan(NamedTuple):
 
 
 def dim_or_none(catalog: Catalog, case: Case, j2: int) -> int | None:
-    """dim M at doubled weight j2 (1 at weight 0), or None outside the table."""
-    if j2 == 0:
-        return 1
+    """dim M at doubled weight j2, or None outside the table."""
     try:
         return catalog.dim2(case.group, j2, case=case.label)
     except OutOfTable:
@@ -334,14 +337,11 @@ def verify_relations(catalog: Catalog, case_label: str,
     plan = check_plan(catalog, "relation", case_label)
     if plan.skip:
         return _skipped(case_label, "relation", plan.skip)
-    case = catalog.cases[case_label]
-    runner = CaseRunner(catalog, case, presentation=True)
+    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True)
     prec = plan.prec(prec_override)
     names, orders = [], []
     status, first_bad = "pass", None
-    for rel in case.presentation.relations:
-        series = runner.relation_series(rel, prec)
-        order = series.vanishing_order()
+    for rel, series, order in runner.relation_values(prec):
         names.append(rel.name)
         orders.append(order if order is not None else "zero")
         if order is not None:
@@ -365,15 +365,14 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     plan = check_plan(catalog, "kernel", case_label, kmax2)
     if plan.skip:
         return _skipped(case_label, "kernel", plan.skip)
-    case = catalog.cases[case_label]
-    runner = CaseRunner(catalog, case, presentation=True)
+    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True)
     prec = plan.prec(prec_override)
     status, first_bad = "pass", None
     # the ideal lies in the kernel only if each relation vanishes; check each once
     rel_prec = max(prec, check_plan(catalog, "relation", case_label).prec(prec_override))
     rel_terms = []
-    for rel in case.presentation.relations:
-        if runner.relation_series(rel, rel_prec).vanishing_order() is not None:
+    for rel, _, order in runner.relation_values(rel_prec):
+        if order is not None:
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
         rel_terms.append((rel.w2, runner.relation_terms(rel)))
@@ -472,9 +471,13 @@ def verify_identity(catalog: Catalog, name: str,
                               details, _ms_since(t0))
 
 
-def verify_integrality(catalog: Catalog, name: str, prec: int = 100) -> VerificationReport:
-    """Pass iff the form lies in q + Z[[q]]q^2 to the given precision."""
+INTEGRALITY_PREC = 100  # coefficients an integrality check reads
+
+
+def verify_integrality(catalog: Catalog, name: str) -> VerificationReport:
+    """Pass iff the form lies in q + Z[[q]]q^2 to INTEGRALITY_PREC coefficients."""
     t0 = time.monotonic()
+    prec = INTEGRALITY_PREC
     series = catalog.lookup_form(name, prec)
     bad = None
     if not series.coefficient(0).is_zero():

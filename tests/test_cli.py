@@ -120,7 +120,7 @@ def test_qexp_scale_literal_with_parentheses_is_refused_by_name(capsys):
 def test_dims(capsys):
     code, out, _ = _run(capsys, "dims", "--group", "gammaH:11:[3]", "--kmax", "5")
     assert code == 0
-    assert out.splitlines() == [f"k={k}: {k}" for k in range(1, 6)]
+    assert out.splitlines() == ["k=0: 1"] + [f"k={k}: {k}" for k in range(1, 6)]
     code, out, _ = _run(capsys, "dims", "--group", "gamma0:2", "--kmax", "8")
     assert code == 0
     assert out.splitlines() == ["k=0: 1", "k=2: 1", "k=4: 2", "k=6: 2", "k=8: 3"]

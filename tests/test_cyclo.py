@@ -17,6 +17,8 @@ from mfring.cyclo import (
 )
 from mfring.errors import ConductorMismatch
 
+from _series import conj
+
 
 def _reduce(ctx, raw):
     """sum_i raw[i] z^i for rationals raw[i], as an element of ctx."""
@@ -189,15 +191,15 @@ def test_embed_sends_zeta_m_to_the_matching_power_of_zeta_l():
 def test_conjugation():
     c4 = cyclo_context(4)
     i = root_of_unity(c4, 1, 4)
-    assert i.conj() == -i
-    assert c4.from_rational(Fraction(3, 2)).conj() == Fraction(3, 2)
+    assert conj(i) == -i
+    assert conj(c4.from_rational(Fraction(3, 2))) == Fraction(3, 2)
     rng = random.Random(7)
     c12 = cyclo_context(12)
     for _ in range(25):
         x, y = _random_element(rng, c12), _random_element(rng, c12)
-        assert x.conj().conj() == x
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert (x + y).conj() == x.conj() + y.conj()
+        assert conj(conj(x)) == x
+        assert conj(x * y) == conj(x) * conj(y)
+        assert conj(x + y) == conj(x) + conj(y)
 
 
 def test_rendering():

@@ -118,7 +118,7 @@ def test_parse_character_expressions():
 
 
 def test_evaluator_precision_contract():
-    ev = Evaluator(C1)
+    ev = Evaluator(C1, {})
     # the V-operator child is rebuilt at reduced precision, output exact to prec
     out = ev.series("(v 3 E4)", 10)
     assert out.prec == 10
@@ -129,7 +129,7 @@ def test_evaluator_precision_contract():
 
 
 def test_evaluator_caching_returns_truncations():
-    ev = Evaluator(C1)
+    ev = Evaluator(C1, {})
     long = ev.series("E4", 20)
     short = ev.series("E4", 5)
     assert short.prec == 5 and short.coeffs == long.coeffs[:5]

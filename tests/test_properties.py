@@ -15,7 +15,9 @@ from mfring.catalog import load_catalog
 from mfring.characters import named_character, units
 from mfring.cyclo import cyclo_context, root_of_unity
 from mfring.qseries import QSeries
-from mfring.verify import GUARD, CaseRunner, row_echelon_rank, weighted_monomials
+from mfring.verify import GUARD, CaseRunner, dim_or_none, row_echelon_rank, weighted_monomials
+
+from _series import conj, series_of
 
 CAT = load_catalog()
 
@@ -56,17 +58,17 @@ def prop_conj_involution(seed: int, rounds: int = 30):
         ctx = cyclo_context(L)
         for _ in range(rounds):
             x, y = _random_cyclo(rng, ctx), _random_cyclo(rng, ctx)
-            assert x.conj().conj() == x
-            assert (x * y).conj() == x.conj() * y.conj()
-            assert (x + y).conj() == x.conj() + y.conj()
+            assert conj(conj(x)) == x
+            assert conj(x * y) == conj(x) * conj(y)
+            assert conj(x + y) == conj(x) + conj(y)
 
 
 def prop_v_operator(seed: int, rounds: int = 15):
     rng = random.Random(seed)
     ctx = cyclo_context(1)
     for _ in range(rounds):
-        f = QSeries(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
-        g = QSeries(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
+        f = series_of(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
+        g = series_of(ctx, [ctx.from_rational(rng.randint(-5, 5)) for _ in range(8)])
         h, hp = rng.choice([2, 3]), rng.choice([2, 3])
         assert (f * g).v_operator(h) == f.v_operator(h) * g.v_operator(h)
         assert (f + g).v_operator(h) == f.v_operator(h) + g.v_operator(h)
@@ -137,7 +139,7 @@ def prop_rank_nullity(case_label: str = "9", j2: int = 8):
 
 def prop_rank_stabilization(case_label: str = "7", j2: int = 10):
     runner = CaseRunner(CAT, CAT.cases[case_label])
-    bound, dim = runner.sturm2(j2), runner.dim2(j2)
+    bound, dim = runner.sturm2(j2), dim_or_none(CAT, runner.case, j2)
     ranks = [runner.span_rank(j2, bound + extra, dim) for extra in (0, 3, GUARD)]
     assert ranks[0] == ranks[1] == ranks[2]
 
@@ -335,8 +337,8 @@ def test_reduction_is_a_ring_map(L, xs, ys):
 @given(st.sampled_from(MODP_CONDUCTORS), st.lists(_COORDS, min_size=1, max_size=20), st.data())
 def test_reduced_series_product_is_the_product_of_reductions(L, fs, data):
     ctx = cyclo_context(L)
-    f = QSeries(ctx, [_cyclo(ctx, c) for c in fs])
-    g = QSeries(ctx, [_cyclo(ctx, data.draw(_COORDS)) for _ in fs])
+    f = series_of(ctx, [_cyclo(ctx, c) for c in fs])
+    g = series_of(ctx, [_cyclo(ctx, data.draw(_COORDS)) for _ in fs])
     n = len(fs)
     red = modp.reductions(ctx, n)[0]
     product = modp.mul(red.series(f), red.series(g), n, red.p)

@@ -10,6 +10,8 @@ from mfring.cyclo import cyclo_context, render_cyclo
 from mfring.errors import BadLeadingShape, ContextMismatch
 from mfring.qseries import QSeries
 
+from _series import series_of
+
 C1 = cyclo_context(1)
 C4 = cyclo_context(4)
 
@@ -18,8 +20,8 @@ def _sigma(k, n):
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
-def _series(values, ctx=C1, prec=None):
-    return QSeries(ctx, map(ctx.from_rational, values), prec)
+def _series(values, ctx=C1):
+    return series_of(ctx, map(ctx.from_rational, values))
 
 
 def test_basic_ops():
@@ -99,7 +101,7 @@ def test_lowered():
 def test_lowered_with_cyclotomic_leading_coefficient():
     # constant 1, q-coefficient 3 - z4: the division must stay exact
     lead = C4.from_rational(3) - C4.zeta_power(1)
-    f = QSeries(C4, [C4.one, lead, C4.from_rational(7)])
+    f = series_of(C4, [C4.one, lead, C4.from_rational(7)])
     low = f.lowered(2)
     assert low.coefficient(0).is_zero()
     assert low.coefficient(1) == C4.one
@@ -109,7 +111,7 @@ def test_conj_series():
     rng = random.Random(5)
     coeffs = [C4.from_rational(rng.randint(-4, 4)) + C4.zeta_power(1) * rng.randint(-4, 4)
               for _ in range(8)]
-    f = QSeries(C4, coeffs)
+    f = series_of(C4, coeffs)
     assert f.conj().conj() == f
     rational = _series([1, 5, -2])
     assert rational.conj() == rational
@@ -138,7 +140,7 @@ def test_rendering():
     assert str(e4) == "1 + 240*q + 2160*q^2 + 6720*q^3 + O(q^4)"
     e2 = eisenstein_e(2, 4, C1)
     assert str(e2) == "1 - 24*q - 72*q^2 - 96*q^3 + O(q^4)"
-    mixed = QSeries(C4, [C4.one, C4.from_rational(3) - C4.zeta_power(1), C4.zero])
+    mixed = series_of(C4, [C4.one, C4.from_rational(3) - C4.zeta_power(1), C4.zero])
     assert str(mixed) == "1 + (3 - z4)*q + O(q^3)"
     assert str(QSeries.zero(C1, 3)) == "0 + O(q^3)"
 
@@ -177,7 +179,7 @@ def _random_series(draw):
             block = draw(st.lists(st.integers(-30, 30), min_size=ctx.degree,
                                   max_size=ctx.degree))
         nums += block
-    return QSeries.from_ints(ctx, nums, draw(st.sampled_from([1, 1, 2, 6, 35, 720])))
+    return QSeries(ctx, nums, draw(st.sampled_from([1, 1, 2, 6, 35, 720])))
 
 
 @settings(max_examples=200, deadline=None)

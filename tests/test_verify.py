@@ -1,6 +1,9 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from mfring.verify import (
     CaseRunner,
     certified_rank,
     check_plan,
+    dim_or_none,
     full_report,
     row_echelon_rank,
     verify_hilbert,
@@ -61,6 +65,25 @@ def test_monomials_are_lexicographically_ordered_and_deterministic():
     assert mons == weighted_monomials([2, 2, 4], 8)
 
 
+def test_monomials_come_sorted_without_a_sort():
+    # the recursion runs each exponent down from its largest value, so its
+    # output is already in descending order; nothing repeats, nothing is missed
+    rng = random.Random(14)
+    total = 0
+    for _ in range(3000):
+        weights2 = [rng.randint(1, 8) for _ in range(rng.randint(1, 5))]
+        k2 = rng.randint(0, 24)
+        mons = weighted_monomials(weights2, k2)
+        assert mons == sorted(mons, reverse=True), (weights2, k2)
+        assert len(set(mons)) == len(mons)
+        assert all(sum(map(mul, m, weights2)) == k2 for m in mons)
+        if len(weights2) <= 3:
+            every = product(*(range(k2 // w + 1) for w in weights2))
+            assert len(mons) == sum(sum(map(mul, m, weights2)) == k2 for m in every)
+        total += len(mons)
+    assert total > 10_000
+
+
 def _left_nullspace(rows, ctx):
     """Exact basis of {c : sum c_i row_i = 0}; oracle for rank-nullity."""
     n = len(rows)
@@ -91,13 +114,13 @@ def _left_nullspace(rows, ctx):
 def test_span_rank_examples():
     five = CaseRunner(CAT, CAT.cases["5"])
     prec = five.sturm2(6) + GUARD
-    assert five.span_rank(6, prec, five.dim2(6)) == 4  # weight 3 at level 5
+    assert five.span_rank(6, prec, dim_or_none(CAT, five.case, 6)) == 4  # weight 3 at level 5
     assert five.span_rank(6, prec, 5) == 4  # a bound no prime reaches: the exact rank
     assert five.span_rank(0, 4, 1) == 1
     one = CaseRunner(CAT, CAT.cases["1"])
-    assert one.span_rank(24, one.sturm2(24) + GUARD, one.dim2(24)) == 2
+    assert one.span_rank(24, one.sturm2(24) + GUARD, dim_or_none(CAT, one.case, 24)) == 2
     with pytest.raises(PrecisionTooLow):
-        five.span_rank(12, 3, five.dim2(12))
+        five.span_rank(12, 3, dim_or_none(CAT, five.case, 12))
 
 
 def test_rank_nullity_against_explicit_nullspace():
@@ -109,7 +132,7 @@ def test_rank_nullity_against_explicit_nullspace():
     rank = row_echelon_rank(rows)
     kernel = _left_nullspace(rows, runner.evaluator.ctx)
     assert len(mons) - rank == len(kernel)
-    assert rank == runner.dim2(j2)
+    assert rank == dim_or_none(CAT, runner.case, j2)
     # each kernel vector really kills the series
     for vec in kernel[:3]:
         acc = runner.monomial_series(mons[0], prec).scale(vec[0])
@@ -131,7 +154,7 @@ def test_rank_invariant_under_generator_scaling():
 
 def test_rank_stabilizes_at_sturm_precision():
     runner = CaseRunner(CAT, CAT.cases["7"])
-    bound, dim = runner.sturm2(12), runner.dim2(12)
+    bound, dim = runner.sturm2(12), dim_or_none(CAT, runner.case, 12)
     assert runner.span_rank(12, bound, dim) == runner.span_rank(12, bound + GUARD, dim)
 
 
@@ -317,7 +340,7 @@ def test_verify_identity_and_errors():
 
 def test_verify_integrality_negative_control():
     assert verify_integrality(CAT, "alpha1").status == "pass"
-    bad = verify_integrality(CAT, "f[1;chi5]", prec=20)
+    bad = verify_integrality(CAT, "f[1;chi5]")
     assert bad.status == "fail"
     assert bad.details["first_failure"]["index"] == 0
 
