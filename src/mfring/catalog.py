@@ -28,16 +28,18 @@ An atom of any expression names a catalog form, else a constructor
 in relation polynomials; its series is its ``expr``.  So an atom means one
 series in a given field, and ``Catalog.evaluator(L)`` keeps one Evaluator
 per conductor, whose cache holds one series per distinct atom, at the
-largest precision asked, for the life of the Catalog.
+largest precision asked, for the life of the Catalog.  Likewise each
+relation polynomial is parsed once, on load, and kept for every check
+(``Catalog.relation_terms``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from functools import lru_cache
-from importlib import resources
 from math import lcm
+from typing import NamedTuple
 
 from .characters import units
 from .cyclo import cyclo_context
@@ -49,33 +51,28 @@ from .qseries import QSeries
 MAX_CONDUCTOR = 2520
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+# The records are NamedTuples rather than frozen dataclasses: just as
+# immutable, without the import and class-building cost of ``dataclasses``.
+class GroupSpec(NamedTuple):
     label: str
     kind: str  # full | gamma0 | gammaH
     level: int
     H: tuple[int, ...] = ()
 
-    def key(self):
-        return (self.kind, self.level, self.H)
 
-
-@dataclass(frozen=True)
-class SpanGen:
+class SpanGen(NamedTuple):
     name: str
     w2: int
     expr: str
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     name: str
     w2: int
     poly: str
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     gens: tuple[SpanGen, ...]
     aux: tuple[SpanGen, ...]
     relations: tuple[Relation, ...]
@@ -85,8 +82,7 @@ class Presentation:
     hilbert_den: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     label: str
     group: str
     L: int
@@ -97,8 +93,7 @@ class Case:
     presentation: Presentation | None
 
 
-@dataclass(frozen=True)
-class FormEntry:
+class FormEntry(NamedTuple):
     name: str
     w2: int
     L: int
@@ -106,8 +101,7 @@ class FormEntry:
     expr: str
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     name: str
     group: str
     L: int
@@ -242,6 +236,8 @@ class Catalog:
             self.cases[case.label] = case
         self._exprs = {name: e.expr for name, e in self.forms.items()}
         self._evaluators: dict[int, Evaluator] = {}
+        self._atom_w2: dict[str, int] = {}  # atom name -> its doubled weight, once computed
+        self._relation_terms: dict[tuple[str, str], dict] = {}  # (case label, poly) -> terms
         self._validate()
 
     # -- lookups ----------------------------------------------------------
@@ -306,6 +302,18 @@ class Catalog:
             raise CatalogError(f"field conductor {L} exceeds {MAX_CONDUCTOR} in {name!r}")
         return self.evaluator(L).series(ast, prec)
 
+    def relation_terms(self, case: Case, rel: Relation) -> dict:
+        """The relation as {exponent vector: CycloNum}, over the presentation
+        generators (the base ring's first) and then the aux series; parsed
+        once per case and polynomial.  Callers must not mutate it."""
+        key = (case.label, rel.poly)
+        terms = self._relation_terms.get(key)
+        if terms is None:
+            names = [g.name for g in self.case_gens(case, presentation=True)
+                     + case.presentation.aux]
+            terms = self._relation_terms[key] = parse_poly(rel.poly, names, cyclo_context(case.L))
+        return terms
+
     # -- validation -------------------------------------------------------
 
     def _w2(self, ast, stack: tuple = ()) -> int:
@@ -315,10 +323,12 @@ class Catalog:
             name = ast[1]
             if name in stack:
                 raise CatalogError(f"cyclic definition through {name!r}")
-            got = resolve(name, self._exprs)
-            if isinstance(got, str):
-                return self._w2(parse_expr(got), stack + (name,))
-            return got.w2
+            w2 = self._atom_w2.get(name)
+            if w2 is None:  # an atom that raised is not stored, so it raises again
+                got = resolve(name, self._exprs)
+                w2 = self._w2(parse_expr(got), stack + (name,)) if isinstance(got, str) else got.w2
+                self._atom_w2[name] = w2
+            return w2
         if op in ("add", "mul"):
             weights = [self._w2(a, stack) for a in ast[1]]
             if op == "add":
@@ -368,13 +378,10 @@ class Catalog:
                                modular=True)
             if pres is None:
                 continue
-            var_w = {g.name: g.w2 for g in pres_gens}
-            names = list(var_w)
-            ctx = cyclo_context(case.L)
             for rel in pres.relations:
-                terms = parse_poly(rel.poly, names, ctx)
-                for exps in terms:
-                    w = sum(e * var_w[n] for e, n in zip(exps, names))
+                # by position: a name may be both a base generator and an aux series
+                for exps in self.relation_terms(case, rel):
+                    w = sum(e * g.w2 for e, g in zip(exps, pres_gens))
                     if w != rel.w2:
                         raise CatalogError(
                             f"relation {rel.name}: term of weight {w}, declared {rel.w2}"
@@ -405,12 +412,11 @@ def _builtin_catalog() -> Catalog:
 def _read_catalog(path: str | None) -> Catalog:
     where = path or "built-in catalog"
     try:
+        # the package data by path: importlib.resources costs more to import than this module
         if path is None:
-            text = resources.files("mfring").joinpath("data/catalog.json").read_text()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        raw = json.loads(text)
+            path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
     except (OSError, ValueError) as exc:  # unreadable file, bad encoding or bad JSON
         raise CatalogError(f"cannot read {where}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import NamedTuple
@@ -23,22 +22,28 @@ from . import modp
 from .catalog import Case, Catalog
 from .cyclo import CycloNum, FieldCtx
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
-from .exprs import parse_poly
 from .hilbert import HilbertSeries, dim_mismatches
 from .qseries import QSeries
 
 GUARD = 8  # extra coefficients beyond every certified cutoff
 
 
-@dataclass
 class VerificationReport:
-    case: str
-    check: str  # span | relation | kernel | hilbert | identity | integrality
-    k_range: tuple[int, int]  # doubled weights
-    precision: int
-    status: str  # pass | fail | skipped
-    details: dict
-    elapsed_ms: int = 0
+    """The outcome of one check.  A slotted class rather than a dataclass, so
+    that importing the package does not import ``dataclasses``; unlike the
+    catalog's NamedTuple records it stays mutable."""
+
+    __slots__ = ("case", "check", "k_range", "precision", "status", "details", "elapsed_ms")
+
+    def __init__(self, case: str, check: str, k_range: tuple[int, int], precision: int,
+                 status: str, details: dict, elapsed_ms: int = 0):
+        self.case = case
+        self.check = check  # span | relation | kernel | hilbert | identity | integrality
+        self.k_range = k_range  # doubled weights
+        self.precision = precision
+        self.status = status  # pass | fail | skipped
+        self.details = details
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> str:
         return json.dumps(
@@ -189,8 +194,7 @@ class CaseRunner:
 
     def relation_terms(self, rel) -> dict:
         """The relation as {exponent vector over gens then aux: CycloNum}."""
-        names = [g.name for g in self.gens + self.aux]
-        return parse_poly(rel.poly, names, self.evaluator.ctx)
+        return self.catalog.relation_terms(self.case, rel)
 
     def eval_poly(self, terms: dict, prec: int) -> QSeries:
         """Substitute catalog q-expansions into a generator polynomial."""

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mfring import catalog, exprs, verify
 from mfring.catalog import (
     Catalog,
     group_index,
@@ -251,3 +252,65 @@ def test_catalog_file_is_read_again_after_a_rewrite(tmp_path):
     path.write_text(json.dumps(raw))
     assert "alpha23" not in load_catalog(str(path)).forms
     assert load_catalog() is load_catalog()  # the built-in catalog is read once
+
+
+def _shipped_raw():
+    return json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+
+
+def test_relations_are_weighed_by_position_over_a_base_ring_and_aux():
+    # 16full's variables are half16h9's generators (u16, u16_bar, theta2), its own
+    # two, then aux theta, theta2, theta4: theta2 is named twice
+    case = CAT.cases["16full"]
+    names = [g.name for g in CAT.case_gens(case, presentation=True) + case.presentation.aux]
+    assert len(names) == 8 and names.count("theta2") == 2
+    for rel in case.presentation.relations:
+        assert all(len(exps) == 8 for exps in CAT.relation_terms(case, rel))
+    raw = _shipped_raw()
+    pres = next(c for c in raw["cases"] if c["label"] == "16full")["presentation"]
+    pres["relations"][0]["poly"] = "fchi16^2 - u16_bar*theta*theta2"
+    with pytest.raises(CatalogError, match="relation O16: term of weight 3, declared 4"):
+        Catalog(raw)
+    pres["relations"][0]["poly"] = "fchi16^2 - theta2^3"
+    with pytest.raises(CatalogError, match="relation O16: term of weight 3, declared 4"):
+        Catalog(raw)
+
+
+def test_records_are_immutable():
+    case = CAT.cases["7"]
+    L = case.L
+    with pytest.raises(AttributeError):
+        case.L = L + 1
+    with pytest.raises(AttributeError):
+        CAT.forms["alpha1"].w2 = 2
+    assert case.L == L
+
+
+def test_each_relation_is_parsed_once_from_load_to_full_report(monkeypatch):
+    calls = []
+    parse = exprs.parse_poly
+
+    def counted(text, names, ctx):
+        if names:  # a scalar literal is parsed with no variables
+            calls.append(text)
+        return parse(text, names, ctx)
+
+    for module in (exprs, catalog, verify):  # wherever the name is bound
+        if hasattr(module, "parse_poly"):
+            monkeypatch.setattr(module, "parse_poly", counted)
+    cat = load_catalog(str(resources.files("mfring").joinpath("data/catalog.json")))
+    relations = [(label, rel.poly) for label, case in cat.cases.items() if case.presentation
+                 for rel in case.presentation.relations]
+    assert len(calls) == len(relations) == len(set(relations)) > 20
+    reports = verify.full_report(cat)
+    assert {r.status for r in reports} == {"pass", "skipped"}
+    assert sorted(calls) == sorted(poly for _, poly in relations)
+
+
+def test_an_atom_weight_is_resolved_once(monkeypatch):
+    resolved = []
+    resolve = catalog.resolve
+    monkeypatch.setattr(catalog, "resolve", lambda name, forms: resolved.append(name)
+                        or resolve(name, forms))
+    cat = Catalog(_shipped_raw())
+    assert len(resolved) == len(set(resolved)) >= len(cat.forms)

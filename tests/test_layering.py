@@ -1,8 +1,12 @@
 """Module boundaries: no mfring module imports another one's private names,
-and nothing is defined in the package that the package never names."""
+nothing is defined in the package that the package never names, and
+importing the package loads no heavy standard-library module."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,3 +47,24 @@ def test_every_definition_is_named_again_in_the_package():
     unused = {name for name, count in defined.items()
               if len(re.findall(rf"\b{name}\b", text)) <= count}
     assert unused == set()
+
+
+# imported by nothing at startup: dataclasses brings inspect, ast and dis, and
+# importlib.resources costs more than the whole package
+HEAVY = ("dataclasses", "inspect", "ast", "importlib.resources")
+_PROBE = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import mfring, mfring.cli
+mfring.load_catalog()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_and_load_bring_in_no_heavy_modules():
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = json.loads(proc.stdout)
+    assert "mfring.cli" in added
+    assert [name for name in HEAVY if name in added] == []

@@ -409,3 +409,12 @@ def test_full_report_deterministic_order():
                         for r in rs]
     assert strip(a) == strip(b)
     assert [(r.case, r.check) for r in a] == sorted((r.case, r.check) for r in a)
+
+
+def test_a_report_stays_mutable_and_slotted():
+    report = verify_identity(CAT, "theta_quad")
+    report.details = dict(report.details, note="x")
+    report.elapsed_ms += 1000
+    assert json.loads(report.to_json())["details"]["note"] == "x"
+    with pytest.raises(AttributeError):
+        report.extra = 1
