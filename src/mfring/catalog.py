@@ -181,59 +181,55 @@ def eval_dim_branches(branches, j2: int) -> int:
     raise OutOfTable(f"no dimension branch covers doubled weight {j2}")
 
 
+def _gens(entries) -> tuple[SpanGen, ...]:
+    return tuple(SpanGen(g["name"], g["w2"], g["expr"]) for g in entries)
+
+
+def _case(c: dict) -> Case:
+    pres = None
+    if "presentation" in c:
+        p = c["presentation"]
+        pres = Presentation(
+            gens=_gens(p["gens"]),
+            aux=_gens(p.get("aux", [])),
+            relations=tuple(Relation(r["name"], r["w2"], r["poly"])
+                            for r in p.get("relations", [])),
+            relations_unknown=bool(p.get("relations_unknown", False)),
+            base=p.get("base"),
+            hilbert_num=tuple(tuple(t) for t in p["hilbert"]["num"]) if "hilbert" in p else None,
+            hilbert_den=tuple(p["hilbert"]["den"]) if "hilbert" in p else None,
+        )
+    # L is the field conductor: the lcm of the root-of-unity orders the case needs
+    return Case(c["label"], c["group"], c["L"], tuple(c["dim"]) if "dim" in c else None,
+                _gens(c["span_gens"]) if "span_gens" in c else None,
+                c.get("span_kmax2"), c.get("kernel_kmax2"), pres)
+
+
+def _unique(section: str, records) -> dict:
+    """The records of one catalog section by their label, the first field;
+    a label that repeats is a CatalogError."""
+    out = {}
+    for rec in records:
+        if rec[0] in out:
+            raise CatalogError(f"duplicate {section} {rec[0]}")
+        out[rec[0]] = rec
+    return out
+
+
 class Catalog:
     def __init__(self, raw: dict):
-        self.groups: dict[str, GroupSpec] = {}
-        self.dims: dict[str, tuple] = {}
-        for g in raw.get("groups", []):
-            spec = GroupSpec(g["label"], g["kind"], g["level"], tuple(g.get("H", [])))
-            if spec.label in self.groups:
-                raise CatalogError(f"duplicate group {spec.label}")
-            self.groups[spec.label] = spec
-            if "dim" in g:
-                self.dims[spec.label] = tuple(g["dim"])
-        self.forms: dict[str, FormEntry] = {}
-        for f in raw.get("forms", []):
-            entry = FormEntry(f["name"], f["w2"], f["L"], f.get("group"), f["expr"])
-            if entry.name in self.forms:
-                raise CatalogError(f"duplicate form {entry.name}")
-            self.forms[entry.name] = entry
-        self.identities: dict[str, Identity] = {}
-        for i in raw.get("identities", []):
-            ident = Identity(
-                i["name"], i["group"], i["L"], i["w2"],
-                bool(i.get("half_members", False)), i["expr"], i.get("note"),
-            )
-            self.identities[ident.name] = ident
-        self.cases: dict[str, Case] = {}
-        for c in raw.get("cases", []):
-            pres = None
-            if "presentation" in c:
-                p = c["presentation"]
-                pres = Presentation(
-                    gens=tuple(SpanGen(g["name"], g["w2"], g["expr"]) for g in p["gens"]),
-                    aux=tuple(SpanGen(g["name"], g["w2"], g["expr"]) for g in p.get("aux", [])),
-                    relations=tuple(
-                        Relation(r["name"], r["w2"], r["poly"]) for r in p.get("relations", [])
-                    ),
-                    relations_unknown=bool(p.get("relations_unknown", False)),
-                    base=p.get("base"),
-                    hilbert_num=tuple(tuple(t) for t in p["hilbert"]["num"]) if "hilbert" in p else None,
-                    hilbert_den=tuple(p["hilbert"]["den"]) if "hilbert" in p else None,
-                )
-            case = Case(
-                label=c["label"],
-                group=c["group"],
-                L=c["L"],  # field conductor: lcm of root-of-unity orders the case needs
-                dim_branches=tuple(c["dim"]) if "dim" in c else None,
-                span_gens=tuple(SpanGen(g["name"], g["w2"], g["expr"]) for g in c["span_gens"])
-                if "span_gens" in c
-                else None,
-                span_kmax2=c.get("span_kmax2"),
-                kernel_kmax2=c.get("kernel_kmax2"),
-                presentation=pres,
-            )
-            self.cases[case.label] = case
+        groups = raw.get("groups", [])
+        self.groups: dict[str, GroupSpec] = _unique("group", (
+            GroupSpec(g["label"], g["kind"], g["level"], tuple(g.get("H", []))) for g in groups))
+        self.dims: dict[str, tuple] = {g["label"]: tuple(g["dim"]) for g in groups if "dim" in g}
+        self.forms: dict[str, FormEntry] = _unique("form", (
+            FormEntry(f["name"], f["w2"], f["L"], f.get("group"), f["expr"])
+            for f in raw.get("forms", [])))
+        self.identities: dict[str, Identity] = _unique("identity", (
+            Identity(i["name"], i["group"], i["L"], i["w2"], bool(i.get("half_members", False)),
+                     i["expr"], i.get("note"))
+            for i in raw.get("identities", [])))
+        self.cases: dict[str, Case] = _unique("case", map(_case, raw.get("cases", [])))
         self._exprs = {name: e.expr for name, e in self.forms.items()}
         self._evaluators: dict[int, Evaluator] = {}
         self._atom_w2: dict[str, int] = {}  # atom name -> its doubled weight, once computed
@@ -410,7 +406,7 @@ def _builtin_catalog() -> Catalog:
 
 
 def _read_catalog(path: str | None) -> Catalog:
-    where = path or "built-in catalog"
+    where = "built-in catalog" if path is None else repr(path)
     try:
         # the package data by path: importlib.resources costs more to import than this module
         if path is None:

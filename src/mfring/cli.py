@@ -14,7 +14,7 @@ import sys
 
 from .catalog import Catalog, load_catalog
 from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
-from .verify import (VerificationReport, check_plan, dim_or_none, full_report,
+from .verify import (HILBERT_HORIZON2, VerificationReport, dim_or_none, full_report,
                      hilbert_mismatches, scheduled_checks)
 
 EXIT_OK = 0
@@ -139,20 +139,6 @@ _SELECTORS = {
 }
 
 
-def _check_prec_override(catalog: Catalog, checks, labels, prec: int, kmax2: int | None):
-    """Refuse overrides below the certified cutoff of any check that would run."""
-    for check, label in scheduled_checks(catalog, checks, labels):
-        if check in ("hilbert", "integrality"):
-            continue  # no precision override reaches these
-        plan = check_plan(catalog, check, label, kmax2)
-        if plan.skip is None and prec < plan.cutoff:
-            raise CliError(
-                f"--prec {prec} is below the certified cutoff {plan.cutoff} for "
-                f"{check} check of {label!r}; refusing to run an uncertified check",
-                EXIT_BAD_CONFIG,
-            )
-
-
 def cmd_verify(args) -> int:
     catalog = _load(args)
     checks = _SELECTORS[args.selector]
@@ -167,13 +153,11 @@ def cmd_verify(args) -> int:
         if args.kmax < 1:
             raise CliError("--kmax must be at least 1", EXIT_BAD_CONFIG)
         kmax2 = 2 * args.kmax
-    if args.prec is not None:
-        if args.prec < 1:
-            raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
-        _check_prec_override(catalog, checks, labels, args.prec, kmax2)
+    if args.prec is not None and args.prec < 1:
+        raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
     if args.horizon is not None:
         _require_weight_flag("--horizon", args.horizon)
-    horizon2 = 2 * args.horizon if args.horizon is not None else 40
+    horizon2 = 2 * args.horizon if args.horizon is not None else HILBERT_HORIZON2
     reports = full_report(catalog, checks=checks, cases=labels,
                           kmax2=kmax2, prec_override=args.prec, horizon2=horizon2)
     failed = False

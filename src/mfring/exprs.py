@@ -38,8 +38,6 @@ from .qseries import QSeries
 # atoms may carry bracketed segments with parentheses inside, e.g. f[1;pow(chi11,3)]
 _SEXPR_TOKEN = re.compile(r"\(|\)|(?:[^\s()\[\]]+|\[[^\]]*\])+")
 
-_ARITY = {"sub": 2, "conj": 1}
-
 
 def parse_expr(text: str):
     """Parse a prefix expression into a nested-tuple AST."""

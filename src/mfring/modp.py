@@ -133,6 +133,8 @@ def _root_of_cyclotomic(L: int, p: int) -> int:
 
 def mul(a: int, b: int, n: int, p: int) -> int:
     """Truncated product mod p of two packed vectors of n residues in [0, p)."""
+    if p >= prime_ceiling(n):  # a slot could carry
+        raise ValueError(f"prime {p} is not below prime_ceiling({n})")
     raw = (a * b) & ((1 << 64 * n) - 1)
     return pack(tuple(map(operator.mod, unpack(raw, n), repeat(p))))
 
@@ -146,6 +148,8 @@ def rank(rows, n: int, p: int) -> int:
     row was reduced by every earlier one before it was stored, so reducing
     by the pivots in insertion order clears all their columns.
     """
+    if p >= prime_ceiling(n):  # a slot could carry
+        raise ValueError(f"prime {p} is not below prime_ceiling({n})")
     pivots: list[tuple[int, int]] = []
     for row in rows:
         for shift, neg in pivots:

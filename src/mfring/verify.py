@@ -26,6 +26,7 @@ from .hilbert import HilbertSeries, dim_mismatches
 from .qseries import QSeries
 
 GUARD = 8  # extra coefficients beyond every certified cutoff
+HILBERT_HORIZON2 = 40  # the doubled weight a Hilbert check compares up to by default
 
 
 class VerificationReport:
@@ -229,7 +230,11 @@ class Plan(NamedTuple):
     skip: str | None = None  # why the check does not run, if it does not
 
     def prec(self, prec_override: int | None) -> int:
-        """The one working precision of the check."""
+        """The one working precision of the check; an override below the
+        cutoff would not certify it, and is refused."""
+        if prec_override is not None and prec_override < self.cutoff:
+            raise PrecisionTooLow(f"precision {prec_override} is below the certified cutoff "
+                                  f"{self.cutoff}; refusing to run an uncertified check")
         return max(prec_override or 0, self.cutoff + GUARD)
 
 
@@ -279,7 +284,8 @@ def check_plan(catalog: Catalog, check: str, label: str,
     bound over those weights.  The largest, not the top weight's, because
     the bound is not monotone across parity: on g4, sturm2(8) = 4 but
     sturm2(9) = 3.  Relations and identities of half-integral rings are
-    certified at twice their weight.
+    certified at twice their weight.  A kernel check passes only if its
+    relations vanish, so its cutoff covers the relation plan's too.
     """
     if check == "identity":
         if label not in catalog.identities:
@@ -306,6 +312,8 @@ def check_plan(catalog: Catalog, check: str, label: str,
             weights2, dims = tuple(j2 for j2, _ in known), tuple(d for _, d in known)
             doubled, k_range = False, (0, top)
     cutoff = max((catalog.sturm2(group, 2 * w if doubled else w) for w in weights2), default=0)
+    if check == "kernel":
+        cutoff = max(cutoff, check_plan(catalog, "relation", label).cutoff)
     return Plan(k_range, weights2, dims, cutoff)
 
 
@@ -373,14 +381,13 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     prec = plan.prec(prec_override)
     status, first_bad = "pass", None
     # the ideal lies in the kernel only if each relation vanishes; check each once
-    rel_prec = max(prec, check_plan(catalog, "relation", case_label).prec(prec_override))
     rel_terms = []
-    for rel, _, order in runner.relation_values(rel_prec):
+    for rel, _, order in runner.relation_values(prec):
         if order is not None:
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
         rel_terms.append((rel.w2, runner.relation_terms(rel)))
-    # vanishing relations put the ideal's vectors in the kernel, which bounds their rank
+    # vanishing relations put the ideal in the kernel, which bounds its rank
     in_kernel = status == "pass"
     ctx, zero = runner.evaluator.ctx, runner.evaluator.ctx.zero
 
@@ -393,14 +400,11 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         mons = weighted_monomials(runner.weights2, j2)
         rank = runner.span_rank(j2, prec, want)
         dim_kernel = len(mons) - rank
-        if in_kernel:
-            dim_ideal = certified_rank(
-                ctx, dim_kernel, len(mons),
-                lambda red: list(map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
-                                                               mons, j2, 0))),
-                lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
-        else:
-            dim_ideal = row_echelon_rank(_ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
+        dim_ideal = certified_rank(
+            ctx, dim_kernel if in_kernel else len(mons), len(mons),
+            lambda red: list(map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
+                                                           mons, j2, 0))),
+            lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -433,7 +437,8 @@ def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
     return vectors
 
 
-def verify_hilbert(catalog: Catalog, case_label: str, horizon2: int = 40) -> VerificationReport:
+def verify_hilbert(catalog: Catalog, case_label: str,
+                   horizon2: int = HILBERT_HORIZON2) -> VerificationReport:
     t0 = time.monotonic()
     case = catalog.cases[case_label]
     skip = _skip_reason("hilbert", case)
@@ -535,8 +540,17 @@ def scheduled_checks(catalog: Catalog, checks=None, cases=None):
 
 def full_report(catalog: Catalog, checks=None, cases=None,
                 kmax2: int | None = None, prec_override: int | None = None,
-                horizon2: int = 40) -> list[VerificationReport]:
-    """Run the selected checks over the selected cases; never aborts the batch."""
+                horizon2: int = HILBERT_HORIZON2) -> list[VerificationReport]:
+    """Run the selected checks over the selected cases.  A precision override
+    that the plan of any selected check refuses raises PrecisionTooLow before
+    any check runs; once the batch starts, it is never aborted."""
+    scheduled = list(scheduled_checks(catalog, checks, cases))
+    for check, label in scheduled:  # no override reaches a hilbert or integrality check
+        if prec_override is not None and check not in ("hilbert", "integrality"):
+            try:
+                check_plan(catalog, check, label, kmax2).prec(prec_override)
+            except PrecisionTooLow as exc:
+                raise PrecisionTooLow(f"{check} check of {label!r}: {exc}") from None
     run = {
         "identity": lambda label: verify_identity(catalog, label, prec_override),
         "span": lambda label: verify_span(catalog, label, kmax2, prec_override),
@@ -545,8 +559,7 @@ def full_report(catalog: Catalog, checks=None, cases=None,
         "hilbert": lambda label: verify_hilbert(catalog, label, horizon2),
         "integrality": lambda label: verify_integrality(catalog, label),
     }
-    reports = [_guard(run[check], label, check)
-               for check, label in scheduled_checks(catalog, checks, cases)]
+    reports = [_guard(run[check], label, check) for check, label in scheduled]
     reports.sort(key=lambda r: (r.case, _CHECK_ORDER.get(r.check, 9), r.k_range))
     return reports
 

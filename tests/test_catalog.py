@@ -314,3 +314,19 @@ def test_an_atom_weight_is_resolved_once(monkeypatch):
                         or resolve(name, forms))
     cat = Catalog(_shipped_raw())
     assert len(resolved) == len(set(resolved)) >= len(cat.forms)
+
+
+@pytest.mark.parametrize("section, key", [("groups", "label"), ("forms", "name"),
+                                          ("identities", "name"), ("cases", "label")])
+def test_a_repeated_label_is_refused_in_every_section(section, key):
+    raw = _shipped_raw()
+    first = raw[section][0]
+    raw[section].append(dict(first))
+    with pytest.raises(CatalogError, match=f"duplicate .* {first[key]}$"):
+        Catalog(raw)
+
+
+def test_an_empty_catalog_path_is_named_not_taken_for_the_built_in_one():
+    with pytest.raises(CatalogError) as err:
+        load_catalog("")
+    assert "cannot read ''" in str(err.value) and "built-in" not in str(err.value)

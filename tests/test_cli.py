@@ -184,6 +184,13 @@ def test_verify_exit_codes(capsys):
     code, _, err = _run(capsys, "verify", "kernel", "--case", "7", "--kmax", "12",
                         "--prec", "20")
     assert code == 3 and "cutoff 26" in err
+    # a kernel check's cutoff covers its relations, and its report states where they ran
+    code, _, err = _run(capsys, "verify", "kernel", "--case", "half12", "--kmax", "1",
+                        "--prec", "17")
+    assert code == 3 and "kernel check of 'half12'" in err and "cutoff 18" in err
+    code, out, _ = _run(capsys, "verify", "kernel", "--case", "half12", "--kmax", "1",
+                        "--output", "json")
+    assert code == 0 and json.loads(out)["precision"] == 26
     code, out, err = _run(capsys, "verify", "hilbert", "--case", "1", "--horizon", "-1")
     assert code == 3 and out == "" and "horizon" in err
 
@@ -325,6 +332,11 @@ def _self_named_generator_of_wrong_weight(raw):
     return json.dumps(raw)
 
 
+def _case_repeated(raw):
+    raw["cases"].append(dict(raw["cases"][0]))
+    return json.dumps(raw)
+
+
 def _form_above_the_weight_ceiling(raw):
     raw["forms"].append({"name": "heavy", "w2": 2000, "L": 1, "expr": "E1000", "group": "g1"})
     return json.dumps(raw)
@@ -337,7 +349,9 @@ def _form_above_the_weight_ceiling(raw):
     _without_group(json.loads(json.dumps(SHIPPED))),  # a case with no group
     _self_named_generator_of_wrong_weight(json.loads(json.dumps(SHIPPED))),
     _form_above_the_weight_ceiling(json.loads(json.dumps(SHIPPED))),
-], ids=["missing", "truncated", "list", "no-group", "self-named-weight", "heavy-form"])
+    _case_repeated(json.loads(json.dumps(SHIPPED))),
+], ids=["missing", "truncated", "list", "no-group", "self-named-weight", "heavy-form",
+        "repeated-case"])
 def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     path = tmp_path / "catalog.json"
     if content is not None:

@@ -7,6 +7,7 @@ re-run them; the test wrappers pin the seeds used in CI.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +305,20 @@ def test_reduction_primes():
                 assert all(pow(r, d, p) != 1 for d in range(1, L))
     # catalog widths, all below 256, get the primes below 2^28
     assert {modp.prime_ceiling(n) for n in range(64, 256)} == {1 << 28}
+
+
+def test_packed_ops_refuse_a_prime_at_the_ceiling():
+    for n in (1, 24, 255, 256):
+        ceiling = modp.prime_ceiling(n)
+        row = modp.pack([1] * n)
+        below = modp.reductions(cyclo_context(1), n)[0].p
+        assert modp.rank([row], n, below) == 1
+        assert modp.unpack(modp.mul(row, 1, n, below), n) == (1,) * n
+        for p in (ceiling, ceiling + 1):
+            with pytest.raises(ValueError, match="not below"):
+                modp.rank([row], n, p)
+            with pytest.raises(ValueError, match="not below"):
+                modp.mul(row, row, n, p)
 
 
 def test_is_prime_small_numbers():

@@ -215,19 +215,33 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     seven = next(c for c in raw["cases"] if c["label"] == "7")
     # doctored: homogeneous of weight 2 but equal to 2*frho7^2, not zero
     seven["presentation"]["relations"][0]["poly"] = "frho7^2 + fchi7*fchi7_bar"
-    exact = _count_exact_ranks(monkeypatch)
-    modp_ranks = []
-    rank_mod_p = modp.rank
-    monkeypatch.setattr(modp, "rank",
-                        lambda rows, n, p: modp_ranks.append(rows) or rank_mod_p(rows, n, p))
-    report = verify_kernel(Catalog(raw), "7", kmax2=4)
+    cat = Catalog(raw)
+    bounds = []
+
+    def recorded(ctx, bound, width, reduced_rows, exact_rows):
+        bounds.append((bound, width))
+        return certified_rank(ctx, bound, width, reduced_rows, exact_rows)
+
+    monkeypatch.setattr(verify, "certified_rank", recorded)
+    report = verify_kernel(cat, "7", kmax2=8)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
-    # the ideal no longer lies in the kernel, so nothing bounds its rank: it is ranked
-    # exactly at each weight, and only the q-expansion matrices are reduced mod p
-    assert len(exact) == len(modp_ranks) == len(report.details["weights2"]) == 2
-    assert report.details["kernel_dims"] == [0, 1]
-    assert report.details["ideal_dims"] == [0, 1]
+    # the ideal no longer lies in the kernel, so only the number of monomials bounds
+    # its rank; it is still ranked through certified_rank, after the span rank of its
+    # weight, and the rank reported is the exact one
+    weights2 = report.details["weights2"]
+    assert weights2 == [2, 4, 6, 8] and len(bounds) == 2 * len(weights2)
+    runner = CaseRunner(cat, cat.cases["7"], presentation=True)
+    rel_terms = [(rel.w2, runner.relation_terms(rel))
+                 for rel in cat.cases["7"].presentation.relations]
+    exact = []
+    for j2, (bound, width) in zip(weights2, bounds[1::2]):
+        mons = weighted_monomials(runner.weights2, j2)
+        assert bound == width == len(mons)
+        exact.append(row_echelon_rank(verify._ideal_vectors(
+            rel_terms, runner.weights2, mons, j2, runner.evaluator.ctx.zero)))
+    assert report.details["ideal_dims"] == exact == [0, 1, 3, 6]
+    assert report.details["kernel_dims"][:2] == [0, 1]
 
 
 def _dim_one_too_high(raw, label: str, from_j2: int):
@@ -318,6 +332,56 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
         assert modp.rank(reduce(red), ncols, red.p) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
         assert certified_rank(ctx, bound, ncols, reduce, lambda: rows) == rank
+
+
+def test_a_kernel_check_states_the_precision_its_relations_ran_at(monkeypatch):
+    # at weight 1 the kernel's own cutoff is low; half12's relations need 18
+    kernel, relation = check_plan(CAT, "kernel", "half12", 2), check_plan(CAT, "relation", "half12")
+    assert kernel.cutoff == relation.cutoff == 18
+    precs = []
+    values = CaseRunner.relation_values
+
+    def recorded(self, prec):
+        precs.append(prec)
+        return values(self, prec)
+
+    monkeypatch.setattr(CaseRunner, "relation_values", recorded)
+    report = verify_kernel(CAT, "half12", kmax2=2)
+    assert report.status == "pass"
+    assert precs == [report.precision] == [26]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_relations(CAT, "7", prec_override=2),
+    lambda: verify_span(CAT, "7", prec_override=2),
+    lambda: verify_kernel(CAT, "7", prec_override=2),
+    lambda: verify_identity(CAT, "c4_sq", prec_override=2),
+], ids=["relation", "span", "kernel", "identity"])
+def test_an_override_below_the_cutoff_is_refused(check):
+    with pytest.raises(PrecisionTooLow, match="below the certified cutoff"):
+        check()
+
+
+def test_a_plan_refuses_a_low_override_and_raises_an_accepted_one_to_its_guard():
+    plan = check_plan(CAT, "kernel", "7", 24)
+    assert plan.cutoff == 26
+    assert plan.prec(None) == plan.prec(plan.cutoff) == plan.cutoff + GUARD
+    assert plan.prec(plan.cutoff + GUARD + 5) == plan.cutoff + GUARD + 5
+    with pytest.raises(PrecisionTooLow, match="certified cutoff 26"):
+        plan.prec(plan.cutoff - 1)
+    assert check_plan(CAT, "kernel", "16full").prec(1) == GUARD  # a skipped check refuses nothing
+
+
+def test_full_report_refuses_a_low_override_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "verify_identity", lambda *args: ran.append(args))
+    with pytest.raises(PrecisionTooLow, match="^span check of '7': .* cutoff 18;"):
+        full_report(CAT, cases=["c4_sq", "7"], prec_override=17)
+    assert ran == []
+    # hilbert and integrality checks take no override
+    reports = full_report(CAT, checks={"hilbert", "integrality"}, cases=["7", "alpha7"],
+                          prec_override=1)
+    assert [r.status for r in reports] == ["pass", "pass"]
 
 
 def test_verify_relations_states():
