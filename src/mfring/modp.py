@@ -8,8 +8,8 @@ matrix, so a rank mod p is a lower bound on the exact rank (Stein,
 
 A vector of n residues is one int of n unsigned 64-bit slots, residue j
 in bits [64j, 64j + 64), packed and unpacked in C by ``struct``.  The
-primes depend on the width n only: the largest ones that are 1 mod L
-below ``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2), so that
+prime depends on the width n only: the largest p = 1 (mod L) below
+``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2), so that
 n * (p - 1)^2 + p < 2^64 and no slot ever carries.  A truncated product
 is one big-int multiply (Kronecker substitution: a slot sums at most n
 products below p^2), and an elimination step is one big-int multiply-add
@@ -26,7 +26,6 @@ from struct import Struct
 
 from .cyclo import CycloNum, FieldCtx
 
-PRIMES_PER_FIELD = 2
 SLOT = (1 << 64) - 1
 
 # these bases decide primality for every n < 3.3 * 10^24 (Sorenson and Webster, 2015)
@@ -77,12 +76,16 @@ def unpack(x: int, n: int) -> tuple[int, ...]:
 
 
 class Reduction:
-    """The map Q(zeta_L) -> F_p, zeta_L -> r, on elements whose denominators p does not divide."""
+    """The map Q(zeta_L) -> F_p, zeta_L -> r, on elements whose denominators
+    p does not divide, and linear algebra on packed vectors of n residues."""
 
-    __slots__ = ("p", "powers")
+    __slots__ = ("p", "n", "powers")
 
-    def __init__(self, p: int, powers: tuple[int, ...]):
+    def __init__(self, p: int, n: int, powers: tuple[int, ...]):
+        if p >= prime_ceiling(n):  # a slot could carry
+            raise ValueError(f"prime {p} is not below prime_ceiling({n})")
         self.p = p
+        self.n = n
         self.powers = powers  # r^0, ..., r^(phi(L)-1) mod p
 
     def __call__(self, c: CycloNum) -> int:
@@ -101,24 +104,54 @@ class Reduction:
             acc = list(map(operator.add, acc, map(operator.mul, nums[k::d], repeat(self.powers[k]))))
         return pack(tuple(map(operator.mod, map(operator.mul, acc, repeat(inv)), repeat(p))))
 
+    def mul(self, a: int, b: int) -> int:
+        """Truncated product mod p of two packed vectors of n residues in [0, p)."""
+        n = self.n
+        raw = (a * b) & ((1 << 64 * n) - 1)
+        return pack(tuple(map(operator.mod, unpack(raw, n), repeat(self.p))))
 
-def reductions(ctx: FieldCtx, n: int) -> tuple[Reduction, ...]:
-    """The reductions of Q(zeta_L) for vectors of n residues, largest prime first."""
-    return _reductions(ctx, prime_ceiling(n))
+    def rank(self, rows) -> int:
+        """Rank over F_p of packed rows of n residues in [0, p), by elimination;
+        pivot on the leftmost nonzero entry.
+
+        A pivot is kept as its column's bit offset and the negation of its row
+        scaled to lead 1, so clearing the column adds c times it.  Each pivot
+        row was reduced by every earlier one before it was stored, so reducing
+        by the pivots in insertion order clears all their columns.
+        """
+        n, p = self.n, self.p
+        pivots: list[tuple[int, int]] = []
+        for row in rows:
+            for shift, neg in pivots:
+                c = ((row >> shift) & SLOT) % p
+                if c:
+                    row += c * neg
+            slots = unpack(row, n)
+            lead = next((j for j, v in enumerate(slots) if v % p), None)
+            if lead is not None:
+                neg_inv = p - pow(slots[lead], -1, p)
+                pivots.append((64 * lead, pack([v * neg_inv % p for v in slots])))
+        return len(pivots)
 
 
 @lru_cache(maxsize=None)
-def _reductions(ctx: FieldCtx, ceiling: int) -> tuple[Reduction, ...]:
-    """The reductions at the PRIMES_PER_FIELD largest primes p = 1 (mod L)
-    below ceiling (fewer if there are fewer)."""
-    L, out = ctx.L, []
-    n = (ceiling - 2) // L * L + 1
-    while len(out) < PRIMES_PER_FIELD and n > 1:
-        if is_prime(n):
-            r = _root_of_cyclotomic(L, n)
-            out.append(Reduction(n, tuple(pow(r, k, n) for k in range(ctx.degree))))
-        n -= L
-    return tuple(out)
+def reduction(ctx: FieldCtx, n: int) -> Reduction | None:
+    """The reduction of Q(zeta_L) for vectors of n residues, at the largest
+    prime p = 1 (mod L) below prime_ceiling(n); None if there is no such prime."""
+    found = _prime_and_powers(ctx, prime_ceiling(n))
+    return None if found is None else Reduction(found[0], n, found[1])
+
+
+@lru_cache(maxsize=None)
+def _prime_and_powers(ctx: FieldCtx, ceiling: int) -> tuple[int, tuple[int, ...]] | None:
+    """The largest prime p = 1 (mod L) below ceiling and the powers of a root
+    of Phi_L mod p, or None."""
+    L = ctx.L
+    for p in range((ceiling - 2) // L * L + 1, 1, -L):
+        if is_prime(p):
+            r = _root_of_cyclotomic(L, p)
+            return p, tuple(pow(r, k, p) for k in range(ctx.degree))
+    return None
 
 
 def _root_of_cyclotomic(L: int, p: int) -> int:
@@ -129,36 +162,3 @@ def _root_of_cyclotomic(L: int, p: int) -> int:
         if all(pow(r, d, p) != 1 for d in range(1, L)):
             return r
         a += 1
-
-
-def mul(a: int, b: int, n: int, p: int) -> int:
-    """Truncated product mod p of two packed vectors of n residues in [0, p)."""
-    if p >= prime_ceiling(n):  # a slot could carry
-        raise ValueError(f"prime {p} is not below prime_ceiling({n})")
-    raw = (a * b) & ((1 << 64 * n) - 1)
-    return pack(tuple(map(operator.mod, unpack(raw, n), repeat(p))))
-
-
-def rank(rows, n: int, p: int) -> int:
-    """Rank over F_p of packed rows of n residues in [0, p), by elimination;
-    pivot on the leftmost nonzero entry.
-
-    A pivot is kept as its column's bit offset and the negation of its row
-    scaled to lead 1, so clearing the column adds c times it.  Each pivot
-    row was reduced by every earlier one before it was stored, so reducing
-    by the pivots in insertion order clears all their columns.
-    """
-    if p >= prime_ceiling(n):  # a slot could carry
-        raise ValueError(f"prime {p} is not below prime_ceiling({n})")
-    pivots: list[tuple[int, int]] = []
-    for row in rows:
-        for shift, neg in pivots:
-            c = ((row >> shift) & SLOT) % p
-            if c:
-                row += c * neg
-        slots = unpack(row, n)
-        lead = next((j for j, v in enumerate(slots) if v % p), None)
-        if lead is not None:
-            neg_inv = p - pow(slots[lead], -1, p)
-            pivots.append((64 * lead, pack([v * neg_inv % p for v in slots])))
-    return len(pivots)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from functools import cache
 from operator import add
 from typing import NamedTuple
 
@@ -107,21 +106,21 @@ def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows, exact_ro
     """The rank of a matrix over Q(zeta_L) with width columns that is known
     to be at most bound.
 
-    ``reduced_rows(red)`` gives the matrix under a reduction mod p, one
-    packed int per row (see ``modp``), and ``exact_rows()`` the matrix
-    itself.  Reduction is a ring map on p-integral entries, so rank_p <=
-    rank <= bound, and rank_p == bound proves rank == bound.  Where no
-    prime proves it, or a denominator is divisible by every prime tried,
-    the rank is computed by exact elimination, so a check that fails
-    reports the exact rank.
+    ``reduced_rows(red)`` gives the matrix under the one reduction of its
+    width, one packed int per row (see ``modp``), and ``exact_rows()`` the
+    matrix itself.  Reduction is a ring map on p-integral entries, so
+    rank_p <= rank <= bound, and rank_p == bound proves rank == bound.
+    Where the rank mod p falls short, a denominator is divisible by p, or
+    no prime fits the width, the rank is computed by exact elimination, so
+    a check that fails reports the exact rank.
     """
-    for red in modp.reductions(ctx, width):
-        try:
-            rows = reduced_rows(red)
-        except ZeroDivisionError:  # an entry is not p-integral: next prime
-            continue
-        if modp.rank(rows, width, red.p) == bound:
-            return bound
+    red = modp.reduction(ctx, width)
+    try:
+        rows = None if red is None else reduced_rows(red)
+    except ZeroDivisionError:  # an entry is not p-integral
+        rows = None
+    if rows is not None and red.rank(rows) == bound:
+        return bound
     return row_echelon_rank(exact_rows())
 
 
@@ -136,7 +135,7 @@ class CaseRunner:
         self.aux = case.presentation.aux if presentation else ()  # case_gens checked it exists
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
-        self._reduced: dict = {}  # (p, exps) -> (prec, monomial_series(exps, prec) mod p packed)
+        self._reduced: dict = {}  # (red, exps) -> monomial_series(exps, red.n) under red, packed
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -157,13 +156,13 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], prec: int, red) -> int:
-        """monomial_series(exps, prec) reduced mod red.p and packed, built
+    def reduced_monomial(self, exps: tuple[int, ...], red) -> int:
+        """monomial_series(exps, red.n) under the reduction red, packed, built
         from the reduced generator series by products mod p."""
-        key = (red.p, exps)
-        cached = self._reduced.get(key)
-        if cached is not None and cached[0] >= prec:
-            return cached[1] & ((1 << 64 * prec) - 1) if cached[0] > prec else cached[1]
+        key = (red, exps)
+        out = self._reduced.get(key)
+        if out is not None:
+            return out
         if not any(exps):
             out = 1
         else:
@@ -171,11 +170,10 @@ class CaseRunner:
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
                 gen = tuple(int(j == i) for j in range(len(exps)))
-                out = modp.mul(self.reduced_monomial(gen, prec, red),
-                               self.reduced_monomial(rest, prec, red), prec, red.p)
+                out = red.mul(self.reduced_monomial(gen, red), self.reduced_monomial(rest, red))
             else:
-                out = red.series(self.gen_series(i, prec))
-        self._reduced[key] = (prec, out)
+                out = red.series(self.gen_series(i, red.n))
+        self._reduced[key] = out
         return out
 
     def span_rank(self, k2: int, prec: int, dim: int) -> int:
@@ -190,7 +188,7 @@ class CaseRunner:
         mons = weighted_monomials(self.weights2, k2)
         return certified_rank(
             self.evaluator.ctx, dim, prec,
-            lambda red: [self.reduced_monomial(e, prec, red) for e in mons],
+            lambda red: [self.reduced_monomial(e, red) for e in mons],
             lambda: [self.monomial_series(e, prec).coeffs for e in mons])
 
     def relation_terms(self, rel) -> dict:
@@ -391,7 +389,6 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     in_kernel = status == "pass"
     ctx, zero = runner.evaluator.ctx, runner.evaluator.ctx.zero
 
-    @cache
     def reduced(red):  # rel_terms with coefficients reduced mod red.p
         return [(w2, {e: red(c) for e, c in terms.items()}) for w2, terms in rel_terms]
 

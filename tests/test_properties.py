@@ -203,26 +203,21 @@ def list_rank(rows, p):
     return len(pivots)
 
 
-def _prime(L, n, which=0):
-    return modp.reductions(cyclo_context(L), n)[which].p
-
-
 @st.composite
-def _residue_lists(draw, L, which):
+def _residue_lists(draw, L):
     n = draw(st.one_of(st.integers(1, 48), st.sampled_from(EDGE_WIDTHS[:14])))
-    p = _prime(L, n, which)
-    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
-    return (p, draw(st.lists(entry, min_size=n, max_size=n)),
+    red = modp.reduction(cyclo_context(L), n)
+    entry = st.one_of(st.integers(0, red.p - 1), st.sampled_from([0, 1, red.p - 1]))
+    return (red, draw(st.lists(entry, min_size=n, max_size=n)),
             draw(st.lists(entry, min_size=n, max_size=n)))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(MODP_CONDUCTORS), st.integers(0, modp.PRIMES_PER_FIELD - 1), st.data())
-def test_packed_product_mod_p_equals_schoolbook(L, which, data):
-    p, a, b = data.draw(_residue_lists(L, which))
-    n = len(a)
-    got = modp.mul(modp.pack(a), modp.pack(b), n, p)
-    assert list(modp.unpack(got, n)) == schoolbook_mul_mod(a, b, p)
+@given(st.sampled_from(MODP_CONDUCTORS), st.data())
+def test_packed_product_mod_p_equals_schoolbook(L, data):
+    red, a, b = data.draw(_residue_lists(L))
+    got = red.mul(modp.pack(a), modp.pack(b))
+    assert list(modp.unpack(got, red.n)) == schoolbook_mul_mod(a, b, red.p)
 
 
 def test_packed_product_mod_p_full_slots():
@@ -230,38 +225,39 @@ def test_packed_product_mod_p_full_slots():
     # each prime; slot k of the square is (k+1)(p-1)^2 = k+1 (mod p)
     for L in MODP_CONDUCTORS:
         for n in EDGE_WIDTHS:
-            for red in modp.reductions(cyclo_context(L), n):
-                p, full = red.p, [red.p - 1] * n
-                want = [(k + 1) % p for k in range(n)]
-                a = modp.pack(full)
-                assert list(modp.unpack(modp.mul(a, a, n, p), n)) == want
-                if n <= 64:
-                    assert schoolbook_mul_mod(full, full, p) == want
+            red = modp.reduction(cyclo_context(L), n)
+            p, full = red.p, [red.p - 1] * n
+            want = [(k + 1) % p for k in range(n)]
+            a = modp.pack(full)
+            assert list(modp.unpack(red.mul(a, a), n)) == want
+            if n <= 64:
+                assert schoolbook_mul_mod(full, full, p) == want
 
 
 def test_packed_rank_full_slots():
     # pivots e_i + e_(n-1) scale to lead 1 with negation p-1 in slots i and n-1;
     # a row that is p-1 in slots 0..n-2 takes c = p-1 at each of them, so its
     # last slot collects (n-1) * (p-1)^2 on top of its own entry, and ends at
-    # that entry plus n-1 (mod p); L = 1 gives the largest primes below each ceiling
+    # that entry plus n-1 (mod p); L = 1 gives the largest prime below each ceiling
     for n in (w for w in EDGE_WIDTHS if w < 512):
-        for red in modp.reductions(cyclo_context(1), n):
-            p = red.p
-            pivots = [[int(j == i or j == n - 1) for j in range(n)] for i in range(n - 1)]
-            full = [p - 1] * n  # ends at n - 2, zero only for n = 2
-            in_span = [p - 1] * (n - 1) + [(1 - n) % p]  # ends at 0
-            for extra, want in ((full, n - int(n == 2)), (in_span, n - 1)):
-                rows = pivots + [extra]
-                assert modp.rank(map(modp.pack, rows), n, p) == want, (n, p)
-                if n <= 64:
-                    assert list_rank(rows, p) == want
+        red = modp.reduction(cyclo_context(1), n)
+        p = red.p
+        pivots = [[int(j == i or j == n - 1) for j in range(n)] for i in range(n - 1)]
+        full = [p - 1] * n  # ends at n - 2, zero only for n = 2
+        in_span = [p - 1] * (n - 1) + [(1 - n) % p]  # ends at 0
+        for extra, want in ((full, n - int(n == 2)), (in_span, n - 1)):
+            rows = pivots + [extra]
+            assert red.rank(map(modp.pack, rows)) == want, (n, p)
+            if n <= 64:
+                assert list_rank(rows, p) == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MODP_CONDUCTORS), st.integers(0, modp.PRIMES_PER_FIELD - 1),
-       st.integers(1, 10), st.integers(1, 40), st.integers(0, 10), st.data())
-def test_packed_rank_equals_list_elimination(L, which, nrows, n, inner, data):
-    p = _prime(L, n, which)
+@given(st.sampled_from(MODP_CONDUCTORS), st.integers(1, 10), st.integers(1, 40),
+       st.integers(0, 10), st.data())
+def test_packed_rank_equals_list_elimination(L, nrows, n, inner, data):
+    red = modp.reduction(cyclo_context(L), n)
+    p = red.p
     entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
     # a product of nrows x inner and inner x n matrices, plus sparse rows: rank at most inner
     left = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(nrows)]
@@ -270,7 +266,7 @@ def test_packed_rank_equals_list_elimination(L, which, nrows, n, inner, data):
             for row in left]
     rows += data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, p - 1]), min_size=n, max_size=n),
                                max_size=3))
-    assert modp.rank([modp.pack(r) for r in rows], n, p) == list_rank(rows, p)
+    assert red.rank([modp.pack(r) for r in rows]) == list_rank(rows, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,37 +284,35 @@ def test_reduction_primes():
         for n in (0, 1, 24, 48, 255, 256, 1023, 1024):
             ceiling = modp.prime_ceiling(n)
             assert ceiling == 1 << (64 - n.bit_length()) // 2
-            reds = modp.reductions(ctx, n)
-            assert len(reds) == modp.PRIMES_PER_FIELD
-            assert [r.p for r in reds] == sorted((r.p for r in reds), reverse=True)
-            for red in reds:
-                p = red.p
-                assert p < ceiling and p % L == 1 % L and modp.is_prime(p)
-                # no slot carries, in products or in elimination
-                assert n * (p - 1) ** 2 + p < 1 << 64
-                # no prime = 1 (mod L) lies between p and the ceiling, except the ones above it
-                above = [q for q in range(p + L, ceiling, L) if modp.is_prime(q)]
-                assert [r.p for r in reds if r.p > p] == sorted(above, reverse=True)
-                # zeta goes to an element of order exactly L
-                r = red(ctx.zeta_power(1))
-                assert pow(r, L, p) == 1
-                assert all(pow(r, d, p) != 1 for d in range(1, L))
+            red = modp.reduction(ctx, n)
+            assert red is modp.reduction(ctx, n) and red.n == n
+            p = red.p
+            assert p < ceiling and p % L == 1 % L and modp.is_prime(p)
+            # no slot carries, in products or in elimination
+            assert n * (p - 1) ** 2 + p < 1 << 64
+            # one prime per width: no prime = 1 (mod L) lies between p and the ceiling
+            assert not [q for q in range(p + L, ceiling, L) if modp.is_prime(q)]
+            # zeta goes to an element of order exactly L
+            r = red(ctx.zeta_power(1))
+            assert pow(r, L, p) == 1
+            assert all(pow(r, d, p) != 1 for d in range(1, L))
     # catalog widths, all below 256, get the primes below 2^28
     assert {modp.prime_ceiling(n) for n in range(64, 256)} == {1 << 28}
+    # a width whose ceiling is 2 has no prime
+    assert modp.reduction(cyclo_context(1), 1 << 60) is None
 
 
 def test_packed_ops_refuse_a_prime_at_the_ceiling():
     for n in (1, 24, 255, 256):
         ceiling = modp.prime_ceiling(n)
         row = modp.pack([1] * n)
-        below = modp.reductions(cyclo_context(1), n)[0].p
-        assert modp.rank([row], n, below) == 1
-        assert modp.unpack(modp.mul(row, 1, n, below), n) == (1,) * n
+        red = modp.reduction(cyclo_context(1), n)
+        below = modp.Reduction(red.p, n, red.powers)
+        assert below.rank([row]) == 1
+        assert modp.unpack(below.mul(row, 1), n) == (1,) * n
         for p in (ceiling, ceiling + 1):
             with pytest.raises(ValueError, match="not below"):
-                modp.rank([row], n, p)
-            with pytest.raises(ValueError, match="not below"):
-                modp.mul(row, row, n, p)
+                modp.Reduction(p, n, (1,))
 
 
 def test_is_prime_small_numbers():
@@ -340,7 +334,7 @@ _COORDS = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9)), min_size=
 def test_reduction_is_a_ring_map(L, xs, ys):
     ctx = cyclo_context(L)
     x, y = _cyclo(ctx, xs), _cyclo(ctx, ys)
-    for red in modp.reductions(ctx, 1) + modp.reductions(ctx, 256):
+    for red in (modp.reduction(ctx, 1), modp.reduction(ctx, 256)):
         p = red.p
         assert red(x * y) == red(x) * red(y) % p
         assert red(x + y) == (red(x) + red(y)) % p
@@ -355,7 +349,7 @@ def test_reduced_series_product_is_the_product_of_reductions(L, fs, data):
     f = series_of(ctx, [_cyclo(ctx, c) for c in fs])
     g = series_of(ctx, [_cyclo(ctx, data.draw(_COORDS)) for _ in fs])
     n = len(fs)
-    red = modp.reductions(ctx, n)[0]
-    product = modp.mul(red.series(f), red.series(g), n, red.p)
+    red = modp.reduction(ctx, n)
+    product = red.mul(red.series(f), red.series(g))
     assert red.series(f * g) == product
     assert [red(c) for c in (f * g).coeffs] == list(modp.unpack(product, n))

@@ -51,6 +51,28 @@ def _count_exact_ranks(monkeypatch) -> list:
     return seen
 
 
+def _count_rank_paths(monkeypatch) -> list:
+    """Record (bound, width, ranks mod p, exact eliminations) for every
+    certified rank from now on."""
+    paths, mod_p = [], []
+    exact = _count_exact_ranks(monkeypatch)
+    rank_mod_p, certified = modp.Reduction.rank, verify.certified_rank
+
+    def counted(red, rows):
+        mod_p.append(red.p)
+        return rank_mod_p(red, rows)
+
+    def recorded(ctx, bound, width, reduced_rows, exact_rows):
+        before = len(mod_p), len(exact)
+        out = certified(ctx, bound, width, reduced_rows, exact_rows)
+        paths.append((bound, width, len(mod_p) - before[0], len(exact) - before[1]))
+        return out
+
+    monkeypatch.setattr(modp.Reduction, "rank", counted)
+    monkeypatch.setattr(verify, "certified_rank", recorded)
+    return paths
+
+
 def test_weighted_monomial_counts():
     assert len(weighted_monomials([2, 2, 2], 4)) == 6
     assert len(weighted_monomials([2, 4, 6], 12)) == 7
@@ -216,13 +238,7 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     # doctored: homogeneous of weight 2 but equal to 2*frho7^2, not zero
     seven["presentation"]["relations"][0]["poly"] = "frho7^2 + fchi7*fchi7_bar"
     cat = Catalog(raw)
-    bounds = []
-
-    def recorded(ctx, bound, width, reduced_rows, exact_rows):
-        bounds.append((bound, width))
-        return certified_rank(ctx, bound, width, reduced_rows, exact_rows)
-
-    monkeypatch.setattr(verify, "certified_rank", recorded)
+    paths = _count_rank_paths(monkeypatch)
     report = verify_kernel(cat, "7", kmax2=8)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
@@ -230,12 +246,15 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     # its rank; it is still ranked through certified_rank, after the span rank of its
     # weight, and the rank reported is the exact one
     weights2 = report.details["weights2"]
-    assert weights2 == [2, 4, 6, 8] and len(bounds) == 2 * len(weights2)
+    assert weights2 == [2, 4, 6, 8] and len(paths) == 2 * len(weights2)
+    # a span rank is decided by its one rank mod p; an ideal rank falls short of its
+    # bound mod p once and is then computed exactly: 8 ranks mod p, 4 eliminations
+    assert [path[2:] for path in paths] == [(1, 0), (1, 1)] * len(weights2)
     runner = CaseRunner(cat, cat.cases["7"], presentation=True)
     rel_terms = [(rel.w2, runner.relation_terms(rel))
                  for rel in cat.cases["7"].presentation.relations]
     exact = []
-    for j2, (bound, width) in zip(weights2, bounds[1::2]):
+    for j2, (bound, width, _, _) in zip(weights2, paths[1::2]):
         mons = weighted_monomials(runner.weights2, j2)
         assert bound == width == len(mons)
         exact.append(row_echelon_rank(verify._ideal_vectors(
@@ -278,20 +297,19 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
     assert all(not rows or isinstance(rows[0], tuple) for rows in exact)
 
 
-def test_a_denominator_divisible_by_the_first_prime_is_decided_by_the_second(monkeypatch):
+def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(monkeypatch):
     ctx = cyclo_context(4)
-    first, second = modp.reductions(ctx, 3)
+    red = modp.reduction(ctx, 3)
     z = ctx.zeta_power(1)
-    x = ctx.from_rational(Fraction(1, first.p)) + z
+    x = ctx.from_rational(Fraction(1, red.p)) + z
     rows = [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]
     with pytest.raises(ZeroDivisionError):
-        first(x)
-    assert second(x) == (pow(first.p, -1, second.p) + second(z)) % second.p
+        red(x)
     exact = _count_exact_ranks(monkeypatch)
     got = certified_rank(ctx, 2, 3, lambda red: [modp.pack([red(c) for c in row]) for row in rows],
                          lambda: rows)
     assert got == 2 == row_echelon_rank(rows)
-    assert exact == []
+    assert exact == [rows]
 
 
 def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
@@ -305,6 +323,11 @@ def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == 1
     assert exact == [rows]
     assert certified_rank(ctx, 0, 0, lambda red: [], lambda: []) == 0
+    # no prime p = 1 (mod 3) lies below the ceiling of this width, 2
+    assert modp.reduction(ctx, 1 << 60) is None
+    no_rows = lambda red: pytest.fail("no reduction fits")  # noqa: E731
+    assert certified_rank(ctx, 1, 1 << 60, no_rows, lambda: rows) == 1
+    assert exact == [rows, rows]
 
 
 _ENTRY = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
@@ -328,8 +351,8 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
             for row in left]
     rank = row_echelon_rank(rows)
     reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
-    for red in modp.reductions(ctx, ncols):
-        assert modp.rank(reduce(red), ncols, red.p) <= rank
+    red = modp.reduction(ctx, ncols)
+    assert red.rank(reduce(red)) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
         assert certified_rank(ctx, bound, ncols, reduce, lambda: rows) == rank
 
@@ -446,6 +469,19 @@ def test_full_batch_all_green(monkeypatch):
     assert sorted(records) == sorted(golden)
     for key, rec in records.items():
         assert rec == golden[key], key
+
+
+def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
+    """Every certified rank of full_report, and of the kernels of 9 and half12
+    to doubled weight 20, is decided by exactly one rank mod p, with no exact
+    elimination."""
+    paths = _count_rank_paths(monkeypatch)
+    full_report(CAT)
+    in_full_report = len(paths)
+    for label in ("9", "half12"):
+        assert verify_kernel(CAT, label, kmax2=20).status == "pass"
+    assert 0 < in_full_report < len(paths)
+    assert {path[2:] for path in paths} == {(1, 0)}
 
 
 def test_full_report_builds_each_constructor_series_once(monkeypatch):
