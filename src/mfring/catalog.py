@@ -133,8 +133,10 @@ def _subgroup_order(N: int, gens: tuple[int, ...]) -> int:
     return len(seen)
 
 
+@lru_cache(maxsize=None)
 def group_index(group: GroupSpec) -> int:
-    """Index of the image in PSL2(Z)."""
+    """Index of the image in PSL2(Z), computed once per group: every Sturm
+    bound needs it."""
     if group.kind == "full":
         return 1
     if group.kind == "gamma0":

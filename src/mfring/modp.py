@@ -15,6 +15,11 @@ is one big-int multiply (Kronecker substitution: a slot sums at most n
 products below p^2), and an elimination step is one big-int multiply-add
 (each of at most n pivots adds a multiple below p^2 to a slot that
 started below p).  Every run reduces with the same primes and roots.
+
+A rank is always certified against a known upper bound, so elimination
+stops at the bound and returns which input rows became pivots: those rows
+are independent mod p, hence over Q(zeta_L), and a caller can reuse them
+as a basis.
 """
 
 from __future__ import annotations
@@ -110,9 +115,11 @@ class Reduction:
         raw = (a * b) & ((1 << 64 * n) - 1)
         return pack(tuple(map(operator.mod, unpack(raw, n), repeat(self.p))))
 
-    def rank(self, rows) -> int:
-        """Rank over F_p of packed rows of n residues in [0, p), by elimination;
-        pivot on the leftmost nonzero entry.
+    def rank(self, rows, bound: int) -> list[int]:
+        """Elimination over F_p of packed rows of n residues in [0, p), pivot on
+        the leftmost nonzero entry, stopped once bound rows have become pivots;
+        the indices of the rows that became pivots, in order.  Their number
+        is min(rank, bound), and rows after the last pivot are never read.
 
         A pivot is kept as its column's bit offset and the negation of its row
         scaled to lead 1, so clearing the column adds c times it.  Each pivot
@@ -121,7 +128,10 @@ class Reduction:
         """
         n, p = self.n, self.p
         pivots: list[tuple[int, int]] = []
-        for row in rows:
+        kept: list[int] = []
+        if bound <= 0:
+            return kept
+        for index, row in enumerate(rows):
             for shift, neg in pivots:
                 c = ((row >> shift) & SLOT) % p
                 if c:
@@ -129,9 +139,12 @@ class Reduction:
             slots = unpack(row, n)
             lead = next((j for j, v in enumerate(slots) if v % p), None)
             if lead is not None:
+                kept.append(index)
+                if len(kept) == bound:
+                    break
                 neg_inv = p - pow(slots[lead], -1, p)
                 pivots.append((64 * lead, pack([v * neg_inv % p for v in slots])))
-        return len(pivots)
+        return kept
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,9 @@ coefficient vectors on a monomial basis (for the degreewise span of a
 relation ideal).  Each such rank has a known upper bound, and a rank
 modulo a prime that reaches the bound proves it (``certified_rank``);
 only where no prime does is the rank computed by exact elimination.
+Span ranks climb one weight ladder per ``CaseRunner``: at each weight only
+the generators times the basis proved one generator weight down are ranked
+mod p (``CaseRunner.ladder``).
 Elimination pivots on the leftmost nonzero entry with no size
 heuristics, so runs are bit-for-bit reproducible.
 """
@@ -102,26 +105,30 @@ def row_echelon_rank(rows) -> int:
     return len(pivots)
 
 
-def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows, exact_rows) -> int:
+def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows,
+                   exact_rows) -> tuple[int, list[int] | None]:
     """The rank of a matrix over Q(zeta_L) with width columns that is known
-    to be at most bound.
+    to be at most bound, and the indices of the rows that proved it.
 
     ``reduced_rows(red)`` gives the matrix under the one reduction of its
     width, one packed int per row (see ``modp``), and ``exact_rows()`` the
     matrix itself.  Reduction is a ring map on p-integral entries, so
-    rank_p <= rank <= bound, and rank_p == bound proves rank == bound.
-    Where the rank mod p falls short, a denominator is divisible by p, or
-    no prime fits the width, the rank is computed by exact elimination, so
-    a check that fails reports the exact rank.
+    rank_p <= rank <= bound, and rank_p == bound proves rank == bound; the
+    rank mod p stops at the bound and hands back its pivot rows, which are
+    independent.  Where the rank mod p falls short, a denominator is
+    divisible by p, or no prime fits the width, the rank is computed by
+    exact elimination and no rows are handed back, so a check that fails
+    reports the exact rank.
     """
     red = modp.reduction(ctx, width)
-    try:
-        rows = None if red is None else reduced_rows(red)
-    except ZeroDivisionError:  # an entry is not p-integral
-        rows = None
-    if rows is not None and red.rank(rows) == bound:
-        return bound
-    return row_echelon_rank(exact_rows())
+    if red is not None:
+        try:
+            pivots = red.rank(reduced_rows(red), bound)
+        except ZeroDivisionError:  # an entry is not p-integral
+            pivots = None
+        if pivots is not None and len(pivots) == bound:
+            return bound, pivots
+    return row_echelon_rank(exact_rows()), None
 
 
 class CaseRunner:
@@ -136,6 +143,7 @@ class CaseRunner:
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
         self._reduced: dict = {}  # (red, exps) -> monomial_series(exps, red.n) under red, packed
+        self._bases: dict = {}  # (prec, k2) -> monomials proved a basis of M_k by span_rank
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -156,9 +164,10 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], red) -> int:
+    def reduced_monomial(self, exps: tuple[int, ...], red, i: int | None = None) -> int:
         """monomial_series(exps, red.n) under the reduction red, packed, built
-        from the reduced generator series by products mod p."""
+        from the reduced generator series by products mod p: generator i (by
+        default the first in exps) times the rest."""
         key = (red, exps)
         out = self._reduced.get(key)
         if out is not None:
@@ -166,7 +175,8 @@ class CaseRunner:
         if not any(exps):
             out = 1
         else:
-            i = next(j for j, e in enumerate(exps) if e)
+            if i is None:
+                i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
                 gen = tuple(int(j == i) for j in range(len(exps)))
@@ -176,20 +186,48 @@ class CaseRunner:
         self._reduced[key] = out
         return out
 
+    def ladder(self, k2: int, prec: int) -> dict[tuple[int, ...], int | None]:
+        """The rows span_rank ranks mod p at doubled weight k2, each mapped to
+        the generator it is split at: g_i * b for each generator g_i and each
+        b in the basis proved at k2 - w_i at this precision (every monomial of
+        that weight where none was), in generator order without repeats.
+
+        Every monomial of weight k2 > 0 is g_i times one of weight k2 - w_i,
+        and a proved basis spans all of those, so these rows span what all
+        weight-k2 monomials span.
+        """
+        if k2 == 0:
+            return {(0,) * len(self.weights2): None}
+        rows: dict[tuple[int, ...], int | None] = {}
+        for i, w2 in enumerate(self.weights2):
+            if w2 <= k2:
+                lower = self._bases.get((prec, k2 - w2))
+                for b in weighted_monomials(self.weights2, k2 - w2) if lower is None else lower:
+                    rows.setdefault(b[:i] + (b[i] + 1,) + b[i + 1 :], i)
+        return rows
+
     def span_rank(self, k2: int, prec: int, dim: int) -> int:
         """Rank of the weight-k2 monomials truncated to prec coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it and a rank mod p equal to dim proves it.
+        bounds it.  Mod p only the ladder rows are ranked; they are weight-k2
+        monomials too, so a rank mod p equal to dim proves the rank of all of
+        them, and their pivots become the basis at k2 that the weights above
+        build on.  Otherwise all monomials are ranked by exact elimination.
         """
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
-        mons = weighted_monomials(self.weights2, k2)
-        return certified_rank(
+        rows = self.ladder(k2, prec)
+        rank, pivots = certified_rank(
             self.evaluator.ctx, dim, prec,
-            lambda red: [self.reduced_monomial(e, red) for e in mons],
-            lambda: [self.monomial_series(e, prec).coeffs for e in mons])
+            lambda red: (self.reduced_monomial(e, red, i) for e, i in rows.items()),
+            lambda: [self.monomial_series(e, prec).coeffs
+                     for e in weighted_monomials(self.weights2, k2)])
+        if pivots is not None:
+            mons = list(rows)
+            self._bases[prec, k2] = [mons[j] for j in pivots]
+        return rank
 
     def relation_terms(self, rel) -> dict:
         """The relation as {exponent vector over gens then aux: CycloNum}."""
@@ -397,10 +435,10 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         mons = weighted_monomials(runner.weights2, j2)
         rank = runner.span_rank(j2, prec, want)
         dim_kernel = len(mons) - rank
-        dim_ideal = certified_rank(
+        dim_ideal, _ = certified_rank(
             ctx, dim_kernel if in_kernel else len(mons), len(mons),
-            lambda red: list(map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
-                                                           mons, j2, 0))),
+            lambda red: map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
+                                                      mons, j2, 0)),
             lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from importlib import resources
 from math import gcd
 from pathlib import Path
@@ -71,6 +72,19 @@ def test_group_index_examples_and_oracles():
     assert group_index(CAT.group("g7")) == 24 == _gamma_h_index_oracle(7, [1])
     assert group_index(CAT.group("g11h3")) == 12 == _gamma_h_index_oracle(11, [3])
     assert group_index(CAT.group("g5")) == 12 == _gamma_h_index_oracle(5, [1])
+
+
+def test_full_report_computes_each_group_index_once(monkeypatch):
+    """Every Sturm bound needs its group's index; the index is computed once
+    per group, not once per bound."""
+    group_index.cache_clear()
+    levels = []
+    psi = catalog.psi_index
+    monkeypatch.setattr(catalog, "psi_index", lambda N: levels.append(N) or psi(N))
+    verify.full_report(CAT)
+    assert levels
+    # one psi_index per computed index, and only groups other than the full one need it
+    assert Counter(levels) <= Counter(g.level for g in CAT.groups.values() if g.kind != "full")
 
 
 def test_sturm_bounds():

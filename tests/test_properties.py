@@ -247,7 +247,7 @@ def test_packed_rank_full_slots():
         in_span = [p - 1] * (n - 1) + [(1 - n) % p]  # ends at 0
         for extra, want in ((full, n - int(n == 2)), (in_span, n - 1)):
             rows = pivots + [extra]
-            assert red.rank(map(modp.pack, rows)) == want, (n, p)
+            assert len(red.rank(map(modp.pack, rows), len(rows))) == want, (n, p)
             if n <= 64:
                 assert list_rank(rows, p) == want
 
@@ -266,7 +266,25 @@ def test_packed_rank_equals_list_elimination(L, nrows, n, inner, data):
             for row in left]
     rows += data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, p - 1]), min_size=n, max_size=n),
                                max_size=3))
-    assert red.rank([modp.pack(r) for r in rows]) == list_rank(rows, p)
+    rank = list_rank(rows, p)
+    assert len(red.rank([modp.pack(r) for r in rows], len(rows))) == rank
+    # stopped at a bound: min(rank, bound) pivots, each the first row independent of
+    # the rows before it, so the pivot rows are independent mod p
+    bound = data.draw(st.integers(0, len(rows) + 1))
+    pivots = red.rank([modp.pack(r) for r in rows], bound)
+    assert len(pivots) == min(rank, bound)
+    assert list_rank([rows[i] for i in pivots], p) == len(pivots)
+    rising = [i for i in range(len(rows)) if list_rank(rows[:i + 1], p) > list_rank(rows[:i], p)]
+    assert pivots == rising[:bound]
+    # elimination reads no row after the pivot that reaches the bound
+    read = []
+    red.rank((read.append(i) or modp.pack(r) for i, r in enumerate(rows)), bound)
+    if bound == 0:
+        assert read == []
+    elif len(pivots) == bound:
+        assert read == list(range(pivots[-1] + 1))
+    else:
+        assert read == list(range(len(rows)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,7 +326,7 @@ def test_packed_ops_refuse_a_prime_at_the_ceiling():
         row = modp.pack([1] * n)
         red = modp.reduction(cyclo_context(1), n)
         below = modp.Reduction(red.p, n, red.powers)
-        assert below.rank([row]) == 1
+        assert below.rank([row], 1) == [0]
         assert modp.unpack(below.mul(row, 1), n) == (1,) * n
         for p in (ceiling, ceiling + 1):
             with pytest.raises(ValueError, match="not below"):

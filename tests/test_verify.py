@@ -58,9 +58,9 @@ def _count_rank_paths(monkeypatch) -> list:
     exact = _count_exact_ranks(monkeypatch)
     rank_mod_p, certified = modp.Reduction.rank, verify.certified_rank
 
-    def counted(red, rows):
+    def counted(red, rows, bound):
         mod_p.append(red.p)
-        return rank_mod_p(red, rows)
+        return rank_mod_p(red, rows, bound)
 
     def recorded(ctx, bound, width, reduced_rows, exact_rows):
         before = len(mod_p), len(exact)
@@ -263,12 +263,16 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     assert report.details["kernel_dims"][:2] == [0, 1]
 
 
-def _dim_one_too_high(raw, label: str, from_j2: int):
-    """Give a case a dimension row one above its group's from doubled weight from_j2 on."""
+def _dim_one_too_high(raw, label: str, from_j2: int, only: bool = False):
+    """Give a case a dimension row one above its group's from doubled weight
+    from_j2 on, or at from_j2 only."""
     case = next(c for c in raw["cases"] if c["label"] == label)
     group = next(g for g in raw["groups"] if g["label"] == case["group"])
     high = [dict(br, jmin=max(br.get("jmin", 0), from_j2), c=br.get("c", 0) + 1)
             for br in group["dim"]]
+    if only:  # a modulus above every weight checked confines the rows to from_j2
+        high = [dict(br, mod=1 << 16, res=[from_j2]) for br in high
+                if from_j2 % br.get("mod", 1) in br.get("res", [0])]
     case["dim"] = high + group["dim"]
     return Catalog(raw)
 
@@ -297,6 +301,70 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
     assert all(not rows or isinstance(rows[0], tuple) for rows in exact)
 
 
+def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(monkeypatch):
+    """Only the doctored weight falls back to exact elimination; the ladder above
+    it starts again from every monomial of that weight, and the weights above
+    are proved mod p again."""
+    cat = _dim_one_too_high(_shipped(), "12", 4, only=True)
+    paths = _count_rank_paths(monkeypatch)
+    span = verify_span(cat, "12")
+    weights2, prec = span.details["weights2"], span.precision
+    assert span.status == "fail"
+    assert span.details["first_failure"] == {"j2": 4, "rank": 9, "dim": 10}
+    assert [d for j2, d, r in zip(weights2, span.details["dims"], span.details["ranks"])
+            if d != r] == [10]
+    assert [path[2:] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
+    runner = CaseRunner(cat, cat.cases["12"])
+    assert span.details["ranks"] == [
+        row_echelon_rank([runner.monomial_series(e, prec).coeffs
+                          for e in weighted_monomials(runner.weights2, j2)])
+        for j2 in weights2]
+    for j2, dim in zip(weights2, span.details["dims"]):
+        runner.span_rank(j2, prec, dim)
+    assert set(runner.ladder(6, prec)) == set(weighted_monomials(runner.weights2, 6))
+    assert len(runner.ladder(8, prec)) < len(weighted_monomials(runner.weights2, 8))
+
+
+@pytest.mark.parametrize("label, kmax2", [("3", 24), ("11h3", 16), ("12", 12), ("13h3", 8),
+                                          ("25h6", 10), ("half12", 12)])
+def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
+    plan = check_plan(CAT, "span", label, kmax2)
+    runner = CaseRunner(CAT, CAT.cases[label])
+    prec = plan.prec(None)
+    dims = dict(zip(plan.weights2, plan.dims))
+    for j2, dim in dims.items():
+        rows = list(runner.ladder(j2, prec))
+        assert len(set(rows)) == len(rows)
+        assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
+        lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
+        if j2 and all(j in dims for j in lower):  # every weight below was proved
+            assert len(rows) <= sum(dims[j] for j in lower)
+        assert runner.span_rank(j2, prec, dim) == dim
+
+
+def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
+    """A count, not a timing: the span of 25h6 to weight 16 passes, and the rows
+    it ranks mod p number at most sum_k sum_i dim M_(k - w_i), far below the
+    number of its monomials."""
+    offered = []
+    rank_mod_p = modp.Reduction.rank
+
+    def counted(red, rows, bound):
+        rows = list(rows)
+        offered.append(len(rows))
+        return rank_mod_p(red, rows, bound)
+
+    monkeypatch.setattr(modp.Reduction, "rank", counted)
+    report = verify_span(CAT, "25h6", kmax2=32)
+    assert report.status == "pass"
+    dims = dict(zip(report.details["weights2"], report.details["dims"]))
+    weights2 = CaseRunner(CAT, CAT.cases["25h6"]).weights2
+    ladder = 1 + sum(dims.get(j2 - w2, 0) for j2 in dims for w2 in weights2)  # 1 at weight 0
+    monomials = sum(len(weighted_monomials(weights2, j2)) for j2 in dims)
+    assert len(offered) == len(dims) and sum(offered) <= ladder
+    assert 10 * ladder < monomials
+
+
 def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(monkeypatch):
     ctx = cyclo_context(4)
     red = modp.reduction(ctx, 3)
@@ -306,9 +374,11 @@ def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(mo
     with pytest.raises(ZeroDivisionError):
         red(x)
     exact = _count_exact_ranks(monkeypatch)
-    got = certified_rank(ctx, 2, 3, lambda red: [modp.pack([red(c) for c in row]) for row in rows],
-                         lambda: rows)
+    got, pivots = certified_rank(ctx, 2, 3,
+                                 lambda red: [modp.pack([red(c) for c in row]) for row in rows],
+                                 lambda: rows)
     assert got == 2 == row_echelon_rank(rows)
+    assert pivots is None
     assert exact == [rows]
 
 
@@ -318,15 +388,15 @@ def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     rows = [[ctx.one, z], [z, z * z]]  # rank 1
     exact = _count_exact_ranks(monkeypatch)
     reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
-    assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == 1
+    assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == (1, [0])
     assert exact == []
-    assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == 1
+    assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == (1, None)
     assert exact == [rows]
-    assert certified_rank(ctx, 0, 0, lambda red: [], lambda: []) == 0
+    assert certified_rank(ctx, 0, 0, lambda red: [], lambda: []) == (0, [])
     # no prime p = 1 (mod 3) lies below the ceiling of this width, 2
     assert modp.reduction(ctx, 1 << 60) is None
     no_rows = lambda red: pytest.fail("no reduction fits")  # noqa: E731
-    assert certified_rank(ctx, 1, 1 << 60, no_rows, lambda: rows) == 1
+    assert certified_rank(ctx, 1, 1 << 60, no_rows, lambda: rows) == (1, None)
     assert exact == [rows, rows]
 
 
@@ -352,9 +422,12 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
     rank = row_echelon_rank(rows)
     reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
     red = modp.reduction(ctx, ncols)
-    assert red.rank(reduce(red)) <= rank
+    assert len(red.rank(reduce(red), nrows)) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
-        assert certified_rank(ctx, bound, ncols, reduce, lambda: rows) == rank
+        got, pivots = certified_rank(ctx, bound, ncols, reduce, lambda: rows)
+        assert got == rank
+        # pivot rows come back only from a rank mod p that reached the bound
+        assert pivots is None or len(pivots) == bound == rank
 
 
 def test_a_kernel_check_states_the_precision_its_relations_ran_at(monkeypatch):
