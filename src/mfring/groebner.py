@@ -1,0 +1,89 @@
+"""Gröbner bases over F_p of weighted-homogeneous ideals, truncated at a weight.
+
+A polynomial is a dict {exponent tuple: residue in [1, p)} whose terms all
+have one weight, sum(e_i * w_i) for the doubled weights w_i of the
+variables; the leading term is the lexicographically largest exponent.
+Buchberger's algorithm takes the inputs and the S-pairs in ascending weight
+of their lcm and leaves out every S-pair above the top weight, and those
+whose leading monomials are coprime (Buchberger's first criterion).  For a
+homogeneous ideal I this gives a basis whose leading monomials generate the
+leading-term ideal of I in every weight up to the top, so the monomials of
+weight k that none of them divides, the standard monomials, are a basis of
+(R/I)_k and dim I_k = #monomials - #standard monomials (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9).
+"""
+
+from __future__ import annotations
+
+from operator import add, le, mul, sub
+
+
+def leading_monomials(polys, weights2, top2: int, p: int) -> list[tuple[int, ...]]:
+    """The leading monomials of a Gröbner basis over F_p, truncated at doubled
+    weight top2, of the ideal the homogeneous polys generate; the polys are
+    dicts of residues mod the prime p, and none of them is changed."""
+
+    def weight(e):
+        return sum(map(mul, e, weights2))
+
+    basis: list[tuple[tuple[int, ...], dict]] = []  # (leading monomial, monic polynomial)
+    # per weight, in order of arrival: input polynomials, then pairs of basis indices
+    todo: list[list] = [[] for _ in range(top2 + 1)]
+    for f in polys:
+        if f and (w2 := weight(next(iter(f)))) <= top2:
+            todo[w2].append(dict(f))
+    for jobs in todo:
+        for job in jobs:  # new pairs go to higher weights: no other lead divides a new one
+            h = job if isinstance(job, dict) else _s_polynomial(basis[job[0]], basis[job[1]], p)
+            lead = _top_reduce(h, basis, p)
+            if lead is None:
+                continue
+            inv = pow(h[lead], -1, p)
+            for j, (other, _) in enumerate(basis):
+                if any(map(min, lead, other)):  # coprime leading monomials reduce to zero
+                    lcm = tuple(map(max, lead, other))
+                    if (w2 := weight(lcm)) <= top2:
+                        todo[w2].append((j, len(basis)))
+            basis.append((lead, {e: c * inv % p for e, c in h.items()}))
+    return [lead for lead, _ in basis]
+
+
+def _s_polynomial(f, g, p: int) -> dict:
+    """x^(m-a) f - x^(m-b) g for monic f and g with leading monomials a and b
+    and m their lcm: the leading terms cancel."""
+    (a, fp), (b, gp) = f, g
+    m = tuple(map(max, a, b))
+    shift = tuple(map(sub, m, a))
+    out = {tuple(map(add, e, shift)): c for e, c in fp.items()}
+    _subtract(out, gp, 1, tuple(map(sub, m, b)), p)
+    return out
+
+
+def _subtract(h: dict, g: dict, c: int, shift: tuple[int, ...], p: int) -> None:
+    """h -= c * x^shift * g over F_p, in place, dropping zero terms."""
+    for e, v in g.items():
+        k = tuple(map(add, e, shift))
+        r = (h.get(k, 0) - c * v) % p
+        if r:
+            h[k] = r
+        else:
+            h.pop(k, None)
+
+
+def _top_reduce(h: dict, basis, p: int) -> tuple[int, ...] | None:
+    """Reduce h in place until no leading monomial of the basis divides its
+    leading monomial; that monomial, or None if h reduced to zero."""
+    while h:
+        lead = max(h)
+        for a, g in basis:
+            if all(map(le, a, lead)):
+                _subtract(h, g, h[lead], tuple(map(sub, lead, a)), p)
+                break
+        else:
+            return lead
+    return None
+
+
+def standard_monomials(monomials, leads) -> list[tuple[int, ...]]:
+    """The monomials that no leading monomial in leads divides, in order."""
+    return [m for m in monomials if not any(all(map(le, a, m)) for a in leads)]

@@ -8,7 +8,11 @@ modulo a prime that reaches the bound proves it (``certified_rank``);
 only where no prime does is the rank computed by exact elimination.
 Span ranks climb one weight ladder per ``CaseRunner``: at each weight only
 the generators times the basis proved one generator weight down are ranked
-mod p (``CaseRunner.ladder``).
+mod p (``CaseRunner.ladder``).  A kernel check takes its ideal dimensions
+from one Gröbner basis of the relations mod p, truncated at its top weight
+(``groebner``), and ranks mod p only the standard monomials of that basis
+as its span rows; the ideal-vector matrix is built only for exact
+elimination.
 Elimination pivots on the leftmost nonzero entry with no size
 heuristics, so runs are bit-for-bit reproducible.
 """
@@ -20,7 +24,7 @@ import time
 from operator import add
 from typing import NamedTuple
 
-from . import modp
+from . import groebner, modp
 from .catalog import Case, Catalog
 from .cyclo import CycloNum, FieldCtx
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
@@ -206,19 +210,26 @@ class CaseRunner:
                     rows.setdefault(b[:i] + (b[i] + 1,) + b[i + 1 :], i)
         return rows
 
-    def span_rank(self, k2: int, prec: int, dim: int) -> int:
+    def span_rank(self, k2: int, prec: int, dim: int, standard=None) -> int:
         """Rank of the weight-k2 monomials truncated to prec coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it.  Mod p only the ladder rows are ranked; they are weight-k2
-        monomials too, so a rank mod p equal to dim proves the rank of all of
-        them, and their pivots become the basis at k2 that the weights above
-        build on.  Otherwise all monomials are ranked by exact elimination.
+        bounds it.  Mod p only some of them are ranked: the standard
+        monomials of the relations' Gröbner basis at k2, if they are given
+        and there are dim of them, and otherwise the ladder rows.  A rank mod
+        p equal to dim proves the rank of all of them, and the pivots become
+        the basis at k2 that the weights above build on.  Otherwise all
+        monomials are ranked by exact elimination; the ladder is not tried
+        after the standard monomials, since with vanishing relations it spans
+        no more than they do mod p wherever p has the same standard monomials.
         """
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
-        rows = self.ladder(k2, prec)
+        if standard is not None and len(standard) == dim:
+            rows = dict.fromkeys(standard)  # each split at its first generator
+        else:
+            rows = self.ladder(k2, prec)
         rank, pivots = certified_rank(
             self.evaluator.ctx, dim, prec,
             lambda red: (self.reduced_monomial(e, red, i) for e, i in rows.items()),
@@ -423,23 +434,23 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
         rel_terms.append((rel.w2, runner.relation_terms(rel)))
-    # vanishing relations put the ideal in the kernel, which bounds its rank
-    in_kernel = status == "pass"
-    ctx, zero = runner.evaluator.ctx, runner.evaluator.ctx.zero
-
-    def reduced(red):  # rel_terms with coefficients reduced mod red.p
-        return [(w2, {e: red(c) for e, c in terms.items()}) for w2, terms in rel_terms]
-
+    # vanishing relations put the ideal in the kernel, which bounds its dimension
+    # at each weight, and a Gröbner basis mod p gives a lower bound on it there
+    leads = None
+    if status == "pass" and plan.weights2:
+        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2,
+                                   plan.weights2[-1])
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
         mons = weighted_monomials(runner.weights2, j2)
-        rank = runner.span_rank(j2, prec, want)
+        standard = None if leads is None else groebner.standard_monomials(mons, leads)
+        rank = runner.span_rank(j2, prec, want, standard)
         dim_kernel = len(mons) - rank
-        dim_ideal, _ = certified_rank(
-            ctx, dim_kernel if in_kernel else len(mons), len(mons),
-            lambda red: map(modp.pack, _ideal_vectors(reduced(red), runner.weights2,
-                                                      mons, j2, 0)),
-            lambda: _ideal_vectors(rel_terms, runner.weights2, mons, j2, zero))
+        if standard is not None and len(mons) - len(standard) == dim_kernel:
+            dim_ideal = dim_kernel
+        else:
+            dim_ideal = row_echelon_rank(_ideal_vectors(
+                rel_terms, runner.weights2, mons, j2, runner.evaluator.ctx.zero))
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -453,6 +464,26 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         details["first_failure"] = first_bad
     return VerificationReport(case_label, "kernel", plan.k_range, prec, status,
                               details, _ms_since(t0))
+
+
+def _leading_monomials(ctx: FieldCtx, rel_terms, weights2, top2: int):
+    """The leading monomials of a Gröbner basis mod p of the relations,
+    truncated at doubled weight top2, under the one reduction of the widest
+    ideal matrix it replaces; None where no prime fits that width or a
+    coefficient is not p-integral.
+
+    Reduction is a ring map on p-integral coefficients, so the ideal the
+    reduced relations generate has dimension dim_p I_k <= dim I_k at each
+    weight k, and dim_p I_k equal to the kernel dimension proves dim I_k.
+    """
+    red = modp.reduction(ctx, len(weighted_monomials(weights2, top2)))
+    if red is None:
+        return None
+    try:
+        polys = [{e: r for e, c in terms.items() if (r := red(c))} for _, terms in rel_terms]
+    except ZeroDivisionError:  # a coefficient is not p-integral
+        return None
+    return groebner.leading_monomials(polys, weights2, top2, red.p)
 
 
 def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:

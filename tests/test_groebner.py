@@ -1,0 +1,100 @@
+"""The truncated Gröbner basis mod p against plain elimination mod p."""
+
+from operator import mul
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfring import groebner
+from mfring.catalog import load_catalog
+from mfring.verify import (
+    CaseRunner,
+    _ideal_vectors,
+    _leading_monomials,
+    check_plan,
+    weighted_monomials,
+)
+
+CAT = load_catalog()
+
+
+def _weight(e, weights2) -> int:
+    return sum(map(mul, e, weights2))
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of integer rows by plain elimination on lists."""
+    pivots = []
+    for row in rows:
+        row = [v % p for v in row]
+        for col, prow in pivots:
+            if row[col]:
+                c = row[col]
+                row = [(a - c * b) % p for a, b in zip(row, prow)]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [v * inv % p for v in row]))
+    return len(pivots)
+
+
+@st.composite
+def _ideals(draw):
+    """(p, doubled weights, top doubled weight, homogeneous relations mod p)."""
+    p = draw(st.sampled_from([2, 7, 101, 65521]))
+    weights2 = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    top2 = draw(st.integers(1, 9))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        mons = weighted_monomials(weights2, draw(st.integers(1, top2)))
+        if mons:
+            terms = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True))
+            rels.append({e: draw(st.integers(1, p - 1)) for e in terms})
+    return p, weights2, top2, rels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals())
+def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ideal):
+    p, weights2, top2, rels = ideal
+    leads = groebner.leading_monomials(rels, weights2, top2, p)
+    rel_terms = [(_weight(next(iter(r)), weights2), r) for r in rels]
+    for j2 in range(top2 + 1):
+        mons = weighted_monomials(weights2, j2)
+        standard = groebner.standard_monomials(mons, leads)
+        rows = _ideal_vectors(rel_terms, weights2, mons, j2, 0)
+        assert len(mons) - len(standard) == _rank_mod_p(rows, p), j2
+        # closed under division: a standard monomial divided by any x_i it contains
+        # is standard at the lower weight
+        for m in standard:
+            for i, e in enumerate(m):
+                if e:
+                    lower = m[:i] + (e - 1,) + m[i + 1:]
+                    assert groebner.standard_monomials([lower], leads) == [lower]
+    # no leading monomial divides another, and none lies above the top weight
+    for i, a in enumerate(leads):
+        assert _weight(a, weights2) <= top2
+        assert groebner.standard_monomials([a], leads[:i] + leads[i + 1:]) == [a]
+
+
+def test_the_inputs_are_not_changed():
+    rels = [{(2, 0): 1, (0, 2): 6}, {(1, 1): 3, (0, 2): 1}]
+    copies = [dict(r) for r in rels]
+    assert groebner.leading_monomials(rels, (1, 1), 6, 7)
+    assert rels == copies
+
+
+def test_case_10_needs_a_fourth_leading_term():
+    """Case 10's three quadric relations have a Gröbner basis with four
+    leading monomials up to its kernel weight: their own leading monomials
+    do not generate the leading-term ideal."""
+    case = CAT.cases["10"]
+    runner = CaseRunner(CAT, case, presentation=True)
+    top2 = check_plan(CAT, "kernel", "10").weights2[-1]
+    rel_terms = [(rel.w2, runner.relation_terms(rel)) for rel in case.presentation.relations]
+    leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, top2)
+    assert len(rel_terms) == 3 and len(leads) == 4
+    own = {max(terms) for _, terms in rel_terms}
+    assert own < set(leads)
+    extra = (set(leads) - own).pop()
+    assert _weight(extra, runner.weights2) == 6  # found at weight 3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring import exprs, modp, verify
+from mfring import exprs, groebner, modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.cyclo import cyclo_context
 from mfring.errors import PrecisionTooLow, UnknownIdentity
@@ -51,21 +51,40 @@ def _count_exact_ranks(monkeypatch) -> list:
     return seen
 
 
+def _count_ideal_matrices(monkeypatch) -> list:
+    """Record the doubled weight of every ideal-vector matrix built from now on."""
+    built = []
+    ideal_vectors = verify._ideal_vectors
+
+    def counted(rel_terms, weights2, mons, j2, zero):
+        built.append(j2)
+        return ideal_vectors(rel_terms, weights2, mons, j2, zero)
+
+    monkeypatch.setattr(verify, "_ideal_vectors", counted)
+    return built
+
+
 def _count_rank_paths(monkeypatch) -> list:
-    """Record (bound, width, ranks mod p, exact eliminations) for every
-    certified rank from now on."""
-    paths, mod_p = [], []
+    """Record (bound, width, ranks mod p, exact eliminations, rows read mod p)
+    for every certified rank from now on."""
+    paths, mod_p, read = [], [], []
     exact = _count_exact_ranks(monkeypatch)
     rank_mod_p, certified = modp.Reduction.rank, verify.certified_rank
 
     def counted(red, rows, bound):
         mod_p.append(red.p)
-        return rank_mod_p(red, rows, bound)
+
+        def tally():
+            for row in rows:
+                read.append(row)
+                yield row
+        return rank_mod_p(red, tally(), bound)
 
     def recorded(ctx, bound, width, reduced_rows, exact_rows):
-        before = len(mod_p), len(exact)
+        before = len(mod_p), len(exact), len(read)
         out = certified(ctx, bound, width, reduced_rows, exact_rows)
-        paths.append((bound, width, len(mod_p) - before[0], len(exact) - before[1]))
+        paths.append((bound, width, len(mod_p) - before[0], len(exact) - before[1],
+                      len(read) - before[2]))
         return out
 
     monkeypatch.setattr(modp.Reduction, "rank", counted)
@@ -239,27 +258,28 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     seven["presentation"]["relations"][0]["poly"] = "frho7^2 + fchi7*fchi7_bar"
     cat = Catalog(raw)
     paths = _count_rank_paths(monkeypatch)
+    exact = _count_exact_ranks(monkeypatch)  # every elimination, in certified_rank or not
+    built = _count_ideal_matrices(monkeypatch)
+    monkeypatch.setattr(groebner, "leading_monomials", lambda *a: pytest.fail("basis built"))
     report = verify_kernel(cat, "7", kmax2=8)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
     # the ideal no longer lies in the kernel, so only the number of monomials bounds
-    # its rank; it is still ranked through certified_rank, after the span rank of its
-    # weight, and the rank reported is the exact one
+    # its rank, which is almost never reached: no Gröbner basis mod p is tried, each
+    # span rank is decided by its one rank mod p on the ladder, and each ideal rank
+    # is one exact elimination, so the rank reported is exact
     weights2 = report.details["weights2"]
-    assert weights2 == [2, 4, 6, 8] and len(paths) == 2 * len(weights2)
-    # a span rank is decided by its one rank mod p; an ideal rank falls short of its
-    # bound mod p once and is then computed exactly: 8 ranks mod p, 4 eliminations
-    assert [path[2:] for path in paths] == [(1, 0), (1, 1)] * len(weights2)
+    assert weights2 == [2, 4, 6, 8] == built
+    assert [path[2:4] for path in paths] == [(1, 0)] * len(weights2)
+    assert len(exact) == len(weights2)
     runner = CaseRunner(cat, cat.cases["7"], presentation=True)
     rel_terms = [(rel.w2, runner.relation_terms(rel))
                  for rel in cat.cases["7"].presentation.relations]
-    exact = []
-    for j2, (bound, width, _, _) in zip(weights2, paths[1::2]):
-        mons = weighted_monomials(runner.weights2, j2)
-        assert bound == width == len(mons)
-        exact.append(row_echelon_rank(verify._ideal_vectors(
-            rel_terms, runner.weights2, mons, j2, runner.evaluator.ctx.zero)))
-    assert report.details["ideal_dims"] == exact == [0, 1, 3, 6]
+    assert exact == [verify._ideal_vectors(rel_terms, runner.weights2,
+                                           weighted_monomials(runner.weights2, j2), j2,
+                                           runner.evaluator.ctx.zero) for j2 in weights2]
+    assert report.details["ideal_dims"] == [row_echelon_rank(rows) for rows in exact]
+    assert report.details["ideal_dims"] == [0, 1, 3, 6]
     assert report.details["kernel_dims"][:2] == [0, 1]
 
 
@@ -313,7 +333,7 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
     assert span.details["first_failure"] == {"j2": 4, "rank": 9, "dim": 10}
     assert [d for j2, d, r in zip(weights2, span.details["dims"], span.details["ranks"])
             if d != r] == [10]
-    assert [path[2:] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
+    assert [path[2:4] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
     runner = CaseRunner(cat, cat.cases["12"])
     assert span.details["ranks"] == [
         row_echelon_rank([runner.monomial_series(e, prec).coeffs
@@ -554,7 +574,48 @@ def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
     for label in ("9", "half12"):
         assert verify_kernel(CAT, label, kmax2=20).status == "pass"
     assert 0 < in_full_report < len(paths)
-    assert {path[2:] for path in paths} == {(1, 0)}
+    assert {path[2:4] for path in paths} == {(1, 0)}
+
+
+def test_kernel_checks_rank_only_the_standard_monomials(monkeypatch):
+    """Every kernel check of full_report, and the kernels of 9 and half12 to
+    doubled weight 20: the Gröbner basis mod p decides every ideal dimension,
+    with no ideal matrix built and no exact elimination, and each span rank
+    reads exactly dim rows mod p, the standard monomials of its weight (a row
+    count, not a timing)."""
+    paths = _count_rank_paths(monkeypatch)
+    exact = _count_exact_ranks(monkeypatch)
+    built = _count_ideal_matrices(monkeypatch)
+    reports = full_report(CAT, checks={"kernel"})
+    reports += [verify_kernel(CAT, label, kmax2=20) for label in ("9", "half12")]
+    assert len(reports) == 10 and {r.status for r in reports} == {"pass"}
+    assert exact == [] and built == []
+    weights = [j2 for r in reports for j2 in r.details["weights2"]]
+    assert len(paths) == len(weights) == 88
+    assert all(path[2:] == (1, 0, path[0]) for path in paths), paths
+    # at weight 10 half12 has 506 monomials and an ideal of dimension 465: 41 rows
+    half12 = CaseRunner(CAT, CAT.cases["half12"], presentation=True)
+    assert reports[-1].details["ideal_dims"][-1] == 465
+    assert paths[-1][0] == len(weighted_monomials(half12.weights2, 20)) - 465 == 41
+
+
+def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monkeypatch):
+    """A relation coefficient whose denominator the basis's prime divides: no
+    Gröbner basis, every ideal rank by exact elimination, and the same report."""
+    plan = check_plan(CAT, "kernel", "7")
+    runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
+    width = len(weighted_monomials(runner.weights2, plan.weights2[-1]))
+    p = modp.reduction(runner.evaluator.ctx, width).p
+    raw = _shipped()
+    rel = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["relations"][0]
+    rel["poly"] = f"({rel['poly']})/{p}"
+    exact = _count_exact_ranks(monkeypatch)
+    built = _count_ideal_matrices(monkeypatch)
+    monkeypatch.setattr(groebner, "leading_monomials", lambda *a: pytest.fail("basis built"))
+    report = json.loads(verify_kernel(Catalog(raw), "7").to_json())
+    assert built == list(plan.weights2) and len(exact) == len(built)
+    del report["elapsed_ms"]
+    assert report == json.loads(GOLDEN.read_text())["7|kernel"]
 
 
 def test_full_report_builds_each_constructor_series_once(monkeypatch):
