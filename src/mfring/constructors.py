@@ -155,19 +155,21 @@ def theta_bqf(a: int, b: int, c: int, prec: int, ctx: FieldCtx) -> QSeries:
     if a <= 0 or disc <= 0:
         raise NotPositiveDefinite(f"form ({a},{b},{c}) is not positive definite")
     # 4a*Q(m,n) = (2am + bn)^2 + disc*n^2, so Q < prec needs disc*n^2 <= 4a(prec-1),
-    # and for each n, m lies between the roots of a m^2 + bn m + c n^2 - (prec-1)
+    # and for each n, m lies between the roots of a m^2 + bn m + c n^2 - (prec-1);
+    # Q(-m,-n) = Q(m,n), so row n > 0 counts for itself and row -n
     top = prec - 1
     bound = isqrt(4 * a * top // disc) + 1
     counts = [0] * prec
-    for n in range(-bound, bound + 1):
+    for n in range(bound + 1):
         root_disc = 4 * a * top - disc * n * n
         if root_disc < 0:
-            continue
+            break
         r = isqrt(root_disc)
+        weight = 2 if n else 1
         for m in range((-b * n - r) // (2 * a) - 1, (-b * n + r) // (2 * a) + 2):
             val = a * m * m + b * m * n + c * n * n
             if val < prec:
-                counts[val] += 1
+                counts[val] += weight
     return _rational_series(counts, ctx)
 
 

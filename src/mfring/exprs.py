@@ -15,6 +15,7 @@ Two small languages live here:
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -39,8 +40,9 @@ from .qseries import QSeries
 _SEXPR_TOKEN = re.compile(r"\(|\)|(?:[^\s()\[\]]+|\[[^\]]*\])+")
 
 
+@lru_cache(maxsize=None)
 def parse_expr(text: str):
-    """Parse a prefix expression into a nested-tuple AST."""
+    """Parse a prefix expression into a nested-tuple AST, once per text."""
     tokens = _SEXPR_TOKEN.findall(text)
     pos = 0
 
@@ -282,8 +284,9 @@ def parse_scalar(text: str, ctx: FieldCtx) -> CycloNum:
 # ---------------------------------------------------------------------------
 # character expressions inside constructor atoms
 
+@lru_cache(maxsize=None)
 def parse_character(text: str) -> DirichletCharacter:
-    """name | conj(c) | pow(c,k) | mul(c,c), composed freely."""
+    """name | conj(c) | pow(c,k) | mul(c,c), composed freely; once per text."""
     text = text.strip()
     m = re.fullmatch(r"(conj|pow|mul)\((.*)\)", text)
     if not m:
@@ -347,8 +350,10 @@ class Constructor(NamedTuple):
         return self.build(*map(parse_character, self.chars), prec, ctx)
 
 
+@lru_cache(maxsize=None)
 def constructor(name: str) -> Constructor:
-    """Parse E<k>, C<N>, f[k;chi], g[k;chi], g[k;chi,psi], theta or bqf[a,b,c].
+    """Parse E<k>, C<N>, f[k;chi], g[k;chi], g[k;chi,psi], theta or bqf[a,b,c],
+    once per name.
 
     The builders look the constructor functions up when they run.
     """
@@ -415,17 +420,24 @@ def resolve(name: str, forms: dict) -> str | Constructor:
 
 
 class Evaluator:
-    """Evaluates series expressions at a requested precision with caching.
+    """Evaluates series expressions of one field at a requested precision,
+    computing each distinct subexpression once.
 
     An atom resolves (see ``resolve``) to a catalog form, else to constructor
-    syntax, so it names one series: the cache holds one per atom, at the
-    largest precision asked.
+    syntax, so it names one series; so does every other AST node.  The cache
+    holds one series per atom name and per distinct node, at the largest
+    precision asked, and answers a lower precision by truncation, so a term
+    shared within a form or across forms is built once.  Callers may keep
+    other series there under keys of their own (``cached``).  Each scale
+    literal is parsed once into the field.  Series are immutable, so sharing
+    them cannot change a result.
     """
 
     def __init__(self, ctx: FieldCtx, forms: dict):
         self.ctx = ctx
         self.forms = forms  # catalog form name -> expression text
-        self._cache: dict = {}
+        self._cache: dict = {}  # atom name or AST node -> QSeries
+        self._scalars: dict[str, CycloNum] = {}  # scale literal -> its value in ctx
 
     def series(self, expr, prec: int) -> QSeries:
         """Evaluate a parsed AST or source string to exactly `prec` coefficients."""
@@ -434,7 +446,9 @@ class Evaluator:
         got = self._eval(expr, prec)
         return got.truncate(prec) if got.prec > prec else got
 
-    def _cached(self, key, prec: int, build):
+    def cached(self, key, prec: int, build):
+        """The series stored under key, truncated to prec, if it has at least
+        prec coefficients; else build(prec), which replaces it."""
         hit = self._cache.get(key)
         if hit is not None and hit.prec >= prec:
             return hit.truncate(prec) if hit.prec > prec else hit
@@ -443,9 +457,16 @@ class Evaluator:
         return val
 
     def _eval(self, ast, prec: int) -> QSeries:
+        # a lowered term raises below two coefficients, which a truncated
+        # longer series would hide, so such requests skip the cache
+        if prec < 2:
+            return self._atom(ast[1], prec) if ast[0] == "atom" else self._node(ast, prec)
+        if ast[0] == "atom":
+            return self.cached(ast[1], prec, lambda p: self._atom(ast[1], p))
+        return self.cached(ast, prec, lambda p: self._node(ast, p))
+
+    def _node(self, ast, prec: int) -> QSeries:
         op = ast[0]
-        if op == "atom":
-            return self._cached(ast[1], prec, lambda p: self._atom(ast[1], p))
         if op == "add":
             out = self._eval(ast[1][0], prec)
             for sub in ast[1][1:]:
@@ -463,7 +484,7 @@ class Evaluator:
         if op == "conj":
             return self._eval(ast[1], prec).conj()
         if op == "scale":
-            return self._eval(ast[2], prec).scale(parse_scalar(ast[1], self.ctx))
+            return self._eval(ast[2], prec).scale(self._scalar(ast[1]))
         if op == "v":
             h = ast[1]
             child_prec = (prec - 2) // h + 2 if h > 1 else prec
@@ -471,6 +492,12 @@ class Evaluator:
         if op == "low":
             return self._eval(ast[2], prec).lowered(ast[1])
         raise CatalogError(f"unknown AST node {op!r}")
+
+    def _scalar(self, text: str) -> CycloNum:
+        c = self._scalars.get(text)
+        if c is None:
+            c = self._scalars[text] = parse_scalar(text, self.ctx)
+        return c
 
     def _atom(self, name: str, prec: int) -> QSeries:
         got = resolve(name, self.forms)

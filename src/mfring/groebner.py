@@ -84,6 +84,35 @@ def _top_reduce(h: dict, basis, p: int) -> tuple[int, ...] | None:
     return None
 
 
-def standard_monomials(monomials, leads) -> list[tuple[int, ...]]:
-    """The monomials that no leading monomial in leads divides, in order."""
-    return [m for m in monomials if not any(all(map(le, a, m)) for a in leads)]
+def monomial_counts(weights2, top2: int) -> list[int]:
+    """The number of monomials of each doubled weight 0..top2 in variables of
+    doubled weights weights2: the coefficients of prod 1/(1 - t^w)."""
+    counts = [1] + [0] * top2
+    for w in weights2:
+        for k in range(w, top2 + 1):
+            counts[k] += counts[k - w]
+    return counts
+
+
+def standard_monomials(weights2, leads, top2: int) -> list[list[tuple[int, ...]]]:
+    """The monomials that no leading monomial in leads divides, for each
+    doubled weight 0..top2, in descending lexicographic order.
+
+    They are closed under division, so each is x_i times one of them at the
+    weight w_i lower, for its first variable x_i: each candidate is grown
+    once, from the standard monomials whose first variable is x_i or later.
+    """
+    n = len(weights2)
+    out: list[list[tuple[int, ...]]] = [[(0,) * n]] + [[] for _ in range(top2)]
+    for k in range(1, top2 + 1):
+        grown = []
+        for i, w in enumerate(weights2):
+            if w <= k:
+                for s in out[k - w]:
+                    if not any(s[:i]):
+                        m = s[:i] + (s[i] + 1,) + s[i + 1:]
+                        if not any(all(map(le, a, m)) for a in leads):
+                            grown.append(m)
+        grown.sort(reverse=True)
+        out[k] = grown
+    return out

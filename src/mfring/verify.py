@@ -257,7 +257,10 @@ class CaseRunner:
         return out
 
     def relation_series(self, rel, prec: int) -> QSeries:
-        return self.eval_poly(self.relation_terms(rel), prec)
+        """The relation evaluated to prec, kept in the conductor's series
+        cache, so every check of the case shares it."""
+        return self.evaluator.cached(("relation", self.case.label, rel.poly), prec,
+                                     lambda p: self.eval_poly(self.relation_terms(rel), p))
 
     def relation_values(self, prec: int):
         """(relation, its series to prec, index of its first nonzero
@@ -436,21 +439,25 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         rel_terms.append((rel.w2, runner.relation_terms(rel)))
     # vanishing relations put the ideal in the kernel, which bounds its dimension
     # at each weight, and a Gröbner basis mod p gives a lower bound on it there
-    leads = None
+    standard = None  # per doubled weight, the standard monomials of that basis
     if status == "pass" and plan.weights2:
-        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2,
-                                   plan.weights2[-1])
+        top2 = plan.weights2[-1]
+        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, top2)
+        if leads is not None:
+            standard = groebner.standard_monomials(runner.weights2, leads, top2)
+    # only exact elimination enumerates the monomials; the rest needs their number
+    counts = groebner.monomial_counts(runner.weights2, plan.k_range[1])
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
-        mons = weighted_monomials(runner.weights2, j2)
-        standard = None if leads is None else groebner.standard_monomials(mons, leads)
-        rank = runner.span_rank(j2, prec, want, standard)
-        dim_kernel = len(mons) - rank
-        if standard is not None and len(mons) - len(standard) == dim_kernel:
+        std = None if standard is None else standard[j2]
+        rank = runner.span_rank(j2, prec, want, std)
+        dim_kernel = counts[j2] - rank
+        if std is not None and counts[j2] - len(std) == dim_kernel:
             dim_ideal = dim_kernel
         else:
             dim_ideal = row_echelon_rank(_ideal_vectors(
-                rel_terms, runner.weights2, mons, j2, runner.evaluator.ctx.zero))
+                rel_terms, runner.weights2, weighted_monomials(runner.weights2, j2), j2,
+                runner.evaluator.ctx.zero))
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -476,7 +483,7 @@ def _leading_monomials(ctx: FieldCtx, rel_terms, weights2, top2: int):
     reduced relations generate has dimension dim_p I_k <= dim I_k at each
     weight k, and dim_p I_k equal to the kernel dimension proves dim I_k.
     """
-    red = modp.reduction(ctx, len(weighted_monomials(weights2, top2)))
+    red = modp.reduction(ctx, groebner.monomial_counts(weights2, top2)[top2])
     if red is None:
         return None
     try:

@@ -249,9 +249,12 @@ def _positive_definite(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_positive_definite(), st.integers(1, 600))
+@given(_positive_definite(), st.one_of(st.integers(1, 3), st.integers(1, 600)))
 @example((1, -9, 21), 600)  # disc 3, long thin ellipse
 @example((2, 5, 4), 257)
+@example((1, 1, 6), 1)  # only the origin
+@example((3, -2, 5), 2)
+@example((1, 0, 1), 3)
 def test_theta_bqf_equals_the_box_count(form, prec):
     a, b, c = form
     # Q >= lambda_min (m^2 + n^2) and lambda_min >= det/trace = disc / (4(a+c))

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfring import exprs
+from mfring.catalog import load_catalog
 from mfring.cyclo import cyclo_context
-from mfring.errors import CatalogError, UnknownForm
+from mfring.errors import CatalogError, MfringError, UnknownForm
 from mfring.exprs import (
     MAX_CONSTRUCTOR_WEIGHT,
     SCALAR_POWER_BITS,
@@ -15,10 +19,13 @@ from mfring.exprs import (
     parse_poly,
     parse_scalar,
 )
+from mfring.qseries import QSeries
 
 C1 = cyclo_context(1)
 C4 = cyclo_context(4)
 C10 = cyclo_context(10)
+CAT = load_catalog()
+FORMS = {name: form.expr for name, form in CAT.forms.items()}
 
 
 def test_parse_expr_shapes():
@@ -133,3 +140,99 @@ def test_evaluator_caching_returns_truncations():
     long = ev.series("E4", 20)
     short = ev.series("E4", 5)
     assert short.prec == 5 and short.coeffs == long.coeffs[:5]
+
+
+def _subtrees(ast) -> set:
+    """Every node of a parsed expression, itself included; atoms are not resolved."""
+    return {ast}.union(*map(_subtrees, exprs._children(ast)))
+
+
+def _count_products(monkeypatch) -> list:
+    """Record every QSeries product and power from now on."""
+    seen = []
+    for name in ("__mul__", "__pow__"):
+        def counted(a, b, _f=getattr(QSeries, name), _name=name):
+            seen.append(_name)
+            return _f(a, b)
+        monkeypatch.setattr(QSeries, name, counted)
+    return seen
+
+
+# every catalog form of conductor 4, the 13 ones among them sharing cubic terms,
+# and constructor expressions whose fields divide 4
+_FIELD4 = sorted(n for n, f in CAT.forms.items() if f.L == 4) + [
+    "E4", "(pow F13 3)", "(mul (pow F13 2) alpha13)", "(scale z4/2 (add E4 (pow theta 8)))",
+    "(sub (v 2 theta) (scale -3+z4 theta))", "(low 2 E6)", "(conj (scale z4 f[1;rho3]))",
+    "(add (pow theta 2) bqf[1,0,1] (v 2 C2))", "(scale 1/2 (add f[1;rho3] (conj f[1;rho3])))",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELD4), st.integers(1, 30)), min_size=1, max_size=6))
+def test_one_evaluator_gives_what_a_fresh_one_gives(requests):
+    """A sequence of requests on one Evaluator, whose cache fills and is
+    answered by truncation, returns each time what a fresh Evaluator does,
+    and raises where it raises (a lowered series needs two coefficients)."""
+
+    def outcome(ev, expr, prec):
+        try:
+            got = ev.series(expr, prec)
+        except MfringError as exc:
+            return type(exc)
+        return got.prec, got
+
+    shared = Evaluator(C4, FORMS)
+    for expr, prec in requests:
+        assert outcome(shared, expr, prec) == outcome(Evaluator(C4, FORMS), expr, prec)
+
+
+def test_forms_sharing_terms_multiply_them_once(monkeypatch):
+    """zeta13 after epsilon13 runs no product or power for the nodes they
+    share, such as (pow F13 3), and runs all the others."""
+    prec = 20
+    zeta, epsilon = parse_expr(FORMS["zeta13"]), parse_expr(FORMS["epsilon13"])
+    common = _subtrees(zeta) & _subtrees(epsilon)
+    assert ("pow", ("atom", "F13"), 3) in common
+    products = _count_products(monkeypatch)
+
+    def products_of(ev, *asts) -> int:
+        before = len(products)
+        for ast in asts:
+            ev.series(ast, prec)
+        return len(products) - before
+
+    in_common = products_of(Evaluator(C4, FORMS), *common)
+    alone = products_of(Evaluator(C4, FORMS), zeta)
+    warm = Evaluator(C4, FORMS)
+    products_of(warm, epsilon)
+    assert in_common > 0
+    assert products_of(warm, zeta) == alone - in_common
+    assert products_of(warm, *common) == 0
+
+
+def test_bad_input_raises_on_every_call():
+    """A failed evaluation leaves nothing cached that a later call trusts."""
+    ev = Evaluator(C1, {"bad": "(scale 1/0 E4)"})
+    for text, error in (("(add E4", CatalogError), ("nosuchform", UnknownForm),
+                        ("(scale 1/0 E4)", CatalogError), ("(add E4 bad)", CatalogError),
+                        ("(mul E4 E[4])", UnknownForm)):
+        for _ in range(3):
+            with pytest.raises(error):
+                ev.series(text, 6)
+    assert ev.series("(scale 1/2 E4)", 6) == Evaluator(C1, {}).series("(scale 1/2 E4)", 6)
+
+
+def test_each_scale_literal_is_parsed_once_per_field(monkeypatch):
+    calls = []
+
+    def counted(text, ctx, _f=exprs.parse_scalar):
+        calls.append((text, ctx.L))
+        return _f(text, ctx)
+
+    monkeypatch.setattr(exprs, "parse_scalar", counted)
+    for ctx in (C1, C4):
+        ev = Evaluator(ctx, {"half": "(scale 1/2 E4)"})
+        for prec in (5, 10, 20, 10):  # each rise rebuilds the scale nodes
+            ev.series("(add (scale 1/2 E6) half (scale 3 (scale 1/2 theta)))", prec)
+            ev.series("(scale 1/2 (pow E4 2))", prec)
+    assert sorted(calls) == [("1/2", 1), ("1/2", 4), ("3", 1), ("3", 4)]

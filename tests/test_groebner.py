@@ -1,6 +1,6 @@
 """The truncated Gröbner basis mod p against plain elimination mod p."""
 
-from operator import mul
+from operator import le, mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +20,13 @@ CAT = load_catalog()
 
 def _weight(e, weights2) -> int:
     return sum(map(mul, e, weights2))
+
+
+def _enumerated_standard(weights2, leads, j2: int) -> list[tuple[int, ...]]:
+    """The monomials of weight j2 that no leading monomial divides, by
+    filtering every monomial of that weight."""
+    return [m for m in weighted_monomials(weights2, j2)
+            if not any(all(map(le, a, m)) for a in leads)]
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -59,22 +66,49 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
     p, weights2, top2, rels = ideal
     leads = groebner.leading_monomials(rels, weights2, top2, p)
     rel_terms = [(_weight(next(iter(r)), weights2), r) for r in rels]
+    counts = groebner.monomial_counts(weights2, top2)
+    standard = groebner.standard_monomials(weights2, leads, top2)
+    assert len(counts) == len(standard) == top2 + 1
     for j2 in range(top2 + 1):
         mons = weighted_monomials(weights2, j2)
-        standard = groebner.standard_monomials(mons, leads)
+        assert counts[j2] == len(mons)
+        assert standard[j2] == _enumerated_standard(weights2, leads, j2)
         rows = _ideal_vectors(rel_terms, weights2, mons, j2, 0)
-        assert len(mons) - len(standard) == _rank_mod_p(rows, p), j2
+        assert len(mons) - len(standard[j2]) == _rank_mod_p(rows, p), j2
         # closed under division: a standard monomial divided by any x_i it contains
         # is standard at the lower weight
-        for m in standard:
+        for m in standard[j2]:
             for i, e in enumerate(m):
                 if e:
                     lower = m[:i] + (e - 1,) + m[i + 1:]
-                    assert groebner.standard_monomials([lower], leads) == [lower]
+                    assert lower in standard[j2 - weights2[i]]
     # no leading monomial divides another, and none lies above the top weight
     for i, a in enumerate(leads):
         assert _weight(a, weights2) <= top2
-        assert groebner.standard_monomials([a], leads[:i] + leads[i + 1:]) == [a]
+        assert not any(all(map(le, b, a)) for b in leads[:i] + leads[i + 1:])
+
+
+def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeration():
+    """For every case with a kernel check, to doubled weight 24: the monomial
+    counts from the Hilbert series of the polynomial ring and the standard
+    monomials grown weight by weight are those that enumerating and filtering
+    every monomial gives, in the same order."""
+    checked = []
+    for label in sorted(CAT.cases):
+        plan = check_plan(CAT, "kernel", label, 24)
+        if plan.skip or not plan.weights2:
+            continue
+        case = CAT.cases[label]
+        runner = CaseRunner(CAT, case, presentation=True)
+        rel_terms = [(rel.w2, runner.relation_terms(rel)) for rel in case.presentation.relations]
+        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, 24)
+        counts = groebner.monomial_counts(runner.weights2, 24)
+        standard = groebner.standard_monomials(runner.weights2, leads, 24)
+        for j2 in range(25):
+            assert counts[j2] == len(weighted_monomials(runner.weights2, j2)), (label, j2)
+            assert standard[j2] == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
+        checked.append(label)
+    assert len(checked) >= 8 and "half12" in checked
 
 
 def test_the_inputs_are_not_changed():

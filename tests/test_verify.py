@@ -635,6 +635,22 @@ def test_full_report_builds_each_constructor_series_once(monkeypatch):
     assert not repeated, sorted(repeated)
 
 
+def test_full_report_evaluates_each_relation_once(monkeypatch):
+    """The relation and kernel checks of a case share each relation series
+    through the conductor's series cache: over full_report, one evaluation
+    per distinct (case, relation, precision)."""
+    calls = []
+    eval_poly = CaseRunner.eval_poly
+
+    def counted(runner, terms, prec):
+        calls.append((runner.case.label, id(terms), prec))
+        return eval_poly(runner, terms, prec)
+
+    monkeypatch.setattr(CaseRunner, "eval_poly", counted)
+    full_report(Catalog(_shipped()))
+    assert len(calls) == len(set(calls)) == 38
+
+
 def test_full_report_deterministic_order():
     sel = dict(checks={"identity", "hilbert"}, cases=["c3_sq", "7", "14h9", "theta_quad"])
     a = full_report(CAT, **sel)
