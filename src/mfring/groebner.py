@@ -94,25 +94,34 @@ def monomial_counts(weights2, top2: int) -> list[int]:
     return counts
 
 
+def border(weights2, lower, k2: int) -> list[tuple[int, ...]]:
+    """The monomials m of doubled weight k2 such that m / x_i lies in
+    lower(k2 - w_i) for every variable x_i dividing m, in ascending
+    lexicographic order; at k2 = 0, the monomial 1.  A set of monomials
+    closed under division lies, weight by weight, in the border of its
+    members below.
+
+    Each x_i * b for b in lower(k2 - w_i) is one hit on the product, so m
+    is kept when its hits number the variables it contains.
+    """
+    if k2 == 0:
+        return [(0,) * len(weights2)]
+    hits: dict[tuple[int, ...], int] = {}
+    for i, w in enumerate(weights2):
+        if w <= k2:
+            for b in lower(k2 - w):
+                m = b[:i] + (b[i] + 1,) + b[i + 1:]
+                hits[m] = hits.get(m, 0) + 1
+    return sorted(m for m, h in hits.items() if h == len(m) - m.count(0))
+
+
 def standard_monomials(weights2, leads, top2: int) -> list[list[tuple[int, ...]]]:
     """The monomials that no leading monomial in leads divides, for each
-    doubled weight 0..top2, in descending lexicographic order.
-
-    They are closed under division, so each is x_i times one of them at the
-    weight w_i lower, for its first variable x_i: each candidate is grown
-    once, from the standard monomials whose first variable is x_i or later.
-    """
-    n = len(weights2)
-    out: list[list[tuple[int, ...]]] = [[(0,) * n]] + [[] for _ in range(top2)]
-    for k in range(1, top2 + 1):
-        grown = []
-        for i, w in enumerate(weights2):
-            if w <= k:
-                for s in out[k - w]:
-                    if not any(s[:i]):
-                        m = s[:i] + (s[i] + 1,) + s[i + 1:]
-                        if not any(all(map(le, a, m)) for a in leads):
-                            grown.append(m)
-        grown.sort(reverse=True)
-        out[k] = grown
+    doubled weight 0..top2, in ascending lexicographic order: they are
+    closed under division, so those of weight k are the members of the
+    border of the ones below that no leading monomial divides."""
+    out: list[list[tuple[int, ...]]] = []
+    for k in range(top2 + 1):
+        out.append([m for m in border(weights2, out.__getitem__, k)
+                    if not any(all(map(le, a, m)) for a in leads)])
     return out

@@ -6,12 +6,12 @@ coefficient vectors on a monomial basis (for the degreewise span of a
 relation ideal).  Each such rank has a known upper bound, and a rank
 modulo a prime that reaches the bound proves it (``certified_rank``);
 only where no prime does is the rank computed by exact elimination.
-Span ranks climb one weight ladder per ``CaseRunner``: at each weight only
-the generators times the basis proved one generator weight down are ranked
-mod p (``CaseRunner.ladder``).  A kernel check takes its ideal dimensions
+Span and kernel checks climb their weights on one ``CaseRunner`` and, at
+each weight, rank mod p only the border of the basis proved below
+(``CaseRunner.border``): the monomials all of whose divisors by one
+generator were proved pivots.  A kernel check takes its ideal dimensions
 from one Gröbner basis of the relations mod p, truncated at its top weight
-(``groebner``), and ranks mod p only the standard monomials of that basis
-as its span rows; the ideal-vector matrix is built only for exact
+(``groebner``); the ideal-vector matrix is built only for exact
 elimination.
 Elimination pivots on the leftmost nonzero entry with no size
 heuristics, so runs are bit-for-bit reproducible.
@@ -168,10 +168,10 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], red, i: int | None = None) -> int:
+    def reduced_monomial(self, exps: tuple[int, ...], red) -> int:
         """monomial_series(exps, red.n) under the reduction red, packed, built
-        from the reduced generator series by products mod p: generator i (by
-        default the first in exps) times the rest."""
+        from the reduced generator series by products mod p: the first
+        generator in exps times the rest."""
         key = (red, exps)
         out = self._reduced.get(key)
         if out is not None:
@@ -179,8 +179,7 @@ class CaseRunner:
         if not any(exps):
             out = 1
         else:
-            if i is None:
-                i = next(j for j, e in enumerate(exps) if e)
+            i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
                 gen = tuple(int(j == i) for j in range(len(exps)))
@@ -190,54 +189,41 @@ class CaseRunner:
         self._reduced[key] = out
         return out
 
-    def ladder(self, k2: int, prec: int) -> dict[tuple[int, ...], int | None]:
-        """The rows span_rank ranks mod p at doubled weight k2, each mapped to
-        the generator it is split at: g_i * b for each generator g_i and each
-        b in the basis proved at k2 - w_i at this precision (every monomial of
-        that weight where none was), in generator order without repeats.
+    def border(self, k2: int, prec: int) -> list[tuple[int, ...]]:
+        """The rows span_rank ranks mod p at doubled weight k2, in ascending
+        lexicographic order: the monomials m with m / g_i in the basis proved
+        at k2 - w_i at this precision for every generator g_i dividing m,
+        where every monomial of a weight that was not proved counts."""
+        def lower(j2: int) -> list[tuple[int, ...]]:
+            basis = self._bases.get((prec, j2))
+            return weighted_monomials(self.weights2, j2) if basis is None else basis
 
-        Every monomial of weight k2 > 0 is g_i times one of weight k2 - w_i,
-        and a proved basis spans all of those, so these rows span what all
-        weight-k2 monomials span.
-        """
-        if k2 == 0:
-            return {(0,) * len(self.weights2): None}
-        rows: dict[tuple[int, ...], int | None] = {}
-        for i, w2 in enumerate(self.weights2):
-            if w2 <= k2:
-                lower = self._bases.get((prec, k2 - w2))
-                for b in weighted_monomials(self.weights2, k2 - w2) if lower is None else lower:
-                    rows.setdefault(b[:i] + (b[i] + 1,) + b[i + 1 :], i)
-        return rows
+        return groebner.border(self.weights2, lower, k2)
 
-    def span_rank(self, k2: int, prec: int, dim: int, standard=None) -> int:
+    def span_rank(self, k2: int, prec: int, dim: int) -> int:
         """Rank of the weight-k2 monomials truncated to prec coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it.  Mod p only some of them are ranked: the standard
-        monomials of the relations' Gröbner basis at k2, if they are given
-        and there are dim of them, and otherwise the ladder rows.  A rank mod
-        p equal to dim proves the rank of all of them, and the pivots become
-        the basis at k2 that the weights above build on.  Otherwise all
-        monomials are ranked by exact elimination; the ladder is not tried
-        after the standard monomials, since with vanishing relations it spans
-        no more than they do mod p wherever p has the same standard monomials.
+        bounds it.  Mod p only the border rows are ranked.  Each is a
+        weight-k2 monomial, so a rank mod p equal to dim proves the rank of
+        all of them, and the pivots become the basis at k2 that the weights
+        above build on.  Multiplying by a generator keeps a series in the
+        kernel of truncation mod p, so the pivots in ascending lexicographic
+        order are closed under division and the border holds every one of
+        them: it reaches the rank mod p of all monomials.  Where that falls
+        short of dim, all monomials are ranked by exact elimination.
         """
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
-        if standard is not None and len(standard) == dim:
-            rows = dict.fromkeys(standard)  # each split at its first generator
-        else:
-            rows = self.ladder(k2, prec)
+        rows = self.border(k2, prec)
         rank, pivots = certified_rank(
             self.evaluator.ctx, dim, prec,
-            lambda red: (self.reduced_monomial(e, red, i) for e, i in rows.items()),
+            lambda red: (self.reduced_monomial(e, red) for e in rows),
             lambda: [self.monomial_series(e, prec).coeffs
                      for e in weighted_monomials(self.weights2, k2)])
         if pivots is not None:
-            mons = list(rows)
-            self._bases[prec, k2] = [mons[j] for j in pivots]
+            self._bases[prec, k2] = [rows[j] for j in pivots]
         return rank
 
     def relation_terms(self, rel) -> dict:
@@ -449,10 +435,9 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     counts = groebner.monomial_counts(runner.weights2, plan.k_range[1])
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
-        std = None if standard is None else standard[j2]
-        rank = runner.span_rank(j2, prec, want, std)
+        rank = runner.span_rank(j2, prec, want)
         dim_kernel = counts[j2] - rank
-        if std is not None and counts[j2] - len(std) == dim_kernel:
+        if standard is not None and counts[j2] - len(standard[j2]) == dim_kernel:
             dim_ideal = dim_kernel
         else:
             dim_ideal = row_echelon_rank(_ideal_vectors(

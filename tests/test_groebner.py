@@ -24,9 +24,9 @@ def _weight(e, weights2) -> int:
 
 def _enumerated_standard(weights2, leads, j2: int) -> list[tuple[int, ...]]:
     """The monomials of weight j2 that no leading monomial divides, by
-    filtering every monomial of that weight."""
-    return [m for m in weighted_monomials(weights2, j2)
-            if not any(all(map(le, a, m)) for a in leads)]
+    filtering every monomial of that weight, in ascending lexicographic order."""
+    return sorted(m for m in weighted_monomials(weights2, j2)
+                  if not any(all(map(le, a, m)) for a in leads))
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -73,6 +73,9 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
         mons = weighted_monomials(weights2, j2)
         assert counts[j2] == len(mons)
         assert standard[j2] == _enumerated_standard(weights2, leads, j2)
+        # the border of every monomial below is every monomial
+        everything = groebner.border(weights2, lambda j: weighted_monomials(weights2, j), j2)
+        assert everything == sorted(mons)
         rows = _ideal_vectors(rel_terms, weights2, mons, j2, 0)
         assert len(mons) - len(standard[j2]) == _rank_mod_p(rows, p), j2
         # closed under division: a standard monomial divided by any x_i it contains

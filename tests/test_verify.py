@@ -266,7 +266,7 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
     # the ideal no longer lies in the kernel, so only the number of monomials bounds
     # its rank, which is almost never reached: no Gröbner basis mod p is tried, each
-    # span rank is decided by its one rank mod p on the ladder, and each ideal rank
+    # span rank is decided by its one rank mod p on the border, and each ideal rank
     # is one exact elimination, so the rank reported is exact
     weights2 = report.details["weights2"]
     assert weights2 == [2, 4, 6, 8] == built
@@ -322,9 +322,9 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
 
 
 def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(monkeypatch):
-    """Only the doctored weight falls back to exact elimination; the ladder above
-    it starts again from every monomial of that weight, and the weights above
-    are proved mod p again."""
+    """Only the doctored weight falls back to exact elimination; the border above
+    it is built from every monomial of that weight, and the weights above are
+    proved mod p again."""
     cat = _dim_one_too_high(_shipped(), "12", 4, only=True)
     paths = _count_rank_paths(monkeypatch)
     span = verify_span(cat, "12")
@@ -341,48 +341,76 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
         for j2 in weights2]
     for j2, dim in zip(weights2, span.details["dims"]):
         runner.span_rank(j2, prec, dim)
-    assert set(runner.ladder(6, prec)) == set(weighted_monomials(runner.weights2, 6))
-    assert len(runner.ladder(8, prec)) < len(weighted_monomials(runner.weights2, 8))
+    assert runner.border(6, prec) == sorted(weighted_monomials(runner.weights2, 6))
+    assert len(runner.border(8, prec)) < len(weighted_monomials(runner.weights2, 8))
+
+
+def _divided(m: tuple[int, ...]):
+    """(i, m / x_i) for each variable x_i that divides the monomial m."""
+    return [(i, m[:i] + (e - 1,) + m[i + 1:]) for i, e in enumerate(m) if e]
 
 
 @pytest.mark.parametrize("label, kmax2", [("3", 24), ("11h3", 16), ("12", 12), ("13h3", 8),
                                           ("25h6", 10), ("half12", 12)])
 def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
+    """The border at each weight is part of the ladder, the rows g_i * b for
+    b in the basis proved one generator weight down: its rows are distinct
+    monomials of that weight, no more than the bases below hold, their rank
+    reaches dim, and the pivots lie among them and are closed under
+    division: a pivot over a generator it contains is a pivot one generator
+    weight down."""
     plan = check_plan(CAT, "span", label, kmax2)
     runner = CaseRunner(CAT, CAT.cases[label])
     prec = plan.prec(None)
     dims = dict(zip(plan.weights2, plan.dims))
     for j2, dim in dims.items():
-        rows = list(runner.ladder(j2, prec))
+        rows = runner.border(j2, prec)
         assert len(set(rows)) == len(rows)
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
         if j2 and all(j in dims for j in lower):  # every weight below was proved
-            assert len(rows) <= sum(dims[j] for j in lower)
+            bases = {w2: set(runner._bases[prec, j2 - w2]) for w2 in runner.weights2 if w2 <= j2}
+            ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
+                      for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
+            assert len(ladder) <= sum(dims[j] for j in lower)
+            assert set(rows) == {m for m in ladder if all(
+                b in bases[runner.weights2[i]] for i, b in _divided(m))}
         assert runner.span_rank(j2, prec, dim) == dim
+        pivots = runner._bases[prec, j2]
+        assert len(pivots) == dim and set(pivots) <= set(rows)
+        for m in pivots:
+            for i, b in _divided(m):
+                assert b in runner._bases[prec, j2 - runner.weights2[i]], (j2, m)
+
+
+@pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
+def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
+    """To doubled weight 32, each span rank read off the border equals the
+    rank under the same reduction of every monomial of its weight: the
+    border's pivots are the rows that raise the rank when every monomial is
+    ranked in ascending lexicographic order, so the border misses none."""
+    report = verify_span(CAT, label, kmax2=32)
+    assert report.status == "pass"
+    runner = CaseRunner(CAT, CAT.cases[label])
+    prec = report.precision
+    red = modp.reduction(runner.evaluator.ctx, prec)
+    for j2, dim in zip(report.details["weights2"], report.details["dims"]):
+        assert runner.span_rank(j2, prec, dim) == dim
+        mons = sorted(weighted_monomials(runner.weights2, j2))
+        every = red.rank([runner.reduced_monomial(e, red) for e in mons], len(mons))
+        assert [mons[j] for j in every] == runner._bases[prec, j2], j2
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
-    """A count, not a timing: the span of 25h6 to weight 16 passes, and the rows
-    it ranks mod p number at most sum_k sum_i dim M_(k - w_i), far below the
-    number of its monomials."""
-    offered = []
-    rank_mod_p = modp.Reduction.rank
-
-    def counted(red, rows, bound):
-        rows = list(rows)
-        offered.append(len(rows))
-        return rank_mod_p(red, rows, bound)
-
-    monkeypatch.setattr(modp.Reduction, "rank", counted)
+    """A count, not a timing: the span of 25h6 to weight 16 passes with one
+    rank mod p per weight on its border, a part of the ladder of g_i times
+    the basis below, and the rows read number at most sum_k dim M_k + 20,
+    where ranking the ladder itself read 2,317."""
+    paths = _count_rank_paths(monkeypatch)
     report = verify_span(CAT, "25h6", kmax2=32)
     assert report.status == "pass"
-    dims = dict(zip(report.details["weights2"], report.details["dims"]))
-    weights2 = CaseRunner(CAT, CAT.cases["25h6"]).weights2
-    ladder = 1 + sum(dims.get(j2 - w2, 0) for j2 in dims for w2 in weights2)  # 1 at weight 0
-    monomials = sum(len(weighted_monomials(weights2, j2)) for j2 in dims)
-    assert len(offered) == len(dims) and sum(offered) <= ladder
-    assert 10 * ladder < monomials
+    assert [path[2:4] for path in paths] == [(1, 0)] * len(report.details["weights2"])
+    assert sum(path[4] for path in paths) <= sum(report.details["dims"]) + 20
 
 
 def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(monkeypatch):
@@ -577,22 +605,38 @@ def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
     assert {path[2:4] for path in paths} == {(1, 0)}
 
 
-def test_kernel_checks_rank_only_the_standard_monomials(monkeypatch):
+def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     """Every kernel check of full_report, and the kernels of 9 and half12 to
     doubled weight 20: the Gröbner basis mod p decides every ideal dimension,
     with no ideal matrix built and no exact elimination, and each span rank
-    reads exactly dim rows mod p, the standard monomials of its weight (a row
-    count, not a timing)."""
+    reads its border up to its last pivot, that is dim rows and the border
+    rows before the last pivot that are not pivots (a row count, not a
+    timing)."""
     paths = _count_rank_paths(monkeypatch)
     exact = _count_exact_ranks(monkeypatch)
     built = _count_ideal_matrices(monkeypatch)
+    borders = []
+    span_rank = CaseRunner.span_rank
+
+    def recorded(runner, k2, prec, dim):
+        rows = runner.border(k2, prec)
+        rank = span_rank(runner, k2, prec, dim)
+        borders.append((rows, runner._bases[prec, k2]))
+        return rank
+
+    monkeypatch.setattr(CaseRunner, "span_rank", recorded)
     reports = full_report(CAT, checks={"kernel"})
     reports += [verify_kernel(CAT, label, kmax2=20) for label in ("9", "half12")]
     assert len(reports) == 10 and {r.status for r in reports} == {"pass"}
     assert exact == [] and built == []
     weights = [j2 for r in reports for j2 in r.details["weights2"]]
-    assert len(paths) == len(weights) == 88
-    assert all(path[2:] == (1, 0, path[0]) for path in paths), paths
+    assert len(paths) == len(borders) == len(weights) == 88
+    assert all(path[2:4] == (1, 0) for path in paths), paths
+    for (dim, *_, read), (rows, pivots) in zip(paths, borders):
+        assert len(pivots) == dim and set(pivots) <= set(rows)
+        assert read == (rows.index(pivots[-1]) + 1 if pivots else 0) <= dim + 3
+    dims = sum(path[0] for path in paths)
+    assert sum(path[4] for path in paths) <= dims + 20
     # at weight 10 half12 has 506 monomials and an ideal of dimension 465: 41 rows
     half12 = CaseRunner(CAT, CAT.cases["half12"], presentation=True)
     assert reports[-1].details["ideal_dims"][-1] == 465
