@@ -10,7 +10,10 @@ homogeneous ideal I this gives a basis whose leading monomials generate the
 leading-term ideal of I in every weight up to the top, so the monomials of
 weight k that none of them divides, the standard monomials, are a basis of
 (R/I)_k and dim I_k = #monomials - #standard monomials (Cox, Little and
-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9).
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9).  The standard
+monomials are closed under division, so those of weight k lie in the
+``border`` of any sets of monomials below that hold the standard ones: the
+kernel check counts them on the border rows its span ranks read.
 """
 
 from __future__ import annotations
@@ -114,14 +117,3 @@ def border(weights2, lower, k2: int) -> list[tuple[int, ...]]:
                 hits[m] = hits.get(m, 0) + 1
     return sorted(m for m, h in hits.items() if h == len(m) - m.count(0))
 
-
-def standard_monomials(weights2, leads, top2: int) -> list[list[tuple[int, ...]]]:
-    """The monomials that no leading monomial in leads divides, for each
-    doubled weight 0..top2, in ascending lexicographic order: they are
-    closed under division, so those of weight k are the members of the
-    border of the ones below that no leading monomial divides."""
-    out: list[list[tuple[int, ...]]] = []
-    for k in range(top2 + 1):
-        out.append([m for m in border(weights2, out.__getitem__, k)
-                    if not any(all(map(le, a, m)) for a in leads)])
-    return out

@@ -9,10 +9,12 @@ only where no prime does is the rank computed by exact elimination.
 Span and kernel checks climb their weights on one ``CaseRunner`` and, at
 each weight, rank mod p only the border of the basis proved below
 (``CaseRunner.border``): the monomials all of whose divisors by one
-generator were proved pivots.  A kernel check takes its ideal dimensions
-from one Gröbner basis of the relations mod p, truncated at its top weight
-(``groebner``); the ideal-vector matrix is built only for exact
-elimination.
+generator were proved pivots.  A kernel check reduces its relations by the
+span ranks' prime and takes a Gröbner basis of them mod p, truncated at its
+top weight (``groebner``); at each weight it counts the standard monomials
+among the border rows just ranked, which hold all of them while every
+standard monomial below is a proved pivot.  The ideal-vector matrix is
+built only for exact elimination.
 Elimination pivots on the leftmost nonzero entry with no size
 heuristics, so runs are bit-for-bit reproducible.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from operator import add
+from operator import add, le
 from typing import NamedTuple
 
 from . import groebner, modp
@@ -147,7 +149,7 @@ class CaseRunner:
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
         self._reduced: dict = {}  # (red, exps) -> monomial_series(exps, red.n) under red, packed
-        self._bases: dict = {}  # (prec, k2) -> monomials proved a basis of M_k by span_rank
+        self._ranked: dict = {}  # (prec, k2) -> (border span_rank ranked, basis proved or None)
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -195,7 +197,7 @@ class CaseRunner:
         at k2 - w_i at this precision for every generator g_i dividing m,
         where every monomial of a weight that was not proved counts."""
         def lower(j2: int) -> list[tuple[int, ...]]:
-            basis = self._bases.get((prec, j2))
+            _, basis = self._ranked.get((prec, j2), ((), None))
             return weighted_monomials(self.weights2, j2) if basis is None else basis
 
         return groebner.border(self.weights2, lower, k2)
@@ -211,7 +213,8 @@ class CaseRunner:
         kernel of truncation mod p, so the pivots in ascending lexicographic
         order are closed under division and the border holds every one of
         them: it reaches the rank mod p of all monomials.  Where that falls
-        short of dim, all monomials are ranked by exact elimination.
+        short of dim, all monomials are ranked by exact elimination.  The
+        rows are kept with the basis they proved, for the kernel check.
         """
         bound = self.sturm2(k2)
         if prec < bound:
@@ -222,8 +225,7 @@ class CaseRunner:
             lambda red: (self.reduced_monomial(e, red) for e in rows),
             lambda: [self.monomial_series(e, prec).coeffs
                      for e in weighted_monomials(self.weights2, k2)])
-        if pivots is not None:
-            self._bases[prec, k2] = [rows[j] for j in pivots]
+        self._ranked[prec, k2] = (rows, None if pivots is None else [rows[j] for j in pivots])
         return rank
 
     def relation_terms(self, rel) -> dict:
@@ -425,24 +427,29 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         rel_terms.append((rel.w2, runner.relation_terms(rel)))
     # vanishing relations put the ideal in the kernel, which bounds its dimension
     # at each weight, and a Gröbner basis mod p gives a lower bound on it there
-    standard = None  # per doubled weight, the standard monomials of that basis
+    leads = None
     if status == "pass" and plan.weights2:
-        top2 = plan.weights2[-1]
-        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, top2)
-        if leads is not None:
-            standard = groebner.standard_monomials(runner.weights2, leads, top2)
+        leads = _leading_monomials(modp.reduction(runner.evaluator.ctx, prec), rel_terms,
+                                   runner.weights2, plan.weights2[-1])
     # only exact elimination enumerates the monomials; the rest needs their number
     counts = groebner.monomial_counts(runner.weights2, plan.k_range[1])
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
         rank = runner.span_rank(j2, prec, want)
         dim_kernel = counts[j2] - rank
-        if standard is not None and counts[j2] - len(standard[j2]) == dim_kernel:
+        # while every standard monomial below is in its proved basis, the border
+        # rows hold every standard monomial of this weight
+        rows, basis = runner._ranked[prec, j2]
+        std = None if leads is None else [
+            m for m in rows if not any(all(map(le, a, m)) for a in leads)]
+        if std is not None and len(std) == rank:
             dim_ideal = dim_kernel
         else:
             dim_ideal = row_echelon_rank(_ideal_vectors(
                 rel_terms, runner.weights2, weighted_monomials(runner.weights2, j2), j2,
                 runner.evaluator.ctx.zero))
+        if std is not None and basis is not None and not set(std) <= set(basis):
+            leads = None  # the borders above may miss a standard monomial
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -458,17 +465,17 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
                               details, _ms_since(t0))
 
 
-def _leading_monomials(ctx: FieldCtx, rel_terms, weights2, top2: int):
+def _leading_monomials(red, rel_terms, weights2, top2: int):
     """The leading monomials of a Gröbner basis mod p of the relations,
-    truncated at doubled weight top2, under the one reduction of the widest
-    ideal matrix it replaces; None where no prime fits that width or a
-    coefficient is not p-integral.
+    truncated at doubled weight top2, under the reduction red of the check's
+    span ranks; None where red is None or a coefficient is not p-integral.
 
     Reduction is a ring map on p-integral coefficients, so the ideal the
     reduced relations generate has dimension dim_p I_k <= dim I_k at each
     weight k, and dim_p I_k equal to the kernel dimension proves dim I_k.
+    The reduced relations lie in the kernel of the truncated map mod p, so
+    under the span's prime every pivot of a span rank is a standard monomial.
     """
-    red = modp.reduction(ctx, groebner.monomial_counts(weights2, top2)[top2])
     if red is None:
         return None
     try:

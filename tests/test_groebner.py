@@ -5,7 +5,7 @@ from operator import le, mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring import groebner
+from mfring import groebner, modp
 from mfring.catalog import load_catalog
 from mfring.verify import (
     CaseRunner,
@@ -67,12 +67,15 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
     leads = groebner.leading_monomials(rels, weights2, top2, p)
     rel_terms = [(_weight(next(iter(r)), weights2), r) for r in rels]
     counts = groebner.monomial_counts(weights2, top2)
-    standard = groebner.standard_monomials(weights2, leads, top2)
-    assert len(counts) == len(standard) == top2 + 1
+    assert len(counts) == top2 + 1
+    standard = []
     for j2 in range(top2 + 1):
         mons = weighted_monomials(weights2, j2)
         assert counts[j2] == len(mons)
-        assert standard[j2] == _enumerated_standard(weights2, leads, j2)
+        standard.append(_enumerated_standard(weights2, leads, j2))
+        # the border of the standard monomials below holds every standard monomial
+        assert [m for m in groebner.border(weights2, standard.__getitem__, j2)
+                if not any(all(map(le, a, m)) for a in leads)] == standard[j2]
         # the border of every monomial below is every monomial
         everything = groebner.border(weights2, lambda j: weighted_monomials(weights2, j), j2)
         assert everything == sorted(mons)
@@ -91,25 +94,37 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
         assert not any(all(map(le, b, a)) for b in leads[:i] + leads[i + 1:])
 
 
+def _kernel_leads(runner, top2: int, prec: int):
+    """The leading monomials a kernel check of the runner's case takes, under
+    the reduction of its span ranks at precision prec."""
+    rel_terms = [(rel.w2, runner.relation_terms(rel))
+                 for rel in runner.case.presentation.relations]
+    red = modp.reduction(runner.evaluator.ctx, prec)
+    return rel_terms, _leading_monomials(red, rel_terms, runner.weights2, top2)
+
+
 def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeration():
     """For every case with a kernel check, to doubled weight 24: the monomial
-    counts from the Hilbert series of the polynomial ring and the standard
-    monomials grown weight by weight are those that enumerating and filtering
-    every monomial gives, in the same order."""
+    counts from the Hilbert series of the polynomial ring are the numbers of
+    monomials, and at each weight of the check the border rows its span rank
+    read that no leading monomial divides are the standard monomials that
+    enumerating and filtering every monomial gives, in the same order."""
     checked = []
     for label in sorted(CAT.cases):
         plan = check_plan(CAT, "kernel", label, 24)
         if plan.skip or not plan.weights2:
             continue
-        case = CAT.cases[label]
-        runner = CaseRunner(CAT, case, presentation=True)
-        rel_terms = [(rel.w2, runner.relation_terms(rel)) for rel in case.presentation.relations]
-        leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, 24)
+        runner = CaseRunner(CAT, CAT.cases[label], presentation=True)
+        prec = plan.prec(None)
+        _, leads = _kernel_leads(runner, 24, prec)
         counts = groebner.monomial_counts(runner.weights2, 24)
-        standard = groebner.standard_monomials(runner.weights2, leads, 24)
         for j2 in range(25):
             assert counts[j2] == len(weighted_monomials(runner.weights2, j2)), (label, j2)
-            assert standard[j2] == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
+        for j2, dim in zip(plan.weights2, plan.dims):
+            assert runner.span_rank(j2, prec, dim) == dim
+            rows, _ = runner._ranked[prec, j2]
+            standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
+            assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
         checked.append(label)
     assert len(checked) >= 8 and "half12" in checked
 
@@ -127,9 +142,8 @@ def test_case_10_needs_a_fourth_leading_term():
     do not generate the leading-term ideal."""
     case = CAT.cases["10"]
     runner = CaseRunner(CAT, case, presentation=True)
-    top2 = check_plan(CAT, "kernel", "10").weights2[-1]
-    rel_terms = [(rel.w2, runner.relation_terms(rel)) for rel in case.presentation.relations]
-    leads = _leading_monomials(runner.evaluator.ctx, rel_terms, runner.weights2, top2)
+    plan = check_plan(CAT, "kernel", "10")
+    rel_terms, leads = _kernel_leads(runner, plan.weights2[-1], plan.prec(None))
     assert len(rel_terms) == 3 and len(leads) == 4
     own = {max(terms) for _, terms in rel_terms}
     assert own < set(leads)

@@ -369,18 +369,20 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
         if j2 and all(j in dims for j in lower):  # every weight below was proved
-            bases = {w2: set(runner._bases[prec, j2 - w2]) for w2 in runner.weights2 if w2 <= j2}
+            bases = {w2: set(runner._ranked[prec, j2 - w2][1])
+                     for w2 in runner.weights2 if w2 <= j2}
             ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
                       for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
             assert len(ladder) <= sum(dims[j] for j in lower)
             assert set(rows) == {m for m in ladder if all(
                 b in bases[runner.weights2[i]] for i, b in _divided(m))}
         assert runner.span_rank(j2, prec, dim) == dim
-        pivots = runner._bases[prec, j2]
+        ranked, pivots = runner._ranked[prec, j2]
+        assert ranked == rows
         assert len(pivots) == dim and set(pivots) <= set(rows)
         for m in pivots:
             for i, b in _divided(m):
-                assert b in runner._bases[prec, j2 - runner.weights2[i]], (j2, m)
+                assert b in runner._ranked[prec, j2 - runner.weights2[i]][1], (j2, m)
 
 
 @pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
@@ -398,7 +400,7 @@ def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
         assert runner.span_rank(j2, prec, dim) == dim
         mons = sorted(weighted_monomials(runner.weights2, j2))
         every = red.rank([runner.reduced_monomial(e, red) for e in mons], len(mons))
-        assert [mons[j] for j in every] == runner._bases[prec, j2], j2
+        assert [mons[j] for j in every] == runner._ranked[prec, j2][1], j2
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
@@ -619,9 +621,8 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     span_rank = CaseRunner.span_rank
 
     def recorded(runner, k2, prec, dim):
-        rows = runner.border(k2, prec)
         rank = span_rank(runner, k2, prec, dim)
-        borders.append((rows, runner._bases[prec, k2]))
+        borders.append(runner._ranked[prec, k2])
         return rank
 
     monkeypatch.setattr(CaseRunner, "span_rank", recorded)
@@ -648,8 +649,7 @@ def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monke
     Gröbner basis, every ideal rank by exact elimination, and the same report."""
     plan = check_plan(CAT, "kernel", "7")
     runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
-    width = len(weighted_monomials(runner.weights2, plan.weights2[-1]))
-    p = modp.reduction(runner.evaluator.ctx, width).p
+    p = modp.reduction(runner.evaluator.ctx, plan.prec(None)).p  # the span ranks' prime
     raw = _shipped()
     rel = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["relations"][0]
     rel["poly"] = f"({rel['poly']})/{p}"
@@ -660,6 +660,51 @@ def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monke
     assert built == list(plan.weights2) and len(exact) == len(built)
     del report["elapsed_ms"]
     assert report == json.loads(GOLDEN.read_text())["7|kernel"]
+
+
+def test_a_dropped_leading_monomial_takes_exact_elimination_from_its_weight_on(monkeypatch):
+    """With the first leading monomial of each Gröbner basis dropped, that
+    monomial counts as standard: its weight has one standard monomial more
+    than the rank and takes exact elimination, and since it is no proved
+    pivot, the borders above may miss standard monomials, so every weight
+    above takes exact elimination too.  The reports stay the golden ones."""
+    leading = verify._leading_monomials
+    dropped = []
+
+    def drop_first(*args):
+        leads = leading(*args)
+        dropped.append(leads[0])
+        return leads[1:]
+
+    monkeypatch.setattr(verify, "_leading_monomials", drop_first)
+    built = _count_ideal_matrices(monkeypatch)
+    golden = json.loads(GOLDEN.read_text())
+    for label in ("7", "9", "10", "half12"):
+        built.clear()
+        report = json.loads(verify_kernel(CAT, label).to_json())
+        del report["elapsed_ms"]
+        assert report == golden[f"{label}|kernel"], label
+        weights2 = CaseRunner(CAT, CAT.cases[label], presentation=True).weights2
+        w2 = sum(map(mul, dropped[-1], weights2))
+        above = [j2 for j2 in report["details"]["weights2"] if j2 >= w2]
+        assert built == above and len(above) > 1, label
+
+
+def test_full_report_builds_one_border_per_span_or_kernel_weight(monkeypatch):
+    """A kernel check counts its standard monomials on the border its span
+    ranks read, and builds no border of its own."""
+    border = groebner.border
+    calls = []
+
+    def counted(weights2, lower, k2):
+        calls.append(k2)
+        return border(weights2, lower, k2)
+
+    monkeypatch.setattr(groebner, "border", counted)
+    reports = full_report(CAT)
+    weights = [j2 for r in reports if r.check in ("span", "kernel")
+               for j2 in r.details.get("weights2", [])]
+    assert len(calls) == len(weights) == 249
 
 
 def test_full_report_builds_each_constructor_series_once(monkeypatch):
