@@ -120,7 +120,8 @@ def psi_index(N: int) -> int:
     return out
 
 
-def _subgroup_order(N: int, gens: tuple[int, ...]) -> int:
+def _subgroup(N: int, gens) -> frozenset[int]:
+    """The residues mod N that products of gens reach, 1 included."""
     seen = {1 % N}
     frontier = [1 % N]
     while frontier:
@@ -130,7 +131,7 @@ def _subgroup_order(N: int, gens: tuple[int, ...]) -> int:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return len(seen)
+    return frozenset(seen)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +143,7 @@ def group_index(group: GroupSpec) -> int:
     if group.kind == "gamma0":
         return psi_index(group.level)
     N = group.level
-    order = _subgroup_order(N, group.H + (N - 1,))
+    order = len(_subgroup(N, group.H + (N - 1,)))
     return psi_index(N) * (len(units(N)) // order)
 
 
@@ -246,9 +247,10 @@ class Catalog:
         return self.groups[label]
 
     def group_by_key(self, kind: str, level: int, H=()) -> GroupSpec:
-        key = (kind, level, tuple(sorted(H)))
+        """The group of this kind and level whose H generates the same
+        subgroup mod the level as the given H does."""
         for g in self.groups.values():
-            if (g.kind, g.level, tuple(sorted(g.H))) == key:
+            if (g.kind, g.level) == (kind, level) and _subgroup(level, g.H) == _subgroup(level, H):
                 return g
         raise OutOfTable(f"no group {kind}:{level}:{list(H)}")
 

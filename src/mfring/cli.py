@@ -111,8 +111,7 @@ def cmd_hilbert(args) -> int:
     if case.presentation is None or case.presentation.hilbert_num is None:
         raise CliError(f"case {label!r} has no claimed Hilbert series", EXIT_UNKNOWN)
     horizon2 = 2 * args.horizon
-    hs, bad = hilbert_mismatches(catalog, case, horizon2)
-    coeffs = hs.expand(horizon2)
+    hs, coeffs, bad = hilbert_mismatches(catalog, case, horizon2)
     dims = [dim_or_none(catalog, case, j2) for j2 in range(horizon2 + 1)]
     if args.output == "json":
         print(json.dumps({"case": label, "series": hs.render(),

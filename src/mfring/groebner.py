@@ -10,10 +10,9 @@ homogeneous ideal I this gives a basis whose leading monomials generate the
 leading-term ideal of I in every weight up to the top, so the monomials of
 weight k that none of them divides, the standard monomials, are a basis of
 (R/I)_k and dim I_k = #monomials - #standard monomials (Cox, Little and
-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9).  The standard
-monomials are closed under division, so those of weight k lie in the
-``border`` of any sets of monomials below that hold the standard ones: the
-kernel check counts them on the border rows its span ranks read.
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9); the kernel check
+counts them from the Hilbert series of the leading monomials
+(``hilbert.monomial_quotient``).  ``border`` gives the rows of the span ranks.
 """
 
 from __future__ import annotations
@@ -85,16 +84,6 @@ def _top_reduce(h: dict, basis, p: int) -> tuple[int, ...] | None:
         else:
             return lead
     return None
-
-
-def monomial_counts(weights2, top2: int) -> list[int]:
-    """The number of monomials of each doubled weight 0..top2 in variables of
-    doubled weights weights2: the coefficients of prod 1/(1 - t^w)."""
-    counts = [1] + [0] * top2
-    for w in weights2:
-        for k in range(w, top2 + 1):
-            counts[k] += counts[k - w]
-    return counts
 
 
 def border(weights2, lower, k2: int) -> list[tuple[int, ...]]:

@@ -7,6 +7,8 @@ half-integral gradings stay integral; rendering divides by two.
 
 from __future__ import annotations
 
+from operator import le, mul, sub
+
 
 class HilbertSeries:
     """numerator(t) / prod over w in den_weights2 of (1 - t^w), t in doubled weight."""
@@ -24,27 +26,15 @@ class HilbertSeries:
             raise ValueError("denominator weights must be positive")
 
     def expand(self, horizon2: int) -> list[int]:
-        """Exact power series coefficients for doubled degrees 0..horizon2."""
-        den = [1]
-        for w in self.den_weights2:
-            # multiply by (1 - t^w)
-            new = den + [0] * w
-            for i, c in enumerate(den):
-                new[i + w] -= c
-            den = new
-        num = [0] * (horizon2 + 1)
+        """Exact power series coefficients for doubled degrees 0..horizon2: the
+        numerator, then one running sum of step w for each factor 1/(1 - t^w)."""
+        out = [0] * (horizon2 + 1)
         for d, c in self.num:
             if d <= horizon2:
-                num[d] += c
-        out = [0] * (horizon2 + 1)
-        for n in range(horizon2 + 1):
-            acc = num[n]
-            for i in range(1, min(n, len(den) - 1) + 1):
-                if den[i]:
-                    acc -= den[i] * out[n - i]
-            if acc % den[0]:
-                raise ValueError("non-integral expansion")
-            out[n] = acc // den[0]
+                out[d] += c
+        for w in self.den_weights2:
+            for n in range(w, horizon2 + 1):
+                out[n] += out[n - w]
         return out
 
     def render(self) -> str:
@@ -81,9 +71,27 @@ class HilbertSeries:
         return f"HilbertSeries({self.render()!r})"
 
 
-def dim_mismatches(hs: HilbertSeries, dim_at, horizon2: int, lattice_mod: int = 1):
-    """The (j2, coefficient, dim) triples, up to horizon2, where the expansion
-    differs from a dimension callback.
+def monomial_quotient(gens, weights2) -> HilbertSeries:
+    """The Hilbert series of k[x]/<gens> for monomials gens (exponent tuples)
+    in variables of doubled weights weights2.  Its numerator obeys
+    N(J + <m>) = N(J) - t^deg(m) N(J : m), where J : m is generated by the
+    g / gcd(g, m) for g in J (Bayer and Stillman, *Computation of Hilbert
+    functions*, J. Symbolic Comput. 14, 1992); gens and each J : m keep only
+    their minimal generators."""
+    kept: list[tuple[int, ...]] = []  # a proper divisor sorts before its multiples
+    for a in sorted(set(gens)):
+        if not any(all(map(le, b, a)) for b in kept):
+            kept.append(a)
+    num = [(1, 0)]
+    for i, m in enumerate(kept):
+        colon = monomial_quotient([tuple(map(sub, map(max, g, m), m)) for g in kept[:i]], weights2)
+        num += [(-c, e + sum(map(mul, m, weights2))) for e, c in colon.num]
+    return HilbertSeries(num, weights2)
+
+
+def dim_mismatches(coeffs: list[int], dim_at, lattice_mod: int = 1):
+    """The (j2, coefficient, dim) triples where an expansion, coeffs[j2] at
+    doubled degree j2, differs from a dimension callback.
 
     ``dim_at(j2)`` returns the expected dimension or None when the weight is
     outside the table; such weights must carry coefficient zero unless they
@@ -91,7 +99,7 @@ def dim_mismatches(hs: HilbertSeries, dim_at, horizon2: int, lattice_mod: int = 
     which case they are skipped.
     """
     out = []
-    for j2, got in enumerate(hs.expand(horizon2)):
+    for j2, got in enumerate(coeffs):
         want = dim_at(j2)
         if want is None:
             if j2 % lattice_mod != 0:

@@ -11,10 +11,9 @@ each weight, rank mod p only the border of the basis proved below
 (``CaseRunner.border``): the monomials all of whose divisors by one
 generator were proved pivots.  A kernel check reduces its relations by the
 span ranks' prime and takes a Gröbner basis of them mod p, truncated at its
-top weight (``groebner``); at each weight it counts the standard monomials
-among the border rows just ranked, which hold all of them while every
-standard monomial below is a proved pivot.  The ideal-vector matrix is
-built only for exact elimination.
+top weight (``groebner``); the Hilbert series of its leading monomials
+(``hilbert.monomial_quotient``) counts the standard monomials of each
+weight.  The ideal-vector matrix is built only for exact elimination.
 Elimination pivots on the leftmost nonzero entry with no size
 heuristics, so runs are bit-for-bit reproducible.
 """
@@ -23,14 +22,14 @@ from __future__ import annotations
 
 import json
 import time
-from operator import add, le
+from operator import add
 from typing import NamedTuple
 
 from . import groebner, modp
 from .catalog import Case, Catalog
 from .cyclo import CycloNum, FieldCtx
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
-from .hilbert import HilbertSeries, dim_mismatches
+from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
 from .qseries import QSeries
 
 GUARD = 8  # extra coefficients beyond every certified cutoff
@@ -149,7 +148,7 @@ class CaseRunner:
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
         self._reduced: dict = {}  # (red, exps) -> monomial_series(exps, red.n) under red, packed
-        self._ranked: dict = {}  # (prec, k2) -> (border span_rank ranked, basis proved or None)
+        self._bases: dict = {}  # (prec, k2) -> basis proved by span_rank, or None
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -197,7 +196,7 @@ class CaseRunner:
         at k2 - w_i at this precision for every generator g_i dividing m,
         where every monomial of a weight that was not proved counts."""
         def lower(j2: int) -> list[tuple[int, ...]]:
-            _, basis = self._ranked.get((prec, j2), ((), None))
+            basis = self._bases.get((prec, j2))
             return weighted_monomials(self.weights2, j2) if basis is None else basis
 
         return groebner.border(self.weights2, lower, k2)
@@ -213,8 +212,7 @@ class CaseRunner:
         kernel of truncation mod p, so the pivots in ascending lexicographic
         order are closed under division and the border holds every one of
         them: it reaches the rank mod p of all monomials.  Where that falls
-        short of dim, all monomials are ranked by exact elimination.  The
-        rows are kept with the basis they proved, for the kernel check.
+        short of dim, all monomials are ranked by exact elimination.
         """
         bound = self.sturm2(k2)
         if prec < bound:
@@ -225,7 +223,7 @@ class CaseRunner:
             lambda red: (self.reduced_monomial(e, red) for e in rows),
             lambda: [self.monomial_series(e, prec).coeffs
                      for e in weighted_monomials(self.weights2, k2)])
-        self._ranked[prec, k2] = (rows, None if pivots is None else [rows[j] for j in pivots])
+        self._bases[prec, k2] = None if pivots is None else [rows[j] for j in pivots]
         return rank
 
     def relation_terms(self, rel) -> dict:
@@ -432,24 +430,20 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         leads = _leading_monomials(modp.reduction(runner.evaluator.ctx, prec), rel_terms,
                                    runner.weights2, plan.weights2[-1])
     # only exact elimination enumerates the monomials; the rest needs their number
-    counts = groebner.monomial_counts(runner.weights2, plan.k_range[1])
+    top2 = plan.k_range[1]
+    counts = HilbertSeries([(1, 0)], runner.weights2).expand(top2)
+    std = None if leads is None else monomial_quotient(leads, runner.weights2).expand(top2)
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
         rank = runner.span_rank(j2, prec, want)
         dim_kernel = counts[j2] - rank
-        # while every standard monomial below is in its proved basis, the border
-        # rows hold every standard monomial of this weight
-        rows, basis = runner._ranked[prec, j2]
-        std = None if leads is None else [
-            m for m in rows if not any(all(map(le, a, m)) for a in leads)]
-        if std is not None and len(std) == rank:
+        # dim_p I = #monomials - #standard <= dim I <= dim_kernel at every prime
+        if std is not None and std[j2] == rank:
             dim_ideal = dim_kernel
         else:
             dim_ideal = row_echelon_rank(_ideal_vectors(
                 rel_terms, runner.weights2, weighted_monomials(runner.weights2, j2), j2,
                 runner.evaluator.ctx.zero))
-        if std is not None and basis is not None and not set(std) <= set(basis):
-            leads = None  # the borders above may miss a standard monomial
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -473,8 +467,7 @@ def _leading_monomials(red, rel_terms, weights2, top2: int):
     Reduction is a ring map on p-integral coefficients, so the ideal the
     reduced relations generate has dimension dim_p I_k <= dim I_k at each
     weight k, and dim_p I_k equal to the kernel dimension proves dim I_k.
-    The reduced relations lie in the kernel of the truncated map mod p, so
-    under the span's prime every pivot of a span rank is a standard monomial.
+    Taking the span ranks' reduction looks up no second prime.
     """
     if red is None:
         return None
@@ -509,8 +502,8 @@ def verify_hilbert(catalog: Catalog, case_label: str,
     skip = _skip_reason("hilbert", case)
     if skip:
         return _skipped(case_label, "hilbert", skip)
-    hs, bad = hilbert_mismatches(catalog, case, horizon2)
-    details = {"series": hs.render(), "expansion": hs.expand(min(horizon2, 24))}
+    hs, coeffs, bad = hilbert_mismatches(catalog, case, horizon2)
+    details = {"series": hs.render(), "expansion": coeffs[:25]}
     if bad:
         j2, got, want = bad[0]
         details["first_failure"] = {"j2": j2, "coefficient": got, "dim": want}
@@ -519,13 +512,14 @@ def verify_hilbert(catalog: Catalog, case_label: str,
 
 
 def hilbert_mismatches(catalog: Catalog, case: Case, horizon2: int):
-    """The case's claimed Hilbert series and its (j2, coefficient, dim) mismatches
-    up to doubled weight horizon2; weights on the case's lattice that have no
-    dimension row count as dimension 0."""
+    """The case's claimed Hilbert series, its expansion to doubled weight
+    horizon2 and the (j2, coefficient, dim) mismatches there; weights on the
+    case's lattice that have no dimension row count as dimension 0."""
     pres = case.presentation
     hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
+    coeffs = hs.expand(horizon2)
     lattice = 1 if _half_graded(catalog.case_gens(case, presentation=True)) else 2
-    return hs, dim_mismatches(hs, lambda j2: dim_or_none(catalog, case, j2), horizon2, lattice)
+    return hs, coeffs, dim_mismatches(coeffs, lambda j2: dim_or_none(catalog, case, j2), lattice)
 
 
 def verify_identity(catalog: Catalog, name: str,

@@ -153,7 +153,8 @@ def test_criterion_6_hilbert_suite():
         assert verify_hilbert(CAT, label, horizon2=40).status == "pass", label
     # the quoted closed forms, horizon 20
     free46 = HilbertSeries([(1, 0)], [8, 12])
-    assert dim_mismatches(free46, lambda j2: _dim_or_none("g1", j2), 40, lattice_mod=2) == []
+    assert dim_mismatches(free46.expand(40), lambda j2: _dim_or_none("g1", j2),
+                          lattice_mod=2) == []
     ext = HilbertSeries([(1, 0), (1, 4)], [2, 2])
     assert ext.expand(40)[::2] == [1] + [2 * k for k in range(1, 21)]
     for n in range(1, 6):

@@ -133,6 +133,22 @@ def test_dims(capsys):
     assert code == 3
 
 
+def test_dims_finds_a_group_by_the_subgroup_its_h_generates(capsys):
+    """An H is matched by the subgroup it generates mod N, not by its list;
+    -1 is not added, and a level no group has exits 2 with no traceback."""
+    spellings = {"gammaH:13:[3]": ["gammaH:13:[3,9]", "gammaH:13:[9]"],
+                 "gammaH:11:[3]": ["gammaH:11:[5]"],
+                 "gammaH:7:[1]": ["gammaH:7:[]", "gammaH:7:[8]"]}
+    for shipped, others in spellings.items():
+        code, want, _ = _run(capsys, "dims", "--group", shipped, "--kmax", "6")
+        assert code == 0 and len(want.splitlines()) == 7
+        for other in others:
+            assert _run(capsys, "dims", "--group", other, "--kmax", "6") == (0, want, ""), other
+    for missing in ("gammaH:13:[5]", "gammaH:13:[0]", "gammaH:0:[1]"):
+        code, _, err = _run(capsys, "dims", "--group", missing)
+        assert code == 2 and err.startswith("error: no group"), missing
+
+
 def test_hilbert_command(capsys):
     code, out, _ = _run(capsys, "hilbert", "--case", "7", "--horizon", "6")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfring import groebner, modp
 from mfring.catalog import load_catalog
+from mfring.hilbert import HilbertSeries, monomial_quotient
 from mfring.verify import (
     CaseRunner,
     _ideal_vectors,
@@ -66,13 +67,15 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
     p, weights2, top2, rels = ideal
     leads = groebner.leading_monomials(rels, weights2, top2, p)
     rel_terms = [(_weight(next(iter(r)), weights2), r) for r in rels]
-    counts = groebner.monomial_counts(weights2, top2)
+    counts = HilbertSeries([(1, 0)], weights2).expand(top2)
     assert len(counts) == top2 + 1
+    quotient = monomial_quotient(leads, weights2).expand(top2)
     standard = []
     for j2 in range(top2 + 1):
         mons = weighted_monomials(weights2, j2)
         assert counts[j2] == len(mons)
         standard.append(_enumerated_standard(weights2, leads, j2))
+        assert quotient[j2] == len(standard[j2]), j2
         # the border of the standard monomials below holds every standard monomial
         assert [m for m in groebner.border(weights2, standard.__getitem__, j2)
                 if not any(all(map(le, a, m)) for a in leads)] == standard[j2]
@@ -106,9 +109,11 @@ def _kernel_leads(runner, top2: int, prec: int):
 def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeration():
     """For every case with a kernel check, to doubled weight 24: the monomial
     counts from the Hilbert series of the polynomial ring are the numbers of
-    monomials, and at each weight of the check the border rows its span rank
-    read that no leading monomial divides are the standard monomials that
-    enumerating and filtering every monomial gives, in the same order."""
+    monomials, the standard monomial counts from the Hilbert series of the
+    leading monomials are the numbers of standard monomials, and at each
+    weight of the check the border rows of its span rank that no leading
+    monomial divides are the standard monomials that enumerating and
+    filtering every monomial gives, in the same order."""
     checked = []
     for label in sorted(CAT.cases):
         plan = check_plan(CAT, "kernel", label, 24)
@@ -117,12 +122,14 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
         runner = CaseRunner(CAT, CAT.cases[label], presentation=True)
         prec = plan.prec(None)
         _, leads = _kernel_leads(runner, 24, prec)
-        counts = groebner.monomial_counts(runner.weights2, 24)
+        counts = HilbertSeries([(1, 0)], runner.weights2).expand(24)
+        quotient = monomial_quotient(leads, runner.weights2).expand(24)
         for j2 in range(25):
             assert counts[j2] == len(weighted_monomials(runner.weights2, j2)), (label, j2)
+            assert quotient[j2] == len(_enumerated_standard(runner.weights2, leads, j2))
         for j2, dim in zip(plan.weights2, plan.dims):
             assert runner.span_rank(j2, prec, dim) == dim
-            rows, _ = runner._ranked[prec, j2]
+            rows = runner.border(j2, prec)
             standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
             assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
         checked.append(label)

@@ -1,6 +1,11 @@
 from math import comb
+from operator import le
 
-from mfring.hilbert import HilbertSeries, dim_mismatches
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfring.hilbert import HilbertSeries, dim_mismatches, monomial_quotient
+from mfring.verify import weighted_monomials
 
 
 def test_free_single_and_pair():
@@ -87,11 +92,31 @@ def test_dim_mismatches_callback():
             return None
         return j2 + 1
 
-    assert dim_mismatches(hs, dims, 30, lattice_mod=2) == []
-    assert dim_mismatches(hs, lambda j2: 5 if j2 == 6 else dims(j2), 30, 2) == [(6, 7, 5)]
+    coeffs = hs.expand(30)
+    assert dim_mismatches(coeffs, dims, lattice_mod=2) == []
+    assert dim_mismatches(coeffs, lambda j2: 5 if j2 == 6 else dims(j2), 2) == [(6, 7, 5)]
     # a lattice weight without a dimension row counts as dimension 0; off the lattice it is skipped
-    assert dim_mismatches(hs, lambda j2: None if j2 == 4 else dims(j2), 30, 2) == [(4, 5, 0)]
-    assert dim_mismatches(hs, dims, 30, lattice_mod=1) == []
+    assert dim_mismatches(coeffs, lambda j2: None if j2 == 4 else dims(j2), 2) == [(4, 5, 0)]
+    assert dim_mismatches(coeffs, dims, lattice_mod=1) == []
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(doubled weights, monomial generators, top doubled weight)."""
+    weights2 = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    n = len(weights2)
+    mons = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(0, 3)] * n))
+    return weights2, draw(st.lists(mons, max_size=8)), draw(st.integers(0, 24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_ideals())
+def test_monomial_quotient_counts_the_monomials_no_generator_divides(ideal):
+    weights2, gens, top2 = ideal
+    every = [weighted_monomials(weights2, k2) for k2 in range(top2 + 1)]
+    assert HilbertSeries([(1, 0)], weights2).expand(top2) == [len(mons) for mons in every]
+    assert monomial_quotient(gens, weights2).expand(top2) == [
+        sum(not any(all(map(le, g, m)) for g in gens) for m in mons) for mons in every]
 
 
 def test_render():

@@ -369,7 +369,7 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
         if j2 and all(j in dims for j in lower):  # every weight below was proved
-            bases = {w2: set(runner._ranked[prec, j2 - w2][1])
+            bases = {w2: set(runner._bases[prec, j2 - w2])
                      for w2 in runner.weights2 if w2 <= j2}
             ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
                       for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
@@ -377,12 +377,12 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
             assert set(rows) == {m for m in ladder if all(
                 b in bases[runner.weights2[i]] for i, b in _divided(m))}
         assert runner.span_rank(j2, prec, dim) == dim
-        ranked, pivots = runner._ranked[prec, j2]
-        assert ranked == rows
+        pivots = runner._bases[prec, j2]
+        assert runner.border(j2, prec) == rows
         assert len(pivots) == dim and set(pivots) <= set(rows)
         for m in pivots:
             for i, b in _divided(m):
-                assert b in runner._ranked[prec, j2 - runner.weights2[i]][1], (j2, m)
+                assert b in runner._bases[prec, j2 - runner.weights2[i]], (j2, m)
 
 
 @pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
@@ -400,7 +400,7 @@ def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
         assert runner.span_rank(j2, prec, dim) == dim
         mons = sorted(weighted_monomials(runner.weights2, j2))
         every = red.rank([runner.reduced_monomial(e, red) for e in mons], len(mons))
-        assert [mons[j] for j in every] == runner._ranked[prec, j2][1], j2
+        assert [mons[j] for j in every] == runner._bases[prec, j2], j2
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
@@ -622,7 +622,7 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
 
     def recorded(runner, k2, prec, dim):
         rank = span_rank(runner, k2, prec, dim)
-        borders.append(runner._ranked[prec, k2])
+        borders.append((runner.border(k2, prec), runner._bases[prec, k2]))
         return rank
 
     monkeypatch.setattr(CaseRunner, "span_rank", recorded)
@@ -665,9 +665,9 @@ def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monke
 def test_a_dropped_leading_monomial_takes_exact_elimination_from_its_weight_on(monkeypatch):
     """With the first leading monomial of each Gröbner basis dropped, that
     monomial counts as standard: its weight has one standard monomial more
-    than the rank and takes exact elimination, and since it is no proved
-    pivot, the borders above may miss standard monomials, so every weight
-    above takes exact elimination too.  The reports stay the golden ones."""
+    than the rank and takes exact elimination, and so does every weight
+    above where a multiple of it still counts as standard.  The reports
+    stay the golden ones."""
     leading = verify._leading_monomials
     dropped = []
 
@@ -691,8 +691,8 @@ def test_a_dropped_leading_monomial_takes_exact_elimination_from_its_weight_on(m
 
 
 def test_full_report_builds_one_border_per_span_or_kernel_weight(monkeypatch):
-    """A kernel check counts its standard monomials on the border its span
-    ranks read, and builds no border of its own."""
+    """A kernel check counts its standard monomials from the Hilbert series
+    of its leading monomials, and builds no border of its own."""
     border = groebner.border
     calls = []
 
