@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, isqrt, lcm
+from operator import add, sub
 
-from .cyclo import FieldCtx, fold_buckets, roots_of_unity
+from .cyclo import FieldCtx, roots_of_unity
 from .errors import GroupMismatch, ImprimitiveCharacter, InvalidOrder, ParityViolation, UnknownForm
 
 
@@ -184,35 +186,68 @@ def divisor_sums(
     """Coefficients 0..prec-1 of sum_n (sum over d | n of chi(d) psi(n/d) d^(k-1)) q^n,
     as flat integer coordinates: coordinate j of coefficient n is entry n*phi(L) + j.
 
-    One sieve over d and m = n/d adds the integer d^(k-1) into bucket
-    m0*(turn chi(d) + turn psi(m)) mod m0 of coefficient d*m, where m0 is
-    the lcm of the two orders; each coefficient's buckets are then folded
-    into the power basis once.  Needs m0 | L.  A divisor d with more than
-    M = psi.modulus multiples below prec takes the multiples with m = r mod M
-    together: their buckets lie d*M*m0 apart, so each residue r is one slice.
+    The pair (d, m = n/d) adds d^(k-1) times the root zeta_m0^(turn chi(d) +
+    turn psi(m)), m0 the lcm of the two orders (needs m0 | L), straight into
+    the coordinates of coefficient d*m: one slice per nonzero coordinate of
+    the root.  The pairs with d*m < prec are split by the Dirichlet
+    hyperbola at D ~ sqrt(prec*N/M), N and M the moduli of chi and psi.  A
+    divisor d <= D takes its multiples with m = r mod M together, d*M
+    coefficients apart and all of weight d^(k-1); a cofactor m <= (prec-1)
+    // (D+1) takes the divisors d > D with d = s mod N together, N*m
+    coefficients apart, and adds the matching slice of the powers.  That is
+    at most about 2*sqrt(prec*N*M) progressions, not prec Python steps; a
+    progression of one term is added as one entry, not as a slice.  No
+    bucket array is kept and nothing is folded afterwards.
     """
     m0 = lcm(chi.order(), psi.order())
-    powers = roots_of_unity(ctx, m0)
+    roots = [[(i, x) for i, x in enumerate(r) if x] for r in roots_of_unity(ctx, m0)]
     a_of, b_of = (
         [None if t is None else t.numerator * m0 // t.denominator for t in c.turns]
         for c in (chi, psi)
     )
-    M = psi.modulus
-    buckets = [0] * (prec * m0)
-    for d in range(1, prec):
-        a = a_of[d % chi.modulus]
+    N, M, deg = chi.modulus, psi.modulus, ctx.degree
+    top = prec - 1
+    D = min(top, isqrt(top * N // M))
+    pw = list(map(pow, range(prec), repeat(k - 1)))
+    out = [0] * (prec * deg)
+    for d in range(1, D + 1):  # all m, by residue class mod M
+        a = a_of[d % N]
         if a is None:
             continue
-        w = d ** (k - 1)
-        if (prec - 1) // d > M:
-            step = d * M * m0
-            for r, b in enumerate(b_of):
-                if b is not None:
-                    start = d * (r or M) * m0 + (a + b) % m0
-                    buckets[start::step] = map(w.__add__, buckets[start::step])
-        else:
-            for n in range(d, prec, d):
-                b = b_of[(n // d) % M]
-                if b is not None:
-                    buckets[n * m0 + (a + b) % m0] += w
-    return fold_buckets(buckets, powers, ctx.degree)
+        w, last, step = pw[d], top // d, d * M * deg
+        for r in range(1, min(M, last) + 1):
+            b = b_of[r % M]
+            if b is None:
+                continue
+            start = d * r * deg
+            if r + M > last:  # the class holds one multiple
+                for i, x in roots[(a + b) % m0]:
+                    out[start + i] += x * w
+                continue
+            for i, x in roots[(a + b) % m0]:
+                v = x * w
+                out[start + i::step] = map(v.__add__, out[start + i::step])
+    for m in range(1, top // (D + 1) + 1):  # d > D, by residue class mod N
+        b = b_of[m % M]
+        if b is None:
+            continue
+        hi, step = top // m, N * m * deg
+        for d0 in range(D + 1, min(D + N, hi) + 1):
+            a = a_of[d0 % N]
+            if a is None:
+                continue
+            start = d0 * m * deg
+            if d0 + N > hi:  # the class holds one divisor
+                for i, x in roots[(a + b) % m0]:
+                    out[start + i] += x * pw[d0]
+                continue
+            col = pw[d0:hi + 1:N]
+            for i, x in roots[(a + b) % m0]:
+                cut = slice(start + i, None, step)
+                if x == 1:
+                    out[cut] = map(add, out[cut], col)
+                elif x == -1:
+                    out[cut] = map(sub, out[cut], col)
+                else:
+                    out[cut] = map(add, out[cut], map(x.__mul__, col))
+    return out

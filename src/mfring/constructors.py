@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 from .characters import (
     DirichletCharacter,
@@ -19,7 +19,15 @@ from .characters import (
     require_primitive,
     trivial_character,
 )
-from .cyclo import CycloNum, FieldCtx, cyclo_context, embed, fold_buckets, roots_of_unity
+from .cyclo import (
+    CycloNum,
+    FieldCtx,
+    cyclo_context,
+    embed,
+    fold_buckets,
+    multiplication_matrix,
+    roots_of_unity,
+)
 from .errors import BadWeight, NotPositiveDefinite
 from .qseries import QSeries
 
@@ -98,8 +106,12 @@ def eisenstein_c(N: int, prec: int, ctx: FieldCtx) -> QSeries:
     """Weight-2 level-N series (N E2(q^N) - E2(q)) / (N-1); constant term 1."""
     if N < 2:
         raise BadWeight("level must be at least 2")
-    e2 = eisenstein_e(2, prec, ctx)
-    return (e2.v_operator(N, prec).scale(N) - e2).scale(Fraction(1, N - 1))
+    # E2 = 1 - 24 sum sigma(n) q^n, so coefficient n > 0 is 24 (sigma(n) - N sigma(n/N)) / (N-1)
+    d, one = ctx.degree, trivial_character(1)
+    nums = [24 * x for x in divisor_sums(2, one, one, prec, ctx)]
+    nums[::N * d] = map(sub, nums[::N * d], map(N.__mul__, nums[::d]))
+    nums[0] = N - 1
+    return QSeries(ctx, nums, N - 1)
 
 
 def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
@@ -111,8 +123,14 @@ def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
     # B_(k,chi) lies in Q(zeta_m), m = ord chi, whose degree can be far below L's
     small = cyclo_context(chi.order())
     lead = embed(gen_bernoulli(k, chi, small).invert() * (-2 * k), ctx)
-    sums = QSeries(ctx, divisor_sums(k, chi, trivial_character(1), prec, ctx))
-    return QSeries.one(ctx, prec) + sums.scale(lead)
+    sums = divisor_sums(k, chi, trivial_character(1), prec, ctx)
+    if lead.is_rational():
+        den, nums = lead.den, list(map(lead.nums[0].__mul__, sums))
+    else:
+        den, rows = multiplication_matrix(lead)
+        nums = fold_buckets(sums, rows, ctx.degree)
+    nums[0] = den  # sums start with a zero coefficient, and 1 = den/den
+    return QSeries(ctx, nums, den)
 
 
 def eis_g(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:

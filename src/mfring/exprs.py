@@ -79,8 +79,9 @@ def parse_expr(text: str):
         elif op in ("v", "low"):
             h = int(tokens[pos])
             pos += 1
-            if h < 1:
-                raise CatalogError(f"{op} needs h >= 1 in {text!r}")
+            least = 1 if op == "v" else 2  # (low 1 f) would be (f - f)/a = 0
+            if h < least:
+                raise CatalogError(f"{op} needs h >= {least} in {text!r}")
             node = (op, h, walk())
         elif op == "scale":
             scalar = tokens[pos]

@@ -147,7 +147,9 @@ class QSeries:
         return QSeries(self.ctx, out, self.den)
 
     def lowered(self, h: int) -> "QSeries":
-        """(1/a)(f - f(q^h)) for f = 1 + a*q + ...; starts q + O(q^2)."""
+        """(1/a)(f - f(q^h)) for f = 1 + a*q + ... and h >= 2; starts q + O(q^2)."""
+        if h < 2:
+            raise ValueError("h must be at least 2")
         if self.prec < 2:
             raise BadLeadingShape("need at least two coefficients")
         if self.coefficient(0) != self.ctx.one:

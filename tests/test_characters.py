@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from mfring.characters import (
     trivial_character,
     units,
 )
-from mfring.cyclo import cyclo_context, root_of_unity
+from mfring.cyclo import cyclo_context, root_of_unity, roots_of_unity
 from mfring.errors import ConductorMismatch, GroupMismatch, InvalidOrder
 
 C2 = cyclo_context(2)
@@ -220,8 +220,9 @@ def test_divisor_sums_equal_the_enumerated_sums(chi, psi, k, prec, cofactor):
 
 @pytest.mark.parametrize("name", ["triv1"] + sorted(_NAMED_DEFS))
 def test_divisor_sums_with_many_multiples_per_divisor(name):
-    # prec 200-600 gives every small d more than psi.modulus multiples, so the
-    # residue classes of m = n/d mod psi.modulus are summed as slices
+    # prec 200-600 puts the hyperbola split D = isqrt((prec-1)*N/M) well inside
+    # the range (N, M the moduli of chi and psi), so divisors d <= D add long
+    # classes of m = n/d mod M and cofactors add long classes of d > D mod N
     psi = trivial_character(1) if name == "triv1" else named_character(name)
     rng = random.Random(name)
     chi = rng.choice(_SUM_CHARACTERS)
@@ -235,6 +236,93 @@ def test_divisor_sums_with_many_multiples_per_divisor(name):
         for n in range(d, prec, d):
             want[n] += chi_of[d % chi.modulus] * psi_of[(n // d) % psi.modulus] * d ** (k - 1)
     assert got == [_ints(w) for w in want], (chi, psi, k, prec)
+
+
+def _reference_sums(k, chi, psi, prec, ctx):
+    """divisor_sums by the definition: every pair d*m < prec adds d^(k-1) times
+    the coordinates of chi(d) psi(m), taken from a table of field products."""
+    N, M, deg = chi.modulus, psi.modulus, ctx.degree
+    table = {(r, s): _ints(_value(chi, r, ctx) * _value(psi, s, ctx))
+             for r in range(N) for s in range(M)}
+    out = [0] * (prec * deg)
+    for d in range(1, prec):
+        w = d ** (k - 1)
+        for m in range(1, (prec - 1) // d + 1):
+            for i, x in enumerate(table[d % N, m % M]):
+                out[d * m * deg + i] += x * w
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_SUM_CHARACTERS), st.sampled_from(_SUM_CHARACTERS),
+       st.integers(1, 6), st.integers(1, 160), st.integers(1, 2))
+def test_divisor_sums_truncate_to_every_lower_precision(chi, psi, k, prec, cofactor):
+    # the split point moves with the precision; the sums must not
+    ctx = cyclo_context(lcm(chi.order(), psi.order()) * cofactor)
+    full = divisor_sums(k, chi, psi, prec, ctx)
+    for p in range(1, prec):
+        assert divisor_sums(k, chi, psi, p, ctx) == full[:p * ctx.degree], (p, chi, psi)
+
+
+def _split_precisions(N, M, top):
+    """Precisions next to the split of (prec-1)*N//M at a square: prec = s^2 and
+    s^2 +- 1, and the first t with t*N//M >= s^2, minus one, plus one."""
+    out = set()
+    for s in range(1, isqrt(top * N // M) + 2):
+        t = -(-s * s * M // N)
+        out |= {s * s - 1, s * s, s * s + 1, t - 1, t, t + 1}
+    return sorted(1 + x for x in out if 0 <= x < top)
+
+
+@pytest.mark.parametrize("chi_name, psi_name", [
+    ("triv1", "triv1"), ("chi5", "triv1"), ("triv1", "chi23"), ("rho19", "rho23"),
+    ("chi13", "rho11"), ("chi16", "chi9"), ("rho3", "chi17"),
+])
+def test_divisor_sums_next_to_the_split(chi_name, psi_name):
+    chi, psi = (trivial_character(1) if n == "triv1" else named_character(n)
+                for n in (chi_name, psi_name))
+    ctx, top = cyclo_context(lcm(chi.order(), psi.order())), 300
+    want = _reference_sums(3, chi, psi, top + 1, ctx)
+    precs = _split_precisions(chi.modulus, psi.modulus, top)
+    assert len(precs) > 10
+    for p in precs:
+        assert divisor_sums(3, chi, psi, p, ctx) == want[:p * ctx.degree], p
+
+
+@pytest.mark.parametrize("chi_name, psi_name", [
+    ("triv1", "triv1"), ("chi7", "triv1"), ("triv1", "rho13"), ("chi11", "chi5"),
+])
+def test_divisor_sums_at_weights_up_to_30(chi_name, psi_name):
+    chi, psi = (trivial_character(1) if n == "triv1" else named_character(n)
+                for n in (chi_name, psi_name))
+    ctx = cyclo_context(lcm(chi.order(), psi.order()))
+    for k in range(1, 31):
+        got = divisor_sums(k, chi, psi, 150, ctx)
+        assert got == _reference_sums(k, chi, psi, 150, ctx), k
+    assert max(map(abs, got)).bit_length() > 200  # 149^29 alone has 210 bits
+
+
+def test_divisor_sums_with_a_root_coordinate_of_two():
+    # characters of orders 5 and 7 take values in the 35th roots of unity, and in
+    # Q(zeta_105) two of those have a power-basis coordinate of +-2, which the
+    # sieve adds as x*w rather than as a sum or a difference
+    ctx = cyclo_context(105)
+    roots = roots_of_unity(ctx, 35)
+    big = {j for j, r in enumerate(roots) if any(abs(x) > 1 for x in r)}
+    assert big
+    five, seven = named_character("chi11") ** 2, character(29, [(2, Fraction(1, 7))])
+    assert (five.order(), seven.order()) == (5, 7)
+    prec = 200
+    for chi, psi in ((five, seven), (seven, five)):
+        N, M, top = chi.modulus, psi.modulus, prec - 1
+        D = isqrt(top * N // M)
+        hits = {d > D for d in range(1, prec) for m in range(1, top // d + 1)
+                if chi.turns[d % N] is not None and psi.turns[m % M] is not None
+                and (chi.turns[d % N] + psi.turns[m % M]) * 35 % 35 in big}
+        assert hits == {False, True}  # both sides of the split meet such a root
+        want = _reference_sums(2, chi, psi, prec, ctx)
+        assert divisor_sums(2, chi, psi, prec, ctx) == want
+        assert divisor_sums(2, chi, psi, 37, ctx) == want[:37 * ctx.degree]
 
 
 def test_divisor_sums_refuse_a_field_without_the_values():

@@ -51,6 +51,8 @@ def test_qexp_json_and_errors(capsys):
     ("(add E4", 3),           # unbalanced: ran out of tokens
     ("(pow E4 x)", 3),        # exponent is not an integer
     ("(v 0 E4)", 3),          # q -> q^0 is not a substitution
+    ("(low 1 E4)", 3),        # (f - f(q))/a is zero, not q + O(q^2)
+    ("(low 0 E4)", 3),
     ("f[1;pow(chi5)]", 3),    # character operator with a missing argument
     ("f[1;rho9]", 2),         # no character of that name
     ("(scale 2^ E4)", 3),     # scalar exponent missing

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfring.characters import named_character, trivial_character
+from mfring.characters import _NAMED_DEFS, divisor_sums, named_character, trivial_character
 from mfring.constructors import (
     _bernoulli_cache,
     bernoulli,
@@ -26,6 +26,7 @@ from mfring.errors import (
     NotPositiveDefinite,
     ParityViolation,
 )
+from mfring.qseries import QSeries
 
 C1 = cyclo_context(1)
 C2 = cyclo_context(2)
@@ -194,6 +195,36 @@ def test_f_series_preconditions():
         eis_f(1, named_character("rho5"), 5, C4)
     with pytest.raises(ImprimitiveCharacter):
         eis_f(1, named_character("rho3").lift(9), 5, C2)
+
+
+def _composed_f(k, chi, prec, ctx):
+    """f_k at chi by its definition, in four series: 1 + (sums).scale(-2k/B_(k,chi))."""
+    lead = embed(gen_bernoulli(k, chi, cyclo_context(chi.order())).invert() * (-2 * k), ctx)
+    sums = QSeries(ctx, divisor_sums(k, chi, trivial_character(1), prec, ctx))
+    return QSeries.one(ctx, prec) + sums.scale(lead), lead
+
+
+@pytest.mark.parametrize("prec", [1, 2, 37, 600])
+def test_one_pass_eisenstein_series_equal_the_composed_definition(prec):
+    # eis_f writes the scaled sums and the constant term into one series;
+    # equal values give equal storage, so == compares den and every coordinate
+    irrational = 0
+    for name in sorted(_NAMED_DEFS):
+        chi = named_character(name)
+        ctx = cyclo_context(chi.order())
+        for k in (1, 2, 3, 4):
+            if chi.parity() == (-1) ** k:
+                want, lead = _composed_f(k, chi, prec, ctx)
+                assert eis_f(k, chi, prec, ctx) == want, (name, k)
+                irrational += not lead.is_rational()
+    assert irrational >= 10  # characters of order 4 and above
+    for ctx in (C1, C4):
+        for k in range(2, 31, 2):
+            assert eisenstein_e(k, prec, ctx) == _composed_f(k, trivial_character(1), prec, ctx)[0]
+        e2 = _composed_f(2, trivial_character(1), prec, ctx)[0]
+        for N in range(2, 26):
+            want = (e2.v_operator(N, prec).scale(N) - e2).scale(Fraction(1, N - 1))
+            assert eisenstein_c(N, prec, ctx) == want, N
 
 
 def test_g_series():

@@ -39,7 +39,8 @@ def test_parse_expr_shapes():
         parse_expr("(add x)")
     with pytest.raises(CatalogError):
         parse_expr("(sub x y) trailing")
-    for bad in ("(add x", "(pow x y)", "(pow x -1)", "(v 0 x)", "(low x y)", "(scale"):
+    for bad in ("(add x", "(pow x y)", "(pow x -1)", "(v 0 x)", "(low 1 x)", "(low x y)",
+                "(scale"):
         with pytest.raises(CatalogError):
             parse_expr(bad)
 

@@ -96,6 +96,8 @@ def test_lowered():
         _series([2, 1, 0]).lowered(2)
     with pytest.raises(BadLeadingShape):
         _series([1, 0, 1]).lowered(2)
+    with pytest.raises(ValueError):  # f - f(q) is zero, not q + O(q^2)
+        e4.lowered(1)
 
 
 def test_lowered_with_cyclotomic_leading_coefficient():
