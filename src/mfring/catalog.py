@@ -43,12 +43,24 @@ from typing import NamedTuple
 
 from .characters import units
 from .cyclo import cyclo_context
-from .errors import CatalogError, OutOfTable, QuasiModularUse, UnknownForm
+from .errors import CatalogError, OutOfTable, PrecisionTooHigh, QuasiModularUse, UnknownForm
 from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve, root_orders
 from .qseries import QSeries
 
 # the largest field lookup_form builds: Phi_L alone takes seconds to compute past it
 MAX_CONDUCTOR = 2520
+# the most integer coordinates, prec * phi(L), that one series may hold; it bounds
+# memory, not time (varpi11 at prec 10000, 40000 coordinates, takes about 10 s)
+MAX_COORDINATES = 1_000_000
+
+
+def require_coordinates(L: int, prec: int) -> None:
+    """Refuse a precision at which one series over Q(zeta_L) would hold more
+    than MAX_COORDINATES integer coordinates."""
+    d = cyclo_context(L).degree
+    if prec * d > MAX_COORDINATES:
+        raise PrecisionTooHigh(f"precision {prec} over Q(zeta_{L}) needs {prec * d} coordinates, "
+                               f"above the ceiling of {MAX_COORDINATES}")
 
 
 # The records are NamedTuples rather than frozen dataclasses: just as
@@ -293,13 +305,15 @@ class Catalog:
 
         The field is the lcm of the conductors of the forms the expression
         names, of the root-of-unity orders of its constructors and of the
-        roots of unity its scale literals name.
+        roots of unity its scale literals name.  A precision past the
+        coordinate ceiling is refused before anything is evaluated.
         """
         ast = parse_expr(name)
         L = lcm(*(self.forms[a].L if a in self.forms else constructor(a).order()
                   for a in atoms(ast)), *root_orders(ast))
         if L > MAX_CONDUCTOR:
             raise CatalogError(f"field conductor {L} exceeds {MAX_CONDUCTOR} in {name!r}")
+        require_coordinates(L, prec)
         return self.evaluator(L).series(ast, prec)
 
     def relation_terms(self, case: Case, rel: Relation) -> dict:

@@ -13,7 +13,8 @@ import json
 import sys
 
 from .catalog import Catalog, load_catalog
-from .errors import CatalogError, MfringError, OutOfTable, UnknownForm, UnknownIdentity
+from .errors import (CatalogError, MfringError, OutOfTable, PrecisionTooHigh, UnknownForm,
+                     UnknownIdentity)
 from .verify import (HILBERT_HORIZON2, VerificationReport, dim_or_none, full_report,
                      hilbert_mismatches, scheduled_checks)
 
@@ -72,6 +73,8 @@ def cmd_qexp(args) -> int:
     name = args.name
     try:
         series = catalog.lookup_form(name, args.prec)
+    except PrecisionTooHigh as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG)
     except CatalogError as exc:
         raise CliError(f"malformed series {name!r}: {exc}", EXIT_BAD_CONFIG)
     except MfringError as exc:

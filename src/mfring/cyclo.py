@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, repeat
 from math import gcd
 from operator import add, sub
 
@@ -411,28 +412,36 @@ def _bareiss_solve(a: list[list[int]]) -> tuple[list[int], int]:
     return xs, det
 
 
-def render_ratio(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms: 'n' or 'n/d'."""
-    g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+def coordinate_texts(L: int, d: int, nums, den: int) -> list[str]:
+    """The signed text of each of the flat power-basis coordinates nums over
+    den, '' for a zero: '+ m' or '- m', where m is |c|/den in lowest terms
+    times z<L>^i for the coordinate's place i (its index mod d), e.g.
+    '- 3/2*z12^2'.  A magnitude 1 keeps its '1*' here; ``join_terms`` drops it."""
+    zs = cycle(["", *(f"*z{L}" if i == 1 else f"*z{L}^{i}" for i in range(1, d))])
+    if den == 1:  # most series: no gcd, no quotient (BENCH_render.json, "integer_fork")
+        return [f"- {-c}{z}" if c < 0 else f"+ {c}{z}" if c else "" for c, z in zip(nums, zs)]
+    gs = list(map(gcd, nums, repeat(den)))
+    over = {g: f"/{den // g}" if g != den else "" for g in set(gs)}
+    return [f"- {-c // g}{over[g]}{z}" if c < 0 else f"+ {c // g}{over[g]}{z}" if c else ""
+            for c, g, z in zip(nums, gs, zs)]
+
+
+def join_terms(texts) -> str:
+    """Signed texts joined in canonical form, '0' if there are none.
+
+    Every magnitude follows '+ ' or '- ', so ' 1*' is exactly a magnitude 1
+    times a power of z or q, and its '1*' goes.  The first text of the whole
+    and of each parenthesis drops its '+ ' or writes '- ' as '-'.
+    """
+    s = " ".join(texts).replace(" 1*", " ").replace("(+ ", "(").replace("(- ", "(-")
+    if not s:
+        return "0"
+    return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
 def render_coords(L: int, nums, den: int) -> str:
     """Canonical text of sum_i (nums[i]/den) z<L>^i: ascending powers, e.g. '1/2 - 3*z12^2'."""
-    sym = f"z{L}"
-    parts = []
-    for i, c in enumerate(nums):
-        if not c:
-            continue
-        mag = str(abs(c)) if den == 1 else render_ratio(abs(c), den)
-        if i:
-            head = "" if mag == "1" else mag + "*"
-            mag = head + (sym if i == 1 else f"{sym}^{i}")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + mag)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + mag)
-    return " ".join(parts) if parts else "0"
+    return join_terms(filter(None, coordinate_texts(L, len(nums), nums, den)))
 
 
 def render_cyclo(x: CycloNum) -> str:

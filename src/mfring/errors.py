@@ -53,6 +53,10 @@ class PrecisionTooLow(MfringError):
     """Fewer coefficients supplied than the certified cutoff needs."""
 
 
+class PrecisionTooHigh(MfringError):
+    """A series would hold more coordinates than the package's ceiling."""
+
+
 class OutOfTable(MfringError):
     """No dimension table entry covers this group/weight."""
 

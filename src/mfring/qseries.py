@@ -25,11 +25,11 @@ from .cyclo import (
     FieldCtx,
     canonical,
     conj_matrix,
+    coordinate_texts,
     fold_buckets,
+    join_terms,
     multiplication_matrix,
     power,
-    render_coords,
-    render_ratio,
 )
 from .errors import BadLeadingShape, ContextMismatch
 
@@ -267,34 +267,18 @@ def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
 
 
 def render_qseries(f: QSeries) -> str:
-    """Canonical rendering 'c0 + c1*q + ... + O(q^P)', omitting zero terms."""
-    L, d, den = f.ctx.L, f.ctx.degree, f.den
-    sym = f"z{L}"
-    parts: list[str] = []
-    for n, block in enumerate(zip(*[iter(f.nums)] * d)):
-        zeros = block.count(0)
-        if zeros == d:
-            continue
-        qpart = "q" if n == 1 else f"q^{n}"
-        if zeros != d - 1:
-            # general cyclotomic coefficient: parenthesize
-            sign, text = "+", f"({render_coords(L, block, den)})"
-            if n:
-                text = f"{text}*{qpart}"
-        else:
-            i = next(i for i, x in enumerate(block) if x) if d > 1 else 0
-            val = block[i]
-            sign = "-" if val < 0 else "+"
-            text = str(abs(val)) if den == 1 else render_ratio(abs(val), den)
-            if i:
-                zpart = sym if i == 1 else f"{sym}^{i}"
-                text = zpart if text == "1" else f"{text}*{zpart}"
-            if n:
-                text = qpart if text == "1" else f"{text}*{qpart}"
-        if not parts:
-            parts.append(text if sign == "+" else f"-{text}")
-        else:
-            parts.append(f"{sign} {text}")
-    if not parts:
-        parts = ["0"]
-    return " ".join(parts) + f" + O(q^{f.prec})"
+    """Canonical rendering 'c0 + c1*q + ... + O(q^P)', omitting zero terms.
+
+    One pass over the integer coordinates: their signed texts
+    (``coordinate_texts``), then one text per coefficient, which is its one
+    nonzero coordinate's text or else all of them in parentheses, then
+    '*q^n' on each nonzero one; ``join_terms`` writes the signs and drops '1*'.
+    """
+    d = f.ctx.degree
+    texts = coordinate_texts(f.ctx.L, d, f.nums, f.den)
+    if d > 1:  # a block of d texts; "".join gives '' for a zero coefficient
+        texts = ["".join(b) if b.count("") >= d - 1 else f"+ ({' '.join(filter(None, b))})"
+                 for b in zip(*[iter(texts)] * d)]
+    terms = [t + q for t, q in zip(texts[:2], ("", "*q")) if t]
+    terms += [f"{t}*q^{n}" for n, t in enumerate(texts[2:], 2) if t]
+    return f"{join_terms(terms)} + O(q^{f.prec})"

@@ -26,9 +26,9 @@ from operator import add
 from typing import NamedTuple
 
 from . import groebner, modp
-from .catalog import Case, Catalog
+from .catalog import Case, Catalog, require_coordinates
 from .cyclo import CycloNum, FieldCtx
-from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
+from .errors import OutOfTable, PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
 from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
 from .qseries import QSeries
 
@@ -601,15 +601,18 @@ def full_report(catalog: Catalog, checks=None, cases=None,
                 kmax2: int | None = None, prec_override: int | None = None,
                 horizon2: int = HILBERT_HORIZON2) -> list[VerificationReport]:
     """Run the selected checks over the selected cases.  A precision override
-    that the plan of any selected check refuses raises PrecisionTooLow before
-    any check runs; once the batch starts, it is never aborted."""
+    that the plan of any selected check refuses raises PrecisionTooLow, and one
+    past the coordinate ceiling of its field PrecisionTooHigh, before any check
+    runs; once the batch starts, it is never aborted."""
     scheduled = list(scheduled_checks(catalog, checks, cases))
     for check, label in scheduled:  # no override reaches a hilbert or integrality check
         if prec_override is not None and check not in ("hilbert", "integrality"):
+            entry = (catalog.identities if check == "identity" else catalog.cases)[label]
             try:
+                require_coordinates(entry.L, prec_override)
                 check_plan(catalog, check, label, kmax2).prec(prec_override)
-            except PrecisionTooLow as exc:
-                raise PrecisionTooLow(f"{check} check of {label!r}: {exc}") from None
+            except (PrecisionTooLow, PrecisionTooHigh) as exc:
+                raise type(exc)(f"{check} check of {label!r}: {exc}") from None
     run = {
         "identity": lambda label: verify_identity(catalog, label, prec_override),
         "span": lambda label: verify_span(catalog, label, kmax2, prec_override),

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfring.catalog import load_catalog, require_coordinates
 from mfring.cli import main
+from mfring.errors import PrecisionTooHigh
 
 SHIPPED = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
 
@@ -563,3 +565,31 @@ def test_size_flags_stop_at_their_ceiling(capsys, argv):
         code, out, err = _run(capsys, *argv, value)
         assert code == 3 and out == ""
         assert "must be between 0 and 10000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qexp", "E4", "--prec", "1000000000"],
+    ["qexp", "(scale z2520 E4)", "--prec", "100000"],
+    ["qexp", "(scale z2520 E4)", "--prec", "1737"],  # 1737 * phi(2520) = 1000512
+    ["verify", "span", "--case", "7", "--prec", "1000000000"],
+    ["verify", "all", "--prec", "1000000000"],
+])
+def test_precision_past_the_coordinate_ceiling_exits_3_at_once(capsys, argv):
+    """prec * phi(L) above catalog.MAX_COORDINATES is refused before anything is
+    evaluated: one error line, no traceback, no allocation of the series."""
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, *argv)
+    assert time.monotonic() - t0 < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the ceiling of 1000000" in err and "Traceback" not in err
+
+
+def test_the_coordinate_ceiling_counts_prec_times_phi():
+    require_coordinates(1, 1_000_000)
+    require_coordinates(2520, 1736)  # 999936 coordinates
+    for L, prec in ((1, 1_000_001), (2520, 1737), (6, 500_001)):
+        with pytest.raises(PrecisionTooHigh):
+            require_coordinates(L, prec)
+    with pytest.raises(PrecisionTooHigh):
+        load_catalog().lookup_form("E4", 10**9)

@@ -209,3 +209,33 @@ def test_rendering():
     assert render_cyclo(c12.zero) == "0"
     assert render_cyclo(-c12.one) == "-1"
     assert render_cyclo(c12.zeta_power(1)) == "z12"
+
+
+def _render_by_fractions(x):
+    """The canonical text of x, rebuilt term by term from Fraction coordinates."""
+    sym = f"z{x.ctx.L}"
+    parts = []
+    for i, c in enumerate(Fraction(n, x.den) for n in x.nums):
+        if not c:
+            continue
+        mag = str(abs(c))
+        if i:
+            zpart = sym if i == 1 else f"{sym}^{i}"
+            mag = zpart if mag == "1" else f"{mag}*{zpart}"
+        sign = ("-" if c < 0 else "") if not parts else ("- " if c < 0 else "+ ")
+        parts.append(sign + mag)
+    return " ".join(parts) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 12, 15]), st.sampled_from([1, 2, 6, 720, 3 * 2**70]),
+       st.data())
+def test_rendering_equals_the_fraction_rendering(L, den, data):
+    """Coordinates zero, small, beyond 2^64, or dividing den (value +-1 or +-1/k)."""
+    ctx = cyclo_context(L)
+    coordinate = st.one_of(st.just(0), st.integers(-30, 30), st.integers(2**64, 2**100),
+                           st.integers(-(2**100), -(2**64)),
+                           st.sampled_from([den, -den, den // 2, -(den // 3)]))
+    nums = data.draw(st.lists(coordinate, min_size=ctx.degree, max_size=ctx.degree))
+    x = CycloNum(ctx, nums, den)
+    assert render_cyclo(x) == _render_by_fractions(x)

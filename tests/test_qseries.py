@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfring.catalog import load_catalog
 from mfring.constructors import eisenstein_e
 from mfring.cyclo import cyclo_context, render_cyclo
 from mfring.errors import BadLeadingShape, ContextMismatch
@@ -14,6 +15,7 @@ from _series import series_of
 
 C1 = cyclo_context(1)
 C4 = cyclo_context(4)
+CATALOG = load_catalog()
 
 
 def _sigma(k, n):
@@ -165,26 +167,61 @@ def _render_each_coefficient(f):
     return " ".join(parts or ["0"]) + f" + O(q^{f.prec})"
 
 
+# den 3*2^70 puts the denominator itself beyond 2^64
+_DENS = [1, 1, 2, 6, 35, 720, 3 * 2**70]
+# shapes of coefficients 0 and 1: +-1, +-z^i, zero, one nonzero coordinate, any
+_HEAD_SHAPES = ["unit", "unit z", "zero", "one", "any"]
+
+
 @st.composite
 def _random_series(draw):
-    """Series over fields of degree 1 to 8 with random denominators, whole zero
-    coefficients, and coefficients with one or several nonzero coordinates."""
+    """Series over fields of degree 1 to 8 at precisions up to 300, with random
+    denominators and whole zero coefficients, and coefficients with one or
+    several nonzero coordinates.  A coordinate is small, beyond 2^64, or a
+    divisor of the denominator, so that it reduces to magnitude 1 or 1/k;
+    coefficients 0 and 1 are also drawn as +-1 and +-z^i."""
     ctx = cyclo_context(draw(st.sampled_from([1, 3, 4, 5, 12, 15])))
-    prec = draw(st.integers(1, 20))
+    d, den = ctx.degree, draw(st.sampled_from(_DENS))
+    prec = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    divisors = [k for k in range(1, 13) if den % k == 0]
+
+    def coordinate():
+        mag = rng.choice([rng.randint(1, 30), rng.randint(2**64, 2**100),
+                          den, den // rng.choice(divisors)])
+        return rng.choice([-1, 1]) * mag
+
     nums = []
-    for _ in range(prec):
-        shape = draw(st.sampled_from(["zero", "one", "any"]))
-        block = [0] * ctx.degree
-        if shape == "one":
-            block[draw(st.integers(0, ctx.degree - 1))] = draw(st.integers(-30, 30))
+    for n in range(prec):
+        shape = draw(st.sampled_from(_HEAD_SHAPES)) if n < 2 else \
+            rng.choice(["zero", "one", "any"])
+        block = [0] * d
+        if shape in ("unit", "unit z"):
+            block[0 if shape == "unit" else draw(st.integers(0, d - 1))] = \
+                draw(st.sampled_from([den, -den]))
+        elif shape == "one":
+            block[rng.randrange(d)] = coordinate()
         elif shape == "any":
-            block = draw(st.lists(st.integers(-30, 30), min_size=ctx.degree,
-                                  max_size=ctx.degree))
+            block = [coordinate() if rng.random() < 0.7 else 0 for _ in range(d)]
         nums += block
-    return QSeries(ctx, nums, draw(st.sampled_from([1, 1, 2, 6, 35, 720])))
+    return QSeries(ctx, nums, den)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_random_series())
 def test_rendering_equals_the_per_coefficient_rendering(f):
     assert str(f) == _render_each_coefficient(f)
+
+
+@pytest.mark.parametrize("expr", ["E30", "C23", "bqf[2,1,5]", "f[3;chi13]", "g[3;chi7]",
+                                  "g[3;chi13,rho13]"])
+def test_constructor_series_render_as_the_per_coefficient_rendering(expr):
+    """One constructor per family and field degree (1, 2 and 4) at prec 600."""
+    f = CATALOG.lookup_form(expr, 600)
+    assert str(f) == _render_each_coefficient(f)
+
+
+@pytest.mark.parametrize("L", [1, 3, 12])
+@pytest.mark.parametrize("prec", [1, 2, 600])
+def test_zero_series_renders_as_zero(L, prec):
+    assert str(QSeries.zero(cyclo_context(L), prec)) == f"0 + O(q^{prec})"

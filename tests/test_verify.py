@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mfring import exprs, groebner, modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.cyclo import cyclo_context
-from mfring.errors import PrecisionTooLow, UnknownIdentity
+from mfring.errors import PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
 from mfring.verify import (
     GUARD,
     CaseRunner,
@@ -527,6 +527,22 @@ def test_full_report_refuses_a_low_override_before_any_check_runs(monkeypatch):
     # hilbert and integrality checks take no override
     reports = full_report(CAT, checks={"hilbert", "integrality"}, cases=["7", "alpha7"],
                           prec_override=1)
+    assert [r.status for r in reports] == ["pass", "pass"]
+
+
+def test_full_report_refuses_an_override_past_the_coordinate_ceiling_before_any_check_runs(
+        monkeypatch):
+    """Refused, not reported as a failed check: each check would allocate its series."""
+    ran = []
+    for name in ("verify_identity", "verify_span", "verify_relations", "verify_kernel"):
+        monkeypatch.setattr(verify, name, lambda *args: ran.append(args))
+    for cases, check in ((["c4_sq", "7"], "identity check of 'c4_sq'"),
+                         (["7"], "span check of '7'")):
+        with pytest.raises(PrecisionTooHigh, match=f"^{check}: .* above the ceiling of 1000000"):
+            full_report(CAT, cases=cases, prec_override=10**9)
+    assert ran == []
+    reports = full_report(CAT, checks={"hilbert", "integrality"}, cases=["7", "alpha7"],
+                          prec_override=10**9)
     assert [r.status for r in reports] == ["pass", "pass"]
 
 
