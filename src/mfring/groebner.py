@@ -1,6 +1,6 @@
-"""Gröbner bases over F_p of weighted-homogeneous ideals, truncated at a weight.
+"""Gröbner bases over Q(zeta_L) of weighted-homogeneous ideals, truncated at a weight.
 
-A polynomial is a dict {exponent tuple: residue in [1, p)} whose terms all
+A polynomial is a dict {exponent tuple: nonzero CycloNum} whose terms all
 have one weight, sum(e_i * w_i) for the doubled weights w_i of the
 variables; the leading term is the lexicographically largest exponent.
 Buchberger's algorithm takes the inputs and the S-pairs in ascending weight
@@ -20,10 +20,10 @@ from __future__ import annotations
 from operator import add, le, mul, sub
 
 
-def leading_monomials(polys, weights2, top2: int, p: int) -> list[tuple[int, ...]]:
-    """The leading monomials of a Gröbner basis over F_p, truncated at doubled
-    weight top2, of the ideal the homogeneous polys generate; the polys are
-    dicts of residues mod the prime p, and none of them is changed."""
+def leading_monomials(polys, weights2, top2: int) -> list[tuple[int, ...]]:
+    """The leading monomials of a Gröbner basis over Q(zeta_L), truncated at
+    doubled weight top2, of the ideal the homogeneous polys generate; none of
+    the polys is changed."""
 
     def weight(e):
         return sum(map(mul, e, weights2))
@@ -36,50 +36,50 @@ def leading_monomials(polys, weights2, top2: int, p: int) -> list[tuple[int, ...
             todo[w2].append(dict(f))
     for jobs in todo:
         for job in jobs:  # new pairs go to higher weights: no other lead divides a new one
-            h = job if isinstance(job, dict) else _s_polynomial(basis[job[0]], basis[job[1]], p)
-            lead = _top_reduce(h, basis, p)
+            h = job if isinstance(job, dict) else _s_polynomial(basis[job[0]], basis[job[1]])
+            lead = _top_reduce(h, basis)
             if lead is None:
                 continue
-            inv = pow(h[lead], -1, p)
+            inv = h[lead].invert()
             for j, (other, _) in enumerate(basis):
                 if any(map(min, lead, other)):  # coprime leading monomials reduce to zero
                     lcm = tuple(map(max, lead, other))
                     if (w2 := weight(lcm)) <= top2:
                         todo[w2].append((j, len(basis)))
-            basis.append((lead, {e: c * inv % p for e, c in h.items()}))
+            basis.append((lead, {e: c * inv for e, c in h.items()}))
     return [lead for lead, _ in basis]
 
 
-def _s_polynomial(f, g, p: int) -> dict:
+def _s_polynomial(f, g) -> dict:
     """x^(m-a) f - x^(m-b) g for monic f and g with leading monomials a and b
     and m their lcm: the leading terms cancel."""
     (a, fp), (b, gp) = f, g
     m = tuple(map(max, a, b))
     shift = tuple(map(sub, m, a))
     out = {tuple(map(add, e, shift)): c for e, c in fp.items()}
-    _subtract(out, gp, 1, tuple(map(sub, m, b)), p)
+    _subtract(out, gp, gp[b], tuple(map(sub, m, b)))  # gp[b] is one: gp is monic
     return out
 
 
-def _subtract(h: dict, g: dict, c: int, shift: tuple[int, ...], p: int) -> None:
-    """h -= c * x^shift * g over F_p, in place, dropping zero terms."""
+def _subtract(h: dict, g: dict, c, shift: tuple[int, ...]) -> None:
+    """h -= c * x^shift * g, in place, dropping zero terms."""
     for e, v in g.items():
         k = tuple(map(add, e, shift))
-        r = (h.get(k, 0) - c * v) % p
+        r = h[k] - c * v if k in h else -(c * v)
         if r:
             h[k] = r
         else:
-            h.pop(k, None)
+            del h[k]
 
 
-def _top_reduce(h: dict, basis, p: int) -> tuple[int, ...] | None:
+def _top_reduce(h: dict, basis) -> tuple[int, ...] | None:
     """Reduce h in place until no leading monomial of the basis divides its
     leading monomial; that monomial, or None if h reduced to zero."""
     while h:
         lead = max(h)
         for a, g in basis:
             if all(map(le, a, lead)):
-                _subtract(h, g, h[lead], tuple(map(sub, lead, a)), p)
+                _subtract(h, g, h[lead], tuple(map(sub, lead, a)))
                 break
         else:
             return lead

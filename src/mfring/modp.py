@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import repeat
 from struct import Struct
 
-from .cyclo import CycloNum, FieldCtx
+from .cyclo import FieldCtx
 
 SLOT = (1 << 64) - 1
 
@@ -93,13 +93,10 @@ class Reduction:
         self.n = n
         self.powers = powers  # r^0, ..., r^(phi(L)-1) mod p
 
-    def __call__(self, c: CycloNum) -> int:
-        """A CycloNum reduced mod p: a series of one coefficient, whose one slot is the int."""
-        return self.series(c)
-
     def series(self, f) -> int:
         """The coefficients of a QSeries reduced mod p and packed, with one
-        inverse of its denominator."""
+        inverse of its denominator; a CycloNum, a series of one coefficient,
+        reduces to the int of its one slot."""
         p, d = self.p, len(self.powers)
         if f.den % p == 0:
             raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")

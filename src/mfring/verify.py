@@ -1,28 +1,27 @@
 """Verification engine: spanning ranks, relation vanishing, kernel exhaustion.
 
-Every check reduces to linear algebra over Q(zeta_L): rows are either
-truncated q-expansions (for spans and kernels of the evaluation map) or
-coefficient vectors on a monomial basis (for the degreewise span of a
-relation ideal).  Each such rank has a known upper bound, and a rank
-modulo a prime that reaches the bound proves it (``certified_rank``);
-only where no prime does is the rank computed by exact elimination.
+Every check reduces to linear algebra over Q(zeta_L): spans and kernels of
+the evaluation map are ranks of truncated q-expansions, and the degreewise
+dimension of a relation ideal comes from a Gröbner basis.  Each rank has a
+known upper bound, and a rank modulo a prime that reaches the bound proves
+it (``certified_rank``); only where no prime does is the rank computed by
+exact elimination.
 Span and kernel checks climb their weights on one ``CaseRunner`` and, at
 each weight, rank mod p only the border of the basis proved below
 (``CaseRunner.border``): the monomials all of whose divisors by one
-generator were proved pivots.  A kernel check reduces its relations by the
-span ranks' prime and takes a Gröbner basis of them mod p, truncated at its
-top weight (``groebner``); the Hilbert series of its leading monomials
+generator were proved pivots.  A kernel check takes an exact Gröbner basis
+of its relations over Q(zeta_L), truncated at its top weight
+(``groebner``), and the Hilbert series of its leading monomials
 (``hilbert.monomial_quotient``) counts the standard monomials of each
-weight.  The ideal-vector matrix is built only for exact elimination.
-Elimination pivots on the leftmost nonzero entry with no size
-heuristics, so runs are bit-for-bit reproducible.
+weight, which give the ideal's dimension there.  Elimination pivots on the
+leftmost nonzero entry with no size heuristics, so runs are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from operator import add
 from typing import NamedTuple
 
 from . import groebner, modp
@@ -417,33 +416,23 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     prec = plan.prec(prec_override)
     status, first_bad = "pass", None
     # the ideal lies in the kernel only if each relation vanishes; check each once
-    rel_terms = []
+    rels = []
     for rel, _, order in runner.relation_values(prec):
         if order is not None:
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
-        rel_terms.append((rel.w2, runner.relation_terms(rel)))
-    # vanishing relations put the ideal in the kernel, which bounds its dimension
-    # at each weight, and a Gröbner basis mod p gives a lower bound on it there
-    leads = None
-    if status == "pass" and plan.weights2:
-        leads = _leading_monomials(modp.reduction(runner.evaluator.ctx, prec), rel_terms,
-                                   runner.weights2, plan.weights2[-1])
-    # only exact elimination enumerates the monomials; the rest needs their number
+        rels.append(runner.relation_terms(rel))
+    # an exact basis truncated at the top weight gives dim I = #monomials - #standard
+    # at every weight up to it, whether or not the relations vanished
     top2 = plan.k_range[1]
+    leads = groebner.leading_monomials(rels, runner.weights2, top2)
     counts = HilbertSeries([(1, 0)], runner.weights2).expand(top2)
-    std = None if leads is None else monomial_quotient(leads, runner.weights2).expand(top2)
+    std = monomial_quotient(leads, runner.weights2).expand(top2)
     kernel_dims, ideal_dims = [], []
     for j2, want in zip(plan.weights2, plan.dims):
         rank = runner.span_rank(j2, prec, want)
         dim_kernel = counts[j2] - rank
-        # dim_p I = #monomials - #standard <= dim I <= dim_kernel at every prime
-        if std is not None and std[j2] == rank:
-            dim_ideal = dim_kernel
-        else:
-            dim_ideal = row_echelon_rank(_ideal_vectors(
-                rel_terms, runner.weights2, weighted_monomials(runner.weights2, j2), j2,
-                runner.evaluator.ctx.zero))
+        dim_ideal = counts[j2] - std[j2]
         kernel_dims.append(dim_kernel)
         ideal_dims.append(dim_ideal)
         if rank != want or dim_ideal != dim_kernel:
@@ -457,42 +446,6 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
         details["first_failure"] = first_bad
     return VerificationReport(case_label, "kernel", plan.k_range, prec, status,
                               details, _ms_since(t0))
-
-
-def _leading_monomials(red, rel_terms, weights2, top2: int):
-    """The leading monomials of a Gröbner basis mod p of the relations,
-    truncated at doubled weight top2, under the reduction red of the check's
-    span ranks; None where red is None or a coefficient is not p-integral.
-
-    Reduction is a ring map on p-integral coefficients, so the ideal the
-    reduced relations generate has dimension dim_p I_k <= dim I_k at each
-    weight k, and dim_p I_k equal to the kernel dimension proves dim I_k.
-    Taking the span ranks' reduction looks up no second prime.
-    """
-    if red is None:
-        return None
-    try:
-        polys = [{e: r for e, c in terms.items() if (r := red(c))} for _, terms in rel_terms]
-    except ZeroDivisionError:  # a coefficient is not p-integral
-        return None
-    return groebner.leading_monomials(polys, weights2, top2, red.p)
-
-
-def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
-    """Coefficient vectors, on the monomials mons of weight j2, of every
-    relation times every monomial of the complementary weight."""
-    index_of = {e: i for i, e in enumerate(mons)}
-    vectors = []
-    for w2, terms in rel_terms:
-        if w2 > j2:
-            continue
-        for mult in weighted_monomials(weights2, j2 - w2):
-            vec = [zero] * len(mons)
-            for exps, coeff in terms.items():
-                i = index_of[tuple(map(add, exps, mult))]
-                vec[i] = vec[i] + coeff
-            vectors.append(vec)
-    return vectors
 
 
 def verify_hilbert(catalog: Catalog, case_label: str,

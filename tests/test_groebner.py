@@ -1,18 +1,22 @@
-"""The truncated Gröbner basis mod p against plain elimination mod p."""
+"""The truncated exact Gröbner basis against exact elimination of the ideal vectors."""
 
-from operator import le, mul
+import json
+from fractions import Fraction
+from importlib import resources
+from operator import add, le, mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring import groebner, modp
-from mfring.catalog import load_catalog
+from mfring import groebner
+from mfring.catalog import Catalog, load_catalog
+from mfring.cyclo import cyclo_context
 from mfring.hilbert import HilbertSeries, monomial_quotient
 from mfring.verify import (
     CaseRunner,
-    _ideal_vectors,
-    _leading_monomials,
     check_plan,
+    row_echelon_rank,
+    verify_kernel,
     weighted_monomials,
 )
 
@@ -30,42 +34,58 @@ def _enumerated_standard(weights2, leads, j2: int) -> list[tuple[int, ...]]:
                   if not any(all(map(le, a, m)) for a in leads))
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of integer rows by plain elimination on lists."""
-    pivots = []
-    for row in rows:
-        row = [v % p for v in row]
-        for col, prow in pivots:
-            if row[col]:
-                c = row[col]
-                row = [(a - c * b) % p for a, b in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, p)
-            pivots.append((lead, [v * inv % p for v in row]))
-    return len(pivots)
+def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
+    """Coefficient vectors, on the monomials mons of weight j2, of every
+    relation times every monomial of the complementary weight: the matrix
+    whose exact rank is the ideal's dimension at j2."""
+    index_of = {e: i for i, e in enumerate(mons)}
+    vectors = []
+    for w2, terms in rel_terms:
+        if w2 > j2:
+            continue
+        for mult in weighted_monomials(weights2, j2 - w2):
+            vec = [zero] * len(mons)
+            for exps, coeff in terms.items():
+                i = index_of[tuple(map(add, exps, mult))]
+                vec[i] = vec[i] + coeff
+            vectors.append(vec)
+    return vectors
+
+
+def _elements(ctx):
+    """Small nonzero elements of Q(zeta_L): a sum of one or two small ints or
+    fractions times powers of zeta."""
+    term = st.builds(lambda a, d, k: ctx.from_rational(Fraction(a, d)) * ctx.zeta_power(k),
+                     st.integers(-3, 3), st.integers(1, 3), st.integers(0, ctx.L - 1))
+    return st.lists(term, min_size=1, max_size=2).map(lambda ts: sum(ts, ctx.zero)).filter(bool)
+
+
+_MAX_MONOMIALS = 40  # keeps the exact elimination of the reference small
 
 
 @st.composite
 def _ideals(draw):
-    """(p, doubled weights, top doubled weight, homogeneous relations mod p)."""
-    p = draw(st.sampled_from([2, 7, 101, 65521]))
+    """(conductor, doubled weights, top doubled weight, homogeneous relations
+    over Q(zeta_L) as dicts of CycloNums)."""
+    ctx = cyclo_context(draw(st.sampled_from([1, 3, 4])))
     weights2 = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
-    top2 = draw(st.integers(1, 9))
+    tops = [t for t in range(1, 10)
+            if all(len(weighted_monomials(weights2, j)) <= _MAX_MONOMIALS for j in range(t + 1))]
+    top2 = draw(st.sampled_from(tops))
     rels = []
     for _ in range(draw(st.integers(1, 4))):
         mons = weighted_monomials(weights2, draw(st.integers(1, top2)))
         if mons:
             terms = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True))
-            rels.append({e: draw(st.integers(1, p - 1)) for e in terms})
-    return p, weights2, top2, rels
+            rels.append({e: draw(_elements(ctx)) for e in terms})
+    return ctx, weights2, top2, rels
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ideals())
-def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ideal):
-    p, weights2, top2, rels = ideal
-    leads = groebner.leading_monomials(rels, weights2, top2, p)
+def test_ideal_dims_from_the_basis_equal_the_exact_rank_of_the_ideal_vectors(ideal):
+    ctx, weights2, top2, rels = ideal
+    leads = groebner.leading_monomials(rels, weights2, top2)
     rel_terms = [(_weight(next(iter(r)), weights2), r) for r in rels]
     counts = HilbertSeries([(1, 0)], weights2).expand(top2)
     assert len(counts) == top2 + 1
@@ -82,8 +102,8 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
         # the border of every monomial below is every monomial
         everything = groebner.border(weights2, lambda j: weighted_monomials(weights2, j), j2)
         assert everything == sorted(mons)
-        rows = _ideal_vectors(rel_terms, weights2, mons, j2, 0)
-        assert len(mons) - len(standard[j2]) == _rank_mod_p(rows, p), j2
+        rows = _ideal_vectors(rel_terms, weights2, mons, j2, ctx.zero)
+        assert len(mons) - len(standard[j2]) == row_echelon_rank(rows), j2
         # closed under division: a standard monomial divided by any x_i it contains
         # is standard at the lower weight
         for m in standard[j2]:
@@ -97,13 +117,12 @@ def test_ideal_dims_from_the_basis_equal_the_rank_mod_p_of_the_ideal_vectors(ide
         assert not any(all(map(le, b, a)) for b in leads[:i] + leads[i + 1:])
 
 
-def _kernel_leads(runner, top2: int, prec: int):
-    """The leading monomials a kernel check of the runner's case takes, under
-    the reduction of its span ranks at precision prec."""
+def _kernel_leads(runner, top2: int):
+    """The relations of the runner's case, as (doubled weight, terms), and the
+    leading monomials of the basis a kernel check of it to top2 takes."""
     rel_terms = [(rel.w2, runner.relation_terms(rel))
                  for rel in runner.case.presentation.relations]
-    red = modp.reduction(runner.evaluator.ctx, prec)
-    return rel_terms, _leading_monomials(red, rel_terms, runner.weights2, top2)
+    return rel_terms, groebner.leading_monomials([t for _, t in rel_terms], runner.weights2, top2)
 
 
 def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeration():
@@ -121,7 +140,7 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             continue
         runner = CaseRunner(CAT, CAT.cases[label], presentation=True)
         prec = plan.prec(None)
-        _, leads = _kernel_leads(runner, 24, prec)
+        _, leads = _kernel_leads(runner, 24)
         counts = HilbertSeries([(1, 0)], runner.weights2).expand(24)
         quotient = monomial_quotient(leads, runner.weights2).expand(24)
         for j2 in range(25):
@@ -137,9 +156,12 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
 
 
 def test_the_inputs_are_not_changed():
-    rels = [{(2, 0): 1, (0, 2): 6}, {(1, 1): 3, (0, 2): 1}]
+    ctx = cyclo_context(3)
+    z = ctx.zeta_power(1)
+    rels = [{(2, 0): ctx.one, (0, 2): z * 6},
+            {(1, 1): ctx.from_rational(Fraction(1, 3)), (0, 2): z + 1}]
     copies = [dict(r) for r in rels]
-    assert groebner.leading_monomials(rels, (1, 1), 6, 7)
+    assert groebner.leading_monomials(rels, (1, 1), 6) == [(2, 0), (1, 1), (0, 3)]
     assert rels == copies
 
 
@@ -150,9 +172,51 @@ def test_case_10_needs_a_fourth_leading_term():
     case = CAT.cases["10"]
     runner = CaseRunner(CAT, case, presentation=True)
     plan = check_plan(CAT, "kernel", "10")
-    rel_terms, leads = _kernel_leads(runner, plan.weights2[-1], plan.prec(None))
+    rel_terms, leads = _kernel_leads(runner, plan.weights2[-1])
     assert len(rel_terms) == 3 and len(leads) == 4
     own = {max(terms) for _, terms in rel_terms}
     assert own < set(leads)
     extra = (set(leads) - own).pop()
     assert _weight(extra, runner.weights2) == 6  # found at weight 3
+
+
+def _without_relation(label: str, index: int) -> Catalog:
+    """The shipped catalog with one relation of one case removed."""
+    raw = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
+    case = next(c for c in raw["cases"] if c["label"] == label)
+    del case["presentation"]["relations"][index]
+    return Catalog(raw)
+
+
+def test_a_kernel_check_without_one_of_its_relations_fails_with_the_exact_ideal_dims():
+    """Each shipped kernel case with one of its relations dropped, at its
+    shipped weights: the check fails, and its ideal dimensions are the exact
+    ranks of the ideal vectors of the relations left."""
+    dropped = []
+    for label in sorted(CAT.cases):
+        if check_plan(CAT, "kernel", label).skip:
+            continue
+        for index in range(len(CAT.cases[label].presentation.relations)):
+            cat = _without_relation(label, index)
+            report = verify_kernel(cat, label)
+            assert report.status == "fail", (label, index)
+            runner = CaseRunner(cat, cat.cases[label], presentation=True)
+            rel_terms = [(rel.w2, runner.relation_terms(rel))
+                         for rel in cat.cases[label].presentation.relations]
+            exact = [row_echelon_rank(_ideal_vectors(
+                rel_terms, runner.weights2, weighted_monomials(runner.weights2, j2), j2,
+                runner.evaluator.ctx.zero)) for j2 in report.details["weights2"]]
+            assert report.details["ideal_dims"] == exact, (label, index)
+            dropped.append(label)
+    assert len(dropped) == 16 and dropped.count("half12") == 3
+
+
+def test_half12_without_its_first_relation_fails_at_weight_three_halves():
+    """To doubled weight 32 (``--kmax 16``), where exact elimination of the
+    ideal vectors took minutes, the basis gives the failing report at once."""
+    report = verify_kernel(_without_relation("half12", 0), "half12", kmax2=32)
+    assert report.status == "fail"
+    assert report.details["first_failure"] == {"j2": 3, "rank": 6, "dim": 6,
+                                               "dim_kernel": 2, "dim_ideal": 1}
+    assert report.details["weights2"] == list(range(1, 33))
+    assert report.details["ideal_dims"][-1] == 1690

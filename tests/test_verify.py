@@ -51,16 +51,16 @@ def _count_exact_ranks(monkeypatch) -> list:
     return seen
 
 
-def _count_ideal_matrices(monkeypatch) -> list:
-    """Record the doubled weight of every ideal-vector matrix built from now on."""
+def _count_bases(monkeypatch) -> list:
+    """Record the leading monomials of every Gröbner basis built from now on."""
     built = []
-    ideal_vectors = verify._ideal_vectors
+    leading_monomials = groebner.leading_monomials
 
-    def counted(rel_terms, weights2, mons, j2, zero):
-        built.append(j2)
-        return ideal_vectors(rel_terms, weights2, mons, j2, zero)
+    def counted(polys, weights2, top2):
+        built.append(leading_monomials(polys, weights2, top2))
+        return built[-1]
 
-    monkeypatch.setattr(verify, "_ideal_vectors", counted)
+    monkeypatch.setattr(groebner, "leading_monomials", counted)
     return built
 
 
@@ -259,26 +259,18 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     cat = Catalog(raw)
     paths = _count_rank_paths(monkeypatch)
     exact = _count_exact_ranks(monkeypatch)  # every elimination, in certified_rank or not
-    built = _count_ideal_matrices(monkeypatch)
-    monkeypatch.setattr(groebner, "leading_monomials", lambda *a: pytest.fail("basis built"))
+    built = _count_bases(monkeypatch)
     report = verify_kernel(cat, "7", kmax2=8)
     assert report.status == "fail"
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
-    # the ideal no longer lies in the kernel, so only the number of monomials bounds
-    # its rank, which is almost never reached: no Gröbner basis mod p is tried, each
-    # span rank is decided by its one rank mod p on the border, and each ideal rank
-    # is one exact elimination, so the rank reported is exact
+    # the ideal no longer lies in the kernel, but its exact basis still gives its
+    # dimension at every weight: one basis is built, each span rank is decided by
+    # its one rank mod p on the border, and nothing is eliminated exactly
     weights2 = report.details["weights2"]
-    assert weights2 == [2, 4, 6, 8] == built
+    assert weights2 == [2, 4, 6, 8]
+    assert len(built) == 1
     assert [path[2:4] for path in paths] == [(1, 0)] * len(weights2)
-    assert len(exact) == len(weights2)
-    runner = CaseRunner(cat, cat.cases["7"], presentation=True)
-    rel_terms = [(rel.w2, runner.relation_terms(rel))
-                 for rel in cat.cases["7"].presentation.relations]
-    assert exact == [verify._ideal_vectors(rel_terms, runner.weights2,
-                                           weighted_monomials(runner.weights2, j2), j2,
-                                           runner.evaluator.ctx.zero) for j2 in weights2]
-    assert report.details["ideal_dims"] == [row_echelon_rank(rows) for rows in exact]
+    assert exact == []
     assert report.details["ideal_dims"] == [0, 1, 3, 6]
     assert report.details["kernel_dims"][:2] == [0, 1]
 
@@ -422,11 +414,10 @@ def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(mo
     x = ctx.from_rational(Fraction(1, red.p)) + z
     rows = [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]
     with pytest.raises(ZeroDivisionError):
-        red(x)
+        red.series(x)
     exact = _count_exact_ranks(monkeypatch)
-    got, pivots = certified_rank(ctx, 2, 3,
-                                 lambda red: [modp.pack([red(c) for c in row]) for row in rows],
-                                 lambda: rows)
+    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
+    got, pivots = certified_rank(ctx, 2, 3, reduce, lambda: rows)
     assert got == 2 == row_echelon_rank(rows)
     assert pivots is None
     assert exact == [rows]
@@ -437,7 +428,7 @@ def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     z = ctx.zeta_power(1)
     rows = [[ctx.one, z], [z, z * z]]  # rank 1
     exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
+    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
     assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == (1, [0])
     assert exact == []
     assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == (1, None)
@@ -470,7 +461,7 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
     rows = [[sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero) for j in range(ncols)]
             for row in left]
     rank = row_echelon_rank(rows)
-    reduce = lambda red: [modp.pack([red(c) for c in row]) for row in rows]  # noqa: E731
+    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
     red = modp.reduction(ctx, ncols)
     assert len(red.rank(reduce(red), nrows)) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
@@ -625,14 +616,14 @@ def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
 
 def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     """Every kernel check of full_report, and the kernels of 9 and half12 to
-    doubled weight 20: the Gröbner basis mod p decides every ideal dimension,
-    with no ideal matrix built and no exact elimination, and each span rank
+    doubled weight 20: one exact Gröbner basis per check gives every ideal
+    dimension, with no exact elimination, and each span rank
     reads its border up to its last pivot, that is dim rows and the border
     rows before the last pivot that are not pivots (a row count, not a
     timing)."""
     paths = _count_rank_paths(monkeypatch)
     exact = _count_exact_ranks(monkeypatch)
-    built = _count_ideal_matrices(monkeypatch)
+    built = _count_bases(monkeypatch)
     borders = []
     span_rank = CaseRunner.span_rank
 
@@ -645,7 +636,7 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     reports = full_report(CAT, checks={"kernel"})
     reports += [verify_kernel(CAT, label, kmax2=20) for label in ("9", "half12")]
     assert len(reports) == 10 and {r.status for r in reports} == {"pass"}
-    assert exact == [] and built == []
+    assert exact == [] and len(built) == len(reports)
     weights = [j2 for r in reports for j2 in r.details["weights2"]]
     assert len(paths) == len(borders) == len(weights) == 88
     assert all(path[2:4] == (1, 0) for path in paths), paths
@@ -660,9 +651,10 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     assert paths[-1][0] == len(weighted_monomials(half12.weights2, 20)) - 465 == 41
 
 
-def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monkeypatch):
-    """A relation coefficient whose denominator the basis's prime divides: no
-    Gröbner basis, every ideal rank by exact elimination, and the same report."""
+def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch):
+    """A relation coefficient whose denominator is the prime of the span ranks,
+    which a basis mod that prime could not reduce: the exact basis takes it as
+    it is, with no exact elimination, and the report is the golden one."""
     plan = check_plan(CAT, "kernel", "7")
     runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
     p = modp.reduction(runner.evaluator.ctx, plan.prec(None)).p  # the span ranks' prime
@@ -670,40 +662,11 @@ def test_a_relation_that_is_not_p_integral_falls_back_to_exact_ideal_ranks(monke
     rel = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["relations"][0]
     rel["poly"] = f"({rel['poly']})/{p}"
     exact = _count_exact_ranks(monkeypatch)
-    built = _count_ideal_matrices(monkeypatch)
-    monkeypatch.setattr(groebner, "leading_monomials", lambda *a: pytest.fail("basis built"))
+    built = _count_bases(monkeypatch)
     report = json.loads(verify_kernel(Catalog(raw), "7").to_json())
-    assert built == list(plan.weights2) and len(exact) == len(built)
+    assert exact == [] and len(built) == 1
     del report["elapsed_ms"]
     assert report == json.loads(GOLDEN.read_text())["7|kernel"]
-
-
-def test_a_dropped_leading_monomial_takes_exact_elimination_from_its_weight_on(monkeypatch):
-    """With the first leading monomial of each Gröbner basis dropped, that
-    monomial counts as standard: its weight has one standard monomial more
-    than the rank and takes exact elimination, and so does every weight
-    above where a multiple of it still counts as standard.  The reports
-    stay the golden ones."""
-    leading = verify._leading_monomials
-    dropped = []
-
-    def drop_first(*args):
-        leads = leading(*args)
-        dropped.append(leads[0])
-        return leads[1:]
-
-    monkeypatch.setattr(verify, "_leading_monomials", drop_first)
-    built = _count_ideal_matrices(monkeypatch)
-    golden = json.loads(GOLDEN.read_text())
-    for label in ("7", "9", "10", "half12"):
-        built.clear()
-        report = json.loads(verify_kernel(CAT, label).to_json())
-        del report["elapsed_ms"]
-        assert report == golden[f"{label}|kernel"], label
-        weights2 = CaseRunner(CAT, CAT.cases[label], presentation=True).weights2
-        w2 = sum(map(mul, dropped[-1], weights2))
-        above = [j2 for j2 in report["details"]["weights2"] if j2 >= w2]
-        assert built == above and len(above) > 1, label
 
 
 def test_full_report_builds_one_border_per_span_or_kernel_weight(monkeypatch):
