@@ -2,14 +2,17 @@
 
 Commands: qexp, dims, hilbert, verify, catalog.  Exit codes: 0 all
 checks pass, 1 verification failure, 2 unknown entity, 3 bad
-configuration.  All configuration comes from flags and the catalog
-file; there is no environment-variable configuration.
+configuration, 141 standard output closed before all of it was written
+(the status a shell reports for a process killed by SIGPIPE).  All
+configuration comes from flags and the catalog file; there is no
+environment-variable configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import Catalog, load_catalog
@@ -22,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_UNKNOWN = 2
 EXIT_BAD_CONFIG = 3
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE killed
 
 # the largest dims --kmax and hilbert/verify --horizon; each costs well under a second there
 MAX_WEIGHT_FLAG = 10_000
@@ -256,7 +260,13 @@ def main(argv=None) -> int:
     if digits:  # any coefficient that was computed prints, however many digits it has
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader went away, as `| head` does
+        # point stdout at devnull so that the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -86,23 +86,27 @@ def _top_reduce(h: dict, basis) -> tuple[int, ...] | None:
     return None
 
 
-def border(weights2, lower, k2: int) -> list[tuple[int, ...]]:
+def border(weights2, lower, k2: int) -> list[tuple]:
     """The monomials m of doubled weight k2 such that m / x_i lies in
     lower(k2 - w_i) for every variable x_i dividing m, in ascending
-    lexicographic order; at k2 = 0, the monomial 1.  A set of monomials
-    closed under division lies, weight by weight, in the border of its
-    members below.
+    lexicographic order, each as (m, i, m / x_i) for the first variable x_i
+    dividing m; at k2 = 0, (1, None, None).  A set of monomials closed under
+    division lies, weight by weight, in the border of its members below.
 
     Each x_i * b for b in lower(k2 - w_i) is one hit on the product, so m
-    is kept when its hits number the variables it contains.
+    is kept when its hits number the variables it contains; the variables
+    are walked in order, so the first hit on m is by its first variable.
     """
     if k2 == 0:
-        return [(0,) * len(weights2)]
-    hits: dict[tuple[int, ...], int] = {}
+        return [((0,) * len(weights2), None, None)]
+    hits: dict[tuple[int, ...], list] = {}
     for i, w in enumerate(weights2):
         if w <= k2:
             for b in lower(k2 - w):
                 m = b[:i] + (b[i] + 1,) + b[i + 1:]
-                hits[m] = hits.get(m, 0) + 1
-    return sorted(m for m, h in hits.items() if h == len(m) - m.count(0))
-
+                hit = hits.get(m)
+                if hit is None:
+                    hits[m] = [1, i, b]
+                else:
+                    hit[0] += 1
+    return sorted((m, i, b) for m, (h, i, b) in hits.items() if h == len(m) - m.count(0))

@@ -75,16 +75,11 @@ def pack(xs) -> int:
     return int.from_bytes(_slots(len(xs)).pack(*xs), "little")
 
 
-def unpack(x: int, n: int) -> tuple[int, ...]:
-    """The n slots of a packed int below 2^(64n)."""
-    return _slots(n).unpack(x.to_bytes(8 * n, "little"))
-
-
 class Reduction:
     """The map Q(zeta_L) -> F_p, zeta_L -> r, on elements whose denominators
     p does not divide, and linear algebra on packed vectors of n residues."""
 
-    __slots__ = ("p", "n", "powers")
+    __slots__ = ("p", "n", "powers", "struct", "mask", "nbytes")
 
     def __init__(self, p: int, n: int, powers: tuple[int, ...]):
         if p >= prime_ceiling(n):  # a slot could carry
@@ -92,6 +87,9 @@ class Reduction:
         self.p = p
         self.n = n
         self.powers = powers  # r^0, ..., r^(phi(L)-1) mod p
+        self.struct = _slots(n)  # packs and unpacks a vector of n residues
+        self.mask = (1 << 64 * n) - 1  # keeps the first n slots of a product
+        self.nbytes = 8 * n
 
     def series(self, f) -> int:
         """The coefficients of a QSeries reduced mod p and packed, with one
@@ -108,9 +106,9 @@ class Reduction:
 
     def mul(self, a: int, b: int) -> int:
         """Truncated product mod p of two packed vectors of n residues in [0, p)."""
-        n = self.n
-        raw = (a * b) & ((1 << 64 * n) - 1)
-        return pack(tuple(map(operator.mod, unpack(raw, n), repeat(self.p))))
+        st = self.struct
+        raw = st.unpack(((a * b) & self.mask).to_bytes(self.nbytes, "little"))
+        return int.from_bytes(st.pack(*map(operator.mod, raw, repeat(self.p))), "little")
 
     def rank(self, rows, bound: int) -> list[int]:
         """Elimination over F_p of packed rows of n residues in [0, p), pivot on
@@ -123,7 +121,7 @@ class Reduction:
         row was reduced by every earlier one before it was stored, so reducing
         by the pivots in insertion order clears all their columns.
         """
-        n, p = self.n, self.p
+        p, st, nbytes = self.p, self.struct, self.nbytes
         pivots: list[tuple[int, int]] = []
         kept: list[int] = []
         if bound <= 0:
@@ -133,14 +131,18 @@ class Reduction:
                 c = ((row >> shift) & SLOT) % p
                 if c:
                     row += c * neg
-            slots = unpack(row, n)
-            lead = next((j for j, v in enumerate(slots) if v % p), None)
-            if lead is not None:
-                kept.append(index)
-                if len(kept) == bound:
+            slots = st.unpack(row.to_bytes(nbytes, "little"))
+            for lead, v in enumerate(slots):
+                if v % p:
                     break
-                neg_inv = p - pow(slots[lead], -1, p)
-                pivots.append((64 * lead, pack([v * neg_inv % p for v in slots])))
+            else:
+                continue
+            kept.append(index)
+            if len(kept) == bound:
+                break
+            neg_inv = p - pow(v, -1, p)
+            pivots.append((64 * lead, int.from_bytes(
+                st.pack(*[x * neg_inv % p for x in slots]), "little")))
         return kept
 
 

@@ -146,7 +146,10 @@ class CaseRunner:
         self.aux = case.presentation.aux if presentation else ()  # case_gens checked it exists
         self.evaluator = catalog.evaluator(case.L)
         self._monomials: dict = {}
-        self._reduced: dict = {}  # (red, exps) -> monomial_series(exps, red.n) under red, packed
+        # the monomial x_i of each generator, as an exponent vector
+        self._units = tuple(tuple(int(j == i) for j in range(len(self.gens)))
+                            for i in range(len(self.gens)))
+        self._reduced: dict = {}  # red -> {exps: monomial_series(exps, red.n) under red, packed}
         self._bases: dict = {}  # (prec, k2) -> basis proved by span_rank, or None
 
     def sturm2(self, w2: int) -> int:
@@ -172,8 +175,8 @@ class CaseRunner:
         """monomial_series(exps, red.n) under the reduction red, packed, built
         from the reduced generator series by products mod p: the first
         generator in exps times the rest."""
-        key = (red, exps)
-        out = self._reduced.get(key)
+        packed = self._reduced.setdefault(red, {})
+        out = packed.get(exps)
         if out is not None:
             return out
         if not any(exps):
@@ -182,18 +185,19 @@ class CaseRunner:
             i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
-                gen = tuple(int(j == i) for j in range(len(exps)))
-                out = red.mul(self.reduced_monomial(gen, red), self.reduced_monomial(rest, red))
+                out = red.mul(self.reduced_monomial(self._units[i], red),
+                              self.reduced_monomial(rest, red))
             else:
                 out = red.series(self.gen_series(i, red.n))
-        self._reduced[key] = out
+        packed[exps] = out
         return out
 
-    def border(self, k2: int, prec: int) -> list[tuple[int, ...]]:
+    def border(self, k2: int, prec: int) -> list[tuple]:
         """The rows span_rank ranks mod p at doubled weight k2, in ascending
         lexicographic order: the monomials m with m / g_i in the basis proved
         at k2 - w_i at this precision for every generator g_i dividing m,
-        where every monomial of a weight that was not proved counts."""
+        where every monomial of a weight that was not proved counts; each as
+        (m, i, m / g_i) for the first generator g_i in m (``groebner.border``)."""
         def lower(j2: int) -> list[tuple[int, ...]]:
             basis = self._bases.get((prec, j2))
             return weighted_monomials(self.weights2, j2) if basis is None else basis
@@ -212,17 +216,37 @@ class CaseRunner:
         order are closed under division and the border holds every one of
         them: it reaches the rank mod p of all monomials.  Where that falls
         short of dim, all monomials are ranked by exact elimination.
+
+        A row of degree two or more is one product mod p: its first
+        generator's row times the row of its cofactor, a pivot proved below.
+        Where the weight below was not proved, the cofactor's row may never
+        have been built, and ``reduced_monomial`` builds the row; it also
+        builds the rows of 1 and of the generators, which are no products.
+        Rows after the last pivot are never built.
         """
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
         rows = self.border(k2, prec)
+
+        def reduced_rows(red):
+            packed = self._reduced.setdefault(red, {})
+            for m, i, b in rows:
+                rest = packed.get(b) if sum(m) > 1 else None
+                if rest is None:
+                    yield self.reduced_monomial(m, red)
+                    continue
+                gen = packed.get(self._units[i])
+                if gen is None:
+                    gen = self.reduced_monomial(self._units[i], red)
+                packed[m] = row = red.mul(gen, rest)
+                yield row
+
         rank, pivots = certified_rank(
-            self.evaluator.ctx, dim, prec,
-            lambda red: (self.reduced_monomial(e, red) for e in rows),
+            self.evaluator.ctx, dim, prec, reduced_rows,
             lambda: [self.monomial_series(e, prec).coeffs
                      for e in weighted_monomials(self.weights2, k2)])
-        self._bases[prec, k2] = None if pivots is None else [rows[j] for j in pivots]
+        self._bases[prec, k2] = None if pivots is None else [rows[j][0] for j in pivots]
         return rank
 
     def relation_terms(self, rel) -> dict:

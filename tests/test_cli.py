@@ -2,6 +2,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfring
 from mfring.catalog import load_catalog, require_coordinates
-from mfring.cli import main
+from mfring.cli import EXIT_PIPE_CLOSED, main
 from mfring.errors import PrecisionTooHigh
 
 SHIPPED = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
@@ -593,3 +595,26 @@ def test_the_coordinate_ceiling_counts_prec_times_phi():
             require_coordinates(L, prec)
     with pytest.raises(PrecisionTooHigh):
         load_catalog().lookup_form("E4", 10**9)
+
+
+@pytest.mark.parametrize("argv, nread", [
+    # 17 KB of reports fit in a pipe's buffer: close it before the first byte is written
+    (["verify", "all", "--output", "json"], 0),
+    # megabytes of series cannot: the writer is still writing when 20 bytes have been read
+    (["qexp", "E4", "--prec", "20000"], 20),
+])
+def test_a_closed_stdout_pipe_exits_141_without_a_traceback(argv, nread):
+    """A reader that goes away early, as `| head -c 20` does: the command
+    writes nothing to stderr and exits 141, the status of SIGPIPE, not the
+    1 that means a verification failed."""
+    assert EXIT_PIPE_CLOSED == 141
+    env = dict(os.environ, PYTHONPATH=str(Path(mfring.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "mfring.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(nread)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED
+    assert err == b""
+    assert len(head) == nread

@@ -97,11 +97,15 @@ def test_ideal_dims_from_the_basis_equal_the_exact_rank_of_the_ideal_vectors(ide
         standard.append(_enumerated_standard(weights2, leads, j2))
         assert quotient[j2] == len(standard[j2]), j2
         # the border of the standard monomials below holds every standard monomial
-        assert [m for m in groebner.border(weights2, standard.__getitem__, j2)
+        entries = groebner.border(weights2, standard.__getitem__, j2)
+        _assert_first_factors(weights2, standard.__getitem__, j2, entries)
+        assert [m for m, _, _ in entries
                 if not any(all(map(le, a, m)) for a in leads)] == standard[j2]
         # the border of every monomial below is every monomial
-        everything = groebner.border(weights2, lambda j: weighted_monomials(weights2, j), j2)
-        assert everything == sorted(mons)
+        every = lambda j: weighted_monomials(weights2, j)  # noqa: E731
+        entries = groebner.border(weights2, every, j2)
+        _assert_first_factors(weights2, every, j2, entries)
+        assert [m for m, _, _ in entries] == sorted(mons)
         rows = _ideal_vectors(rel_terms, weights2, mons, j2, ctx.zero)
         assert len(mons) - len(standard[j2]) == row_echelon_rank(rows), j2
         # closed under division: a standard monomial divided by any x_i it contains
@@ -115,6 +119,43 @@ def test_ideal_dims_from_the_basis_equal_the_exact_rank_of_the_ideal_vectors(ide
     for i, a in enumerate(leads):
         assert _weight(a, weights2) <= top2
         assert not any(all(map(le, b, a)) for b in leads[:i] + leads[i + 1:])
+
+
+def _assert_first_factors(weights2, lower, k2: int, entries) -> None:
+    """Each (m, i, b) of the border at k2 factors m by its first variable:
+    i is the first nonzero index of m and b = m / x_i lies in lower(k2 - w_i);
+    at k2 = 0 the border is the monomial 1 alone, with no factor."""
+    if k2 == 0:
+        assert entries == [((0,) * len(weights2), None, None)]
+        return
+    for m, i, b in entries:
+        assert i == next(j for j, e in enumerate(m) if e), (m, i)
+        assert b == m[:i] + (m[i] - 1,) + m[i + 1:], (m, b)
+        assert b in lower(k2 - weights2[i]), (m, b)
+
+
+def test_each_border_monomial_comes_with_its_first_factor():
+    """At every weight of every span and kernel check at its shipped
+    precision, each border entry (m, i, b) has i the first nonzero index of
+    m and b = m / x_i in the basis proved one generator weight down."""
+    checked = 0
+    for check in ("span", "kernel"):
+        for label in sorted(CAT.cases):
+            plan = check_plan(CAT, check, label)
+            if plan.skip:
+                continue
+            runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
+            prec = plan.prec(None)
+
+            def lower(j2: int):
+                basis = runner._bases.get((prec, j2))
+                return weighted_monomials(runner.weights2, j2) if basis is None else basis
+
+            for j2, dim in zip(plan.weights2, plan.dims):
+                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2, prec))
+                assert runner.span_rank(j2, prec, dim) == dim
+                checked += 1
+    assert checked == 249
 
 
 def _kernel_leads(runner, top2: int):
@@ -148,7 +189,7 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             assert quotient[j2] == len(_enumerated_standard(runner.weights2, leads, j2))
         for j2, dim in zip(plan.weights2, plan.dims):
             assert runner.span_rank(j2, prec, dim) == dim
-            rows = runner.border(j2, prec)
+            rows = [m for m, _, _ in runner.border(j2, prec)]
             standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
             assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
         checked.append(label)

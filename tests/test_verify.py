@@ -333,8 +333,13 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
         for j2 in weights2]
     for j2, dim in zip(weights2, span.details["dims"]):
         runner.span_rank(j2, prec, dim)
-    assert runner.border(6, prec) == sorted(weighted_monomials(runner.weights2, 6))
+    assert _monomials(runner.border(6, prec)) == sorted(weighted_monomials(runner.weights2, 6))
     assert len(runner.border(8, prec)) < len(weighted_monomials(runner.weights2, 8))
+
+
+def _monomials(entries) -> list[tuple[int, ...]]:
+    """The monomials of a border, without their factors."""
+    return [m for m, _, _ in entries]
 
 
 def _divided(m: tuple[int, ...]):
@@ -356,7 +361,7 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
     prec = plan.prec(None)
     dims = dict(zip(plan.weights2, plan.dims))
     for j2, dim in dims.items():
-        rows = runner.border(j2, prec)
+        rows = _monomials(runner.border(j2, prec))
         assert len(set(rows)) == len(rows)
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
@@ -370,7 +375,7 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
                 b in bases[runner.weights2[i]] for i, b in _divided(m))}
         assert runner.span_rank(j2, prec, dim) == dim
         pivots = runner._bases[prec, j2]
-        assert runner.border(j2, prec) == rows
+        assert _monomials(runner.border(j2, prec)) == rows
         assert len(pivots) == dim and set(pivots) <= set(rows)
         for m in pivots:
             for i, b in _divided(m):
@@ -629,7 +634,7 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
 
     def recorded(runner, k2, prec, dim):
         rank = span_rank(runner, k2, prec, dim)
-        borders.append((runner.border(k2, prec), runner._bases[prec, k2]))
+        borders.append((_monomials(runner.border(k2, prec)), runner._bases[prec, k2]))
         return rank
 
     monkeypatch.setattr(CaseRunner, "span_rank", recorded)
@@ -649,6 +654,66 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     half12 = CaseRunner(CAT, CAT.cases["half12"], presentation=True)
     assert reports[-1].details["ideal_dims"][-1] == 465
     assert paths[-1][0] == len(weighted_monomials(half12.weights2, 20)) - 465 == 41
+
+
+def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
+    """Every packed row a shipped span or kernel check reads mod p, built as
+    one product of its first generator's row and its cofactor's, equals the
+    reduction of the monomial's exact q-expansion; 1,808 rows in all."""
+    read = []
+    rank = modp.Reduction.rank
+
+    def recorded(red, rows, bound):
+        def tally():
+            for row in rows:
+                read.append(row)
+                yield row
+        return rank(red, tally(), bound)
+
+    monkeypatch.setattr(modp.Reduction, "rank", recorded)
+    rows = 0
+    for check, label in product(("span", "kernel"), sorted(CAT.cases)):
+        plan = check_plan(CAT, check, label)
+        if plan.skip:
+            continue
+        runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
+        prec = plan.prec(None)
+        red = modp.reduction(runner.evaluator.ctx, prec)
+        for j2, dim in zip(plan.weights2, plan.dims):
+            read.clear()
+            assert runner.span_rank(j2, prec, dim) == dim
+            entries = runner.border(j2, prec)  # the same border: it reads only the weights below
+            assert len(read) <= len(entries)
+            for (m, _, _), row in zip(entries, read):
+                assert row == red.series(runner.monomial_series(m, red.n)), (runner.case.label, m)
+            rows += len(read)
+    assert rows == 1808
+
+
+def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeypatch):
+    """On the shipped span and kernel checks every other row comes from one
+    product of two rows already built, so ``reduced_monomial`` is called 118
+    times, each for 1 or a generator, where the recursion built each row's
+    cofactor again (5,188 calls); the rows of 1 and of the generators take no
+    product, so the 1,808 rows read take 1,690 products."""
+    calls, products = [], []
+    reduced_monomial, mul = CaseRunner.reduced_monomial, modp.Reduction.mul
+
+    def counted(runner, exps, red):
+        calls.append(exps)
+        return reduced_monomial(runner, exps, red)
+
+    def multiplied(red, a, b):
+        products.append(red.n)
+        return mul(red, a, b)
+
+    monkeypatch.setattr(CaseRunner, "reduced_monomial", counted)
+    monkeypatch.setattr(modp.Reduction, "mul", multiplied)
+    reports = full_report(CAT, checks={"span", "kernel"})
+    assert {r.status for r in reports} == {"pass"}
+    assert len(calls) == 118
+    assert all(sum(exps) <= 1 for exps in calls)
+    assert len(products) == 1690
 
 
 def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch):
