@@ -7,10 +7,12 @@ matrix, so a rank mod p is a lower bound on the exact rank (Stein,
 *Modular Forms: A Computational Approach*, AMS GSM 79, ch. 7).
 
 A vector of n residues is one int of n unsigned 64-bit slots, residue j
-in bits [64j, 64j + 64), packed and unpacked in C by ``struct``.  The
-prime depends on the width n only: the largest p = 1 (mod L) below
-``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2), so that
-n * (p - 1)^2 + p < 2^64 and no slot ever carries.  A truncated product
+in bits [64j, 64j + 64), packed and unpacked in C by ``struct``; a series
+longer than n coefficients is reduced to its first n, so a rank can read
+fewer coefficients than were computed (the verifier's rank width, below
+its precision).  The prime depends on the width n only: the largest
+p = 1 (mod L) below ``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2),
+so that n * (p - 1)^2 + p < 2^64 and no slot ever carries.  A truncated product
 is one big-int multiply (Kronecker substitution: a slot sums at most n
 products below p^2), and an elimination step is one big-int multiply-add
 (each of at most n pivots adds a multiple below p^2 to a slot that
@@ -92,13 +94,13 @@ class Reduction:
         self.nbytes = 8 * n
 
     def series(self, f) -> int:
-        """The coefficients of a QSeries reduced mod p and packed, with one
-        inverse of its denominator; a CycloNum, a series of one coefficient,
-        reduces to the int of its one slot."""
+        """The first n coefficients (at least one) of a QSeries reduced mod p
+        and packed, with one inverse of its denominator; a CycloNum, a series
+        of one coefficient, reduces to the int of its one slot."""
         p, d = self.p, len(self.powers)
         if f.den % p == 0:
             raise ZeroDivisionError(f"denominator {f.den} is divisible by {p}")
-        inv, nums = pow(f.den, -1, p), f.nums
+        inv, nums = pow(f.den, -1, p), f.nums[:max(self.n, 1) * d]
         acc = nums[::d]  # coordinate k of every coefficient is one column, weighed by r^k
         for k in range(1, d):
             acc = list(map(operator.add, acc, map(operator.mul, nums[k::d], repeat(self.powers[k]))))

@@ -9,13 +9,18 @@ exact elimination.
 Span and kernel checks climb their weights on one ``CaseRunner`` and, at
 each weight, rank mod p only the border of the basis proved below
 (``CaseRunner.border``): the monomials all of whose divisors by one
-generator were proved pivots.  A kernel check takes an exact Gröbner basis
-of its relations over Q(zeta_L), truncated at its top weight
-(``groebner``), and the Hilbert series of its leading monomials
-(``hilbert.monomial_quotient``) counts the standard monomials of each
-weight, which give the ideal's dimension there.  Elimination pivots on the
-leftmost nonzero entry with no size heuristics, so runs are bit-for-bit
-reproducible.
+generator were proved pivots.  Those rows are truncated to the check's
+rank width (``Plan.rank_width``): the largest Sturm cutoff or dimension
+over its own weights, not its guarded precision, since truncation only
+lowers a rank and a rank mod p that reaches dim M_k proves it at any
+width.  Generator series are still evaluated at the check's precision,
+and the exact fallback ranks every monomial at all of it.  A kernel check
+takes an exact Gröbner basis of its relations over Q(zeta_L), truncated at
+its top weight (``groebner``), and the Hilbert series of its leading
+monomials (``hilbert.monomial_quotient``) counts the standard monomials of
+each weight, which give the ideal's dimension there.  Elimination pivots on
+the leftmost nonzero entry with no size heuristics, so runs are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class CaseRunner:
         self._units = tuple(tuple(int(j == i) for j in range(len(self.gens)))
                             for i in range(len(self.gens)))
         self._reduced: dict = {}  # red -> {exps: monomial_series(exps, red.n) under red, packed}
-        self._bases: dict = {}  # (prec, k2) -> basis proved by span_rank, or None
+        self._bases: dict = {}  # (width, k2) -> basis proved by span_rank, or None
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -171,10 +176,12 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], red) -> int:
+    def reduced_monomial(self, exps: tuple[int, ...], red, prec: int) -> int:
         """monomial_series(exps, red.n) under the reduction red, packed, built
         from the reduced generator series by products mod p: the first
-        generator in exps times the rest."""
+        generator in exps times the rest.  A generator series is evaluated
+        at prec, the check's precision, and its first red.n coefficients
+        are reduced."""
         packed = self._reduced.setdefault(red, {})
         out = packed.get(exps)
         if out is not None:
@@ -185,37 +192,38 @@ class CaseRunner:
             i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
-                out = red.mul(self.reduced_monomial(self._units[i], red),
-                              self.reduced_monomial(rest, red))
+                out = red.mul(self.reduced_monomial(self._units[i], red, prec),
+                              self.reduced_monomial(rest, red, prec))
             else:
-                out = red.series(self.gen_series(i, red.n))
+                out = red.series(self.gen_series(i, prec))
         packed[exps] = out
         return out
 
-    def border(self, k2: int, prec: int) -> list[tuple]:
+    def border(self, k2: int, width: int) -> list[tuple]:
         """The rows span_rank ranks mod p at doubled weight k2, in ascending
         lexicographic order: the monomials m with m / g_i in the basis proved
-        at k2 - w_i at this precision for every generator g_i dividing m,
+        at k2 - w_i at this width for every generator g_i dividing m,
         where every monomial of a weight that was not proved counts; each as
         (m, i, m / g_i) for the first generator g_i in m (``groebner.border``)."""
         def lower(j2: int) -> list[tuple[int, ...]]:
-            basis = self._bases.get((prec, j2))
+            basis = self._bases.get((width, j2))
             return weighted_monomials(self.weights2, j2) if basis is None else basis
 
         return groebner.border(self.weights2, lower, k2)
 
-    def span_rank(self, k2: int, prec: int, dim: int) -> int:
+    def span_rank(self, k2: int, prec: int, dim: int, width: int) -> int:
         """Rank of the weight-k2 monomials truncated to prec coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it.  Mod p only the border rows are ranked.  Each is a
+        bounds it.  Mod p the rows are truncated further, to their first
+        width coefficients, and only the border rows are ranked.  Each is a
         weight-k2 monomial, so a rank mod p equal to dim proves the rank of
-        all of them, and the pivots become the basis at k2 that the weights
-        above build on.  Multiplying by a generator keeps a series in the
+        all of them, and the pivots become the basis at k2 and this width
+        that the weights above build on.  Multiplying by a generator keeps a series in the
         kernel of truncation mod p, so the pivots in ascending lexicographic
         order are closed under division and the border holds every one of
         them: it reaches the rank mod p of all monomials.  Where that falls
-        short of dim, all monomials are ranked by exact elimination.
+        short of dim, all monomials are ranked by exact elimination at prec.
 
         A row of degree two or more is one product mod p: its first
         generator's row times the row of its cofactor, a pivot proved below.
@@ -227,26 +235,28 @@ class CaseRunner:
         bound = self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
-        rows = self.border(k2, prec)
+        if width > prec:  # the rows' products would read coefficients never computed
+            raise ValueError(f"rank width {width} exceeds the precision {prec}")
+        rows = self.border(k2, width)
 
         def reduced_rows(red):
             packed = self._reduced.setdefault(red, {})
             for m, i, b in rows:
                 rest = packed.get(b) if sum(m) > 1 else None
                 if rest is None:
-                    yield self.reduced_monomial(m, red)
+                    yield self.reduced_monomial(m, red, prec)
                     continue
                 gen = packed.get(self._units[i])
                 if gen is None:
-                    gen = self.reduced_monomial(self._units[i], red)
+                    gen = self.reduced_monomial(self._units[i], red, prec)
                 packed[m] = row = red.mul(gen, rest)
                 yield row
 
         rank, pivots = certified_rank(
-            self.evaluator.ctx, dim, prec, reduced_rows,
+            self.evaluator.ctx, dim, width, reduced_rows,
             lambda: [self.monomial_series(e, prec).coeffs
                      for e in weighted_monomials(self.weights2, k2)])
-        self._bases[prec, k2] = None if pivots is None else [rows[j][0] for j in pivots]
+        self._bases[width, k2] = None if pivots is None else [rows[j][0] for j in pivots]
         return rank
 
     def relation_terms(self, rel) -> dict:
@@ -287,6 +297,7 @@ class Plan(NamedTuple):
     dims: tuple[int, ...] = ()  # dim M_k at each of them (span and kernel)
     cutoff: int = 0  # certified coefficient cutoff
     skip: str | None = None  # why the check does not run, if it does not
+    width: int = 0  # max over weights2 of max(sturm2, dim) (span and kernel)
 
     def prec(self, prec_override: int | None) -> int:
         """The one working precision of the check; an override below the
@@ -295,6 +306,12 @@ class Plan(NamedTuple):
             raise PrecisionTooLow(f"precision {prec_override} is below the certified cutoff "
                                   f"{self.cutoff}; refusing to run an uncertified check")
         return max(prec_override or 0, self.cutoff + GUARD)
+
+    def rank_width(self, prec: int) -> int:
+        """The one width of the check's ranks mod p at precision prec: each
+        weight's Sturm cutoff fixes a form, and a rank of dim needs dim
+        columns, so no GUARD and no relation cutoff widen it."""
+        return min(prec, self.width)
 
 
 def dim_or_none(catalog: Catalog, case: Case, j2: int) -> int | None:
@@ -370,10 +387,11 @@ def check_plan(catalog: Catalog, check: str, label: str,
             known = [(j2, d) for j2 in lattice if (d := dim_or_none(catalog, case, j2)) is not None]
             weights2, dims = tuple(j2 for j2, _ in known), tuple(d for _, d in known)
             doubled, k_range = False, (0, top)
-    cutoff = max((catalog.sturm2(group, 2 * w if doubled else w) for w in weights2), default=0)
+    sturms = [catalog.sturm2(group, 2 * w if doubled else w) for w in weights2]
+    cutoff, width = max(sturms, default=0), max(map(max, sturms, dims), default=0)
     if check == "kernel":
         cutoff = max(cutoff, check_plan(catalog, "relation", label).cutoff)
-    return Plan(k_range, weights2, dims, cutoff)
+    return Plan(k_range, weights2, dims, cutoff, width=width)
 
 
 def _skipped(label: str, check: str, reason: str) -> VerificationReport:
@@ -392,7 +410,8 @@ def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
         return _skipped(case_label, "span", plan.skip)
     runner = CaseRunner(catalog, catalog.cases[case_label])
     prec = plan.prec(prec_override)
-    ranks = [runner.span_rank(j2, prec, d) for j2, d in zip(plan.weights2, plan.dims)]
+    width = plan.rank_width(prec)
+    ranks = [runner.span_rank(j2, prec, d, width) for j2, d in zip(plan.weights2, plan.dims)]
     details = {"weights2": list(plan.weights2), "ranks": ranks, "dims": list(plan.dims)}
     bad = [(j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d]
     if bad:
@@ -453,8 +472,9 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     counts = HilbertSeries([(1, 0)], runner.weights2).expand(top2)
     std = monomial_quotient(leads, runner.weights2).expand(top2)
     kernel_dims, ideal_dims = [], []
+    width = plan.rank_width(prec)
     for j2, want in zip(plan.weights2, plan.dims):
-        rank = runner.span_rank(j2, prec, want)
+        rank = runner.span_rank(j2, prec, want, width)
         dim_kernel = counts[j2] - rank
         dim_ideal = counts[j2] - std[j2]
         kernel_dims.append(dim_kernel)

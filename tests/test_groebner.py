@@ -146,14 +146,15 @@ def test_each_border_monomial_comes_with_its_first_factor():
                 continue
             runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
             prec = plan.prec(None)
+            width = plan.rank_width(prec)
 
             def lower(j2: int):
-                basis = runner._bases.get((prec, j2))
+                basis = runner._bases.get((width, j2))
                 return weighted_monomials(runner.weights2, j2) if basis is None else basis
 
             for j2, dim in zip(plan.weights2, plan.dims):
-                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2, prec))
-                assert runner.span_rank(j2, prec, dim) == dim
+                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2, width))
+                assert runner.span_rank(j2, prec, dim, width) == dim
                 checked += 1
     assert checked == 249
 
@@ -181,6 +182,7 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             continue
         runner = CaseRunner(CAT, CAT.cases[label], presentation=True)
         prec = plan.prec(None)
+        width = plan.rank_width(prec)
         _, leads = _kernel_leads(runner, 24)
         counts = HilbertSeries([(1, 0)], runner.weights2).expand(24)
         quotient = monomial_quotient(leads, runner.weights2).expand(24)
@@ -188,8 +190,8 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             assert counts[j2] == len(weighted_monomials(runner.weights2, j2)), (label, j2)
             assert quotient[j2] == len(_enumerated_standard(runner.weights2, leads, j2))
         for j2, dim in zip(plan.weights2, plan.dims):
-            assert runner.span_rank(j2, prec, dim) == dim
-            rows = [m for m, _, _ in runner.border(j2, prec)]
+            assert runner.span_rank(j2, prec, dim, width) == dim
+            rows = [m for m, _, _ in runner.border(j2, width)]
             standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
             assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
         checked.append(label)

@@ -63,7 +63,7 @@ def test_half_integral_rank_matches_doubling_bound():
     for j2 in (1, 3, 5, 7, 9):  # doubled odd weights
         k = (j2 - 1) // 2
         prec = runner.sturm2(j2) + GUARD
-        rank = runner.span_rank(j2, prec, (k + 2) // 2)
+        rank = runner.span_rank(j2, prec, (k + 2) // 2, max(runner.sturm2(j2), (k + 2) // 2))
         dim_int = CAT.dim2("g4", 2 * k) if k else 1
         # theta times a weight-k monomial basis spans everything
         assert rank == dim_int == (k + 2) // 2

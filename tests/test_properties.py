@@ -148,7 +148,7 @@ def prop_rank_nullity(case_label: str = "9", j2: int = 8):
 def prop_rank_stabilization(case_label: str = "7", j2: int = 10):
     runner = CaseRunner(CAT, CAT.cases[case_label])
     bound, dim = runner.sturm2(j2), dim_or_none(CAT, runner.case, j2)
-    ranks = [runner.span_rank(j2, bound + extra, dim) for extra in (0, 3, GUARD)]
+    ranks = [runner.span_rank(j2, bound + extra, dim, bound + extra) for extra in (0, 3, GUARD)]
     assert ranks[0] == ranks[1] == ranks[2]
 
 
@@ -321,7 +321,7 @@ def test_reduction_primes():
             r = red.series(ctx.zeta_power(1))
             assert pow(r, L, p) == 1
             assert all(pow(r, d, p) != 1 for d in range(1, L))
-    # catalog widths, all below 256, get the primes below 2^28
+    # widths 64-255 share the ceiling 2^28; a width of 256 or more is needed to reach 2^27
     assert {modp.prime_ceiling(n) for n in range(64, 256)} == {1 << 28}
     # a width whose ceiling is 2 has no prime
     assert modp.reduction(cyclo_context(1), 1 << 60) is None

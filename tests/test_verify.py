@@ -22,6 +22,7 @@ from mfring.verify import (
     dim_or_none,
     full_report,
     row_echelon_rank,
+    scheduled_checks,
     verify_hilbert,
     verify_identity,
     verify_integrality,
@@ -154,14 +155,19 @@ def _left_nullspace(rows, ctx):
 
 def test_span_rank_examples():
     five = CaseRunner(CAT, CAT.cases["5"])
-    prec = five.sturm2(6) + GUARD
-    assert five.span_rank(6, prec, dim_or_none(CAT, five.case, 6)) == 4  # weight 3 at level 5
-    assert five.span_rank(6, prec, 5) == 4  # a bound no prime reaches: the exact rank
-    assert five.span_rank(0, 4, 1) == 1
+    width = five.sturm2(6)
+    prec = width + GUARD
+    # weight 3 at level 5
+    assert five.span_rank(6, prec, dim_or_none(CAT, five.case, 6), width) == 4
+    assert five.span_rank(6, prec, 5, width) == 4  # a bound no prime reaches: the exact rank
+    assert five.span_rank(0, 4, 1, 1) == 1
     one = CaseRunner(CAT, CAT.cases["1"])
-    assert one.span_rank(24, one.sturm2(24) + GUARD, dim_or_none(CAT, one.case, 24)) == 2
+    assert one.span_rank(24, one.sturm2(24) + GUARD, dim_or_none(CAT, one.case, 24),
+                         one.sturm2(24)) == 2
     with pytest.raises(PrecisionTooLow):
-        five.span_rank(12, 3, dim_or_none(CAT, five.case, 12))
+        five.span_rank(12, 3, dim_or_none(CAT, five.case, 12), 3)
+    with pytest.raises(ValueError, match="exceeds the precision"):
+        five.span_rank(6, prec, 4, prec + 1)
 
 
 def test_rank_nullity_against_explicit_nullspace():
@@ -196,7 +202,8 @@ def test_rank_invariant_under_generator_scaling():
 def test_rank_stabilizes_at_sturm_precision():
     runner = CaseRunner(CAT, CAT.cases["7"])
     bound, dim = runner.sturm2(12), dim_or_none(CAT, runner.case, 12)
-    assert runner.span_rank(12, bound, dim) == runner.span_rank(12, bound + GUARD, dim)
+    assert runner.span_rank(12, bound, dim, bound) == runner.span_rank(12, bound + GUARD, dim,
+                                                                      bound + GUARD)
 
 
 def test_relation_series_examples():
@@ -321,6 +328,8 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
     paths = _count_rank_paths(monkeypatch)
     span = verify_span(cat, "12")
     weights2, prec = span.details["weights2"], span.precision
+    width = check_plan(cat, "span", "12").rank_width(prec)
+    assert {path[1] for path in paths} == {width}
     assert span.status == "fail"
     assert span.details["first_failure"] == {"j2": 4, "rank": 9, "dim": 10}
     assert [d for j2, d, r in zip(weights2, span.details["dims"], span.details["ranks"])
@@ -332,9 +341,9 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
                           for e in weighted_monomials(runner.weights2, j2)])
         for j2 in weights2]
     for j2, dim in zip(weights2, span.details["dims"]):
-        runner.span_rank(j2, prec, dim)
-    assert _monomials(runner.border(6, prec)) == sorted(weighted_monomials(runner.weights2, 6))
-    assert len(runner.border(8, prec)) < len(weighted_monomials(runner.weights2, 8))
+        runner.span_rank(j2, prec, dim, width)
+    assert _monomials(runner.border(6, width)) == sorted(weighted_monomials(runner.weights2, 6))
+    assert len(runner.border(8, width)) < len(weighted_monomials(runner.weights2, 8))
 
 
 def _monomials(entries) -> list[tuple[int, ...]]:
@@ -359,27 +368,28 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
     plan = check_plan(CAT, "span", label, kmax2)
     runner = CaseRunner(CAT, CAT.cases[label])
     prec = plan.prec(None)
+    width = plan.rank_width(prec)
     dims = dict(zip(plan.weights2, plan.dims))
     for j2, dim in dims.items():
-        rows = _monomials(runner.border(j2, prec))
+        rows = _monomials(runner.border(j2, width))
         assert len(set(rows)) == len(rows)
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
         if j2 and all(j in dims for j in lower):  # every weight below was proved
-            bases = {w2: set(runner._bases[prec, j2 - w2])
+            bases = {w2: set(runner._bases[width, j2 - w2])
                      for w2 in runner.weights2 if w2 <= j2}
             ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
                       for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
             assert len(ladder) <= sum(dims[j] for j in lower)
             assert set(rows) == {m for m in ladder if all(
                 b in bases[runner.weights2[i]] for i, b in _divided(m))}
-        assert runner.span_rank(j2, prec, dim) == dim
-        pivots = runner._bases[prec, j2]
-        assert _monomials(runner.border(j2, prec)) == rows
+        assert runner.span_rank(j2, prec, dim, width) == dim
+        pivots = runner._bases[width, j2]
+        assert _monomials(runner.border(j2, width)) == rows
         assert len(pivots) == dim and set(pivots) <= set(rows)
         for m in pivots:
             for i, b in _divided(m):
-                assert b in runner._bases[prec, j2 - runner.weights2[i]], (j2, m)
+                assert b in runner._bases[width, j2 - runner.weights2[i]], (j2, m)
 
 
 @pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
@@ -392,12 +402,13 @@ def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
     assert report.status == "pass"
     runner = CaseRunner(CAT, CAT.cases[label])
     prec = report.precision
-    red = modp.reduction(runner.evaluator.ctx, prec)
+    width = check_plan(CAT, "span", label, 32).rank_width(prec)
+    red = modp.reduction(runner.evaluator.ctx, width)
     for j2, dim in zip(report.details["weights2"], report.details["dims"]):
-        assert runner.span_rank(j2, prec, dim) == dim
+        assert runner.span_rank(j2, prec, dim, width) == dim
         mons = sorted(weighted_monomials(runner.weights2, j2))
-        every = red.rank([runner.reduced_monomial(e, red) for e in mons], len(mons))
-        assert [mons[j] for j in every] == runner._bases[prec, j2], j2
+        every = red.rank([runner.reduced_monomial(e, red, prec) for e in mons], len(mons))
+        assert [mons[j] for j in every] == runner._bases[width, j2], j2
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
@@ -609,10 +620,22 @@ def test_full_batch_all_green(monkeypatch):
 def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
     """Every certified rank of full_report, and of the kernels of 9 and half12
     to doubled weight 20, is decided by exactly one rank mod p, with no exact
-    elimination."""
+    elimination.  Each of full_report's 249 span and kernel ranks runs at its
+    plan's rank width, below the check's precision: 3,500 residues a row in
+    all, where the precisions would give 5,492."""
     paths = _count_rank_paths(monkeypatch)
     full_report(CAT)
     in_full_report = len(paths)
+    widths, precs = [], []
+    for check, label in scheduled_checks(CAT):  # the order full_report runs them in
+        if check in ("span", "kernel"):
+            plan = check_plan(CAT, check, label)
+            prec = plan.prec(None)
+            assert plan.rank_width(prec) < prec, (check, label)
+            widths += [plan.rank_width(prec)] * len(plan.weights2)
+            precs += [prec] * len(plan.weights2)
+    assert [path[1] for path in paths] == widths
+    assert len(widths) == 249 and sum(widths) == 3500 and sum(precs) == 5492
     for label in ("9", "half12"):
         assert verify_kernel(CAT, label, kmax2=20).status == "pass"
     assert 0 < in_full_report < len(paths)
@@ -632,9 +655,9 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     borders = []
     span_rank = CaseRunner.span_rank
 
-    def recorded(runner, k2, prec, dim):
-        rank = span_rank(runner, k2, prec, dim)
-        borders.append((_monomials(runner.border(k2, prec)), runner._bases[prec, k2]))
+    def recorded(runner, k2, prec, dim, width):
+        rank = span_rank(runner, k2, prec, dim, width)
+        borders.append((_monomials(runner.border(k2, width)), runner._bases[width, k2]))
         return rank
 
     monkeypatch.setattr(CaseRunner, "span_rank", recorded)
@@ -659,11 +682,15 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
 def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
     """Every packed row a shipped span or kernel check reads mod p, built as
     one product of its first generator's row and its cofactor's, equals the
-    reduction of the monomial's exact q-expansion; 1,808 rows in all."""
-    read = []
+    reduction of the first W coefficients of the monomial's exact
+    q-expansion at the check's precision, W the plan's rank width below that
+    precision; 1,808 rows in all, each ranked under the reduction of W."""
+    read, widths = [], []
     rank = modp.Reduction.rank
 
     def recorded(red, rows, bound):
+        widths.append(red.n)
+
         def tally():
             for row in rows:
                 read.append(row)
@@ -678,14 +705,19 @@ def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
             continue
         runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
         prec = plan.prec(None)
-        red = modp.reduction(runner.evaluator.ctx, prec)
+        width = plan.rank_width(prec)
+        assert width < prec
+        red = modp.reduction(runner.evaluator.ctx, width)
         for j2, dim in zip(plan.weights2, plan.dims):
             read.clear()
-            assert runner.span_rank(j2, prec, dim) == dim
-            entries = runner.border(j2, prec)  # the same border: it reads only the weights below
+            widths.clear()
+            assert runner.span_rank(j2, prec, dim, width) == dim
+            assert widths == [width]
+            entries = runner.border(j2, width)  # the same border: it reads only the weights below
             assert len(read) <= len(entries)
             for (m, _, _), row in zip(entries, read):
-                assert row == red.series(runner.monomial_series(m, red.n)), (runner.case.label, m)
+                assert row.bit_length() <= 64 * width
+                assert row == red.series(runner.monomial_series(m, prec)), (runner.case.label, m)
             rows += len(read)
     assert rows == 1808
 
@@ -695,13 +727,14 @@ def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeyp
     product of two rows already built, so ``reduced_monomial`` is called 118
     times, each for 1 or a generator, where the recursion built each row's
     cofactor again (5,188 calls); the rows of 1 and of the generators take no
-    product, so the 1,808 rows read take 1,690 products."""
+    product, so the 1,808 rows read take 1,690 products, each at the rank
+    width of its check's plan."""
     calls, products = [], []
     reduced_monomial, mul = CaseRunner.reduced_monomial, modp.Reduction.mul
 
-    def counted(runner, exps, red):
+    def counted(runner, exps, red, prec):
         calls.append(exps)
-        return reduced_monomial(runner, exps, red)
+        return reduced_monomial(runner, exps, red, prec)
 
     def multiplied(red, a, b):
         products.append(red.n)
@@ -714,6 +747,59 @@ def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeyp
     assert len(calls) == 118
     assert all(sum(exps) <= 1 for exps in calls)
     assert len(products) == 1690
+    planned = {(plan := check_plan(CAT, check, label)).rank_width(plan.prec(None))
+               for check, label in scheduled_checks(CAT, checks={"span", "kernel"})}
+    assert set(products) == planned
+
+
+_RANKED = [(check, label) for check, label in product(("span", "kernel"), sorted(CAT.cases))
+           if not check_plan(CAT, check, label).skip]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_RANKED), st.integers(1, 24), st.integers(0, 40))
+def test_ranks_at_the_rank_width_give_the_reports_of_ranks_at_the_precision(ranked, kmax2,
+                                                                            extra):
+    """A span or kernel report with its ranks mod p at the plan's rank width
+    equals the report with them at the full precision, for any override from
+    the cutoff up; the width does not grow with the override."""
+    check, label = ranked
+    run = verify_span if check == "span" else verify_kernel
+    plan = check_plan(CAT, check, label, kmax2)
+    override = plan.cutoff + extra
+    prec = plan.prec(override)
+    assert plan.rank_width(prec) == plan.rank_width(plan.prec(None)) <= prec
+
+    def report():
+        out = json.loads(run(CAT, label, kmax2, override).to_json())
+        del out["elapsed_ms"]
+        return out
+
+    narrow = report()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify.Plan, "rank_width", lambda plan, prec: prec)
+        assert report() == narrow
+    assert narrow["precision"] == prec
+
+
+def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch):
+    """The span of case 1 to doubled weight 8 ranks at width 2, the one width
+    with the largest ceiling, 2^31; it passes with one rank mod p per weight,
+    and each rank equals exact elimination at the full precision."""
+    plan = check_plan(CAT, "span", "1", 8)
+    prec = plan.prec(None)
+    assert plan.rank_width(prec) == 2 < prec
+    runner = CaseRunner(CAT, CAT.cases["1"])
+    p = modp.reduction(runner.evaluator.ctx, 2).p
+    assert modp.prime_ceiling(2) == 1 << 31 and 1 << 30 < p < 1 << 31
+    paths = _count_rank_paths(monkeypatch)
+    report = verify_span(CAT, "1", kmax2=8)
+    assert report.status == "pass" and report.precision == prec
+    assert [path[1:4] for path in paths] == [(2, 1, 0)] * len(plan.weights2)
+    assert report.details["ranks"] == report.details["dims"] == [
+        row_echelon_rank([runner.monomial_series(e, prec).coeffs
+                          for e in weighted_monomials(runner.weights2, j2)])
+        for j2 in plan.weights2]
 
 
 def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch):
@@ -722,7 +808,8 @@ def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch
     it is, with no exact elimination, and the report is the golden one."""
     plan = check_plan(CAT, "kernel", "7")
     runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
-    p = modp.reduction(runner.evaluator.ctx, plan.prec(None)).p  # the span ranks' prime
+    # the span ranks' prime
+    p = modp.reduction(runner.evaluator.ctx, plan.rank_width(plan.prec(None))).p
     raw = _shipped()
     rel = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["relations"][0]
     rel["poly"] = f"({rel['poly']})/{p}"
