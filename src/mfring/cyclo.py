@@ -5,10 +5,12 @@ Elements are stored by their coordinates in the power basis
 integers `nums` over one positive common denominator `den`, kept
 canonical (gcd(den, *nums) == 1, see ``canonical``) so that equality is
 coordinatewise; q-series store each coefficient the same way.  Every
-operation reduces modulo the L-th cyclotomic polynomial.
-Linear maps of the field that q-series apply coefficient by coefficient
-(multiplication by an element, complex conjugation) are exposed as
-integer matrices whose row k is the image of z^k.
+operation reduces modulo the L-th cyclotomic polynomial, through one table
+per field (``FieldCtx.powers``) of the powers of z reduced: it gives the
+fold rows of a product, the roots of unity and the rows of complex
+conjugation.  Linear maps of the field that q-series apply coefficient by
+coefficient (multiplication by an element, complex conjugation) are integer
+matrices whose row k is the image of z^k.
 """
 
 from __future__ import annotations
@@ -82,22 +84,26 @@ def _substitute_power(poly: list[int], k: int) -> list[int]:
 
 
 class FieldCtx:
-    """Field context for Q(zeta_L): conductor, minimal polynomial, reduction data."""
+    """Field context for Q(zeta_L): conductor, minimal polynomial, the powers of z reduced."""
 
-    __slots__ = ("L", "degree", "minpoly", "fold", "zero", "one")
+    __slots__ = ("L", "degree", "minpoly", "powers", "zero", "one")
 
     def __init__(self, L: int):
         if L < 1:
             raise ValueError("conductor must be positive")
         self.L = L
         self.minpoly = cyclotomic_polynomial(L)
-        self.degree = len(self.minpoly) - 1
-        # x^(degree+i) mod minpoly for i = 0..degree-2, used to fold products;
-        # integral because the minimal polynomial is monic
-        red = [[-c for c in self.minpoly[:-1]]]  # x^degree reduced
-        for _ in range(self.degree - 2):
-            red.append(_times_zeta(red[-1], red[0]))
-        self.fold = tuple(map(tuple, red))
+        d = self.degree = len(self.minpoly) - 1
+        # powers[k] = z^k reduced for k = 0..L-1, integral because the minimal
+        # polynomial is monic.  A product folds rows up to 2d-2; where 2d-1 > L
+        # (L = 5, 7, 9, 11, 13, 21, ...) they go on as the rows k-L themselves,
+        # not copies, since z^L = 1.
+        row, top = (1,) + (0,) * (d - 1), [-c for c in self.minpoly[:-1]]
+        powers = []
+        for _ in range(L):
+            powers.append(row)
+            row = _times_zeta(row, top)
+        self.powers = tuple(powers + powers[:max(0, 2 * d - 1 - L)])
         self.zero = CycloNum(self, (0,) * self.degree)
         self.one = CycloNum(self, (1,) + (0,) * (self.degree - 1))
 
@@ -115,14 +121,8 @@ class FieldCtx:
         return CycloNum(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta_power(self, e: int) -> "CycloNum":
-        """z^e, shifted from z^min(e, degree-1) one factor z at a time."""
-        e %= self.L
-        k = min(e, self.degree - 1)
-        cur = [0] * self.degree
-        cur[k] = 1
-        for _ in range(e - k):
-            cur = _times_zeta(cur, self.fold[0])
-        return CycloNum(self, cur)
+        """z^e, a row of the table."""
+        return CycloNum(self, self.powers[e % self.L])
 
 
 @lru_cache(maxsize=None)
@@ -140,19 +140,11 @@ def root_of_unity(ctx: FieldCtx, a: int, b: int) -> "CycloNum":
 def roots_of_unity(ctx: FieldCtx, m: int) -> list[tuple[int, ...]]:
     """Integer coordinates of e^(2*pi*i*j/m) for j = 0..m-1; needs m | L.
 
-    Each power is the previous one times z^(L/m), one shift and fold per
-    factor z, so the cost is below L*phi(L) integer steps.
+    They are the rows z^(j*L/m) of the field's table, not copies.
     """
     if m < 1 or ctx.L % m != 0:
         raise ConductorMismatch(f"order {m} does not divide conductor {ctx.L}")
-    step = ctx.L // m
-    cur = [1] + [0] * (ctx.degree - 1)
-    out = [tuple(cur)]
-    while len(out) < m:
-        for _ in range(step):
-            cur = _times_zeta(cur, ctx.fold[0])
-        out.append(tuple(cur))
-    return out
+    return list(ctx.powers[:ctx.L:ctx.L // m])
 
 
 def fold_buckets(buckets, powers, degree: int) -> list:
@@ -185,48 +177,26 @@ def embed(c: "CycloNum", ctx: FieldCtx) -> "CycloNum":
     return CycloNum(ctx, fold_buckets(c.nums, powers, ctx.degree), c.den)
 
 
-def _times_zeta(v: list[int], top_row) -> list[int]:
-    """v*z reduced, for a coordinate list v; top_row is z^degree reduced."""
+def _times_zeta(v: tuple[int, ...], top_row) -> tuple[int, ...]:
+    """v*z reduced, for a coordinate tuple v; top_row is z^degree reduced."""
     top = v[-1]
-    v = [0] + v[:-1]
+    v = (0,) + v[:-1]
     if top:
-        v = [x + top * t for x, t in zip(v, top_row)]
+        v = tuple([x + top * t for x, t in zip(v, top_row)])
     return v
 
 
-def multiplication_matrix(c: "CycloNum") -> tuple[int, list[list[int]]]:
+def multiplication_matrix(c: "CycloNum") -> tuple[int, list[tuple[int, ...]]]:
     """(D, M) with row k of the integer matrix M the coordinates of D*c*z^k.
 
     D is c's denominator, the least common denominator of its coordinates,
     so a coordinate vector a maps to a*c = (1/D) * sum_k a_k M[k].
     """
-    row = list(c.nums)
-    rows = [row]
-    for _ in range(c.ctx.degree - 1):
-        row = _times_zeta(row, c.ctx.fold[0])
-        rows.append(row)
-    return c.den, rows
-
-
-@lru_cache(maxsize=None)
-def conj_matrix(L: int) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix of complex conjugation on Q(zeta_L): row k is z^(-k) reduced.
-
-    z^(-1) = -(a_1 + a_2 z + ... + z^(d-1)) / a_0 for Phi_L = a_0 + a_1 x + ...
-    + x^d, and a_0 = +-1, so each row is the previous one divided by z in
-    integers.
-    """
-    poly = cyclotomic_polynomial(L)
-    d, a0 = len(poly) - 1, poly[0]
-    cur = [1] + [0] * (d - 1)
-    rows = [tuple(cur)]
+    d, powers = c.ctx.degree, c.ctx.powers
+    rows = [c.nums]
     for _ in range(d - 1):
-        low = cur[0]
-        cur = cur[1:] + [0]
-        if low:
-            cur = [x - low * a0 * t for x, t in zip(cur, poly[1:])]
-        rows.append(tuple(cur))
-    return tuple(rows)
+        rows.append(_times_zeta(rows[-1], powers[d]))
+    return c.den, rows
 
 
 class CycloNum:
@@ -285,16 +255,13 @@ class CycloNum:
             for j, bj in enumerate(o.nums):
                 if bj:
                     raw[i + j] += ai * bj
-        # fold x^(d+i) terms using the precomputed reduced powers
-        coords = raw[:d]
-        red = self.ctx.fold
-        for i in range(d, len(raw)):
-            c = raw[i]
+        # fold the terms of z^d..z^(2d-2) with their rows of the table
+        out = raw[:d]
+        for c, tail in zip(raw[d:], self.ctx.powers[d:2 * d - 1]):
             if c:
-                tail = red[i - d]
                 for j in range(d):
-                    coords[j] += c * tail[j]
-        return CycloNum(self.ctx, coords, self.den * o.den)
+                    out[j] += c * tail[j]
+        return CycloNum(self.ctx, out, self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -24,7 +24,6 @@ from .cyclo import (
     CycloNum,
     FieldCtx,
     canonical,
-    conj_matrix,
     coordinate_texts,
     fold_buckets,
     join_terms,
@@ -121,6 +120,8 @@ class QSeries:
     def scale(self, c) -> "QSeries":
         if not isinstance(c, CycloNum):
             c = self.ctx.from_rational(c)
+        elif c.ctx is not self.ctx and c.ctx != self.ctx:
+            raise ContextMismatch(f"L={self.ctx.L} vs L={c.ctx.L}")
         if not c.is_rational():
             den, rows = multiplication_matrix(c)
             return QSeries(self.ctx, fold_buckets(self.nums, rows, self.ctx.degree), self.den * den)
@@ -162,8 +163,9 @@ class QSeries:
     def conj(self) -> "QSeries":
         if self.ctx.degree == 1:
             return self
-        d = self.ctx.degree
-        return QSeries(self.ctx, fold_buckets(self.nums, conj_matrix(self.ctx.L), d), self.den)
+        d, L, powers = self.ctx.degree, self.ctx.L, self.ctx.powers
+        rows = [powers[-k % L] for k in range(d)]  # z^k goes to z^(-k)
+        return QSeries(self.ctx, fold_buckets(self.nums, rows, d), self.den)
 
     def vanishing_order(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero to precision."""
@@ -217,14 +219,6 @@ def _from_bytes(buf: bytes, nb: int):
     return map(int.from_bytes, map(buf.__getitem__, cuts), repeat("little"))
 
 
-@lru_cache(maxsize=None)
-def _slot_powers(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
-    """The power-basis coordinates of z^0, ..., z^(2d-2), d = phi(L): the
-    weights of the 2d-1 slots of one product coefficient."""
-    d = ctx.degree
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) + ctx.fold
-
-
 def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
     """Truncated product of two equal-length integer coordinate lists, exactly;
     pass the same object twice to square.
@@ -236,8 +230,8 @@ def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
     it as a signed value; slots are read back with an offset of 2^(W-1)
     that makes every one of them nonnegative.  W is rounded up to 8, 16, 32
     or 64 bits, packed by one ``struct`` call, or else to whole bytes.  The
-    slots of zeta^(>=d) are then folded column by column with the integer
-    reduction table (Phi_L is monic).
+    2d-1 slots of a coefficient are then folded column by column with the
+    rows z^0..z^(2d-2) of the field's table of reduced powers.
     """
     d, n = ctx.degree, len(xa)
     top = max(map(abs, xa))
@@ -263,7 +257,7 @@ def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
     a = pack(xa)
     raw = (a * (a if xb is xa else pack(xb)) + offset) & ((1 << (8 * nb * size)) - 1)
     out = list(map(sub, _from_bytes(raw.to_bytes(nb * size, "little"), nb), repeat(half)))
-    return out if d == 1 else fold_buckets(out, _slot_powers(ctx), d)
+    return out if d == 1 else fold_buckets(out, ctx.powers[:stride], d)
 
 
 def render_qseries(f: QSeries) -> str:

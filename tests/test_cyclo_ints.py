@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from mfring.cyclo import (
     CycloNum,
+    FieldCtx,
     _bareiss_solve,
     cyclo_context,
     fold_buckets,
@@ -225,3 +226,37 @@ def fold_inputs(draw):
 def test_fold_buckets_equals_the_per_coefficient_fold(inputs):
     buckets, powers, degree = inputs
     assert fold_buckets(buckets, powers, degree) == ref_fold(buckets, powers, degree)
+
+
+# -- the table of powers of z ------------------------------------------------
+
+@pytest.mark.parametrize("L", sorted({1, 2, 5, 7, 11, 13, 105, *CONDUCTORS}))
+def test_each_row_of_the_power_table_is_the_reduced_power(L):
+    ctx = cyclo_context(L)
+    d, powers = ctx.degree, ctx.powers
+    assert len(powers) == max(L, 2 * d - 1)  # z^0..z^(L-1), then up to the fold's z^(2d-2)
+    for k, row in enumerate(powers):
+        assert type(row) is tuple and row == ref_reduce(ctx, [0] * k + [1])
+    for k in range(L, len(powers)):  # z^L = 1: the same rows, not copies
+        assert powers[k] is powers[k - L]
+    assert len(set(map(id, powers))) == L
+    if L in (5, 7, 11, 13):
+        assert len(powers) == 2 * L - 3
+    if L == 105:
+        assert -2 in ctx.minpoly
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_degree_one_fields_have_no_fold_rows(L):
+    ctx = FieldCtx(L)  # not the shared context: its table is cut below
+    assert ctx.degree == 1 and len(ctx.powers) == L
+    ctx.powers = ctx.powers[:1]  # a read of powers[d] = powers[1] would raise
+    assert multiplication_matrix(CycloNum(ctx, (-3,), 2)) == (2, [(-3,)])
+    assert (CycloNum(ctx, (5,)) * CycloNum(ctx, (-3,), 2)).nums == (-15,)
+
+
+def test_the_largest_admitted_field_has_one_row_per_power():
+    ctx = cyclo_context(2520)
+    assert (ctx.degree, len(ctx.powers)) == (576, 2520)
+    for k in (1, 7, 575, 576, 1260, 2519):
+        assert ctx.zeta_power(k) * ctx.zeta_power(2520 - k) == ctx.one

@@ -13,6 +13,11 @@ from pathlib import Path
 import mfring
 
 SRC = Path(mfring.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+
+# definitions that only a reader outside the package names, with that reader;
+# an allowance lapses when its reader no longer names the definition
+READ_OUTSIDE = {"coords": "perfbench/tracing.py"}
 
 
 def _private_imports(path: Path):
@@ -46,7 +51,9 @@ def test_every_definition_is_named_again_in_the_package():
     assert len(defined) > 50
     unused = {name for name, count in defined.items()
               if len(re.findall(rf"\b{name}\b", text)) <= count}
-    assert unused == set()
+    for name, reader in READ_OUTSIDE.items():
+        assert name in defined and re.search(rf"\b{name}\b", (ROOT / reader).read_text()), reader
+    assert unused - READ_OUTSIDE.keys() == set()
 
 
 # imported by nothing at startup: dataclasses brings inspect, ast and dis, and

@@ -37,6 +37,19 @@ def test_basic_ops():
         f + QSeries.one(C4, 5)
 
 
+def test_scaling_by_a_scalar_of_another_field_raises():
+    one = QSeries.one(C4, 3)
+    for L in (3, 5):
+        z = cyclo_context(L).zeta_power(1)
+        with pytest.raises(ContextMismatch):
+            one.scale(z)
+        with pytest.raises(ContextMismatch):
+            one * z
+        with pytest.raises(ContextMismatch):
+            z * one
+    assert str(one.scale(C4.zeta_power(1))) == "z4 + O(q^3)"
+
+
 def test_min_precision_propagation():
     f = _series([1, 2, 3])
     g = _series([1, 1, 1, 1, 1])
