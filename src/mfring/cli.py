@@ -27,7 +27,7 @@ EXIT_UNKNOWN = 2
 EXIT_BAD_CONFIG = 3
 EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE killed
 
-# the largest dims --kmax and hilbert/verify --horizon; each costs well under a second there
+# the largest --kmax and --horizon: it bounds the weights listed, not what ranking them costs
 MAX_WEIGHT_FLAG = 10_000
 
 
@@ -65,9 +65,9 @@ def _parse_group(catalog: Catalog, text: str):
                    "(expected full, gamma0:<N> or gammaH:<N>:[a,b])", EXIT_BAD_CONFIG)
 
 
-def _require_weight_flag(flag: str, value: int):
-    if not 0 <= value <= MAX_WEIGHT_FLAG:
-        raise CliError(f"{flag} must be between 0 and {MAX_WEIGHT_FLAG}", EXIT_BAD_CONFIG)
+def _require_weight_flag(flag: str, value: int, low: int = 0):
+    if not low <= value <= MAX_WEIGHT_FLAG:
+        raise CliError(f"{flag} must be between {low} and {MAX_WEIGHT_FLAG}", EXIT_BAD_CONFIG)
 
 
 def cmd_qexp(args) -> int:
@@ -156,8 +156,7 @@ def cmd_verify(args) -> int:
             raise CliError(f"verify {args.selector} does not apply to {label!r}", EXIT_UNKNOWN)
     kmax2 = None
     if args.kmax is not None:
-        if args.kmax < 1:
-            raise CliError("--kmax must be at least 1", EXIT_BAD_CONFIG)
+        _require_weight_flag("--kmax", args.kmax, 1)
         kmax2 = 2 * args.kmax
     if args.prec is not None and args.prec < 1:
         raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)

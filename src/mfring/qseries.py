@@ -64,7 +64,7 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[CycloNum, ...]:
-        """The coefficients as CycloNums, built on each access."""
+        """The coefficients as CycloNums, built on each access; perfbench's tracer reads them."""
         return tuple(self.coefficient(n) for n in range(self.prec))
 
     def _check(self, other: "QSeries"):

@@ -14,7 +14,8 @@ rank width (``Plan.rank_width``): the largest Sturm cutoff or dimension
 over its own weights, not its guarded precision, since truncation only
 lowers a rank and a rank mod p that reaches dim M_k proves it at any
 width.  Generator series are still evaluated at the check's precision,
-and the exact fallback ranks every monomial at all of it.  A kernel check
+and the exact fallback eliminates their monomials at all of it, lazily
+and up to full column rank.  A kernel check
 takes an exact Gröbner basis of its relations over Q(zeta_L), truncated at
 its top weight (``groebner``), and the Hilbert series of its leading
 monomials (``hilbert.monomial_quotient``) counts the standard monomials of
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from . import groebner, modp
 from .catalog import Case, Catalog, require_coordinates
-from .cyclo import CycloNum, FieldCtx
+from .cyclo import FieldCtx
 from .errors import OutOfTable, PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
 from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
 from .qseries import QSeries
@@ -94,23 +95,22 @@ def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
 
 
 def row_echelon_rank(rows) -> int:
-    """Rank by exact elimination; pivot on the leftmost nonzero entry.
-
-    Each pivot row was reduced by every earlier one before it was stored, so
-    reducing by the pivots in insertion order clears all their columns.
-    """
-    pivots: list[tuple[int, list[CycloNum]]] = []
+    """Rank of QSeries rows of one precision by exact elimination, pivot on the
+    leftmost nonzero coefficient, stopped at prec pivots, its upper bound: no
+    row after them is read.  Each pivot row was reduced by every earlier one
+    and scaled to lead 1 when stored, so reducing by the pivots in insertion
+    order clears all their columns."""
+    pivots: list[tuple[int, QSeries]] = []
     for row in rows:
-        row = list(row)
         for col, prow in pivots:
-            c = row[col]
+            c = row.coefficient(col)
             if not c.is_zero():
-                for j in range(col, len(row)):
-                    row[j] = row[j] - c * prow[j]
-        lead = next((j for j, v in enumerate(row) if not v.is_zero()), None)
+                row = row - prow.scale(c)
+        lead = row.vanishing_order()
         if lead is not None:
-            inv = row[lead].invert()
-            pivots.append((lead, [v * inv for v in row]))
+            pivots.append((lead, row.scale(row.coefficient(lead).invert())))
+            if len(pivots) == row.prec:
+                break
     return len(pivots)
 
 
@@ -121,7 +121,8 @@ def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows,
 
     ``reduced_rows(red)`` gives the matrix under the one reduction of its
     width, one packed int per row (see ``modp``), and ``exact_rows()`` the
-    matrix itself.  Reduction is a ring map on p-integral entries, so
+    matrix itself, QSeries rows that ``row_echelon_rank`` reads only up to
+    its last pivot.  Reduction is a ring map on p-integral entries, so
     rank_p <= rank <= bound, and rank_p == bound proves rank == bound; the
     rank mod p stops at the bound and hands back its pivot rows, which are
     independent.  Where the rank mod p falls short, a denominator is
@@ -254,8 +255,8 @@ class CaseRunner:
 
         rank, pivots = certified_rank(
             self.evaluator.ctx, dim, width, reduced_rows,
-            lambda: [self.monomial_series(e, prec).coeffs
-                     for e in weighted_monomials(self.weights2, k2)])
+            lambda: (self.monomial_series(e, prec)
+                     for e in weighted_monomials(self.weights2, k2)))
         self._bases[width, k2] = None if pivots is None else [rows[j][0] for j in pivots]
         return rank
 

@@ -20,6 +20,8 @@ from mfring.verify import (
     weighted_monomials,
 )
 
+from _series import series_of
+
 CAT = load_catalog()
 
 
@@ -34,10 +36,11 @@ def _enumerated_standard(weights2, leads, j2: int) -> list[tuple[int, ...]]:
                   if not any(all(map(le, a, m)) for a in leads))
 
 
-def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
+def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list:
     """Coefficient vectors, on the monomials mons of weight j2, of every
-    relation times every monomial of the complementary weight: the matrix
-    whose exact rank is the ideal's dimension at j2."""
+    relation times every monomial of the complementary weight, each as the
+    series whose coefficient i is its entry on mons[i]: the rows whose exact
+    rank is the ideal's dimension at j2."""
     index_of = {e: i for i, e in enumerate(mons)}
     vectors = []
     for w2, terms in rel_terms:
@@ -48,7 +51,7 @@ def _ideal_vectors(rel_terms, weights2, mons, j2: int, zero) -> list[list]:
             for exps, coeff in terms.items():
                 i = index_of[tuple(map(add, exps, mult))]
                 vec[i] = vec[i] + coeff
-            vectors.append(vec)
+            vectors.append(series_of(zero.ctx, vec))
     return vectors
 
 

@@ -15,6 +15,8 @@ from mfring.verify import (
     weighted_monomials,
 )
 
+from _series import series_of
+
 CAT = load_catalog()
 
 
@@ -91,8 +93,8 @@ def test_rank_monotone_in_precision():
     runner = CaseRunner(CAT, CAT.cases["9"])
     full_prec = runner.sturm2(8) + GUARD
     mons = weighted_monomials(runner.weights2, 8)
-    rows = [list(runner.monomial_series(e, full_prec).coeffs) for e in mons]
-    ranks = [row_echelon_rank([r[:p] for r in rows]) for p in range(2, full_prec + 1)]
+    rows = [runner.monomial_series(e, full_prec) for e in mons]
+    ranks = [row_echelon_rank([r.truncate(p) for r in rows]) for p in range(2, full_prec + 1)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert ranks[-1] == dim_or_none(CAT, runner.case, 8)
 
@@ -102,7 +104,7 @@ def test_monomial_rank_matrix_transpose_consistency():
     runner = CaseRunner(CAT, CAT.cases["6"])
     prec = runner.sturm2(6) + GUARD
     mons = weighted_monomials(runner.weights2, 6)
-    rows = [list(runner.monomial_series(e, prec).coeffs) for e in mons]
+    rows = [runner.monomial_series(e, prec) for e in mons]
     zero = runner.evaluator.ctx.zero
-    padded = [row + [zero, zero] for row in rows]
+    padded = [series_of(r.ctx, r.coeffs + (zero, zero)) for r in rows]
     assert row_echelon_rank(rows) == row_echelon_rank(padded)

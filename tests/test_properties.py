@@ -135,7 +135,7 @@ def prop_rank_nullity(case_label: str = "9", j2: int = 8):
             pivots.append((lead, [v * inv for v in row]))
             pivots.sort(key=lambda t: t[0])
     rank = len(pivots)
-    assert rank == row_echelon_rank([r[:width] for r in aug])
+    assert rank == row_echelon_rank(runner.monomial_series(e, prec) for e in mons)
     assert len(mons) - rank == len(kernel)
     for vec in kernel:
         acc = QSeries.zero(ctx, prec)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfring import exprs, groebner, modp, verify
+from mfring import cli, exprs, groebner, modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.cyclo import cyclo_context
 from mfring.errors import PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
+from mfring.qseries import QSeries
 from mfring.verify import (
     GUARD,
     CaseRunner,
@@ -32,6 +33,8 @@ from mfring.verify import (
     weighted_monomials,
 )
 
+from _series import series_of
+
 CAT = load_catalog()
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
 
@@ -41,12 +44,19 @@ def _shipped():
 
 
 def _count_exact_ranks(monkeypatch) -> list:
-    """Record the rows of every exact elimination from now on."""
+    """Record the rows every exact elimination reads from now on, one list
+    per elimination."""
     seen = []
 
     def counted(rows):
-        seen.append(rows)
-        return row_echelon_rank(rows)
+        read = []
+        seen.append(read)
+
+        def tally():
+            for row in rows:
+                read.append(row)
+                yield row
+        return row_echelon_rank(tally())
 
     monkeypatch.setattr(verify, "row_echelon_rank", counted)
     return seen
@@ -176,7 +186,7 @@ def test_rank_nullity_against_explicit_nullspace():
     prec = runner.sturm2(j2) + GUARD
     mons = weighted_monomials(runner.weights2, j2)
     rows = [runner.monomial_series(e, prec).coeffs for e in mons]
-    rank = row_echelon_rank(rows)
+    rank = row_echelon_rank(runner.monomial_series(e, prec) for e in mons)
     kernel = _left_nullspace(rows, runner.evaluator.ctx)
     assert len(mons) - rank == len(kernel)
     assert rank == dim_or_none(CAT, runner.case, j2)
@@ -194,9 +204,7 @@ def test_rank_invariant_under_generator_scaling():
     mons = weighted_monomials(runner.weights2, 8)
     rows = [runner.monomial_series(e, prec) for e in mons]
     scaled = [r.scale(Fraction(7, 3)) for r in rows]
-    assert row_echelon_rank([r.coeffs for r in rows]) == row_echelon_rank(
-        [r.coeffs for r in scaled]
-    )
+    assert row_echelon_rank(rows) == row_echelon_rank(scaled)
 
 
 def test_rank_stabilizes_at_sturm_precision():
@@ -317,7 +325,7 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
     assert kernel.details["ideal_dims"] == golden["7|kernel"]["details"]["ideal_dims"]
     # the q-expansion matrices of the doctored weights fell back; every ideal was certified
     assert len(exact) == len(doctored)
-    assert all(not rows or isinstance(rows[0], tuple) for rows in exact)
+    assert all(isinstance(row, QSeries) for rows in exact for row in rows)
 
 
 def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(monkeypatch):
@@ -337,8 +345,8 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
     assert [path[2:4] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
     runner = CaseRunner(cat, cat.cases["12"])
     assert span.details["ranks"] == [
-        row_echelon_rank([runner.monomial_series(e, prec).coeffs
-                          for e in weighted_monomials(runner.weights2, j2)])
+        row_echelon_rank(runner.monomial_series(e, prec)
+                         for e in weighted_monomials(runner.weights2, j2))
         for j2 in weights2]
     for j2, dim in zip(weights2, span.details["dims"]):
         runner.span_rank(j2, prec, dim, width)
@@ -428,11 +436,12 @@ def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(mo
     red = modp.reduction(ctx, 3)
     z = ctx.zeta_power(1)
     x = ctx.from_rational(Fraction(1, red.p)) + z
-    rows = [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]
+    rows = [series_of(ctx, row) for row in
+            [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]]
     with pytest.raises(ZeroDivisionError):
         red.series(x)
     exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
+    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
     got, pivots = certified_rank(ctx, 2, 3, reduce, lambda: rows)
     assert got == 2 == row_echelon_rank(rows)
     assert pivots is None
@@ -442,9 +451,9 @@ def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(mo
 def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     ctx = cyclo_context(3)
     z = ctx.zeta_power(1)
-    rows = [[ctx.one, z], [z, z * z]]  # rank 1
+    rows = [series_of(ctx, [ctx.one, z]), series_of(ctx, [z, z * z])]  # rank 1
     exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
+    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
     assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == (1, [0])
     assert exact == []
     assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == (1, None)
@@ -474,10 +483,10 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
     # a product of nrows x inner and inner x ncols matrices: rank at most inner
     left = [[entry() for _ in range(inner)] for _ in range(nrows)]
     right = [[entry() for _ in range(ncols)] for _ in range(inner)]
-    rows = [[sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero) for j in range(ncols)]
-            for row in left]
+    rows = [series_of(ctx, [sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero)
+                            for j in range(ncols)]) for row in left]
     rank = row_echelon_rank(rows)
-    reduce = lambda red: [modp.pack([red.series(c) for c in row]) for row in rows]  # noqa: E731
+    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
     red = modp.reduction(ctx, ncols)
     assert len(red.rank(reduce(red), nrows)) <= rank
     for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
@@ -485,6 +494,95 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
         assert got == rank
         # pivot rows come back only from a rank mod p that reached the bound
         assert pivots is None or len(pivots) == bound == rank
+
+
+def test_exact_elimination_reads_no_row_after_its_prec_th_pivot():
+    """Rows of prec coefficients have rank at most prec, so the elimination
+    stops at its prec-th pivot and never reads the rows after it."""
+    ctx = cyclo_context(5)
+    z = ctx.zeta_power(1)
+    rows = [series_of(ctx, [z ** (i * j) for j in range(3)]) for i in range(3)]  # Vandermonde
+
+    def then_fail():
+        yield from (rows[0], rows[0].scale(z), rows[1], rows[2])
+        raise AssertionError("a row after the third pivot was read")
+
+    assert row_echelon_rank(then_fail()) == 3
+    assert row_echelon_rank(rows[:2] + [rows[0] + rows[1]]) == 2
+    assert row_echelon_rank([]) == 0
+
+
+def _mutant_span(tmp_path, capsys, label: str, kmax: int, edit):
+    """Exit code and JSON report, elapsed_ms aside, of ``verify span`` on a
+    catalog file: the shipped one with the span generators of one case edited."""
+    raw = _shipped()
+    edit(next(c for c in raw["cases"] if c["label"] == label)["span_gens"])
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(raw))
+    code = cli.main(["--catalog", str(path), "verify", "span", "--case", label,
+                     "--kmax", str(kmax), "--output", "json"])
+    report = json.loads(capsys.readouterr().out)
+    del report["elapsed_ms"]
+    return code, report
+
+
+def _swap(name: str, expr: str):
+    def edit(gens):
+        next(g for g in gens if g["name"] == name)["expr"] = expr
+    return edit
+
+
+def test_a_generator_of_the_wrong_level_fails_the_25h6_span_with_exact_ranks(
+        tmp_path, capsys, monkeypatch):
+    """beta25 replaced by (v 2 beta25), of level 50: at doubled weight 12 the
+    rank mod p falls short of dim 31, and exact elimination finds rank 45, the
+    precision, so it stops at its 45th pivot, long before the 462nd monomial."""
+    exact = _count_exact_ranks(monkeypatch)
+    code, report = _mutant_span(tmp_path, capsys, "25h6", 7, _swap("beta25", "(v 2 beta25)"))
+    assert code == 1
+    assert report == {
+        "case": "25h6", "check": "span", "k_range": [0, 14], "precision": 45, "status": "fail",
+        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14],
+                    "ranks": [1, 6, 11, 16, 21, 26, 45, 36],
+                    "dims": [1, 6, 11, 16, 21, 26, 31, 36],
+                    "first_failure": {"j2": 12, "rank": 45, "dim": 31}}}
+    assert len(exact) == 1
+    assert 45 <= len(exact[0]) < len(weighted_monomials([2] * 6, 12)) == 462
+
+
+def test_a_generator_of_the_wrong_level_fails_the_case_12_span_with_exact_ranks(
+        tmp_path, capsys):
+    code, report = _mutant_span(tmp_path, capsys, "12", 10, _swap("frho3v4", "(v 2 alpha12)"))
+    assert code == 1
+    assert report == {
+        "case": "12", "check": "span", "k_range": [0, 20], "precision": 50, "status": "fail",
+        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
+                    "ranks": [1, 5, 9, 13, 17, 21, 25, 29, 33, 41, 40],
+                    "dims": [1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41],
+                    "first_failure": {"j2": 18, "rank": 41, "dim": 37}}}
+
+
+def test_a_dropped_generator_reads_every_monomial_of_each_short_weight(
+        tmp_path, capsys, monkeypatch):
+    """Case 12 without alpha12: from doubled weight 2 on, every rank falls one
+    short of its dimension and far short of the precision, so exact elimination
+    reads every monomial of the four generators left."""
+    exact = _count_exact_ranks(monkeypatch)
+
+    def drop(gens):
+        gens.remove(next(g for g in gens if g["name"] == "alpha12"))
+
+    code, report = _mutant_span(tmp_path, capsys, "12", 10, drop)
+    assert code == 1
+    weights2 = list(range(0, 21, 2))
+    assert report == {
+        "case": "12", "check": "span", "k_range": [0, 20], "precision": 50, "status": "fail",
+        "details": {"weights2": weights2,
+                    "ranks": [1] + [4 * j for j in range(1, 11)],
+                    "dims": [1] + [4 * j + 1 for j in range(1, 11)],
+                    "first_failure": {"j2": 2, "rank": 4, "dim": 5}}}
+    assert [len(rows) for rows in exact] == [len(weighted_monomials([2] * 4, j2))
+                                             for j2 in weights2[1:]]
 
 
 def test_a_kernel_check_states_the_precision_its_relations_ran_at(monkeypatch):
@@ -797,8 +895,8 @@ def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch
     assert report.status == "pass" and report.precision == prec
     assert [path[1:4] for path in paths] == [(2, 1, 0)] * len(plan.weights2)
     assert report.details["ranks"] == report.details["dims"] == [
-        row_echelon_rank([runner.monomial_series(e, prec).coeffs
-                          for e in weighted_monomials(runner.weights2, j2)])
+        row_echelon_rank(runner.monomial_series(e, prec)
+                         for e in weighted_monomials(runner.weights2, j2))
         for j2 in plan.weights2]
 
 
