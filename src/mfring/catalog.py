@@ -13,11 +13,14 @@ Schema (top-level keys):
   ``{mod, res, jmin?, cj?: [p,q], floor?: [p,q], c?}`` applies when
   ``j % mod in res`` and ``j >= jmin`` and evaluates to
   ``p*j/q + p'*floor(j/q') + c``.  Weight 0 needs no branch: ``Catalog.dim2``
-  gives dim M_0 = 1 (the constants) on every group and case.
+  gives dim M_0 = 1 (the constants) on every group.  Rows at odd ``j`` are
+  the group's half-integral weights (theta multiplier), on groups g4, g8,
+  g12, g16h9 and g16; a case reads its group's rows and has none of its own.
 * ``forms``: ``{name, w2, L, group?, expr}`` with prefix expressions.
-* ``identities``: ``{name, group, L, w2, half_members?, expr, note?}``;
-  the expression must evaluate to the zero series.
-* ``cases``: ``{label, group, L, dim?, span_gens?, span_kmax2?,
+* ``identities``: ``{name, group, L, w2, expr, note?}``; the expression
+  must evaluate to the zero series.  It is half-integral, and certified at
+  twice its weight, when an atom it names has odd doubled weight.
+* ``cases``: ``{label, group, L, span_gens?, span_kmax2?,
   kernel_kmax2?, presentation?}``; a presentation is ``{gens, aux?,
   relations, relations_unknown?, base?, hilbert?}`` with relations given
   as infix polynomials in the generator names and ``hilbert`` as
@@ -98,7 +101,6 @@ class Case(NamedTuple):
     label: str
     group: str
     L: int
-    dim_branches: tuple | None
     span_gens: tuple[SpanGen, ...] | None
     span_kmax2: int | None
     kernel_kmax2: int | None
@@ -118,7 +120,6 @@ class Identity(NamedTuple):
     group: str
     L: int
     w2: int
-    half_members: bool
     expr: str
     note: str | None
 
@@ -214,8 +215,10 @@ def _case(c: dict) -> Case:
             hilbert_num=tuple(tuple(t) for t in p["hilbert"]["num"]) if "hilbert" in p else None,
             hilbert_den=tuple(p["hilbert"]["den"]) if "hilbert" in p else None,
         )
+    if "dim" in c:
+        raise CatalogError(f"case {c['label']}: dimension rows belong to its group {c['group']}")
     # L is the field conductor: the lcm of the root-of-unity orders the case needs
-    return Case(c["label"], c["group"], c["L"], tuple(c["dim"]) if "dim" in c else None,
+    return Case(c["label"], c["group"], c["L"],
                 _gens(c["span_gens"]) if "span_gens" in c else None,
                 c.get("span_kmax2"), c.get("kernel_kmax2"), pres)
 
@@ -241,13 +244,14 @@ class Catalog:
             FormEntry(f["name"], f["w2"], f["L"], f.get("group"), f["expr"])
             for f in raw.get("forms", [])))
         self.identities: dict[str, Identity] = _unique("identity", (
-            Identity(i["name"], i["group"], i["L"], i["w2"], bool(i.get("half_members", False)),
-                     i["expr"], i.get("note"))
+            Identity(i["name"], i["group"], i["L"], i["w2"], i["expr"], i.get("note"))
             for i in raw.get("identities", [])))
         self.cases: dict[str, Case] = _unique("case", map(_case, raw.get("cases", [])))
         self._exprs = {name: e.expr for name, e in self.forms.items()}
         self._evaluators: dict[int, Evaluator] = {}
         self._atom_w2: dict[str, int] = {}  # atom name -> its doubled weight, once computed
+        # E2 and the forms below which it lies, found as their weights are computed
+        self._quasi = {"E2"} - self._exprs.keys()  # a form's name shadows a constructor's
         self._relation_terms: dict[tuple[str, str], dict] = {}  # (case label, poly) -> terms
         self._validate()
 
@@ -266,13 +270,11 @@ class Catalog:
                 return g
         raise OutOfTable(f"no group {kind}:{level}:{list(H)}")
 
-    def dim2(self, label: str, j2: int, case: str | None = None) -> int:
-        """Dimension at doubled weight j2 for a group label or case override;
-        1 at weight 0, where the forms are the constants, on every group."""
+    def dim2(self, label: str, j2: int) -> int:
+        """Dimension at doubled weight j2 on a group; 1 at weight 0, where
+        the forms are the constants, on every group."""
         if j2 == 0:
             return 1
-        if case is not None and self.cases[case].dim_branches is not None:
-            return eval_dim_branches(self.cases[case].dim_branches, j2)
         if label not in self.dims:
             raise OutOfTable(f"no dimension table for group {label!r}")
         return eval_dim_branches(self.dims[label], j2)
@@ -330,7 +332,7 @@ class Catalog:
 
     # -- validation -------------------------------------------------------
 
-    def _w2(self, ast, stack: tuple = ()) -> int:
+    def weight2(self, ast, stack: tuple = ()) -> int:
         """Doubled weight of a parsed expression; atoms resolve as the Evaluator resolves them."""
         op = ast[0]
         if op == "atom":
@@ -340,34 +342,37 @@ class Catalog:
             w2 = self._atom_w2.get(name)
             if w2 is None:  # an atom that raised is not stored, so it raises again
                 got = resolve(name, self._exprs)
-                w2 = self._w2(parse_expr(got), stack + (name,)) if isinstance(got, str) else got.w2
+                w2 = (self.weight2(parse_expr(got), stack + (name,)) if isinstance(got, str)
+                      else got.w2)
                 self._atom_w2[name] = w2
+            if name in self._quasi:  # so it lies below every form whose weight is in progress
+                self._quasi.update(stack)
             return w2
         if op in ("add", "mul"):
-            weights = [self._w2(a, stack) for a in ast[1]]
+            weights = [self.weight2(a, stack) for a in ast[1]]
             if op == "add":
                 if len(set(weights)) != 1:
                     raise CatalogError(f"inhomogeneous sum: weights {weights}")
                 return weights[0]
             return sum(weights)
         if op == "sub":
-            w1 = self._w2(ast[1], stack)
-            w2 = self._w2(ast[2], stack)
+            w1 = self.weight2(ast[1], stack)
+            w2 = self.weight2(ast[2], stack)
             if w1 != w2:
                 raise CatalogError(f"inhomogeneous difference: {w1} vs {w2}")
             return w1
         if op == "pow":
-            return self._w2(ast[1], stack) * ast[2]
-        return self._w2(ast[-1], stack)  # conj, scale, v and low keep the weight
+            return self.weight2(ast[1], stack) * ast[2]
+        return self.weight2(ast[-1], stack)  # conj, scale, v and low keep the weight
 
     def _check_w2(self, where: str, declared: int, expr: str, modular: bool = False):
         ast = parse_expr(expr)
-        if modular and "E2" in atoms(ast):
-            raise QuasiModularUse(f"{where}: E2 is quasi-modular and cannot be a form member")
         try:
-            got = self._w2(ast)
+            got = self.weight2(ast)
         except UnknownForm as exc:
             raise CatalogError(f"{where}: {exc}") from exc
+        if modular and self._quasi & atoms(ast):  # weight2 has resolved each of its atoms
+            raise QuasiModularUse(f"{where}: E2 is quasi-modular and cannot be a form member")
         if got != declared:
             raise CatalogError(f"{where}: declared w2={declared}, computed {got}")
 

@@ -18,8 +18,8 @@ import sys
 from .catalog import Catalog, load_catalog
 from .errors import (CatalogError, MfringError, OutOfTable, PrecisionTooHigh, UnknownForm,
                      UnknownIdentity)
-from .verify import (HILBERT_HORIZON2, VerificationReport, dim_or_none, full_report,
-                     hilbert_mismatches, scheduled_checks)
+from .verify import (HILBERT_HORIZON2, VerificationReport, full_report, hilbert_mismatches,
+                     scheduled_checks)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -118,8 +118,7 @@ def cmd_hilbert(args) -> int:
     if case.presentation is None or case.presentation.hilbert_num is None:
         raise CliError(f"case {label!r} has no claimed Hilbert series", EXIT_UNKNOWN)
     horizon2 = 2 * args.horizon
-    hs, coeffs, bad = hilbert_mismatches(catalog, case, horizon2)
-    dims = [dim_or_none(catalog, case, j2) for j2 in range(horizon2 + 1)]
+    hs, coeffs, dims, bad = hilbert_mismatches(catalog, case, horizon2)
     if args.output == "json":
         print(json.dumps({"case": label, "series": hs.render(),
                           "expansion": coeffs, "dims": dims,

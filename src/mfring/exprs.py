@@ -458,10 +458,6 @@ class Evaluator:
         return val
 
     def _eval(self, ast, prec: int) -> QSeries:
-        # a lowered term raises below two coefficients, which a truncated
-        # longer series would hide, so such requests skip the cache
-        if prec < 2:
-            return self._atom(ast[1], prec) if ast[0] == "atom" else self._node(ast, prec)
         if ast[0] == "atom":
             return self.cached(ast[1], prec, lambda p: self._atom(ast[1], p))
         return self.cached(ast, prec, lambda p: self._node(ast, p))
@@ -490,8 +486,8 @@ class Evaluator:
             h = ast[1]
             child_prec = (prec - 2) // h + 2 if h > 1 else prec
             return self._eval(ast[2], child_prec).v_operator(h, prec)
-        if op == "low":
-            return self._eval(ast[2], prec).lowered(ast[1])
+        if op == "low":  # the child's q coefficient is read at every prec, 1 included
+            return self._eval(ast[2], max(prec, 2)).lowered(ast[1]).truncate(prec)
         raise CatalogError(f"unknown AST node {op!r}")
 
     def _scalar(self, text: str) -> CycloNum:

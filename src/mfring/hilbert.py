@@ -91,20 +91,13 @@ def monomial_quotient(gens, weights2) -> HilbertSeries:
 
 def dim_mismatches(coeffs: list[int], dim_at, lattice_mod: int = 1):
     """The (j2, coefficient, dim) triples where an expansion, coeffs[j2] at
-    doubled degree j2, differs from a dimension callback.
+    doubled degree j2, differs from a dimension callback on the case's weight
+    lattice, the j2 with j2 % lattice_mod == 0.
 
-    ``dim_at(j2)`` returns the expected dimension or None when the weight is
-    outside the table; such weights must carry coefficient zero unless they
-    are off the case's weight lattice entirely (j2 % lattice_mod != 0), in
-    which case they are skipped.
+    Weights off the lattice are skipped before ``dim_at`` is asked: a group's
+    rows may cover them for another case.  ``dim_at(j2)`` returns the
+    expected dimension or None when the weight is outside the table, where
+    the coefficient must be zero.
     """
-    out = []
-    for j2, got in enumerate(coeffs):
-        want = dim_at(j2)
-        if want is None:
-            if j2 % lattice_mod != 0:
-                continue
-            want = 0
-        if got != want:
-            out.append((j2, got, want))
-    return out
+    return [(j2, coeffs[j2], want) for j2 in range(0, len(coeffs), lattice_mod)
+            if coeffs[j2] != (want := dim_at(j2) or 0)]

@@ -34,6 +34,7 @@ from . import groebner, modp
 from .catalog import Case, Catalog, require_coordinates
 from .cyclo import FieldCtx
 from .errors import OutOfTable, PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
+from .exprs import atoms, parse_expr
 from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
 from .qseries import QSeries
 
@@ -318,13 +319,13 @@ class Plan(NamedTuple):
 def dim_or_none(catalog: Catalog, case: Case, j2: int) -> int | None:
     """dim M at doubled weight j2, or None outside the table."""
     try:
-        return catalog.dim2(case.group, j2, case=case.label)
+        return catalog.dim2(case.group, j2)
     except OutOfTable:
         return None
 
 
-def _half_graded(gens) -> bool:
-    return any(g.w2 % 2 for g in gens)
+def _half_graded(weights2) -> bool:
+    return any(w % 2 for w in weights2)
 
 
 def _skip_reason(check: str, case: Case) -> str | None:
@@ -360,23 +361,24 @@ def check_plan(catalog: Catalog, check: str, label: str,
     ``Plan.prec``: GUARD coefficients past ``cutoff``, the largest Sturm
     bound over those weights.  The largest, not the top weight's, because
     the bound is not monotone across parity: on g4, sturm2(8) = 4 but
-    sturm2(9) = 3.  Relations and identities of half-integral rings are
-    certified at twice their weight.  A kernel check passes only if its
-    relations vanish, so its cutoff covers the relation plan's too.
+    sturm2(9) = 3.  Relations and identities of half-integral rings, those
+    whose generators or atoms have an odd doubled weight, are certified at
+    twice their weight.  A kernel check passes only if its relations
+    vanish, so its cutoff covers the relation plan's too.
     """
     if check == "identity":
         if label not in catalog.identities:
             raise UnknownIdentity(label)
         ident = catalog.identities[label]
-        group, weights2, dims, doubled = ident.group, (ident.w2,), (), ident.half_members
-        k_range = (ident.w2, ident.w2)
+        doubled = _half_graded(catalog.weight2(("atom", a)) for a in atoms(parse_expr(ident.expr)))
+        group, weights2, dims, k_range = ident.group, (ident.w2,), (), (ident.w2, ident.w2)
     else:
         case = catalog.cases[label]
         skip = _skip_reason(check, case)
         if skip is not None:
             return Plan(skip=skip)
         group = case.group
-        half = _half_graded(catalog.case_gens(case, presentation=check != "span"))
+        half = _half_graded(g.w2 for g in catalog.case_gens(case, presentation=check != "span"))
         if check == "relation":
             weights2, dims, doubled = tuple(r.w2 for r in case.presentation.relations), (), half
             k_range = (min(weights2), max(weights2))
@@ -500,7 +502,7 @@ def verify_hilbert(catalog: Catalog, case_label: str,
     skip = _skip_reason("hilbert", case)
     if skip:
         return _skipped(case_label, "hilbert", skip)
-    hs, coeffs, bad = hilbert_mismatches(catalog, case, horizon2)
+    hs, coeffs, _, bad = hilbert_mismatches(catalog, case, horizon2)
     details = {"series": hs.render(), "expansion": coeffs[:25]}
     if bad:
         j2, got, want = bad[0]
@@ -511,13 +513,15 @@ def verify_hilbert(catalog: Catalog, case_label: str,
 
 def hilbert_mismatches(catalog: Catalog, case: Case, horizon2: int):
     """The case's claimed Hilbert series, its expansion to doubled weight
-    horizon2 and the (j2, coefficient, dim) mismatches there; weights on the
-    case's lattice that have no dimension row count as dimension 0."""
+    horizon2, the dimension at each doubled weight there (None off the case's
+    weight lattice or outside the table) and the (j2, coefficient, dim)
+    mismatches; a lattice weight outside the table counts as dimension 0."""
     pres = case.presentation
     hs = HilbertSeries(pres.hilbert_num, pres.hilbert_den)
     coeffs = hs.expand(horizon2)
-    lattice = 1 if _half_graded(catalog.case_gens(case, presentation=True)) else 2
-    return hs, coeffs, dim_mismatches(coeffs, lambda j2: dim_or_none(catalog, case, j2), lattice)
+    lattice = 1 if _half_graded(g.w2 for g in catalog.case_gens(case, presentation=True)) else 2
+    dims = [None if j2 % lattice else dim_or_none(catalog, case, j2) for j2 in range(horizon2 + 1)]
+    return hs, coeffs, dims, dim_mismatches(coeffs, dims.__getitem__, lattice)
 
 
 def verify_identity(catalog: Catalog, name: str,

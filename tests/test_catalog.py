@@ -117,14 +117,67 @@ def test_dimension_rows():
 
 def test_half_integral_dim_overrides():
     # doubled weight j: dim M_{j/2}(4,1) = floor(j/4) + 1
-    assert [CAT.dim2("g4", j, case="half4") for j in range(9)] == [1, 1, 1, 1, 2, 2, 2, 2, 3]
-    assert [CAT.dim2("g8", j, case="half8") for j in range(5)] == [1, 2, 3, 4, 5]
-    assert [CAT.dim2("g12", j, case="half12") for j in range(6)] == [1, 2, 5, 6, 9, 10]
-    assert [CAT.dim2("g16h9", j, case="half16h9") for j in range(5)] == [1, 3, 5, 7, 9]
-    # even doubled weights agree with the integer rows
-    for j in (2, 4, 6, 8):
-        assert CAT.dim2("g12", j, case="half12") == CAT.dim2("g12", j)
-        assert CAT.dim2("g16h9", j, case="half16h9") == CAT.dim2("g16h9", j)
+    assert [CAT.dim2("g4", j) for j in range(9)] == [1, 1, 1, 1, 2, 2, 2, 2, 3]
+    assert [CAT.dim2("g8", j) for j in range(5)] == [1, 2, 3, 4, 5]
+    assert [CAT.dim2("g12", j) for j in range(6)] == [1, 2, 5, 6, 9, 10]
+    assert [CAT.dim2("g16h9", j) for j in range(5)] == [1, 3, 5, 7, 9]
+    assert [CAT.dim2("g16", j) for j in range(5)] == [1, 3, 7, 7, 15]
+
+
+# The integral rows of the five groups with half-integral weights, and the rows
+# their half-integral cases (half4, half8, half12, half16h9, 16full) carried
+# before a group's rows covered both gradings.
+_INTEGRAL_ROWS = {
+    "g4": [{"mod": 2, "res": [0], "floor": [1, 4], "c": 1}],
+    "g8": [{"mod": 2, "res": [0], "cj": [1, 1], "c": 1}],
+    "g12": [{"mod": 2, "res": [0], "cj": [2, 1], "c": 1}],
+    "g16h9": [{"mod": 2, "res": [0], "cj": [2, 1], "c": 1}],
+    "g16": [{"mod": 2, "res": [0], "jmin": 2, "cj": [4, 1], "c": -1}],
+}
+_HALF_CASE_ROWS = {
+    "g4": [{"mod": 1, "res": [0], "floor": [1, 4], "c": 1}],
+    "g8": [{"mod": 1, "res": [0], "cj": [1, 1], "c": 1}],
+    "g12": [{"mod": 2, "res": [0], "cj": [2, 1], "c": 1}, {"mod": 2, "res": [1], "cj": [2, 1]}],
+    "g16h9": [{"mod": 1, "res": [0], "cj": [2, 1], "c": 1}],
+    "g16": [{"mod": 2, "res": [1], "cj": [2, 1], "c": 1},
+            {"mod": 2, "res": [0], "jmin": 2, "cj": [4, 1], "c": -1}],
+}
+
+
+def test_group_rows_are_the_half_integral_case_rows_at_odd_and_the_integral_rows_at_even():
+    for label, rows in _INTEGRAL_ROWS.items():
+        for j2 in range(1, 401):
+            got = CAT.dim2(label, j2)
+            assert got == catalog.eval_dim_branches(_HALF_CASE_ROWS[label], j2), (label, j2)
+            if j2 % 2 == 0:
+                assert got == catalog.eval_dim_branches(rows, j2), (label, j2)
+    # every case on these groups reads their rows; none carries its own
+    assert {c.group for c in CAT.cases.values() if c.label.startswith("half")} == {
+        "g4", "g8", "g12", "g16h9"}
+    assert CAT.cases["16full"].group == "g16"
+
+
+def test_a_case_with_its_own_dimension_rows_is_refused_naming_its_group():
+    raw = _shipped_raw()
+    case = next(c for c in raw["cases"] if c["label"] == "half4")
+    case["dim"] = [{"mod": 1, "res": [0], "floor": [1, 4], "c": 1}]
+    with pytest.raises(CatalogError, match="half4: dimension rows belong to its group g4"):
+        Catalog(raw)
+
+
+def test_identity_cutoffs_come_from_the_weights_of_their_atoms():
+    """The three identities on theta are half-integral, certified at twice their
+    weight, because theta has doubled weight 1; the others' atoms are integral."""
+    cutoffs = {name: verify.check_plan(CAT, "identity", name).cutoff for name in CAT.identities}
+    assert cutoffs == {
+        "c13_prod": 6, "c2_vop2": 3, "c2_vop3": 4, "c3_sq": 2, "c3_vop2": 4, "c4_sq": 3,
+        "c5_prod": 4, "c7_prod": 6, "c7_sq": 6, "e4_level2": 3, "e4_low3": 3,
+        "g2_rho13": 6, "g2_rho5": 4, "theta_mul3": 10, "theta_mul4": 18, "theta_quad": 18,
+    }
+    for name in ("theta_mul3", "theta_mul4", "theta_quad"):
+        ident = CAT.identities[name]
+        assert cutoffs[name] == CAT.sturm2(ident.group, 2 * ident.w2) > CAT.sturm2(
+            ident.group, ident.w2)
 
 
 def test_group_by_key():
@@ -206,6 +259,22 @@ def test_quasi_modular_guard():
     }
     with pytest.raises(QuasiModularUse):
         Catalog(raw)
+
+
+def test_quasi_modular_guard_looks_through_catalog_forms():
+    """E2 hidden in a form, one form or two below a generator, is refused on
+    load as E2 written into the generator is; E2 in a form no generator names,
+    or in an identity, is not."""
+    raw = _shipped_raw()
+    raw["forms"].append({"name": "qm", "w2": 8, "L": 1, "expr": "(pow E2 2)"})
+    Catalog(raw)
+    raw["forms"].append({"name": "qm2", "w2": 8, "L": 1, "expr": "(add qm E4 E4)"})
+    gen = next(c for c in raw["cases"] if c["label"] == "1")["span_gens"][0]
+    assert gen["expr"] == "E4"
+    for expr in ("qm", "qm2", "(pow E2 2)"):
+        gen["expr"] = expr
+        with pytest.raises(QuasiModularUse, match="case 1 gen E4"):
+            Catalog(raw)
 
 
 def test_self_named_generator_is_checked_against_its_definition():

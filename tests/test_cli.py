@@ -84,6 +84,14 @@ def test_qexp_huge_h_builds_only_the_kept_coefficients(capsys, expr, want):
     assert out.strip() == want
 
 
+def test_qexp_of_a_lowered_series_below_two_coefficients(capsys):
+    """(low h f) reads the q coefficient of f at any precision: prec 1 prints
+    the constant term 0, and a zero q coefficient still fails."""
+    assert _run(capsys, "qexp", "(low 2 E4)", "--prec", "1") == (0, "0 + O(q^1)\n", "")
+    code, out, err = _run(capsys, "qexp", "(low 2 (v 2 theta))", "--prec", "1")
+    assert code == 2 and out == "" and "q coefficient must be nonzero" in err
+
+
 def test_qexp_prints_coefficients_past_the_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = _run(capsys, "qexp", "(scale 2^20000 E4)", "--prec", "2")
@@ -163,6 +171,18 @@ def test_hilbert_command(capsys):
     assert code == 2
     code, _, err = _run(capsys, "hilbert", "--case", "8")
     assert code == 2  # no claimed Hilbert series for that case
+
+
+def test_hilbert_command_shows_no_dimension_off_the_case_lattice(capsys):
+    """Integral case 4 shares g4 with half4, whose rows cover the odd doubled
+    weights; case 4's display and comparison skip them, half4's use them."""
+    code, out, _ = _run(capsys, "hilbert", "--case", "4")
+    assert code == 0
+    assert "dims:      1,-,1,-,2,-,2,-,3,-,3,-,4," in out
+    code, out, _ = _run(capsys, "hilbert", "--case", "4", "--output", "json")
+    assert code == 0 and json.loads(out)["dims"][:5] == [1, None, 1, None, 2]
+    code, out, _ = _run(capsys, "hilbert", "--case", "half4")
+    assert code == 0 and "dims:      1,1,1,1,2,2,2,2,3," in out
 
 
 def test_hilbert_command_compares_weights_without_a_dimension_row_to_0(tmp_path, capsys):
@@ -359,6 +379,19 @@ def _case_repeated(raw):
     return json.dumps(raw)
 
 
+def _case_with_its_own_dimension_rows(raw):
+    raw["cases"][0]["dim"] = [{"mod": 4, "res": [0], "floor": [1, 24], "c": 1}]
+    return json.dumps(raw)
+
+
+def _quasi_modular_form_as_a_generator(raw):
+    raw["forms"].append({"name": "qm", "w2": 8, "L": 1, "expr": "(pow E2 2)"})
+    gen = raw["cases"][0]["span_gens"][0]  # case 1's E4
+    assert gen == {"name": "E4", "w2": 8, "expr": "E4"}
+    gen["expr"] = "qm"
+    return json.dumps(raw)
+
+
 def _form_above_the_weight_ceiling(raw):
     raw["forms"].append({"name": "heavy", "w2": 2000, "L": 1, "expr": "E1000", "group": "g1"})
     return json.dumps(raw)
@@ -372,8 +405,10 @@ def _form_above_the_weight_ceiling(raw):
     _self_named_generator_of_wrong_weight(json.loads(json.dumps(SHIPPED))),
     _form_above_the_weight_ceiling(json.loads(json.dumps(SHIPPED))),
     _case_repeated(json.loads(json.dumps(SHIPPED))),
+    _case_with_its_own_dimension_rows(json.loads(json.dumps(SHIPPED))),
+    _quasi_modular_form_as_a_generator(json.loads(json.dumps(SHIPPED))),
 ], ids=["missing", "truncated", "list", "no-group", "self-named-weight", "heavy-form",
-        "repeated-case"])
+        "repeated-case", "case-dim", "e2-in-form"])
 def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     path = tmp_path / "catalog.json"
     if content is not None:

@@ -148,6 +148,24 @@ def _subtrees(ast) -> set:
     return {ast}.union(*map(_subtrees, exprs._children(ast)))
 
 
+# the lowered nodes of the shipped forms, each with its form's conductor
+_LOWERED = sorted({(node, f.L) for f in CAT.forms.values()
+                   for node in _subtrees(parse_expr(f.expr)) if node[0] == "low"}, key=repr)
+
+
+def test_a_lowered_series_at_one_coefficient_is_its_truncation_at_two():
+    """(low h f) reads the q coefficient of f at every precision, so prec 1 on
+    a fresh Evaluator is prec 2 truncated; only a zero q coefficient raises."""
+    assert len(_LOWERED) >= 3
+    for node, L in [(parse_expr("(low 2 E4)"), 1)] + _LOWERED:
+        ctx = cyclo_context(L)
+        one = Evaluator(ctx, FORMS).series(node, 1)
+        assert one == Evaluator(ctx, FORMS).series(node, 2).truncate(1), node
+        assert one.coefficient(0).is_zero() and one.prec == 1, node
+    with pytest.raises(MfringError, match="q coefficient must be nonzero"):
+        Evaluator(C1, FORMS).series("(low 2 (v 2 theta))", 1)
+
+
 def _count_products(monkeypatch) -> list:
     """Record every QSeries product and power from now on."""
     seen = []
@@ -173,7 +191,7 @@ _FIELD4 = sorted(n for n, f in CAT.forms.items() if f.L == 4) + [
 def test_one_evaluator_gives_what_a_fresh_one_gives(requests):
     """A sequence of requests on one Evaluator, whose cache fills and is
     answered by truncation, returns each time what a fresh Evaluator does,
-    and raises where it raises (a lowered series needs two coefficients)."""
+    and raises where it raises."""
 
     def outcome(ev, expr, prec):
         try:

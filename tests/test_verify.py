@@ -291,8 +291,8 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
 
 
 def _dim_one_too_high(raw, label: str, from_j2: int, only: bool = False):
-    """Give a case a dimension row one above its group's from doubled weight
-    from_j2 on, or at from_j2 only."""
+    """Raise the dimension rows of a case's group by one from doubled weight
+    from_j2 on, or at from_j2 only; the group's other cases read them too."""
     case = next(c for c in raw["cases"] if c["label"] == label)
     group = next(g for g in raw["groups"] if g["label"] == case["group"])
     high = [dict(br, jmin=max(br.get("jmin", 0), from_j2), c=br.get("c", 0) + 1)
@@ -300,7 +300,7 @@ def _dim_one_too_high(raw, label: str, from_j2: int, only: bool = False):
     if only:  # a modulus above every weight checked confines the rows to from_j2
         high = [dict(br, mod=1 << 16, res=[from_j2]) for br in high
                 if from_j2 % br.get("mod", 1) in br.get("res", [0])]
-    case["dim"] = high + group["dim"]
+    group["dim"] = high + group["dim"]
     return Catalog(raw)
 
 
