@@ -21,10 +21,12 @@ Schema (top-level keys):
   must evaluate to the zero series.  It is half-integral, and certified at
   twice its weight, when an atom it names has odd doubled weight.
 * ``cases``: ``{label, group, L, span_gens?, span_kmax2?,
-  kernel_kmax2?, presentation?}``; a presentation is ``{gens, aux?,
-  relations, relations_unknown?, base?, hilbert?}`` with relations given
-  as infix polynomials in the generator names and ``hilbert`` as
-  ``{num: [[coeff, deg2], ...], den: [deg2, ...]}``.
+  kernel_kmax2?, presentation?}``; ``span_kmax2`` and ``kernel_kmax2`` are
+  the doubled top weights of the span and kernel checks, each a positive
+  int where given, and ``span_gens`` needs ``span_kmax2``.  A presentation
+  is ``{gens, aux?, relations, relations_unknown?, base?, hilbert?}`` with
+  relations given as infix polynomials in the generator names and
+  ``hilbert`` as ``{num: [[coeff, deg2], ...], den: [deg2, ...]}``.
 
 An atom of any expression names a catalog form, else a constructor
 (``exprs.resolve``).  A generator's or aux series' ``name`` only labels it
@@ -201,6 +203,14 @@ def _gens(entries) -> tuple[SpanGen, ...]:
     return tuple(SpanGen(g["name"], g["w2"], g["expr"]) for g in entries)
 
 
+def _top_weight(c: dict, key: str) -> int | None:
+    """A case's span_kmax2 or kernel_kmax2: absent, or a positive int."""
+    top = c.get(key)
+    if key in c and (type(top) is not int or top < 1):  # bool is a subclass of int
+        raise CatalogError(f"case {c['label']}: {key} must be a positive int, got {top!r}")
+    return top
+
+
 def _case(c: dict) -> Case:
     pres = None
     if "presentation" in c:
@@ -217,10 +227,13 @@ def _case(c: dict) -> Case:
         )
     if "dim" in c:
         raise CatalogError(f"case {c['label']}: dimension rows belong to its group {c['group']}")
+    span_kmax2 = _top_weight(c, "span_kmax2")
+    if "span_gens" in c and span_kmax2 is None:
+        raise CatalogError(f"case {c['label']}: span_gens without span_kmax2")
     # L is the field conductor: the lcm of the root-of-unity orders the case needs
     return Case(c["label"], c["group"], c["L"],
                 _gens(c["span_gens"]) if "span_gens" in c else None,
-                c.get("span_kmax2"), c.get("kernel_kmax2"), pres)
+                span_kmax2, _top_weight(c, "kernel_kmax2"), pres)
 
 
 def _unique(section: str, records) -> dict:

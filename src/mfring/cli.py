@@ -157,13 +157,10 @@ def cmd_verify(args) -> int:
     if args.kmax is not None:
         _require_weight_flag("--kmax", args.kmax, 1)
         kmax2 = 2 * args.kmax
-    if args.prec is not None and args.prec < 1:
-        raise CliError("--prec must be at least 1", EXIT_BAD_CONFIG)
     if args.horizon is not None:
         _require_weight_flag("--horizon", args.horizon)
     horizon2 = 2 * args.horizon if args.horizon is not None else HILBERT_HORIZON2
-    reports = full_report(catalog, checks=checks, cases=labels,
-                          kmax2=kmax2, prec_override=args.prec, horizon2=horizon2)
+    reports = full_report(catalog, checks=checks, cases=labels, kmax2=kmax2, horizon2=horizon2)
     failed = False
     for r in reports:
         failed = failed or r.status == "fail"
@@ -239,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("selector", choices=sorted(_SELECTORS))
     p.add_argument("--case", action="append", help="restrict to case/identity labels")
     p.add_argument("--kmax", type=int, default=None, help="override top weight (integer)")
-    p.add_argument("--prec", type=int, default=None, help="override working precision")
     p.add_argument("--horizon", type=int, default=None, help="Hilbert comparison horizon")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

@@ -6,16 +6,18 @@ dimension of a relation ideal comes from a Gröbner basis.  Each rank has a
 known upper bound, and a rank modulo a prime that reaches the bound proves
 it (``certified_rank``); only where no prime does is the rank computed by
 exact elimination.
-Span and kernel checks climb their weights on one ``CaseRunner`` and, at
-each weight, rank mod p only the border of the basis proved below
-(``CaseRunner.border``): the monomials all of whose divisors by one
-generator were proved pivots.  Those rows are truncated to the check's
-rank width (``Plan.rank_width``): the largest Sturm cutoff or dimension
-over its own weights, not its guarded precision, since truncation only
-lowers a rank and a rank mod p that reaches dim M_k proves it at any
-width.  Generator series are still evaluated at the check's precision,
-and the exact fallback eliminates their monomials at all of it, lazily
-and up to full column rank.  A kernel check
+Each check runs at the one precision of its plan (``check_plan``), GUARD
+coefficients past the largest Sturm cutoff of its weights.  Span and kernel
+checks climb their weights on one ``CaseRunner``, built for that precision
+and the plan's rank width, and at each weight rank mod p only the border
+of the basis proved below (``CaseRunner.border``): the monomials all of
+whose divisors by one generator were proved pivots.  Those rows are
+truncated to the width (``Plan.width``): the largest Sturm cutoff or
+dimension over the check's own weights, not its guarded precision, since
+truncation only lowers a rank and a rank mod p that reaches dim M_k proves
+it at any width.  Generator series are still evaluated at the check's
+precision, and the exact fallback eliminates their monomials at all of it,
+lazily and up to full column rank.  A kernel check
 takes an exact Gröbner basis of its relations over Q(zeta_L), truncated at
 its top weight (``groebner``), and the Hilbert series of its leading
 monomials (``hilbert.monomial_quotient``) counts the standard monomials of
@@ -31,9 +33,9 @@ import time
 from typing import NamedTuple
 
 from . import groebner, modp
-from .catalog import Case, Catalog, require_coordinates
+from .catalog import Case, Catalog
 from .cyclo import FieldCtx
-from .errors import OutOfTable, PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
+from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
 from .exprs import atoms, parse_expr
 from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
 from .qseries import QSeries
@@ -143,21 +145,27 @@ def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows,
 
 
 class CaseRunner:
-    """Evaluates one catalog case: generator series, monomials, relations."""
+    """Evaluates one catalog case for one check: generator series, monomials
+    and relations at the check's precision prec, and ranks mod p at its rank
+    width, the first width coefficients of each row."""
 
-    def __init__(self, catalog: Catalog, case: Case, presentation: bool = False):
+    def __init__(self, catalog: Catalog, case: Case, presentation: bool = False,
+                 prec: int = 0, width: int = 0):
         self.catalog = catalog
         self.case = case
         self.gens = catalog.case_gens(case, presentation=presentation)
         self.weights2 = tuple(g.w2 for g in self.gens)
         self.aux = case.presentation.aux if presentation else ()  # case_gens checked it exists
         self.evaluator = catalog.evaluator(case.L)
+        self.prec = prec
+        self.width = width
         self._monomials: dict = {}
         # the monomial x_i of each generator, as an exponent vector
         self._units = tuple(tuple(int(j == i) for j in range(len(self.gens)))
                             for i in range(len(self.gens)))
-        self._reduced: dict = {}  # red -> {exps: monomial_series(exps, red.n) under red, packed}
-        self._bases: dict = {}  # (width, k2) -> basis proved by span_rank, or None
+        # exps -> monomial_series(exps, width) under the reduction of the width, packed
+        self._reduced: dict = {}
+        self._bases: dict = {}  # k2 -> basis proved by span_rank, or None
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -178,50 +186,50 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...], red, prec: int) -> int:
-        """monomial_series(exps, red.n) under the reduction red, packed, built
-        from the reduced generator series by products mod p: the first
-        generator in exps times the rest.  A generator series is evaluated
-        at prec, the check's precision, and its first red.n coefficients
+    def reduced_monomial(self, exps: tuple[int, ...]) -> int:
+        """monomial_series(exps, width) under the reduction of the width,
+        packed, built from the reduced generator series by products mod p:
+        the first generator in exps times the rest.  A generator series is
+        evaluated at the check's precision, and its first width coefficients
         are reduced."""
-        packed = self._reduced.setdefault(red, {})
-        out = packed.get(exps)
+        out = self._reduced.get(exps)
         if out is not None:
             return out
         if not any(exps):
             out = 1
         else:
+            red = modp.reduction(self.evaluator.ctx, self.width)
             i = next(j for j, e in enumerate(exps) if e)
             rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             if any(rest):
-                out = red.mul(self.reduced_monomial(self._units[i], red, prec),
-                              self.reduced_monomial(rest, red, prec))
+                out = red.mul(self.reduced_monomial(self._units[i]), self.reduced_monomial(rest))
             else:
-                out = red.series(self.gen_series(i, prec))
-        packed[exps] = out
+                out = red.series(self.gen_series(i, self.prec))
+        self._reduced[exps] = out
         return out
 
-    def border(self, k2: int, width: int) -> list[tuple]:
+    def border(self, k2: int) -> list[tuple]:
         """The rows span_rank ranks mod p at doubled weight k2, in ascending
         lexicographic order: the monomials m with m / g_i in the basis proved
-        at k2 - w_i at this width for every generator g_i dividing m,
-        where every monomial of a weight that was not proved counts; each as
-        (m, i, m / g_i) for the first generator g_i in m (``groebner.border``)."""
+        at k2 - w_i for every generator g_i dividing m, where every monomial
+        of a weight that was not proved counts; each as (m, i, m / g_i) for
+        the first generator g_i in m (``groebner.border``)."""
         def lower(j2: int) -> list[tuple[int, ...]]:
-            basis = self._bases.get((width, j2))
+            basis = self._bases.get(j2)
             return weighted_monomials(self.weights2, j2) if basis is None else basis
 
         return groebner.border(self.weights2, lower, k2)
 
-    def span_rank(self, k2: int, prec: int, dim: int, width: int) -> int:
-        """Rank of the weight-k2 monomials truncated to prec coefficients.
+    def span_rank(self, k2: int, dim: int) -> int:
+        """Rank of the weight-k2 monomials truncated to the runner's prec
+        coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
         bounds it.  Mod p the rows are truncated further, to their first
         width coefficients, and only the border rows are ranked.  Each is a
         weight-k2 monomial, so a rank mod p equal to dim proves the rank of
-        all of them, and the pivots become the basis at k2 and this width
-        that the weights above build on.  Multiplying by a generator keeps a series in the
+        all of them, and the pivots become the basis at k2 that the weights
+        above build on.  Multiplying by a generator keeps a series in the
         kernel of truncation mod p, so the pivots in ascending lexicographic
         order are closed under division and the border holds every one of
         them: it reaches the rank mod p of all monomials.  Where that falls
@@ -234,23 +242,23 @@ class CaseRunner:
         builds the rows of 1 and of the generators, which are no products.
         Rows after the last pivot are never built.
         """
-        bound = self.sturm2(k2)
+        prec, width, bound = self.prec, self.width, self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
         if width > prec:  # the rows' products would read coefficients never computed
             raise ValueError(f"rank width {width} exceeds the precision {prec}")
-        rows = self.border(k2, width)
+        rows = self.border(k2)
 
         def reduced_rows(red):
-            packed = self._reduced.setdefault(red, {})
+            packed = self._reduced
             for m, i, b in rows:
                 rest = packed.get(b) if sum(m) > 1 else None
                 if rest is None:
-                    yield self.reduced_monomial(m, red, prec)
+                    yield self.reduced_monomial(m)
                     continue
                 gen = packed.get(self._units[i])
                 if gen is None:
-                    gen = self.reduced_monomial(self._units[i], red, prec)
+                    gen = self.reduced_monomial(self._units[i])
                 packed[m] = row = red.mul(gen, rest)
                 yield row
 
@@ -258,7 +266,7 @@ class CaseRunner:
             self.evaluator.ctx, dim, width, reduced_rows,
             lambda: (self.monomial_series(e, prec)
                      for e in weighted_monomials(self.weights2, k2)))
-        self._bases[width, k2] = None if pivots is None else [rows[j][0] for j in pivots]
+        self._bases[k2] = None if pivots is None else [rows[j][0] for j in pivots]
         return rank
 
     def relation_terms(self, rel) -> dict:
@@ -283,37 +291,27 @@ class CaseRunner:
         return self.evaluator.cached(("relation", self.case.label, rel.poly), prec,
                                      lambda p: self.eval_poly(self.relation_terms(rel), p))
 
-    def relation_values(self, prec: int):
-        """(relation, its series to prec, index of its first nonzero
-        coefficient or None) for each relation of the presentation."""
+    def relation_values(self):
+        """(relation, its series to the check's precision, index of its first
+        nonzero coefficient or None) for each relation of the presentation."""
         for rel in self.case.presentation.relations:
-            series = self.relation_series(rel, prec)
+            series = self.relation_series(rel, self.prec)
             yield rel, series, series.vanishing_order()
 
 
 class Plan(NamedTuple):
-    """The weights one check evaluates and the cutoff that certifies it."""
+    """The weights one check evaluates, the cutoff that certifies it, the one
+    precision it works at and the one width of its ranks mod p."""
 
     k_range: tuple[int, int] = (0, 0)  # doubled weights, as reported
     weights2: tuple[int, ...] = ()  # doubled weights evaluated
     dims: tuple[int, ...] = ()  # dim M_k at each of them (span and kernel)
     cutoff: int = 0  # certified coefficient cutoff
     skip: str | None = None  # why the check does not run, if it does not
-    width: int = 0  # max over weights2 of max(sturm2, dim) (span and kernel)
-
-    def prec(self, prec_override: int | None) -> int:
-        """The one working precision of the check; an override below the
-        cutoff would not certify it, and is refused."""
-        if prec_override is not None and prec_override < self.cutoff:
-            raise PrecisionTooLow(f"precision {prec_override} is below the certified cutoff "
-                                  f"{self.cutoff}; refusing to run an uncertified check")
-        return max(prec_override or 0, self.cutoff + GUARD)
-
-    def rank_width(self, prec: int) -> int:
-        """The one width of the check's ranks mod p at precision prec: each
-        weight's Sturm cutoff fixes a form, and a rank of dim needs dim
-        columns, so no GUARD and no relation cutoff widen it."""
-        return min(prec, self.width)
+    prec: int = 0  # cutoff + GUARD
+    # min(prec, max over weights2 of max(sturm2, dim)): each weight's Sturm cutoff
+    # fixes a form, and a rank of dim needs dim columns (span and kernel)
+    width: int = 0
 
 
 def dim_or_none(catalog: Catalog, case: Case, j2: int) -> int | None:
@@ -364,7 +362,8 @@ def check_plan(catalog: Catalog, check: str, label: str,
     sturm2(9) = 3.  Relations and identities of half-integral rings, those
     whose generators or atoms have an odd doubled weight, are certified at
     twice their weight.  A kernel check passes only if its relations
-    vanish, so its cutoff covers the relation plan's too.
+    vanish, so its cutoff covers the relation plan's too.  Its ranks mod p
+    read ``Plan.width`` columns, which neither widens.
     """
     if check == "identity":
         if label not in catalog.identities:
@@ -383,7 +382,7 @@ def check_plan(catalog: Catalog, check: str, label: str,
             weights2, dims, doubled = tuple(r.w2 for r in case.presentation.relations), (), half
             k_range = (min(weights2), max(weights2))
         else:
-            default = (case.span_kmax2 or 8) if check == "span" else case.kernel_kmax2
+            default = case.span_kmax2 if check == "span" else case.kernel_kmax2
             top = kmax2 if kmax2 is not None else default
             step = 1 if half else 2
             lattice = range(0 if check == "span" else step, top + 1, step)
@@ -394,7 +393,8 @@ def check_plan(catalog: Catalog, check: str, label: str,
     cutoff, width = max(sturms, default=0), max(map(max, sturms, dims), default=0)
     if check == "kernel":
         cutoff = max(cutoff, check_plan(catalog, "relation", label).cutoff)
-    return Plan(k_range, weights2, dims, cutoff, width=width)
+    prec = cutoff + GUARD
+    return Plan(k_range, weights2, dims, cutoff, prec=prec, width=min(prec, width))
 
 
 def _skipped(label: str, check: str, reason: str) -> VerificationReport:
@@ -405,36 +405,31 @@ def _ms_since(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
-def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None,
-                prec_override: int | None = None) -> VerificationReport:
+def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
     plan = check_plan(catalog, "span", case_label, kmax2)
     if plan.skip:
         return _skipped(case_label, "span", plan.skip)
-    runner = CaseRunner(catalog, catalog.cases[case_label])
-    prec = plan.prec(prec_override)
-    width = plan.rank_width(prec)
-    ranks = [runner.span_rank(j2, prec, d, width) for j2, d in zip(plan.weights2, plan.dims)]
+    runner = CaseRunner(catalog, catalog.cases[case_label], prec=plan.prec, width=plan.width)
+    ranks = [runner.span_rank(j2, d) for j2, d in zip(plan.weights2, plan.dims)]
     details = {"weights2": list(plan.weights2), "ranks": ranks, "dims": list(plan.dims)}
     bad = [(j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d]
     if bad:
         j2, rank, want = bad[0]
         details["first_failure"] = {"j2": j2, "rank": rank, "dim": want}
-    return VerificationReport(case_label, "span", plan.k_range, prec,
+    return VerificationReport(case_label, "span", plan.k_range, plan.prec,
                               "fail" if bad else "pass", details, _ms_since(t0))
 
 
-def verify_relations(catalog: Catalog, case_label: str,
-                     prec_override: int | None = None) -> VerificationReport:
+def verify_relations(catalog: Catalog, case_label: str) -> VerificationReport:
     t0 = time.monotonic()
     plan = check_plan(catalog, "relation", case_label)
     if plan.skip:
         return _skipped(case_label, "relation", plan.skip)
-    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True)
-    prec = plan.prec(prec_override)
+    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True, prec=plan.prec)
     names, orders = [], []
     status, first_bad = "pass", None
-    for rel, series, order in runner.relation_values(prec):
+    for rel, series, order in runner.relation_values():
         names.append(rel.name)
         orders.append(order if order is not None else "zero")
         if order is not None:
@@ -448,22 +443,22 @@ def verify_relations(catalog: Catalog, case_label: str,
     details = {"relations": names, "vanishing": orders}
     if first_bad:
         details["first_failure"] = first_bad
-    return VerificationReport(case_label, "relation", plan.k_range, prec, status,
+    return VerificationReport(case_label, "relation", plan.k_range, plan.prec, status,
                               details, _ms_since(t0))
 
 
-def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
-                  prec_override: int | None = None) -> VerificationReport:
+def verify_kernel(catalog: Catalog, case_label: str,
+                  kmax2: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
     plan = check_plan(catalog, "kernel", case_label, kmax2)
     if plan.skip:
         return _skipped(case_label, "kernel", plan.skip)
-    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True)
-    prec = plan.prec(prec_override)
+    runner = CaseRunner(catalog, catalog.cases[case_label], presentation=True,
+                        prec=plan.prec, width=plan.width)
     status, first_bad = "pass", None
     # the ideal lies in the kernel only if each relation vanishes; check each once
     rels = []
-    for rel, _, order in runner.relation_values(prec):
+    for rel, _, order in runner.relation_values():
         if order is not None:
             status = "fail"
             first_bad = first_bad or {"relation_nonzero": rel.name}
@@ -475,9 +470,8 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
     counts = HilbertSeries([(1, 0)], runner.weights2).expand(top2)
     std = monomial_quotient(leads, runner.weights2).expand(top2)
     kernel_dims, ideal_dims = [], []
-    width = plan.rank_width(prec)
     for j2, want in zip(plan.weights2, plan.dims):
-        rank = runner.span_rank(j2, prec, want, width)
+        rank = runner.span_rank(j2, want)
         dim_kernel = counts[j2] - rank
         dim_ideal = counts[j2] - std[j2]
         kernel_dims.append(dim_kernel)
@@ -491,7 +485,7 @@ def verify_kernel(catalog: Catalog, case_label: str, kmax2: int | None = None,
                "ideal_dims": ideal_dims}
     if first_bad:
         details["first_failure"] = first_bad
-    return VerificationReport(case_label, "kernel", plan.k_range, prec, status,
+    return VerificationReport(case_label, "kernel", plan.k_range, plan.prec, status,
                               details, _ms_since(t0))
 
 
@@ -524,20 +518,18 @@ def hilbert_mismatches(catalog: Catalog, case: Case, horizon2: int):
     return hs, coeffs, dims, dim_mismatches(coeffs, dims.__getitem__, lattice)
 
 
-def verify_identity(catalog: Catalog, name: str,
-                    prec_override: int | None = None) -> VerificationReport:
+def verify_identity(catalog: Catalog, name: str) -> VerificationReport:
     t0 = time.monotonic()
     plan = check_plan(catalog, "identity", name)
     ident = catalog.identities[name]
-    prec = plan.prec(prec_override)
-    series = catalog.evaluator(ident.L).series(ident.expr, prec)
+    series = catalog.evaluator(ident.L).series(ident.expr, plan.prec)
     order = series.vanishing_order()
     status = "pass" if order is None else "fail"
     details = {"expr": ident.expr}
     if order is not None:
         details["first_nonzero_index"] = order
         details["coefficient"] = str(series.coefficient(order))
-    return VerificationReport(name, "identity", plan.k_range, prec, status,
+    return VerificationReport(name, "identity", plan.k_range, plan.prec, status,
                               details, _ms_since(t0))
 
 
@@ -599,31 +591,20 @@ def scheduled_checks(catalog: Catalog, checks=None, cases=None):
         yield from (("integrality", n) for n in INTEGRALITY_FORMS if wanted(n))
 
 
-def full_report(catalog: Catalog, checks=None, cases=None,
-                kmax2: int | None = None, prec_override: int | None = None,
+def full_report(catalog: Catalog, checks=None, cases=None, kmax2: int | None = None,
                 horizon2: int = HILBERT_HORIZON2) -> list[VerificationReport]:
-    """Run the selected checks over the selected cases.  A precision override
-    that the plan of any selected check refuses raises PrecisionTooLow, and one
-    past the coordinate ceiling of its field PrecisionTooHigh, before any check
-    runs; once the batch starts, it is never aborted."""
-    scheduled = list(scheduled_checks(catalog, checks, cases))
-    for check, label in scheduled:  # no override reaches a hilbert or integrality check
-        if prec_override is not None and check not in ("hilbert", "integrality"):
-            entry = (catalog.identities if check == "identity" else catalog.cases)[label]
-            try:
-                require_coordinates(entry.L, prec_override)
-                check_plan(catalog, check, label, kmax2).prec(prec_override)
-            except (PrecisionTooLow, PrecisionTooHigh) as exc:
-                raise type(exc)(f"{check} check of {label!r}: {exc}") from None
+    """Run the selected checks over the selected cases, each at the precision
+    of its plan; the batch is never aborted."""
     run = {
-        "identity": lambda label: verify_identity(catalog, label, prec_override),
-        "span": lambda label: verify_span(catalog, label, kmax2, prec_override),
-        "relation": lambda label: verify_relations(catalog, label, prec_override),
-        "kernel": lambda label: verify_kernel(catalog, label, kmax2, prec_override),
+        "identity": lambda label: verify_identity(catalog, label),
+        "span": lambda label: verify_span(catalog, label, kmax2),
+        "relation": lambda label: verify_relations(catalog, label),
+        "kernel": lambda label: verify_kernel(catalog, label, kmax2),
         "hilbert": lambda label: verify_hilbert(catalog, label, horizon2),
         "integrality": lambda label: verify_integrality(catalog, label),
     }
-    reports = [_guard(run[check], label, check) for check, label in scheduled]
+    reports = [_guard(run[check], label, check)
+               for check, label in scheduled_checks(catalog, checks, cases)]
     reports.sort(key=lambda r: (r.case, _CHECK_ORDER.get(r.check, 9), r.k_range))
     return reports
 

@@ -1,7 +1,8 @@
 import json
+import re
 from collections import Counter
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,72 @@ def test_a_case_with_its_own_dimension_rows_is_refused_naming_its_group():
     case["dim"] = [{"mod": 1, "res": [0], "floor": [1, 4], "c": 1}]
     with pytest.raises(CatalogError, match="half4: dimension rows belong to its group g4"):
         Catalog(raw)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("span_kmax2", 0), ("span_kmax2", -2), ("span_kmax2", "8"), ("span_kmax2", 8.0),
+    ("span_kmax2", True), ("span_kmax2", None),
+    ("kernel_kmax2", 0), ("kernel_kmax2", -2), ("kernel_kmax2", "8"), ("kernel_kmax2", None),
+])
+def test_a_case_top_weight_that_is_not_a_positive_int_is_refused_naming_the_case(key, value):
+    """A top weight of 0 once ran the span check to weight 4 and reported
+    k_range (0, 8), one of -2 passed with no weights, and "8" raised inside
+    the check; each is now a CatalogError on load (exit 3)."""
+    raw = _shipped_raw()
+    next(c for c in raw["cases"] if c["label"] == "7")[key] = value
+    with pytest.raises(CatalogError, match=f"^case 7: {key} must be a positive int, got "):
+        Catalog(raw)
+
+
+def test_span_generators_without_a_top_weight_are_refused():
+    raw = _shipped_raw()
+    del next(c for c in raw["cases"] if c["label"] == "7")["span_kmax2"]
+    with pytest.raises(CatalogError, match="^case 7: span_gens without span_kmax2$"):
+        Catalog(raw)
+    # a case with neither is a case with no span check
+    del next(c for c in raw["cases"] if c["label"] == "7")["span_gens"]
+    assert verify.check_plan(Catalog(raw), "span", "7").skip == "no spanning generator set"
+
+
+def _least_conductor(forms: dict, exprs_: list[str], polys: list[str] = ()) -> int:
+    """The lcm of the conductors of the catalog forms the expressions name, of
+    the root-of-unity orders of their constructors and of the z<n> in their
+    scale literals and in the polynomials' coefficients."""
+    L = 1
+    for text in exprs_:
+        ast = exprs.parse_expr(text)
+        L = lcm(L, *exprs.root_orders(ast), *(forms[a]["L"] if a in forms
+                                                else exprs.constructor(a).order()
+                                                for a in exprs.atoms(ast)))
+    for poly in polys:
+        L = lcm(L, *(int(n) for n in re.findall(r"(?<!\w)z(\d+)(?!\w)", poly) if int(n)))
+    return L
+
+
+def test_every_shipped_conductor_is_the_least_one():
+    """Each form, identity and case declares as L the least conductor its
+    series need: a larger one evaluates in a larger field for nothing, and
+    a field of conductor 2 is Q again, with a cache apart from conductor 1's."""
+    raw = _shipped_raw()
+    forms = {f["name"]: f for f in raw["forms"]}
+    cases = {c["label"]: c for c in raw["cases"]}
+
+    def gens(case: dict) -> list[dict]:
+        pres = case.get("presentation", {})
+        base = cases[pres["base"]]["presentation"]["gens"] if "base" in pres else []
+        return case.get("span_gens", []) + base + pres.get("gens", []) + pres.get("aux", [])
+
+    least = {f["name"]: _least_conductor(forms, [f["expr"]]) for f in raw["forms"]}
+    least.update((i["name"], _least_conductor(forms, [i["expr"]])) for i in raw["identities"])
+    least.update((c["label"], _least_conductor(
+        forms, [g["expr"] for g in gens(c)],
+        [r["poly"] for r in c.get("presentation", {}).get("relations", [])]))
+        for c in raw["cases"])
+    declared = {e.get("name", e.get("label")): e["L"]
+                for section in ("forms", "identities", "cases") for e in raw[section]}
+    assert len(declared) == len(least) == 97
+    assert declared == least
+    assert (least["c7_sq"], least["half4"], least["half8"], least["11full"]) == (2, 1, 1, 10)
 
 
 def test_identity_cutoffs_come_from_the_weights_of_their_atoms():

@@ -18,6 +18,7 @@ import mfring
 from mfring.catalog import load_catalog, require_coordinates
 from mfring.cli import EXIT_PIPE_CLOSED, main
 from mfring.errors import PrecisionTooHigh
+from mfring.verify import GUARD
 
 SHIPPED = json.loads(resources.files("mfring").joinpath("data/catalog.json").read_text())
 
@@ -215,21 +216,16 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     code, _, err = _run(capsys, "verify", "span", "--case", "doesnotexist")
     assert code == 2
-    # precision override below the certified cutoff is refused
-    code, _, err = _run(capsys, "verify", "span", "--case", "7", "--prec", "2")
-    assert code == 3 and "cutoff" in err
     code, _, err = _run(capsys, "verify", "span", "--case", "7", "--kmax", "0")
     assert code == 3
-    # the guard plans the weights --kmax selects: weight 1 needs 4 coefficients
-    code, out, _ = _run(capsys, "verify", "span", "--case", "7", "--kmax", "1", "--prec", "5")
-    assert code == 0 and "PASS" in out
-    code, _, err = _run(capsys, "verify", "kernel", "--case", "7", "--kmax", "12",
-                        "--prec", "20")
-    assert code == 3 and "cutoff 26" in err
-    # a kernel check's cutoff covers its relations, and its report states where they ran
-    code, _, err = _run(capsys, "verify", "kernel", "--case", "half12", "--kmax", "1",
-                        "--prec", "17")
-    assert code == 3 and "kernel check of 'half12'" in err and "cutoff 18" in err
+    # the plan covers the weights --kmax selects: weight 1 needs 4 coefficients
+    code, out, _ = _run(capsys, "verify", "span", "--case", "7", "--kmax", "1",
+                        "--output", "json")
+    assert code == 0 and json.loads(out)["precision"] == 4 + GUARD
+    code, out, _ = _run(capsys, "verify", "kernel", "--case", "7", "--kmax", "12",
+                        "--output", "json")
+    assert code == 0 and json.loads(out)["precision"] == 26 + GUARD
+    # a kernel check's cutoff covers its relations' 18, and its report states where they ran
     code, out, _ = _run(capsys, "verify", "kernel", "--case", "half12", "--kmax", "1",
                         "--output", "json")
     assert code == 0 and json.loads(out)["precision"] == 26
@@ -356,8 +352,7 @@ def test_kernel_check_of_a_presentation_with_aux_series_is_skipped(tmp_path, cap
     assert reports["relation"]["status"] == "pass"
     assert reports["kernel"]["status"] == "skipped"
     assert "auxiliary series" in reports["kernel"]["details"]["reason"]
-    code, out, _ = _run(capsys, "--catalog", str(path), "verify", "kernel", "--case", "7",
-                        "--prec", "3")
+    code, out, _ = _run(capsys, "--catalog", str(path), "verify", "kernel", "--case", "7")
     assert code == 0 and "SKIPPED" in out
 
 
@@ -417,6 +412,23 @@ def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     assert code == 3
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, selector", [
+    ("span_kmax2", -2, "span"), ("span_kmax2", 0, "span"), ("span_kmax2", "8", "span"),
+    ("kernel_kmax2", -2, "kernel"),
+])
+def test_a_case_top_weight_that_is_not_a_positive_int_exits_3(tmp_path, capsys, key, value,
+                                                             selector):
+    """Refused on load, naming the case: not a passing check with no weights,
+    a check to a default weight, or a failure (exit 1) inside the check."""
+    raw = json.loads(json.dumps(SHIPPED))
+    next(c for c in raw["cases"] if c["label"] == "7")[key] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = _run(capsys, "--catalog", str(path), "verify", selector, "--case", "7")
+    assert code == 3 and out == ""
+    assert err == f"error: bad catalog: case 7: {key} must be a positive int, got {value!r}\n"
 
 
 def _key_paths(node, prefix=()):
@@ -572,7 +584,6 @@ _ARGVS = st.one_of(
                                          "hilbert", "integrality", "presentation", "nope"]),
                         _SMALL_CASES),
               _flags({"--kmax": st.one_of(_INTS, st.sampled_from(["10001", "100000000"])),
-                      "--prec": st.one_of(_INTS, st.builds(str, st.integers(0, 60))),
                       "--horizon": _SIZES, "--output": _OUTPUTS})),
 )
 
@@ -618,8 +629,8 @@ def test_size_flags_stop_at_their_ceiling(capsys, argv):
     ["qexp", "E4", "--prec", "1000000000"],
     ["qexp", "(scale z2520 E4)", "--prec", "100000"],
     ["qexp", "(scale z2520 E4)", "--prec", "1737"],  # 1737 * phi(2520) = 1000512
-    ["verify", "span", "--case", "7", "--prec", "1000000000"],
-    ["verify", "all", "--prec", "1000000000"],
+    ["qexp", "varpi11", "--prec", "250001"],  # 250001 * phi(10) = 1000004
+    ["qexp", "(scale z7 E4)", "--prec", "166667"],  # 166667 * phi(7) = 1000002
 ])
 def test_precision_past_the_coordinate_ceiling_exits_3_at_once(capsys, argv):
     """prec * phi(L) above catalog.MAX_COORDINATES is refused before anything is
@@ -630,6 +641,25 @@ def test_precision_past_the_coordinate_ceiling_exits_3_at_once(capsys, argv):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "above the ceiling of 1000000" in err and "Traceback" not in err
+
+
+def test_verify_prec_is_a_usage_error():
+    """verify has no --prec: each check runs at the precision of its plan.  A
+    script that still passes the flag fails loudly, with argparse's usage
+    error (exit 2) and no traceback, rather than having the flag ignored."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mfring.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mfring.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+
+    proc = run("verify", "span", "--case", "7", "--prec", "5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: mfring")
+    assert "unrecognized arguments: --prec 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run("verify", "--help")
+    assert proc.returncode == 0 and "--kmax" in proc.stdout and "--prec" not in proc.stdout
 
 
 def test_the_coordinate_ceiling_counts_prec_times_phi():

@@ -147,17 +147,15 @@ def test_each_border_monomial_comes_with_its_first_factor():
             plan = check_plan(CAT, check, label)
             if plan.skip:
                 continue
-            runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
-            prec = plan.prec(None)
-            width = plan.rank_width(prec)
+            runner = CaseRunner(CAT, CAT.cases[label], check == "kernel", plan.prec, plan.width)
 
             def lower(j2: int):
-                basis = runner._bases.get((width, j2))
+                basis = runner._bases.get(j2)
                 return weighted_monomials(runner.weights2, j2) if basis is None else basis
 
             for j2, dim in zip(plan.weights2, plan.dims):
-                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2, width))
-                assert runner.span_rank(j2, prec, dim, width) == dim
+                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2))
+                assert runner.span_rank(j2, dim) == dim
                 checked += 1
     assert checked == 249
 
@@ -183,9 +181,7 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
         plan = check_plan(CAT, "kernel", label, 24)
         if plan.skip or not plan.weights2:
             continue
-        runner = CaseRunner(CAT, CAT.cases[label], presentation=True)
-        prec = plan.prec(None)
-        width = plan.rank_width(prec)
+        runner = CaseRunner(CAT, CAT.cases[label], True, plan.prec, plan.width)
         _, leads = _kernel_leads(runner, 24)
         counts = HilbertSeries([(1, 0)], runner.weights2).expand(24)
         quotient = monomial_quotient(leads, runner.weights2).expand(24)
@@ -193,8 +189,8 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             assert counts[j2] == len(weighted_monomials(runner.weights2, j2)), (label, j2)
             assert quotient[j2] == len(_enumerated_standard(runner.weights2, leads, j2))
         for j2, dim in zip(plan.weights2, plan.dims):
-            assert runner.span_rank(j2, prec, dim, width) == dim
-            rows = [m for m, _, _ in runner.border(j2, width)]
+            assert runner.span_rank(j2, dim) == dim
+            rows = [m for m, _, _ in runner.border(j2)]
             standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
             assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
         checked.append(label)

@@ -61,11 +61,12 @@ def test_theta_square_notes():
 
 def test_half_integral_rank_matches_doubling_bound():
     """Rank at weight k+1/2 hits the bound [(d+1)/2] from squaring."""
-    runner = CaseRunner(CAT, CAT.cases["half4"])
+    case = CAT.cases["half4"]
     for j2 in (1, 3, 5, 7, 9):  # doubled odd weights
         k = (j2 - 1) // 2
-        prec = runner.sturm2(j2) + GUARD
-        rank = runner.span_rank(j2, prec, (k + 2) // 2, max(runner.sturm2(j2), (k + 2) // 2))
+        bound = CAT.sturm2(case.group, j2)
+        runner = CaseRunner(CAT, case, prec=bound + GUARD, width=max(bound, (k + 2) // 2))
+        rank = runner.span_rank(j2, (k + 2) // 2)
         dim_int = CAT.dim2("g4", 2 * k) if k else 1
         # theta times a weight-k monomial basis spans everything
         assert rank == dim_int == (k + 2) // 2

@@ -146,9 +146,10 @@ def prop_rank_nullity(case_label: str = "9", j2: int = 8):
 
 
 def prop_rank_stabilization(case_label: str = "7", j2: int = 10):
-    runner = CaseRunner(CAT, CAT.cases[case_label])
-    bound, dim = runner.sturm2(j2), dim_or_none(CAT, runner.case, j2)
-    ranks = [runner.span_rank(j2, bound + extra, dim, bound + extra) for extra in (0, 3, GUARD)]
+    case = CAT.cases[case_label]
+    bound, dim = CAT.sturm2(case.group, j2), dim_or_none(CAT, case, j2)
+    ranks = [CaseRunner(CAT, case, prec=bound + extra, width=bound + extra).span_rank(j2, dim)
+             for extra in (0, 3, GUARD)]
     assert ranks[0] == ranks[1] == ranks[2]
 
 

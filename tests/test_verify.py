@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mfring import cli, exprs, groebner, modp, verify
 from mfring.catalog import Catalog, Relation, load_catalog
 from mfring.cyclo import cyclo_context
-from mfring.errors import PrecisionTooHigh, PrecisionTooLow, UnknownIdentity
+from mfring.errors import PrecisionTooLow, UnknownIdentity
 from mfring.qseries import QSeries
 from mfring.verify import (
     GUARD,
@@ -163,21 +163,26 @@ def _left_nullspace(rows, ctx):
     return kernel
 
 
+def _runner(label: str, prec: int, width: int, presentation: bool = False) -> CaseRunner:
+    """A runner of the shipped case for one check at this precision and rank width."""
+    return CaseRunner(CAT, CAT.cases[label], presentation, prec, width)
+
+
 def test_span_rank_examples():
-    five = CaseRunner(CAT, CAT.cases["5"])
-    width = five.sturm2(6)
+    width = CAT.sturm2(CAT.cases["5"].group, 6)
     prec = width + GUARD
+    five = _runner("5", prec, width)
     # weight 3 at level 5
-    assert five.span_rank(6, prec, dim_or_none(CAT, five.case, 6), width) == 4
-    assert five.span_rank(6, prec, 5, width) == 4  # a bound no prime reaches: the exact rank
-    assert five.span_rank(0, 4, 1, 1) == 1
-    one = CaseRunner(CAT, CAT.cases["1"])
-    assert one.span_rank(24, one.sturm2(24) + GUARD, dim_or_none(CAT, one.case, 24),
-                         one.sturm2(24)) == 2
+    assert five.span_rank(6, dim_or_none(CAT, five.case, 6)) == 4
+    assert five.span_rank(6, 5) == 4  # a bound no prime reaches: the exact rank
+    assert _runner("5", 4, 1).span_rank(0, 1) == 1
+    bound = CAT.sturm2(CAT.cases["1"].group, 24)
+    one = _runner("1", bound + GUARD, bound)
+    assert one.span_rank(24, dim_or_none(CAT, one.case, 24)) == 2
     with pytest.raises(PrecisionTooLow):
-        five.span_rank(12, 3, dim_or_none(CAT, five.case, 12), 3)
+        _runner("5", 3, 3).span_rank(12, dim_or_none(CAT, five.case, 12))
     with pytest.raises(ValueError, match="exceeds the precision"):
-        five.span_rank(6, prec, 4, prec + 1)
+        _runner("5", prec, prec + 1).span_rank(6, 4)
 
 
 def test_rank_nullity_against_explicit_nullspace():
@@ -208,10 +213,10 @@ def test_rank_invariant_under_generator_scaling():
 
 
 def test_rank_stabilizes_at_sturm_precision():
-    runner = CaseRunner(CAT, CAT.cases["7"])
-    bound, dim = runner.sturm2(12), dim_or_none(CAT, runner.case, 12)
-    assert runner.span_rank(12, bound, dim, bound) == runner.span_rank(12, bound + GUARD, dim,
-                                                                      bound + GUARD)
+    case = CAT.cases["7"]
+    bound, dim = CAT.sturm2(case.group, 12), dim_or_none(CAT, case, 12)
+    assert _runner("7", bound, bound).span_rank(12, dim) == _runner(
+        "7", bound + GUARD, bound + GUARD).span_rank(12, dim)
 
 
 def test_relation_series_examples():
@@ -239,10 +244,11 @@ def test_verify_span_reports_precision_used():
     runner = CaseRunner(CAT, CAT.cases["9"])
     default = verify_span(CAT, "9")
     assert default.precision == runner.sturm2(default.k_range[1]) + GUARD
-    # an override above every weight's cutoff is the precision of every rank
-    raised = verify_span(CAT, "9", prec_override=default.precision + 12)
-    assert raised.precision == default.precision + 12
-    assert raised.details["ranks"] == default.details["ranks"]
+    # 12 more coefficients give the same ranks at the plan's width
+    plan = check_plan(CAT, "span", "9")
+    raised = _runner("9", default.precision + 12, plan.width)
+    assert [raised.span_rank(j2, d) for j2, d in zip(plan.weights2, plan.dims)] == \
+        default.details["ranks"]
 
 
 def test_verify_kernel_examples():
@@ -336,22 +342,22 @@ def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(
     paths = _count_rank_paths(monkeypatch)
     span = verify_span(cat, "12")
     weights2, prec = span.details["weights2"], span.precision
-    width = check_plan(cat, "span", "12").rank_width(prec)
+    width = check_plan(cat, "span", "12").width
     assert {path[1] for path in paths} == {width}
     assert span.status == "fail"
     assert span.details["first_failure"] == {"j2": 4, "rank": 9, "dim": 10}
     assert [d for j2, d, r in zip(weights2, span.details["dims"], span.details["ranks"])
             if d != r] == [10]
     assert [path[2:4] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
-    runner = CaseRunner(cat, cat.cases["12"])
+    runner = CaseRunner(cat, cat.cases["12"], prec=prec, width=width)
     assert span.details["ranks"] == [
         row_echelon_rank(runner.monomial_series(e, prec)
                          for e in weighted_monomials(runner.weights2, j2))
         for j2 in weights2]
     for j2, dim in zip(weights2, span.details["dims"]):
-        runner.span_rank(j2, prec, dim, width)
-    assert _monomials(runner.border(6, width)) == sorted(weighted_monomials(runner.weights2, 6))
-    assert len(runner.border(8, width)) < len(weighted_monomials(runner.weights2, 8))
+        runner.span_rank(j2, dim)
+    assert _monomials(runner.border(6)) == sorted(weighted_monomials(runner.weights2, 6))
+    assert len(runner.border(8)) < len(weighted_monomials(runner.weights2, 8))
 
 
 def _monomials(entries) -> list[tuple[int, ...]]:
@@ -374,30 +380,28 @@ def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
     division: a pivot over a generator it contains is a pivot one generator
     weight down."""
     plan = check_plan(CAT, "span", label, kmax2)
-    runner = CaseRunner(CAT, CAT.cases[label])
-    prec = plan.prec(None)
-    width = plan.rank_width(prec)
+    runner = _runner(label, plan.prec, plan.width)
     dims = dict(zip(plan.weights2, plan.dims))
     for j2, dim in dims.items():
-        rows = _monomials(runner.border(j2, width))
+        rows = _monomials(runner.border(j2))
         assert len(set(rows)) == len(rows)
         assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
         lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
         if j2 and all(j in dims for j in lower):  # every weight below was proved
-            bases = {w2: set(runner._bases[width, j2 - w2])
+            bases = {w2: set(runner._bases[j2 - w2])
                      for w2 in runner.weights2 if w2 <= j2}
             ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
                       for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
             assert len(ladder) <= sum(dims[j] for j in lower)
             assert set(rows) == {m for m in ladder if all(
                 b in bases[runner.weights2[i]] for i, b in _divided(m))}
-        assert runner.span_rank(j2, prec, dim, width) == dim
-        pivots = runner._bases[width, j2]
-        assert _monomials(runner.border(j2, width)) == rows
+        assert runner.span_rank(j2, dim) == dim
+        pivots = runner._bases[j2]
+        assert _monomials(runner.border(j2)) == rows
         assert len(pivots) == dim and set(pivots) <= set(rows)
         for m in pivots:
             for i, b in _divided(m):
-                assert b in runner._bases[width, j2 - runner.weights2[i]], (j2, m)
+                assert b in runner._bases[j2 - runner.weights2[i]], (j2, m)
 
 
 @pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
@@ -408,15 +412,14 @@ def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
     ranked in ascending lexicographic order, so the border misses none."""
     report = verify_span(CAT, label, kmax2=32)
     assert report.status == "pass"
-    runner = CaseRunner(CAT, CAT.cases[label])
-    prec = report.precision
-    width = check_plan(CAT, "span", label, 32).rank_width(prec)
+    width = check_plan(CAT, "span", label, 32).width
+    runner = _runner(label, report.precision, width)
     red = modp.reduction(runner.evaluator.ctx, width)
     for j2, dim in zip(report.details["weights2"], report.details["dims"]):
-        assert runner.span_rank(j2, prec, dim, width) == dim
+        assert runner.span_rank(j2, dim) == dim
         mons = sorted(weighted_monomials(runner.weights2, j2))
-        every = red.rank([runner.reduced_monomial(e, red, prec) for e in mons], len(mons))
-        assert [mons[j] for j in every] == runner._bases[width, j2], j2
+        every = red.rank([runner.reduced_monomial(e) for e in mons], len(mons))
+        assert [mons[j] for j in every] == runner._bases[j2], j2
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
@@ -592,9 +595,9 @@ def test_a_kernel_check_states_the_precision_its_relations_ran_at(monkeypatch):
     precs = []
     values = CaseRunner.relation_values
 
-    def recorded(self, prec):
-        precs.append(prec)
-        return values(self, prec)
+    def recorded(self):
+        precs.append(self.prec)
+        return values(self)
 
     monkeypatch.setattr(CaseRunner, "relation_values", recorded)
     report = verify_kernel(CAT, "half12", kmax2=2)
@@ -602,53 +605,44 @@ def test_a_kernel_check_states_the_precision_its_relations_ran_at(monkeypatch):
     assert precs == [report.precision] == [26]
 
 
-@pytest.mark.parametrize("check", [
-    lambda: verify_relations(CAT, "7", prec_override=2),
-    lambda: verify_span(CAT, "7", prec_override=2),
-    lambda: verify_kernel(CAT, "7", prec_override=2),
-    lambda: verify_identity(CAT, "c4_sq", prec_override=2),
+@pytest.mark.parametrize("selector, label", [
+    ("relations", "7"), ("span", "7"), ("kernel", "7"), ("identity", "c4_sq"),
 ], ids=["relation", "span", "kernel", "identity"])
-def test_an_override_below_the_cutoff_is_refused(check):
-    with pytest.raises(PrecisionTooLow, match="below the certified cutoff"):
-        check()
+def test_an_override_below_the_cutoff_is_refused(capsys, selector, label):
+    """Every check runs at the precision of its plan, so verify takes no
+    --prec: an override, below the cutoff or not, is an argparse usage error
+    (exit 2) before any check runs, not a flag that is silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", selector, "--case", label, "--prec", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --prec 2" in err
+    assert "Traceback" not in err
 
 
-def test_a_plan_refuses_a_low_override_and_raises_an_accepted_one_to_its_guard():
+def test_every_scheduled_check_runs_at_its_cutoff_plus_guard_and_ranks_within_it():
+    """Each identity, span, relation and kernel check full_report schedules
+    has one precision, GUARD past its cutoff, and ranks mod p at a width no
+    larger than it; its report states that precision.  A kernel's cutoff
+    covers its relations'."""
+    reports = {(r.check, r.case): r for r in full_report(CAT)}
+    planned = 0
+    for check, label in scheduled_checks(CAT):
+        if check in ("hilbert", "integrality"):
+            continue
+        plan = check_plan(CAT, check, label)
+        if plan.skip:
+            assert reports[check, label].status == "skipped"
+            continue
+        assert plan.prec == plan.cutoff + GUARD, (check, label)
+        assert plan.width <= plan.prec, (check, label)
+        assert reports[check, label].precision == plan.prec, (check, label)
+        planned += 1
+    assert planned == 55
     plan = check_plan(CAT, "kernel", "7", 24)
-    assert plan.cutoff == 26
-    assert plan.prec(None) == plan.prec(plan.cutoff) == plan.cutoff + GUARD
-    assert plan.prec(plan.cutoff + GUARD + 5) == plan.cutoff + GUARD + 5
-    with pytest.raises(PrecisionTooLow, match="certified cutoff 26"):
-        plan.prec(plan.cutoff - 1)
-    assert check_plan(CAT, "kernel", "16full").prec(1) == GUARD  # a skipped check refuses nothing
-
-
-def test_full_report_refuses_a_low_override_before_any_check_runs(monkeypatch):
-    ran = []
-    monkeypatch.setattr(verify, "verify_identity", lambda *args: ran.append(args))
-    with pytest.raises(PrecisionTooLow, match="^span check of '7': .* cutoff 18;"):
-        full_report(CAT, cases=["c4_sq", "7"], prec_override=17)
-    assert ran == []
-    # hilbert and integrality checks take no override
-    reports = full_report(CAT, checks={"hilbert", "integrality"}, cases=["7", "alpha7"],
-                          prec_override=1)
-    assert [r.status for r in reports] == ["pass", "pass"]
-
-
-def test_full_report_refuses_an_override_past_the_coordinate_ceiling_before_any_check_runs(
-        monkeypatch):
-    """Refused, not reported as a failed check: each check would allocate its series."""
-    ran = []
-    for name in ("verify_identity", "verify_span", "verify_relations", "verify_kernel"):
-        monkeypatch.setattr(verify, name, lambda *args: ran.append(args))
-    for cases, check in ((["c4_sq", "7"], "identity check of 'c4_sq'"),
-                         (["7"], "span check of '7'")):
-        with pytest.raises(PrecisionTooHigh, match=f"^{check}: .* above the ceiling of 1000000"):
-            full_report(CAT, cases=cases, prec_override=10**9)
-    assert ran == []
-    reports = full_report(CAT, checks={"hilbert", "integrality"}, cases=["7", "alpha7"],
-                          prec_override=10**9)
-    assert [r.status for r in reports] == ["pass", "pass"]
+    assert (plan.cutoff, plan.prec) == (26, 26 + GUARD)
+    assert plan.width == max(max(CAT.sturm2("g7", j2), dim)
+                             for j2, dim in zip(plan.weights2, plan.dims))
 
 
 def test_verify_relations_states():
@@ -728,10 +722,9 @@ def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
     for check, label in scheduled_checks(CAT):  # the order full_report runs them in
         if check in ("span", "kernel"):
             plan = check_plan(CAT, check, label)
-            prec = plan.prec(None)
-            assert plan.rank_width(prec) < prec, (check, label)
-            widths += [plan.rank_width(prec)] * len(plan.weights2)
-            precs += [prec] * len(plan.weights2)
+            assert plan.width < plan.prec, (check, label)
+            widths += [plan.width] * len(plan.weights2)
+            precs += [plan.prec] * len(plan.weights2)
     assert [path[1] for path in paths] == widths
     assert len(widths) == 249 and sum(widths) == 3500 and sum(precs) == 5492
     for label in ("9", "half12"):
@@ -753,9 +746,9 @@ def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
     borders = []
     span_rank = CaseRunner.span_rank
 
-    def recorded(runner, k2, prec, dim, width):
-        rank = span_rank(runner, k2, prec, dim, width)
-        borders.append((_monomials(runner.border(k2, width)), runner._bases[width, k2]))
+    def recorded(runner, k2, dim):
+        rank = span_rank(runner, k2, dim)
+        borders.append((_monomials(runner.border(k2)), runner._bases[k2]))
         return rank
 
     monkeypatch.setattr(CaseRunner, "span_rank", recorded)
@@ -801,17 +794,16 @@ def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
         plan = check_plan(CAT, check, label)
         if plan.skip:
             continue
-        runner = CaseRunner(CAT, CAT.cases[label], presentation=check == "kernel")
-        prec = plan.prec(None)
-        width = plan.rank_width(prec)
+        prec, width = plan.prec, plan.width
+        runner = _runner(label, prec, width, presentation=check == "kernel")
         assert width < prec
         red = modp.reduction(runner.evaluator.ctx, width)
         for j2, dim in zip(plan.weights2, plan.dims):
             read.clear()
             widths.clear()
-            assert runner.span_rank(j2, prec, dim, width) == dim
+            assert runner.span_rank(j2, dim) == dim
             assert widths == [width]
-            entries = runner.border(j2, width)  # the same border: it reads only the weights below
+            entries = runner.border(j2)  # the same border: it reads only the weights below
             assert len(read) <= len(entries)
             for (m, _, _), row in zip(entries, read):
                 assert row.bit_length() <= 64 * width
@@ -830,9 +822,9 @@ def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeyp
     calls, products = [], []
     reduced_monomial, mul = CaseRunner.reduced_monomial, modp.Reduction.mul
 
-    def counted(runner, exps, red, prec):
+    def counted(runner, exps):
         calls.append(exps)
-        return reduced_monomial(runner, exps, red, prec)
+        return reduced_monomial(runner, exps)
 
     def multiplied(red, a, b):
         products.append(red.n)
@@ -845,7 +837,7 @@ def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeyp
     assert len(calls) == 118
     assert all(sum(exps) <= 1 for exps in calls)
     assert len(products) == 1690
-    planned = {(plan := check_plan(CAT, check, label)).rank_width(plan.prec(None))
+    planned = {check_plan(CAT, check, label).width
                for check, label in scheduled_checks(CAT, checks={"span", "kernel"})}
     assert set(products) == planned
 
@@ -859,25 +851,34 @@ _RANKED = [(check, label) for check, label in product(("span", "kernel"), sorted
 def test_ranks_at_the_rank_width_give_the_reports_of_ranks_at_the_precision(ranked, kmax2,
                                                                             extra):
     """A span or kernel report with its ranks mod p at the plan's rank width
-    equals the report with them at the full precision, for any override from
-    the cutoff up; the width does not grow with the override."""
+    equals the report with them at the full precision; and runners at up to
+    40 coefficients past the plan's precision rank as the plan's runner
+    does, at the plan's width or at their own precision: the width does not
+    grow with the precision."""
     check, label = ranked
     run = verify_span if check == "span" else verify_kernel
     plan = check_plan(CAT, check, label, kmax2)
-    override = plan.cutoff + extra
-    prec = plan.prec(override)
-    assert plan.rank_width(prec) == plan.rank_width(plan.prec(None)) <= prec
+    assert plan.width <= plan.prec
 
     def report():
-        out = json.loads(run(CAT, label, kmax2, override).to_json())
+        out = json.loads(run(CAT, label, kmax2).to_json())
         del out["elapsed_ms"]
         return out
 
     narrow = report()
+    planned = verify.check_plan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify.Plan, "rank_width", lambda plan, prec: prec)
+        mp.setattr(verify, "check_plan",
+                   lambda *args: (wide := planned(*args))._replace(width=wide.prec))
         assert report() == narrow
-    assert narrow["precision"] == prec
+    assert narrow["precision"] == plan.prec
+
+    def ranks(prec: int, width: int) -> list[int]:
+        runner = _runner(label, prec, width, presentation=check == "kernel")
+        return [runner.span_rank(j2, dim) for j2, dim in zip(plan.weights2, plan.dims)]
+
+    prec = plan.prec + extra
+    assert ranks(prec, plan.width) == ranks(prec, prec) == ranks(plan.prec, plan.width)
 
 
 def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch):
@@ -885,8 +886,8 @@ def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch
     with the largest ceiling, 2^31; it passes with one rank mod p per weight,
     and each rank equals exact elimination at the full precision."""
     plan = check_plan(CAT, "span", "1", 8)
-    prec = plan.prec(None)
-    assert plan.rank_width(prec) == 2 < prec
+    prec = plan.prec
+    assert plan.width == 2 < prec
     runner = CaseRunner(CAT, CAT.cases["1"])
     p = modp.reduction(runner.evaluator.ctx, 2).p
     assert modp.prime_ceiling(2) == 1 << 31 and 1 << 30 < p < 1 << 31
@@ -907,7 +908,7 @@ def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch
     plan = check_plan(CAT, "kernel", "7")
     runner = CaseRunner(CAT, CAT.cases["7"], presentation=True)
     # the span ranks' prime
-    p = modp.reduction(runner.evaluator.ctx, plan.rank_width(plan.prec(None))).p
+    p = modp.reduction(runner.evaluator.ctx, plan.width).p
     raw = _shipped()
     rel = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["relations"][0]
     rel["poly"] = f"({rel['poly']})/{p}"
