@@ -23,7 +23,8 @@ Schema (top-level keys):
 * ``cases``: ``{label, group, L, span_gens?, span_kmax2?,
   kernel_kmax2?, presentation?}``; ``span_kmax2`` and ``kernel_kmax2`` are
   the doubled top weights of the span and kernel checks, each a positive
-  int where given, and ``span_gens`` needs ``span_kmax2``.  A presentation
+  int where given; ``span_gens`` and ``span_kmax2`` come together, and
+  ``kernel_kmax2`` needs a presentation.  A presentation
   is ``{gens, aux?, relations, relations_unknown?, base?, hilbert?}`` with
   relations given as infix polynomials in the generator names and
   ``hilbert`` as ``{num: [[coeff, deg2], ...], den: [deg2, ...]}``.
@@ -227,13 +228,16 @@ def _case(c: dict) -> Case:
         )
     if "dim" in c:
         raise CatalogError(f"case {c['label']}: dimension rows belong to its group {c['group']}")
-    span_kmax2 = _top_weight(c, "span_kmax2")
-    if "span_gens" in c and span_kmax2 is None:
-        raise CatalogError(f"case {c['label']}: span_gens without span_kmax2")
+    span_kmax2, kernel_kmax2 = _top_weight(c, "span_kmax2"), _top_weight(c, "kernel_kmax2")
+    if ("span_gens" in c) != (span_kmax2 is not None):
+        raise CatalogError(f"case {c['label']}: span_gens without span_kmax2" if span_kmax2 is None
+                           else f"case {c['label']}: span_kmax2 without span_gens")
+    if kernel_kmax2 is not None and pres is None:  # no check would read it
+        raise CatalogError(f"case {c['label']}: kernel_kmax2 without a presentation")
     # L is the field conductor: the lcm of the root-of-unity orders the case needs
     return Case(c["label"], c["group"], c["L"],
                 _gens(c["span_gens"]) if "span_gens" in c else None,
-                span_kmax2, _top_weight(c, "kernel_kmax2"), pres)
+                span_kmax2, kernel_kmax2, pres)
 
 
 def _unique(section: str, records) -> dict:

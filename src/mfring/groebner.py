@@ -12,7 +12,8 @@ weight k that none of them divides, the standard monomials, are a basis of
 (R/I)_k and dim I_k = #monomials - #standard monomials (Cox, Little and
 O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 and 9); the kernel check
 counts them from the Hilbert series of the leading monomials
-(``hilbert.monomial_quotient``).  ``border`` gives the rows of the span ranks.
+(``hilbert.monomial_quotient``).  ``border`` gives the candidates of the
+rank filtration of the span and kernel checks (``verify.Filtration``).
 """
 
 from __future__ import annotations

@@ -14,14 +14,14 @@ its precision).  The prime depends on the width n only: the largest
 p = 1 (mod L) below ``prime_ceiling(n)`` = 2^floor((64 - bits(n)) / 2),
 so that n * (p - 1)^2 + p < 2^64 and no slot ever carries.  A truncated product
 is one big-int multiply (Kronecker substitution: a slot sums at most n
-products below p^2), and an elimination step is one big-int multiply-add
-(each of at most n pivots adds a multiple below p^2 to a slot that
-started below p).  Every run reduces with the same primes and roots.
+products below p^2), and reducing a vector by an echelon basis is one
+big-int multiply-add per pivot (each of at most n pivots adds a multiple
+below p^2 to a slot that started below p).  Every run reduces with the same
+primes and roots.
 
-A rank is always certified against a known upper bound, so elimination
-stops at the bound and returns which input rows became pivots: those rows
-are independent mod p, hence over Q(zeta_L), and a caller can reuse them
-as a basis.
+An ``Echelon`` basis grows one vector at a time and is never stopped at a
+bound: its size is the rank mod p of every vector inserted, so a caller can
+compare it with a known upper bound on either side.
 """
 
 from __future__ import annotations
@@ -112,40 +112,57 @@ class Reduction:
         raw = st.unpack(((a * b) & self.mask).to_bytes(self.nbytes, "little"))
         return int.from_bytes(st.pack(*map(operator.mod, raw, repeat(self.p))), "little")
 
-    def rank(self, rows, bound: int) -> list[int]:
-        """Elimination over F_p of packed rows of n residues in [0, p), pivot on
-        the leftmost nonzero entry, stopped once bound rows have become pivots;
-        the indices of the rows that became pivots, in order.  Their number
-        is min(rank, bound), and rows after the last pivot are never read.
+    def inverse(self, a: int) -> int:
+        """The inverse mod (p, q^n) of a packed vector of n residues in [0, p)
+        read as a truncated power series in q, whose slot 0 is nonzero:
+        h_0 = 1 / a_0 and h_k = -(a_1 h_(k-1) + ... + a_k h_0) / a_0."""
+        p = self.p
+        a = self.struct.unpack(a.to_bytes(self.nbytes, "little"))
+        inv0 = pow(a[0], -1, p)
+        h = [inv0]
+        for k in range(1, self.n):
+            h.append(-sum(map(operator.mul, a[1:k + 1], reversed(h))) * inv0 % p)
+        return pack(h)
 
-        A pivot is kept as its column's bit offset and the negation of its row
-        scaled to lead 1, so clearing the column adds c times it.  Each pivot
-        row was reduced by every earlier one before it was stored, so reducing
-        by the pivots in insertion order clears all their columns.
-        """
-        p, st, nbytes = self.p, self.struct, self.nbytes
-        pivots: list[tuple[int, int]] = []
-        kept: list[int] = []
-        if bound <= 0:
-            return kept
-        for index, row in enumerate(rows):
-            for shift, neg in pivots:
-                c = ((row >> shift) & SLOT) % p
-                if c:
-                    row += c * neg
-            slots = st.unpack(row.to_bytes(nbytes, "little"))
-            for lead, v in enumerate(slots):
-                if v % p:
-                    break
-            else:
-                continue
-            kept.append(index)
-            if len(kept) == bound:
+
+class Echelon:
+    """An echelon basis over F_p of packed vectors of n residues in [0, p),
+    grown by ``insert``; its length is the rank of every vector inserted.
+
+    A pivot is kept as its column's bit offset and the negation of its row
+    scaled to lead 1, so clearing the column adds c times it.  Each pivot row
+    was reduced by every earlier one before it was stored, so reducing by the
+    pivots in insertion order clears all their columns.
+    """
+
+    __slots__ = ("red", "pivots")
+
+    def __init__(self, red: Reduction):
+        self.red = red
+        self.pivots: list[tuple[int, int]] = []
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, row: int) -> bool:
+        """Reduce row by the basis, pivot on its leftmost nonzero entry and
+        keep it; whether it was independent of the basis."""
+        red = self.red
+        p, st, nbytes = red.p, red.struct, red.nbytes
+        for shift, neg in self.pivots:
+            c = ((row >> shift) & SLOT) % p
+            if c:
+                row += c * neg
+        slots = st.unpack(row.to_bytes(nbytes, "little"))
+        for lead, v in enumerate(slots):
+            if v % p:
                 break
-            neg_inv = p - pow(v, -1, p)
-            pivots.append((64 * lead, int.from_bytes(
-                st.pack(*[x * neg_inv % p for x in slots]), "little")))
-        return kept
+        else:
+            return False
+        neg_inv = p - pow(v, -1, p)
+        self.pivots.append((64 * lead, int.from_bytes(
+            st.pack(*[x * neg_inv % p for x in slots]), "little")))
+        return True
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,18 @@
 Every check reduces to linear algebra over Q(zeta_L): spans and kernels of
 the evaluation map are ranks of truncated q-expansions, and the degreewise
 dimension of a relation ideal comes from a Gröbner basis.  Each rank has a
-known upper bound, and a rank modulo a prime that reaches the bound proves
-it (``certified_rank``); only where no prime does is the rank computed by
-exact elimination.
+known upper bound, and a rank modulo a prime equal to the bound proves it
+(``certified_rank``); at every other weight, whether the rank mod p falls
+short of the bound or exceeds it, the rank is computed by exact
+elimination, so a failing report carries exact ranks.
 Each check runs at the one precision of its plan (``check_plan``), GUARD
 coefficients past the largest Sturm cutoff of its weights.  Span and kernel
 checks climb their weights on one ``CaseRunner``, built for that precision
-and the plan's rank width, and at each weight rank mod p only the border
-of the basis proved below (``CaseRunner.border``): the monomials all of
-whose divisors by one generator were proved pivots.  Those rows are
+and the plan's rank width, whose ``Filtration`` ranks every monomial of
+each weight mod p: it divides them by a power of one generator g that is a
+unit mod p, which puts each weight's quotients in one growing echelon basis
+per residue class of weights mod the weight of g, so that a weight only
+inserts its new g-free rows.  Those rows are
 truncated to the width (``Plan.width``): the largest Sturm cutoff or
 dimension over the check's own weights, not its guarded precision, since
 truncation only lowers a rank and a rank mod p that reaches dim M_k proves
@@ -30,11 +33,14 @@ from __future__ import annotations
 
 import json
 import time
+from functools import cached_property
+from itertools import repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import groebner, modp
 from .catalog import Case, Catalog
-from .cyclo import FieldCtx
+from .cyclo import CycloNum, fold_buckets, multiplication_matrix
 from .errors import OutOfTable, PrecisionTooLow, UnknownIdentity
 from .exprs import atoms, parse_expr
 from .hilbert import HilbertSeries, dim_mismatches, monomial_quotient
@@ -100,48 +106,127 @@ def weighted_monomials(weights2, k2: int) -> list[tuple[int, ...]]:
 def row_echelon_rank(rows) -> int:
     """Rank of QSeries rows of one precision by exact elimination, pivot on the
     leftmost nonzero coefficient, stopped at prec pivots, its upper bound: no
-    row after them is read.  Each pivot row was reduced by every earlier one
-    and scaled to lead 1 when stored, so reducing by the pivots in insertion
-    order clears all their columns."""
-    pivots: list[tuple[int, QSeries]] = []
+    row after them is read.
+
+    A pivot is kept as the integer coordinates of its row scaled to lead 1
+    over their denominator D, so its lead coefficient is the integer D.  A
+    row is reduced on its integer coordinates alone: D times the row minus
+    its coefficient c at the pivot's column times the pivot clears that
+    column with no division and no gcd, and only a row that becomes a pivot
+    is normalised, once, as one QSeries.  Each pivot was reduced by every
+    earlier one, so reducing by the pivots in insertion order clears all
+    their columns."""
+    pivots: list[tuple[int, int, tuple[int, ...]]] = []  # (lead coordinate, D, coordinates)
     for row in rows:
-        for col, prow in pivots:
-            c = row.coefficient(col)
-            if not c.is_zero():
-                row = row - prow.scale(c)
-        lead = row.vanishing_order()
+        ctx, d, nums = row.ctx, row.ctx.degree, list(row.nums)
+        for at, den, pnums in pivots:
+            c = nums[at:at + d]
+            if any(c):
+                times_c = fold_buckets(pnums, multiplication_matrix(CycloNum(ctx, c))[1], d)
+                nums = list(map(sub, map(mul, nums, repeat(den)), times_c))
+        lead = next((k for k, x in enumerate(nums) if x), None)
         if lead is not None:
-            pivots.append((lead, row.scale(row.coefficient(lead).invert())))
+            at = lead - lead % d
+            inv_den, inv_rows = multiplication_matrix(CycloNum(ctx, nums[at:at + d]).invert())
+            pivot = QSeries(ctx, fold_buckets(nums, inv_rows, d), inv_den)
+            pivots.append((at, pivot.den, pivot.nums))
             if len(pivots) == row.prec:
                 break
     return len(pivots)
 
 
-def certified_rank(ctx: FieldCtx, bound: int, width: int, reduced_rows,
-                   exact_rows) -> tuple[int, list[int] | None]:
-    """The rank of a matrix over Q(zeta_L) with width columns that is known
-    to be at most bound, and the indices of the rows that proved it.
+def certified_rank(bound: int, rank_mod_p: int | None, exact_rows) -> int:
+    """The rank of a matrix over Q(zeta_L) known to be at most bound, given
+    its rank under a reduction mod p, or None where no reduction applies.
 
-    ``reduced_rows(red)`` gives the matrix under the one reduction of its
-    width, one packed int per row (see ``modp``), and ``exact_rows()`` the
-    matrix itself, QSeries rows that ``row_echelon_rank`` reads only up to
-    its last pivot.  Reduction is a ring map on p-integral entries, so
-    rank_p <= rank <= bound, and rank_p == bound proves rank == bound; the
-    rank mod p stops at the bound and hands back its pivot rows, which are
-    independent.  Where the rank mod p falls short, a denominator is
-    divisible by p, or no prime fits the width, the rank is computed by
-    exact elimination and no rows are handed back, so a check that fails
-    reports the exact rank.
+    Reduction is a ring map on p-integral entries, so rank_p <= rank <=
+    bound, and rank_p == bound proves rank == bound.  Anywhere else, where
+    the rank mod p falls short of the bound, exceeds it (the bound is
+    wrong) or is None, ``exact_rows()`` gives the matrix, QSeries rows that
+    ``row_echelon_rank`` reads only up to its last pivot, so a check that
+    fails reports the exact rank.
     """
-    red = modp.reduction(ctx, width)
-    if red is not None:
-        try:
-            pivots = red.rank(reduced_rows(red), bound)
-        except ZeroDivisionError:  # an entry is not p-integral
-            pivots = None
-        if pivots is not None and len(pivots) == bound:
-            return bound, pivots
-    return row_echelon_rank(exact_rows()), None
+    if rank_mod_p == bound:
+        return bound
+    return row_echelon_rank(exact_rows())
+
+
+class Filtration:
+    """Ranks mod p, at doubled weight after doubled weight from 0, of every
+    monomial in packed generator rows, along the multiplication filtration
+    of a unit generator.
+
+    g is the first generator whose row has a nonzero constant term, and w its
+    doubled weight.  g is a unit mod (p, q^n), so the weight-k2 monomials
+    divided by g^j, j = k2 // w, have the rank of the monomials themselves,
+    and those of weight k2 - w are among them (each times g).  So one echelon
+    basis per class of k2 mod w grows weight by weight, and after the
+    monomials free of g of weight k2 its size is the rank mod p of every
+    monomial of weight k2: no rank stops at a bound.  This is the device of
+    Victor Miller's triangular bases (Stein, *Modular Forms: A Computational
+    Approach*, AMS GSM 79, ch. 2).  With no unit generator every weight gets
+    a fresh basis of its own over all the generators, with no division.
+
+    The g-free monomials of weight k2 are offered in ascending lexicographic
+    order, and only those whose quotient by each generator x_i they contain
+    was inserted, that is raised its basis, at weight k2 - w_i
+    (``groebner.border``).  That misses no monomial that would raise the
+    basis: if b was not inserted, g^-j' b lies in the basis of weight
+    k2 - w_i - w and the lexicographically smaller g-free monomials of its
+    weight, and multiplying by x_i g^-e, e = k2 // w - (k2 - w_i) // w,
+    puts g^-j x_i b in the basis of weight k2 - w and the smaller g-free
+    monomials of weight k2.  So the row of x_i b is one product, the row of
+    b times x_i g^-e, which takes one of two values per generator, and only
+    one where w divides w_i.
+    """
+
+    def __init__(self, red: modp.Reduction, rows: list[int], weights2: tuple[int, ...]):
+        self.red = red
+        self.unit = next((i for i, row in enumerate(rows) if row & modp.SLOT), None)
+        free = [i for i in range(len(rows)) if i != self.unit]
+        self.weights2 = tuple(weights2[i] for i in free)  # of the g-free generators
+        self.step = None if self.unit is None else weights2[self.unit]
+        inv = None if self.unit is None else red.inverse(rows[self.unit])
+        # per g-free generator x_i: x_i g^-e for e = w_i // w, and for one more,
+        # which a weight needs only where w does not divide w_i
+        self.factors = []
+        for i in free:
+            row = rows[i]
+            if inv is None:
+                self.factors.append((row,))
+                continue
+            for _ in range(weights2[i] // self.step):
+                row = red.mul(row, inv)
+            self.factors.append((row, red.mul(row, inv)) if weights2[i] % self.step else (row,))
+        self.chains: dict[int, modp.Echelon] = {}  # k2 mod w (k2 itself with no unit) -> basis
+        self.inserted: list[list[tuple[int, ...]]] = []  # per weight: g-free monomials inserted
+        self.vectors: dict[tuple[int, ...], int] = {}  # inserted monomial -> its row over g^j
+        self.ranks: list[int] = []  # per weight: the rank mod p of every monomial
+
+    def rank(self, k2: int) -> int:
+        """The rank mod p of every monomial of doubled weight k2."""
+        while len(self.ranks) <= k2:
+            self._insert(len(self.ranks))
+        return self.ranks[k2]
+
+    def _insert(self, k2: int) -> None:
+        """Offer the basis of k2's class the candidates of doubled weight k2,
+        once every weight below is done."""
+        red, w, vectors = self.red, self.step, self.vectors
+        chain = self.chains.setdefault(k2 if w is None else k2 % w, modp.Echelon(red))
+        inserted: list[tuple[int, ...]] = []
+        for m, i, b in groebner.border(self.weights2, self.inserted.__getitem__, k2):
+            if i is None:  # the monomial 1
+                row = 1
+            else:
+                w2 = self.weights2[i]
+                extra = 0 if w is None else k2 // w - (k2 - w2) // w - w2 // w  # e - w2 // w
+                row = red.mul(self.factors[i][extra], vectors[b])
+            if chain.insert(row):
+                inserted.append(m)
+                vectors[m] = row
+        self.inserted.append(inserted)
+        self.ranks.append(len(chain))
 
 
 class CaseRunner:
@@ -160,12 +245,6 @@ class CaseRunner:
         self.prec = prec
         self.width = width
         self._monomials: dict = {}
-        # the monomial x_i of each generator, as an exponent vector
-        self._units = tuple(tuple(int(j == i) for j in range(len(self.gens)))
-                            for i in range(len(self.gens)))
-        # exps -> monomial_series(exps, width) under the reduction of the width, packed
-        self._reduced: dict = {}
-        self._bases: dict = {}  # k2 -> basis proved by span_rank, or None
 
     def sturm2(self, w2: int) -> int:
         return self.catalog.sturm2(self.case.group, w2)
@@ -186,88 +265,39 @@ class CaseRunner:
         self._monomials[exps] = out
         return out
 
-    def reduced_monomial(self, exps: tuple[int, ...]) -> int:
-        """monomial_series(exps, width) under the reduction of the width,
-        packed, built from the reduced generator series by products mod p:
-        the first generator in exps times the rest.  A generator series is
-        evaluated at the check's precision, and its first width coefficients
-        are reduced."""
-        out = self._reduced.get(exps)
-        if out is not None:
-            return out
-        if not any(exps):
-            out = 1
-        else:
-            red = modp.reduction(self.evaluator.ctx, self.width)
-            i = next(j for j, e in enumerate(exps) if e)
-            rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            if any(rest):
-                out = red.mul(self.reduced_monomial(self._units[i]), self.reduced_monomial(rest))
-            else:
-                out = red.series(self.gen_series(i, self.prec))
-        self._reduced[exps] = out
-        return out
-
-    def border(self, k2: int) -> list[tuple]:
-        """The rows span_rank ranks mod p at doubled weight k2, in ascending
-        lexicographic order: the monomials m with m / g_i in the basis proved
-        at k2 - w_i for every generator g_i dividing m, where every monomial
-        of a weight that was not proved counts; each as (m, i, m / g_i) for
-        the first generator g_i in m (``groebner.border``)."""
-        def lower(j2: int) -> list[tuple[int, ...]]:
-            basis = self._bases.get(j2)
-            return weighted_monomials(self.weights2, j2) if basis is None else basis
-
-        return groebner.border(self.weights2, lower, k2)
+    @cached_property
+    def filtration(self) -> Filtration | None:
+        """The ranks mod p of the runner's monomials at its width, from the
+        first width coefficients of each generator series reduced once; None
+        where no prime fits the width or a generator is not p-integral."""
+        red = modp.reduction(self.evaluator.ctx, self.width)
+        if red is None:
+            return None
+        try:
+            rows = [red.series(self.gen_series(i, self.prec)) for i in range(len(self.gens))]
+        except ZeroDivisionError:
+            return None
+        return Filtration(red, rows, self.weights2)
 
     def span_rank(self, k2: int, dim: int) -> int:
         """Rank of the weight-k2 monomials truncated to the runner's prec
         coefficients.
 
         They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it.  Mod p the rows are truncated further, to their first
-        width coefficients, and only the border rows are ranked.  Each is a
-        weight-k2 monomial, so a rank mod p equal to dim proves the rank of
-        all of them, and the pivots become the basis at k2 that the weights
-        above build on.  Multiplying by a generator keeps a series in the
-        kernel of truncation mod p, so the pivots in ascending lexicographic
-        order are closed under division and the border holds every one of
-        them: it reaches the rank mod p of all monomials.  Where that falls
-        short of dim, all monomials are ranked by exact elimination at prec.
-
-        A row of degree two or more is one product mod p: its first
-        generator's row times the row of its cofactor, a pivot proved below.
-        Where the weight below was not proved, the cofactor's row may never
-        have been built, and ``reduced_monomial`` builds the row; it also
-        builds the rows of 1 and of the generators, which are no products.
-        Rows after the last pivot are never built.
+        bounds it.  The runner's ``Filtration`` gives the rank mod p of all
+        of them, truncated further to their first width coefficients; if it
+        equals dim it proves the rank, and otherwise all of them are ranked
+        by exact elimination at prec (``certified_rank``).
         """
         prec, width, bound = self.prec, self.width, self.sturm2(k2)
         if prec < bound:
             raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
         if width > prec:  # the rows' products would read coefficients never computed
             raise ValueError(f"rank width {width} exceeds the precision {prec}")
-        rows = self.border(k2)
-
-        def reduced_rows(red):
-            packed = self._reduced
-            for m, i, b in rows:
-                rest = packed.get(b) if sum(m) > 1 else None
-                if rest is None:
-                    yield self.reduced_monomial(m)
-                    continue
-                gen = packed.get(self._units[i])
-                if gen is None:
-                    gen = self.reduced_monomial(self._units[i])
-                packed[m] = row = red.mul(gen, rest)
-                yield row
-
-        rank, pivots = certified_rank(
-            self.evaluator.ctx, dim, width, reduced_rows,
-            lambda: (self.monomial_series(e, prec)
-                     for e in weighted_monomials(self.weights2, k2)))
-        self._bases[k2] = None if pivots is None else [rows[j][0] for j in pivots]
-        return rank
+        filtration = self.filtration
+        return certified_rank(
+            dim, None if filtration is None else filtration.rank(k2),
+            lambda: (self.monomial_series(e, prec) for e in weighted_monomials(self.weights2, k2)))
 
     def relation_terms(self, rel) -> dict:
         """The relation as {exponent vector over gens then aux: CycloNum}."""

@@ -191,6 +191,25 @@ def test_span_generators_without_a_top_weight_are_refused():
     assert verify.check_plan(Catalog(raw), "span", "7").skip == "no spanning generator set"
 
 
+@pytest.mark.parametrize("label, key, value, message", [
+    ("11full", "span_kmax2", 40, "span_kmax2 without span_gens"),
+    ("8", "kernel_kmax2", 12, "kernel_kmax2 without a presentation"),
+])
+def test_a_top_weight_that_no_check_reads_is_refused_naming_the_case(label, key, value, message):
+    """A span_kmax2 on a case without span_gens, or a kernel_kmax2 on one
+    without a presentation, schedules no check, so the catalog would ship a
+    weight nothing reads; each is a CatalogError on load (exit 3)."""
+    raw = _shipped_raw()
+    case = next(c for c in raw["cases"] if c["label"] == label)
+    case[key] = value
+    with pytest.raises(CatalogError, match=f"^case {label}: {message}$"):
+        Catalog(raw)
+    # no shipped case carries either
+    for c in _shipped_raw()["cases"]:
+        assert ("span_kmax2" in c) == ("span_gens" in c), c["label"]
+        assert "kernel_kmax2" not in c or "presentation" in c, c["label"]
+
+
 def _least_conductor(forms: dict, exprs_: list[str], polys: list[str] = ()) -> int:
     """The lcm of the conductors of the catalog forms the expressions name, of
     the root-of-unity orders of their constructors and of the z<n> in their

@@ -387,6 +387,15 @@ def _quasi_modular_form_as_a_generator(raw):
     return json.dumps(raw)
 
 
+def _top_weight_no_check_reads(raw, label: str, key: str):
+    """A top weight on a case that has no check to read it: a span_kmax2
+    without span_gens, or a kernel_kmax2 without a presentation."""
+    case = next(c for c in raw["cases"] if c["label"] == label)
+    assert key not in case and ("span_gens" if key == "span_kmax2" else "presentation") not in case
+    case[key] = 40 if key == "span_kmax2" else 12
+    return json.dumps(raw)
+
+
 def _form_above_the_weight_ceiling(raw):
     raw["forms"].append({"name": "heavy", "w2": 2000, "L": 1, "expr": "E1000", "group": "g1"})
     return json.dumps(raw)
@@ -402,8 +411,11 @@ def _form_above_the_weight_ceiling(raw):
     _case_repeated(json.loads(json.dumps(SHIPPED))),
     _case_with_its_own_dimension_rows(json.loads(json.dumps(SHIPPED))),
     _quasi_modular_form_as_a_generator(json.loads(json.dumps(SHIPPED))),
+    _top_weight_no_check_reads(json.loads(json.dumps(SHIPPED)), "11full", "span_kmax2"),
+    _top_weight_no_check_reads(json.loads(json.dumps(SHIPPED)), "8", "kernel_kmax2"),
 ], ids=["missing", "truncated", "list", "no-group", "self-named-weight", "heavy-form",
-        "repeated-case", "case-dim", "e2-in-form"])
+        "repeated-case", "case-dim", "e2-in-form", "span-top-without-gens",
+        "kernel-top-without-presentation"])
 def test_bad_catalog_exits_3_without_traceback(tmp_path, capsys, content):
     path = tmp_path / "catalog.json"
     if content is not None:

@@ -138,9 +138,10 @@ def _assert_first_factors(weights2, lower, k2: int, entries) -> None:
 
 
 def test_each_border_monomial_comes_with_its_first_factor():
-    """At every weight of every span and kernel check at its shipped
-    precision, each border entry (m, i, b) has i the first nonzero index of
-    m and b = m / x_i in the basis proved one generator weight down."""
+    """At every weight from 0 to the top of every span and kernel check at
+    its shipped precision, each candidate (m, i, b) its filtration takes
+    from the border has i the first nonzero index of m and b = m / x_i
+    inserted one generator weight down."""
     checked = 0
     for check in ("span", "kernel"):
         for label in sorted(CAT.cases):
@@ -148,16 +149,15 @@ def test_each_border_monomial_comes_with_its_first_factor():
             if plan.skip:
                 continue
             runner = CaseRunner(CAT, CAT.cases[label], check == "kernel", plan.prec, plan.width)
-
-            def lower(j2: int):
-                basis = runner._bases.get(j2)
-                return weighted_monomials(runner.weights2, j2) if basis is None else basis
-
-            for j2, dim in zip(plan.weights2, plan.dims):
-                _assert_first_factors(runner.weights2, lower, j2, runner.border(j2))
-                assert runner.span_rank(j2, dim) == dim
+            filt = runner.filtration
+            for j2 in range(plan.k_range[1] + 1):
+                filt.rank(j2)
+                entries = groebner.border(filt.weights2, filt.inserted.__getitem__, j2)
+                _assert_first_factors(filt.weights2, filt.inserted.__getitem__, j2, entries)
                 checked += 1
-    assert checked == 249
+            for j2, dim in zip(plan.weights2, plan.dims):
+                assert runner.span_rank(j2, dim) == dim
+    assert checked == 469
 
 
 def _kernel_leads(runner, top2: int):
@@ -173,9 +173,10 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
     counts from the Hilbert series of the polynomial ring are the numbers of
     monomials, the standard monomial counts from the Hilbert series of the
     leading monomials are the numbers of standard monomials, and at each
-    weight of the check the border rows of its span rank that no leading
-    monomial divides are the standard monomials that enumerating and
-    filtering every monomial gives, in the same order."""
+    weight of the check the rank mod p of its filtration is the number of
+    standard monomials that enumerating and filtering every monomial gives:
+    the ideal is the kernel, so the standard monomials are a basis of the
+    image."""
     checked = []
     for label in sorted(CAT.cases):
         plan = check_plan(CAT, "kernel", label, 24)
@@ -190,9 +191,8 @@ def test_counts_and_standard_monomials_of_every_kernel_case_equal_the_enumeratio
             assert quotient[j2] == len(_enumerated_standard(runner.weights2, leads, j2))
         for j2, dim in zip(plan.weights2, plan.dims):
             assert runner.span_rank(j2, dim) == dim
-            rows = [m for m, _, _ in runner.border(j2)]
-            standard = [m for m in rows if not any(all(map(le, a, m)) for a in leads)]
-            assert standard == _enumerated_standard(runner.weights2, leads, j2), (label, j2)
+            standard = _enumerated_standard(runner.weights2, leads, j2)
+            assert runner.filtration.rank(j2) == len(standard) == dim, (label, j2)
         checked.append(label)
     assert len(checked) >= 8 and "half12" in checked
 

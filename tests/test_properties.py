@@ -16,7 +16,15 @@ from mfring.catalog import load_catalog
 from mfring.characters import named_character, units
 from mfring.cyclo import cyclo_context, root_of_unity
 from mfring.qseries import QSeries
-from mfring.verify import GUARD, CaseRunner, dim_or_none, row_echelon_rank, weighted_monomials
+from mfring.verify import (
+    GUARD,
+    CaseRunner,
+    Filtration,
+    check_plan,
+    dim_or_none,
+    row_echelon_rank,
+    weighted_monomials,
+)
 
 from _series import conj, series_of
 
@@ -255,7 +263,9 @@ def test_packed_rank_full_slots():
         in_span = [p - 1] * (n - 1) + [(1 - n) % p]  # ends at 0
         for extra, want in ((full, n - int(n == 2)), (in_span, n - 1)):
             rows = pivots + [extra]
-            assert len(red.rank(map(modp.pack, rows), len(rows))) == want, (n, p)
+            basis = modp.Echelon(red)
+            assert [basis.insert(modp.pack(r)) for r in rows] == [True] * (n - 1) + [want == n]
+            assert len(basis) == want, (n, p)
             if n <= 64:
                 assert list_rank(rows, p) == want
 
@@ -275,24 +285,124 @@ def test_packed_rank_equals_list_elimination(L, nrows, n, inner, data):
     rows += data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, p - 1]), min_size=n, max_size=n),
                                max_size=3))
     rank = list_rank(rows, p)
-    assert len(red.rank([modp.pack(r) for r in rows], len(rows))) == rank
-    # stopped at a bound: min(rank, bound) pivots, each the first row independent of
-    # the rows before it, so the pivot rows are independent mod p
-    bound = data.draw(st.integers(0, len(rows) + 1))
-    pivots = red.rank([modp.pack(r) for r in rows], bound)
-    assert len(pivots) == min(rank, bound)
-    assert list_rank([rows[i] for i in pivots], p) == len(pivots)
-    rising = [i for i in range(len(rows)) if list_rank(rows[:i + 1], p) > list_rank(rows[:i], p)]
-    assert pivots == rising[:bound]
-    # elimination reads no row after the pivot that reaches the bound
-    read = []
-    red.rank((read.append(i) or modp.pack(r) for i, r in enumerate(rows)), bound)
-    if bound == 0:
-        assert read == []
-    elif len(pivots) == bound:
-        assert read == list(range(pivots[-1] + 1))
+    # grown one row at a time and never stopped: a row is inserted exactly when
+    # it raises the rank of the rows before it, and the length is the rank so far
+    basis = modp.Echelon(red)
+    for i, r in enumerate(rows):
+        assert basis.insert(modp.pack(r)) == (list_rank(rows[:i + 1], p) > list_rank(rows[:i], p))
+        assert len(basis) == list_rank(rows[:i + 1], p)
+    assert len(basis) == rank
+    # the inserted rows are independent mod p, and inserting any row again adds nothing
+    kept = [r for i, r in enumerate(rows) if list_rank(rows[:i + 1], p) > list_rank(rows[:i], p)]
+    assert list_rank(kept, p) == len(kept) == rank
+    assert not any(basis.insert(modp.pack(r)) for r in rows) and len(basis) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), st.integers(1, 40), st.data())
+def test_packed_inverse_is_the_power_series_inverse(L, n, data):
+    """The inverse mod (p, q^n) of a packed row with a nonzero constant term
+    times the row is 1, by the packed product and by the schoolbook one: it
+    is the one inverse of the truncated series."""
+    red = modp.reduction(cyclo_context(L), n)
+    p = red.p
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    a = [data.draw(st.integers(1, p - 1))] + data.draw(st.lists(entry, min_size=n - 1,
+                                                                max_size=n - 1))
+    inv = red.inverse(modp.pack(a))
+    assert red.mul(modp.pack(a), inv) == 1
+    assert schoolbook_mul_mod(a, list(unpack(inv, n)), p) == [1] + [0] * (n - 1)
+
+
+def monomial_ranks(rows, weights2, k2s, p):
+    """The rank over F_p of the truncated products of the generator rows
+    (lists of residues) over every monomial of each doubled weight in k2s, by
+    schoolbook products and list elimination; oracle for the filtration."""
+    n, out = len(rows[0]), []
+    for k2 in k2s:
+        products = []
+        for m in weighted_monomials(weights2, k2):
+            row = [1] + [0] * (n - 1)
+            for i, e in enumerate(m):
+                for _ in range(e):
+                    row = schoolbook_mul_mod(row, rows[i], p)
+            products.append(row)
+        out.append(list_rank(products, p))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODP_CONDUCTORS), st.integers(1, 12), st.integers(1, 5),
+       st.sampled_from(["first", "later", "none"]), st.integers(0, 2), st.integers(0, 10),
+       st.data())
+def test_each_filtration_rank_is_the_rank_of_every_monomial(L, n, ngens, unit, start, top, data):
+    """The filtration's rank at each weight equals the rank mod p of every
+    monomial's packed row, for generator rows with relations among their
+    monomials: a generator may be a product of two earlier ones, of the sum
+    of their weights, a multiple of an earlier one, or a power of q.  The
+    draws have a unit generator first, one behind generators of zero or
+    random constant term (so that the first unit may come earlier), or none,
+    where each weight gets a basis of its own.  The first rank asked for may
+    be above weight 0, as a kernel check's first weight is the lattice step;
+    the weights below are processed all the same."""
+    red = modp.reduction(cyclo_context(L), n)
+    p = red.p
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 0, 1, p - 1]))
+    rows, weights2 = [], []
+    for i in range(ngens):
+        kind = data.draw(st.sampled_from(["random", "product", "multiple", "power"] if i else
+                                         ["random", "power"]))
+        if kind == "product":
+            a, b = data.draw(st.integers(0, i - 1)), data.draw(st.integers(0, i - 1))
+            rows.append(schoolbook_mul_mod(rows[a], rows[b], p))
+            weights2.append(weights2[a] + weights2[b])
+            continue
+        if kind == "multiple":
+            a = data.draw(st.integers(0, i - 1))
+            c = data.draw(st.integers(1, p - 1))
+            rows.append([c * x % p for x in rows[a]])
+            weights2.append(weights2[a])
+            continue
+        if kind == "power":
+            rows.append([int(j == data.draw(st.integers(0, n))) for j in range(n)])
+        else:
+            rows.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        weights2.append(data.draw(st.integers(1, 4)))
+    at = 0 if unit == "first" else data.draw(st.integers(0, ngens - 1))
+    for i, row in enumerate(rows):
+        if unit == "none" or (unit == "later" and i < at and data.draw(st.booleans())):
+            row[0] = 0
+        elif i == at:
+            row[0] = data.draw(st.integers(1, p - 1))
+    filtration = Filtration(red, [modp.pack(r) for r in rows], tuple(weights2))
+    first = next((i for i, r in enumerate(rows) if r[0]), None)
+    assert filtration.unit == first
+    k2s = range(start, start + top + 1)
+    assert [filtration.rank(k2) for k2 in k2s] == monomial_ranks(rows, weights2, k2s, p)
+    assert len(filtration.ranks) == k2s[-1] + 1
+    if first is None:  # a fresh basis per weight
+        assert sorted(filtration.chains) == list(range(k2s[-1] + 1))
     else:
-        assert read == list(range(len(rows)))
+        assert sorted(filtration.chains) == list(range(min(weights2[first], k2s[-1] + 1)))
+
+
+_KERNELS = [label for label in sorted(CAT.cases) if not check_plan(CAT, "kernel", label).skip]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_KERNELS), st.integers(2, 8))
+def test_a_kernel_filtration_ranks_every_monomial_from_the_lattice_step(label, kmax2):
+    """A kernel check asks for its first rank at the lattice step, not at 0;
+    at each of its weights its filtration's rank equals the rank mod p of
+    every monomial of the presentation's generators at the plan's width."""
+    plan = check_plan(CAT, "kernel", label, kmax2)
+    runner = CaseRunner(CAT, CAT.cases[label], True, plan.prec, plan.width)
+    red = runner.filtration.red
+    rows = [list(unpack(red.series(runner.gen_series(i, plan.prec)), plan.width))
+            for i in range(len(runner.gens))]
+    assert plan.weights2[0] in (1, 2)
+    assert [runner.filtration.rank(j2) for j2 in plan.weights2] == \
+        monomial_ranks(rows, runner.weights2, plan.weights2, red.p) == list(plan.dims)
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,7 +444,7 @@ def test_packed_ops_refuse_a_prime_at_the_ceiling():
         row = modp.pack([1] * n)
         red = modp.reduction(cyclo_context(1), n)
         below = modp.Reduction(red.p, n, red.powers)
-        assert below.rank([row], 1) == [0]
+        assert modp.Echelon(below).insert(row)
         assert unpack(below.mul(row, 1), n) == (1,) * n
         for p in (ceiling, ceiling + 1):
             with pytest.raises(ValueError, match="not below"):

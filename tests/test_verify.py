@@ -76,31 +76,73 @@ def _count_bases(monkeypatch) -> list:
 
 
 def _count_rank_paths(monkeypatch) -> list:
-    """Record (bound, width, ranks mod p, exact eliminations, rows read mod p)
-    for every certified rank from now on."""
-    paths, mod_p, read = [], [], []
+    """Record (bound, rank mod p, exact eliminations) for every certified rank
+    from now on."""
+    paths = []
     exact = _count_exact_ranks(monkeypatch)
-    rank_mod_p, certified = modp.Reduction.rank, verify.certified_rank
+    certified = verify.certified_rank
 
-    def counted(red, rows, bound):
-        mod_p.append(red.p)
-
-        def tally():
-            for row in rows:
-                read.append(row)
-                yield row
-        return rank_mod_p(red, tally(), bound)
-
-    def recorded(ctx, bound, width, reduced_rows, exact_rows):
-        before = len(mod_p), len(exact), len(read)
-        out = certified(ctx, bound, width, reduced_rows, exact_rows)
-        paths.append((bound, width, len(mod_p) - before[0], len(exact) - before[1],
-                      len(read) - before[2]))
+    def recorded(bound, rank_mod_p, exact_rows):
+        before = len(exact)
+        out = certified(bound, rank_mod_p, exact_rows)
+        paths.append((bound, rank_mod_p, len(exact) - before))
         return out
 
-    monkeypatch.setattr(modp.Reduction, "rank", counted)
     monkeypatch.setattr(verify, "certified_rank", recorded)
     return paths
+
+
+def _count_offered(monkeypatch) -> list:
+    """Record (basis, row, whether it was inserted) for every row offered to
+    an echelon basis mod p from now on."""
+    offered = []
+    insert = modp.Echelon.insert
+
+    def recorded(basis, row):
+        offered.append((basis, row, insert(basis, row)))
+        return offered[-1][2]
+
+    monkeypatch.setattr(modp.Echelon, "insert", recorded)
+    return offered
+
+
+def _count_filtrations(monkeypatch) -> list:
+    """Record every Filtration built from now on."""
+    built = []
+    init = verify.Filtration.__init__
+
+    def recorded(filtration, red, rows, weights2):
+        init(filtration, red, rows, weights2)
+        built.append(filtration)
+
+    monkeypatch.setattr(verify.Filtration, "__init__", recorded)
+    return built
+
+
+def _count_reduced_series(monkeypatch) -> list:
+    """Record the width of every series reduced mod p from now on."""
+    widths = []
+    series = modp.Reduction.series
+
+    def recorded(red, f):
+        widths.append(red.n)
+        return series(red, f)
+
+    monkeypatch.setattr(modp.Reduction, "series", recorded)
+    return widths
+
+
+def _full(filtration, m: tuple[int, ...]) -> tuple[int, ...]:
+    """A monomial in the g-free generators of a filtration, over all the
+    generators: exponent 0 at the unit generator g."""
+    g = filtration.unit
+    return m if g is None else m[:g] + (0,) + m[g:]
+
+
+def _candidates(filtration, k2: int) -> list[tuple]:
+    """The candidates (m, i, b) a filtration offers at doubled weight k2, once
+    the weights below are processed: the same call as its own."""
+    return groebner.border(filtration.weights2, filtration.inserted.__getitem__, k2)
 
 
 def test_weighted_monomial_counts():
@@ -286,11 +328,12 @@ def test_verify_kernel_fails_on_a_nonvanishing_relation(monkeypatch):
     assert report.details["first_failure"] == {"relation_nonzero": "O7"}
     # the ideal no longer lies in the kernel, but its exact basis still gives its
     # dimension at every weight: one basis is built, each span rank is decided by
-    # its one rank mod p on the border, and nothing is eliminated exactly
+    # the rank mod p of the check's one filtration, equal to dim, and nothing is
+    # eliminated exactly
     weights2 = report.details["weights2"]
     assert weights2 == [2, 4, 6, 8]
     assert len(built) == 1
-    assert [path[2:4] for path in paths] == [(1, 0)] * len(weights2)
+    assert [(rank_mod_p == bound, n) for bound, rank_mod_p, n in paths] == [(True, 0)] * 4
     assert exact == []
     assert report.details["ideal_dims"] == [0, 1, 3, 6]
     assert report.details["kernel_dims"][:2] == [0, 1]
@@ -335,34 +378,32 @@ def test_a_dimension_one_too_high_fails_with_the_exact_rank(monkeypatch):
 
 
 def test_a_dimension_wrong_at_one_weight_reports_the_exact_rank_at_every_weight(monkeypatch):
-    """Only the doctored weight falls back to exact elimination; the border above
-    it is built from every monomial of that weight, and the weights above are
-    proved mod p again."""
+    """Only the doctored weight falls back to exact elimination.  The
+    filtration does not read the dimensions, so it offers and inserts the
+    rows it does with the shipped catalog, and the weights above are proved
+    mod p as before."""
     cat = _dim_one_too_high(_shipped(), "12", 4, only=True)
     paths = _count_rank_paths(monkeypatch)
+    built = _count_filtrations(monkeypatch)
     span = verify_span(cat, "12")
     weights2, prec = span.details["weights2"], span.precision
     width = check_plan(cat, "span", "12").width
-    assert {path[1] for path in paths} == {width}
+    assert [f.red.n for f in built] == [width]
     assert span.status == "fail"
     assert span.details["first_failure"] == {"j2": 4, "rank": 9, "dim": 10}
     assert [d for j2, d, r in zip(weights2, span.details["dims"], span.details["ranks"])
             if d != r] == [10]
-    assert [path[2:4] for path in paths] == [(1, 1) if j2 == 4 else (1, 0) for j2 in weights2]
+    # the doctored weight's rank mod p is the true dimension, one below the bound
+    assert paths == [(dim, 9, 1) if j2 == 4 else (dim, dim, 0)
+                     for j2, dim in zip(weights2, span.details["dims"])]
     runner = CaseRunner(cat, cat.cases["12"], prec=prec, width=width)
     assert span.details["ranks"] == [
         row_echelon_rank(runner.monomial_series(e, prec)
                          for e in weighted_monomials(runner.weights2, j2))
         for j2 in weights2]
-    for j2, dim in zip(weights2, span.details["dims"]):
-        runner.span_rank(j2, dim)
-    assert _monomials(runner.border(6)) == sorted(weighted_monomials(runner.weights2, 6))
-    assert len(runner.border(8)) < len(weighted_monomials(runner.weights2, 8))
-
-
-def _monomials(entries) -> list[tuple[int, ...]]:
-    """The monomials of a border, without their factors."""
-    return [m for m, _, _ in entries]
+    shipped = verify_span(CAT, "12")
+    assert shipped.status == "pass" and len(built) == 2
+    assert built[0].inserted == built[1].inserted and built[0].ranks == built[1].ranks
 
 
 def _divided(m: tuple[int, ...]):
@@ -373,82 +414,134 @@ def _divided(m: tuple[int, ...]):
 @pytest.mark.parametrize("label, kmax2", [("3", 24), ("11h3", 16), ("12", 12), ("13h3", 8),
                                           ("25h6", 10), ("half12", 12)])
 def test_ladder_rows_are_distinct_monomials_from_the_bases_below(label, kmax2):
-    """The border at each weight is part of the ladder, the rows g_i * b for
-    b in the basis proved one generator weight down: its rows are distinct
-    monomials of that weight, no more than the bases below hold, their rank
-    reaches dim, and the pivots lie among them and are closed under
-    division: a pivot over a generator it contains is a pivot one generator
-    weight down."""
+    """Every weight from 0 to the top is processed.  Its candidates are part
+    of the ladder, the rows x_i * b for a generator x_i other than the unit
+    g and b inserted one generator weight down: distinct g-free monomials of
+    that weight in ascending lexicographic order, no more than the rows
+    inserted below, and exactly those whose every quotient by a generator
+    was inserted.  The rows inserted lie among them, in order, and are
+    closed under division; there is one basis per residue class mod the
+    weight of g, and its size, the rows inserted in its class so far, is
+    the rank that reaches dim."""
     plan = check_plan(CAT, "span", label, kmax2)
     runner = _runner(label, plan.prec, plan.width)
     dims = dict(zip(plan.weights2, plan.dims))
-    for j2, dim in dims.items():
-        rows = _monomials(runner.border(j2))
-        assert len(set(rows)) == len(rows)
-        assert set(rows) <= set(weighted_monomials(runner.weights2, j2))
-        lower = [j2 - w2 for w2 in runner.weights2 if w2 <= j2]
-        if j2 and all(j in dims for j in lower):  # every weight below was proved
-            bases = {w2: set(runner._bases[j2 - w2])
-                     for w2 in runner.weights2 if w2 <= j2}
-            ladder = {b[:i] + (b[i] + 1,) + b[i + 1:]
-                      for i, w2 in enumerate(runner.weights2) if w2 <= j2 for b in bases[w2]}
-            assert len(ladder) <= sum(dims[j] for j in lower)
-            assert set(rows) == {m for m in ladder if all(
-                b in bases[runner.weights2[i]] for i, b in _divided(m))}
-        assert runner.span_rank(j2, dim) == dim
-        pivots = runner._bases[j2]
-        assert _monomials(runner.border(j2)) == rows
-        assert len(pivots) == dim and set(pivots) <= set(rows)
-        for m in pivots:
+    filt = runner.filtration
+    w, weights2 = filt.step, filt.weights2
+    assert w == runner.weights2[filt.unit] and len(weights2) == len(runner.weights2) - 1
+    for j2 in range(kmax2 + 1):
+        rank = filt.rank(j2)
+        rows = [m for m, _, _ in _candidates(filt, j2)]
+        assert rows == sorted(set(rows))
+        assert set(rows) <= set(weighted_monomials(weights2, j2))
+        if j2:
+            lower = {i: set(filt.inserted[j2 - w2]) for i, w2 in enumerate(weights2) if w2 <= j2}
+            ladder = {b[:i] + (b[i] + 1,) + b[i + 1:] for i, bs in lower.items() for b in bs}
+            assert len(ladder) <= sum(map(len, lower.values()))
+            assert set(rows) == {m for m in ladder
+                                 if all(b in lower[i] for i, b in _divided(m))}
+        inserted = filt.inserted[j2]
+        assert inserted == [m for m in rows if m in set(inserted)]
+        for m in inserted:
             for i, b in _divided(m):
-                assert b in runner._bases[j2 - runner.weights2[i]], (j2, m)
+                assert b in filt.inserted[j2 - weights2[i]], (j2, m)
+        assert rank == len(filt.chains[j2 % w]) == sum(
+            len(filt.inserted[j]) for j in range(j2 % w, j2 + 1, w))
+        if j2 in dims:
+            assert runner.span_rank(j2, dims[j2]) == dims[j2] == rank
+    assert sorted(filt.chains) == list(range(min(w, kmax2 + 1)))
+
+
+def _packed_rows(runner):
+    """The packed row of each monomial of a runner at its width, built here as
+    its first generator's reduced row times the row of the rest."""
+    red = modp.reduction(runner.evaluator.ctx, runner.width)
+    gens = [red.series(runner.gen_series(i, runner.prec)) for i in range(len(runner.gens))]
+    rows = {}
+
+    def row(m: tuple[int, ...]) -> int:
+        if m not in rows:
+            i = next((j for j, e in enumerate(m) if e), None)
+            rows[m] = 1 if i is None else red.mul(gens[i], row(m[:i] + (m[i] - 1,) + m[i + 1:]))
+        return rows[m]
+    return red, row
 
 
 @pytest.mark.parametrize("label", ["25h6", "half12", "16h9", "13h3"])
 def test_each_border_rank_is_the_rank_mod_p_of_every_monomial(label):
-    """To doubled weight 32, each span rank read off the border equals the
-    rank under the same reduction of every monomial of its weight: the
-    border's pivots are the rows that raise the rank when every monomial is
-    ranked in ascending lexicographic order, so the border misses none."""
+    """To doubled weight 32, each rank of the filtration is the rank under the
+    same reduction of every monomial of its weight.  Its rows inserted at a
+    weight are those that raise the rank when the monomials that contain the
+    unit g go in first and then the g-free ones in ascending lexicographic
+    order: the candidates miss none."""
     report = verify_span(CAT, label, kmax2=32)
     assert report.status == "pass"
     width = check_plan(CAT, "span", label, 32).width
     runner = _runner(label, report.precision, width)
-    red = modp.reduction(runner.evaluator.ctx, width)
+    filt = runner.filtration
+    red, row = _packed_rows(runner)
+    assert red is filt.red
+    g = filt.unit
     for j2, dim in zip(report.details["weights2"], report.details["dims"]):
-        assert runner.span_rank(j2, dim) == dim
-        mons = sorted(weighted_monomials(runner.weights2, j2))
-        every = red.rank([runner.reduced_monomial(e) for e in mons], len(mons))
-        assert [mons[j] for j in every] == runner._bases[j2], j2
+        assert filt.rank(j2) == dim
+        mons = weighted_monomials(runner.weights2, j2)
+        every = modp.Echelon(red)
+        for m in mons:
+            if m[g]:
+                every.insert(row(m))
+        raised = [m for m in sorted(mons) if not m[g] and every.insert(row(m))]
+        assert raised == [_full(filt, m) for m in filt.inserted[j2]], j2
+        assert len(every) == dim
 
 
 def test_the_25h6_span_to_weight_16_ranks_only_ladder_rows(monkeypatch):
     """A count, not a timing: the span of 25h6 to weight 16 passes with one
-    rank mod p per weight on its border, a part of the ladder of g_i times
-    the basis below, and the rows read number at most sum_k dim M_k + 20,
-    where ranking the ladder itself read 2,317."""
+    rank mod p per weight, equal to dim, and no exact elimination.  Its unit
+    generator has weight 1, so the filtration inserts dim M_16 = 81 rows in
+    all, and it offers 93, where the border of the bases proved at each
+    weight read at least the sum of the dimensions, 697, and ranking the
+    ladder of g_i times those bases read 2,317."""
     paths = _count_rank_paths(monkeypatch)
+    offered = _count_offered(monkeypatch)
     report = verify_span(CAT, "25h6", kmax2=32)
     assert report.status == "pass"
-    assert [path[2:4] for path in paths] == [(1, 0)] * len(report.details["weights2"])
-    assert sum(path[4] for path in paths) <= sum(report.details["dims"]) + 20
+    assert [(rank_mod_p == bound, n) for bound, rank_mod_p, n in paths] == \
+        [(True, 0)] * len(report.details["weights2"])
+    dims = dict(zip(report.details["weights2"], report.details["dims"]))
+    assert sum(inserted for _, _, inserted in offered) == dims[32] == 81
+    assert sum(dims.values()) == 697 and len(offered) == 93
 
 
 def test_a_denominator_divisible_by_the_prime_falls_back_to_exact_elimination(monkeypatch):
+    """A span generator divided by the prime of its check's width has no
+    reduction mod that prime, so the check builds no filtration, ranks every
+    weight by exact elimination and gives the golden report: scaling a
+    generator changes no rank."""
     ctx = cyclo_context(4)
     red = modp.reduction(ctx, 3)
-    z = ctx.zeta_power(1)
-    x = ctx.from_rational(Fraction(1, red.p)) + z
-    rows = [series_of(ctx, row) for row in
-            [[x, ctx.one, z], [ctx.one, ctx.zero, ctx.one], [x + ctx.one, ctx.one, z + ctx.one]]]
+    x = ctx.from_rational(Fraction(1, red.p)) + ctx.zeta_power(1)
     with pytest.raises(ZeroDivisionError):
         red.series(x)
-    exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
-    got, pivots = certified_rank(ctx, 2, 3, reduce, lambda: rows)
-    assert got == 2 == row_echelon_rank(rows)
-    assert pivots is None
-    assert exact == [rows]
+    plan = check_plan(CAT, "span", "7")
+    p = modp.reduction(CAT.evaluator(CAT.cases["7"].L).ctx, plan.width).p
+    raw = _shipped()
+    gen = next(c for c in raw["cases"] if c["label"] == "7")["span_gens"][0]
+    gen["expr"] = f"(scale 1/{p} {gen['expr']})"
+    cat = Catalog(raw)
+    paths = _count_rank_paths(monkeypatch)
+    report = json.loads(verify_span(cat, "7").to_json())
+    del report["elapsed_ms"]
+    assert report == json.loads(GOLDEN.read_text())["7|span"]
+    assert [(rank_mod_p, n) for _, rank_mod_p, n in paths] == [(None, 1)] * len(plan.weights2)
+    assert CaseRunner(cat, cat.cases["7"], prec=plan.prec, width=plan.width).filtration is None
+
+
+def _rank_mod_p(red, rows) -> int:
+    """The rank mod p of QSeries rows: the size of an echelon basis of them."""
+    basis = modp.Echelon(red)
+    for row in rows:
+        basis.insert(red.series(row))
+    return len(basis)
 
 
 def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
@@ -456,17 +549,19 @@ def test_an_unreached_bound_falls_back_to_the_exact_rank(monkeypatch):
     z = ctx.zeta_power(1)
     rows = [series_of(ctx, [ctx.one, z]), series_of(ctx, [z, z * z])]  # rank 1
     exact = _count_exact_ranks(monkeypatch)
-    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
-    assert certified_rank(ctx, 1, 2, reduce, lambda: rows) == (1, [0])
+    rank_mod_p = _rank_mod_p(modp.reduction(ctx, 2), rows)
+    assert certified_rank(1, rank_mod_p, lambda: rows) == 1
     assert exact == []
-    assert certified_rank(ctx, 2, 2, reduce, lambda: rows) == (1, None)
+    assert certified_rank(2, rank_mod_p, lambda: rows) == 1
     assert exact == [rows]
-    assert certified_rank(ctx, 0, 0, lambda red: [], lambda: []) == (0, [])
+    assert certified_rank(0, 0, lambda: []) == 0
+    # a bound below the rank mod p is wrong, and the exact rank says so
+    assert certified_rank(0, rank_mod_p, lambda: rows) == 1
+    assert exact == [rows, rows]
     # no prime p = 1 (mod 3) lies below the ceiling of this width, 2
     assert modp.reduction(ctx, 1 << 60) is None
-    no_rows = lambda red: pytest.fail("no reduction fits")  # noqa: E731
-    assert certified_rank(ctx, 1, 1 << 60, no_rows, lambda: rows) == (1, None)
-    assert exact == [rows, rows]
+    assert certified_rank(1, None, lambda: rows) == 1
+    assert exact == [rows, rows, rows]
 
 
 _ENTRY = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
@@ -489,14 +584,11 @@ def test_certified_rank_equals_the_exact_rank(L, nrows, ncols, inner, data):
     rows = [series_of(ctx, [sum((a * right[k][j] for k, a in enumerate(row)), ctx.zero)
                             for j in range(ncols)]) for row in left]
     rank = row_echelon_rank(rows)
-    reduce = lambda red: [red.series(row) for row in rows]  # noqa: E731
-    red = modp.reduction(ctx, ncols)
-    assert len(red.rank(reduce(red), nrows)) <= rank
-    for bound in {rank, rank + 1, min(nrows, ncols, inner)}:
-        got, pivots = certified_rank(ctx, bound, ncols, reduce, lambda: rows)
-        assert got == rank
-        # pivot rows come back only from a rank mod p that reached the bound
-        assert pivots is None or len(pivots) == bound == rank
+    rank_mod_p = _rank_mod_p(modp.reduction(ctx, ncols), rows)
+    assert rank_mod_p <= rank
+    # the bound right, too high or too low: the exact rank either way
+    for bound in {rank, rank + 1, max(rank - 1, 0), min(nrows, ncols, inner)}:
+        assert certified_rank(bound, rank_mod_p, lambda: rows) == rank
 
 
 def test_exact_elimination_reads_no_row_after_its_prec_th_pivot():
@@ -535,34 +627,80 @@ def _swap(name: str, expr: str):
     return edit
 
 
+# a generator of the wrong level, each with the exact ranks of every monomial at
+# the check's precision from the first weight whose rank mod p is not dim
+_WRONG_LEVEL = {
+    "25h6": ("beta25", "(v 2 beta25)", 7, 45, [1, 6, 17, 33, 45, 45, 45, 45],
+             {"j2": 4, "rank": 17, "dim": 11}),
+    "12": ("frho3v4", "(v 2 alpha12)", 10, 50, [1, 5, 12, 19, 26, 33, 40, 43, 42, 41, 40],
+           {"j2": 4, "rank": 12, "dim": 9}),
+}
+
+
 def test_a_generator_of_the_wrong_level_fails_the_25h6_span_with_exact_ranks(
         tmp_path, capsys, monkeypatch):
-    """beta25 replaced by (v 2 beta25), of level 50: at doubled weight 12 the
-    rank mod p falls short of dim 31, and exact elimination finds rank 45, the
-    precision, so it stops at its 45th pivot, long before the 462nd monomial."""
+    """beta25 replaced by (v 2 beta25), of level 50: at doubled weight 4 the
+    weight-2 monomials have rank 17 mod p, above dim 11, and every weight from
+    there on goes to exact elimination, which stops at its 45th pivot, the
+    precision, long before the 462nd monomial of doubled weight 12."""
     exact = _count_exact_ranks(monkeypatch)
-    code, report = _mutant_span(tmp_path, capsys, "25h6", 7, _swap("beta25", "(v 2 beta25)"))
+    name, expr, kmax, prec, ranks, first = _WRONG_LEVEL["25h6"]
+    code, report = _mutant_span(tmp_path, capsys, "25h6", kmax, _swap(name, expr))
     assert code == 1
     assert report == {
-        "case": "25h6", "check": "span", "k_range": [0, 14], "precision": 45, "status": "fail",
-        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14],
-                    "ranks": [1, 6, 11, 16, 21, 26, 45, 36],
-                    "dims": [1, 6, 11, 16, 21, 26, 31, 36],
-                    "first_failure": {"j2": 12, "rank": 45, "dim": 31}}}
-    assert len(exact) == 1
-    assert 45 <= len(exact[0]) < len(weighted_monomials([2] * 6, 12)) == 462
+        "case": "25h6", "check": "span", "k_range": [0, 14], "precision": prec, "status": "fail",
+        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14], "ranks": ranks,
+                    "dims": [1, 6, 11, 16, 21, 26, 31, 36], "first_failure": first}}
+    assert len(exact) == 6
+    assert 45 <= len(exact[4]) < len(weighted_monomials([2] * 6, 12)) == 462
 
 
 def test_a_generator_of_the_wrong_level_fails_the_case_12_span_with_exact_ranks(
         tmp_path, capsys):
-    code, report = _mutant_span(tmp_path, capsys, "12", 10, _swap("frho3v4", "(v 2 alpha12)"))
+    """frho3v4 replaced by (v 2 alpha12), a cusp form: no generator is a unit
+    mod p, so every weight is ranked on a basis of its own.  From doubled
+    weight 4 to 18 the exact ranks exceed dim; at 20 the monomials vanish to
+    order 10, so 50 coefficients hold their rank to 40, below dim 41."""
+    name, expr, kmax, prec, ranks, first = _WRONG_LEVEL["12"]
+    code, report = _mutant_span(tmp_path, capsys, "12", kmax, _swap(name, expr))
     assert code == 1
     assert report == {
-        "case": "12", "check": "span", "k_range": [0, 20], "precision": 50, "status": "fail",
-        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
-                    "ranks": [1, 5, 9, 13, 17, 21, 25, 29, 33, 41, 40],
-                    "dims": [1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41],
-                    "first_failure": {"j2": 18, "rank": 41, "dim": 37}}}
+        "case": "12", "check": "span", "k_range": [0, 20], "precision": prec, "status": "fail",
+        "details": {"weights2": [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20], "ranks": ranks,
+                    "dims": [1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41], "first_failure": first}}
+
+
+@pytest.mark.parametrize("label", sorted(_WRONG_LEVEL))
+def test_the_wrong_level_ranks_are_the_exact_ranks_of_every_monomial(label):
+    """The pinned ranks of the two wrong-level mutants, derived here: dim
+    where the rank mod p of every monomial at the plan's width equals it,
+    and elsewhere the exact rank of every monomial at the plan's precision,
+    from a runner of the mutant catalog that no check built.
+
+    A rank mod p cannot exceed the width, so a wrong level is caught only
+    where the monomials' rank passes dim within it: case 7 with (v 2 alpha7)
+    still passes at ``--kmax`` 1 and 2, and typing each generator's level
+    on load (ROADMAP item 1) is the guard against it."""
+    name, expr, kmax, prec, ranks, first = _WRONG_LEVEL[label]
+    raw = _shipped()
+    _swap(name, expr)(next(c for c in raw["cases"] if c["label"] == label)["span_gens"])
+    cat = Catalog(raw)
+    plan = check_plan(cat, "span", label, 2 * kmax)
+    assert plan.prec == prec
+    runner = CaseRunner(cat, cat.cases[label], prec=plan.prec, width=plan.width)
+    red, row = _packed_rows(runner)
+    derived = []
+    for j2, dim in zip(plan.weights2, plan.dims):
+        mons = weighted_monomials(runner.weights2, j2)
+        every = modp.Echelon(red)
+        for m in mons:
+            every.insert(row(m))
+        derived.append(dim if len(every) == dim else row_echelon_rank(
+            runner.monomial_series(m, prec) for m in mons))
+    assert derived == ranks
+    j2, rank, dim = next((j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d)
+    assert {"j2": j2, "rank": rank, "dim": dim} == first
+    assert (runner.filtration.unit is None) == (label == "12")
 
 
 def test_a_dropped_generator_reads_every_monomial_of_each_short_weight(
@@ -711,84 +849,77 @@ def test_full_batch_all_green(monkeypatch):
 
 def test_one_rank_mod_p_decides_every_shipped_rank(monkeypatch):
     """Every certified rank of full_report, and of the kernels of 9 and half12
-    to doubled weight 20, is decided by exactly one rank mod p, with no exact
-    elimination.  Each of full_report's 249 span and kernel ranks runs at its
-    plan's rank width, below the check's precision: 3,500 residues a row in
-    all, where the precisions would give 5,492."""
+    to doubled weight 20, is decided by a rank mod p equal to its bound, with
+    no exact elimination.  Each span or kernel check builds one filtration,
+    at its plan's rank width, below the check's precision: full_report's 249
+    span and kernel ranks read 3,500 residues a row in all, where the
+    precisions would give 5,492."""
     paths = _count_rank_paths(monkeypatch)
+    built = _count_filtrations(monkeypatch)
     full_report(CAT)
     in_full_report = len(paths)
-    widths, precs = [], []
+    widths, ranks, residues, precs = [], 0, 0, 0
     for check, label in scheduled_checks(CAT):  # the order full_report runs them in
         if check in ("span", "kernel"):
             plan = check_plan(CAT, check, label)
             assert plan.width < plan.prec, (check, label)
-            widths += [plan.width] * len(plan.weights2)
-            precs += [plan.prec] * len(plan.weights2)
-    assert [path[1] for path in paths] == widths
-    assert len(widths) == 249 and sum(widths) == 3500 and sum(precs) == 5492
+            widths.append(plan.width)
+            ranks += len(plan.weights2)
+            residues += plan.width * len(plan.weights2)
+            precs += plan.prec * len(plan.weights2)
+    assert [f.red.n for f in built] == widths and len(widths) == 29
+    assert in_full_report == ranks == 249 and residues == 3500 and precs == 5492
     for label in ("9", "half12"):
         assert verify_kernel(CAT, label, kmax2=20).status == "pass"
-    assert 0 < in_full_report < len(paths)
-    assert {path[2:4] for path in paths} == {(1, 0)}
+    assert 0 < in_full_report < len(paths) and len(built) == 31
+    assert all(rank_mod_p == bound and n == 0 for bound, rank_mod_p, n in paths)
 
 
-def test_kernel_checks_read_the_border_up_to_its_last_pivot(monkeypatch):
+def test_kernel_checks_insert_only_the_new_rows_of_each_weight(monkeypatch):
     """Every kernel check of full_report, and the kernels of 9 and half12 to
     doubled weight 20: one exact Gröbner basis per check gives every ideal
-    dimension, with no exact elimination, and each span rank
-    reads its border up to its last pivot, that is dim rows and the border
-    rows before the last pivot that are not pivots (a row count, not a
-    timing)."""
+    dimension, with no exact elimination, and one filtration per check gives
+    every span rank, processing every weight from 0 (which a kernel check
+    does not report).  At each weight it inserts only the rows that raise
+    the rank one unit weight down to the rank there, and over all of them it
+    offers 229 rows and inserts 204 (a row count, not a timing)."""
     paths = _count_rank_paths(monkeypatch)
     exact = _count_exact_ranks(monkeypatch)
     built = _count_bases(monkeypatch)
-    borders = []
-    span_rank = CaseRunner.span_rank
-
-    def recorded(runner, k2, dim):
-        rank = span_rank(runner, k2, dim)
-        borders.append((_monomials(runner.border(k2)), runner._bases[k2]))
-        return rank
-
-    monkeypatch.setattr(CaseRunner, "span_rank", recorded)
+    filtrations = _count_filtrations(monkeypatch)
+    offered = _count_offered(monkeypatch)
     reports = full_report(CAT, checks={"kernel"})
     reports += [verify_kernel(CAT, label, kmax2=20) for label in ("9", "half12")]
     assert len(reports) == 10 and {r.status for r in reports} == {"pass"}
-    assert exact == [] and len(built) == len(reports)
+    assert exact == [] and len(built) == len(filtrations) == len(reports)
     weights = [j2 for r in reports for j2 in r.details["weights2"]]
-    assert len(paths) == len(borders) == len(weights) == 88
-    assert all(path[2:4] == (1, 0) for path in paths), paths
-    for (dim, *_, read), (rows, pivots) in zip(paths, borders):
-        assert len(pivots) == dim and set(pivots) <= set(rows)
-        assert read == (rows.index(pivots[-1]) + 1 if pivots else 0) <= dim + 3
-    dims = sum(path[0] for path in paths)
-    assert sum(path[4] for path in paths) <= dims + 20
-    # at weight 10 half12 has 506 monomials and an ideal of dimension 465: 41 rows
+    assert len(paths) == len(weights) == 88
+    assert all(rank_mod_p == bound and n == 0 for bound, rank_mod_p, n in paths)
+    bounds = iter(bound for bound, _, _ in paths)
+    for report, f in zip(reports, filtrations):
+        top, w = report.k_range[1], f.step
+        assert len(f.ranks) == len(f.inserted) == top + 1
+        assert [f.ranks[j2] for j2 in report.details["weights2"]] == [
+            next(bounds) for _ in report.details["weights2"]]
+        for j2 in range(top + 1):
+            assert len(f.inserted[j2]) == f.ranks[j2] - (f.ranks[j2 - w] if j2 >= w else 0)
+    inserted = sum(ins for _, _, ins in offered)
+    assert inserted == sum(len(rows) for f in filtrations for rows in f.inserted)
+    assert len(offered) == inserted + 25 == 229
+    # at weight 10 half12 has 506 monomials and an ideal of dimension 465: rank 41
     half12 = CaseRunner(CAT, CAT.cases["half12"], presentation=True)
     assert reports[-1].details["ideal_dims"][-1] == 465
     assert paths[-1][0] == len(weighted_monomials(half12.weights2, 20)) - 465 == 41
 
 
 def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
-    """Every packed row a shipped span or kernel check reads mod p, built as
-    one product of its first generator's row and its cofactor's, equals the
-    reduction of the first W coefficients of the monomial's exact
-    q-expansion at the check's precision, W the plan's rank width below that
-    precision; 1,808 rows in all, each ranked under the reduction of W."""
-    read, widths = [], []
-    rank = modp.Reduction.rank
-
-    def recorded(red, rows, bound):
-        widths.append(red.n)
-
-        def tally():
-            for row in rows:
-                read.append(row)
-                yield row
-        return rank(red, tally(), bound)
-
-    monkeypatch.setattr(modp.Reduction, "rank", recorded)
+    """Every packed row a shipped span or kernel check offers its filtration
+    at doubled weight k2, one product of x_i g^-e and the row of m / x_i, is
+    the monomial m divided by g^j, j = k2 // w: times the reduced row of g^j
+    it equals the reduction of the first W coefficients of the monomial's
+    exact q-expansion at the check's precision, W the plan's rank width
+    below that precision; 481 rows in all, each offered to a basis of width W."""
+    offered = _count_offered(monkeypatch)
     rows = 0
     for check, label in product(("span", "kernel"), sorted(CAT.cases)):
         plan = check_plan(CAT, check, label)
@@ -798,45 +929,63 @@ def test_every_row_span_rank_builds_is_its_monomial_reduced(monkeypatch):
         runner = _runner(label, prec, width, presentation=check == "kernel")
         assert width < prec
         red = modp.reduction(runner.evaluator.ctx, width)
-        for j2, dim in zip(plan.weights2, plan.dims):
-            read.clear()
-            widths.clear()
-            assert runner.span_rank(j2, dim) == dim
-            assert widths == [width]
-            entries = runner.border(j2)  # the same border: it reads only the weights below
-            assert len(read) <= len(entries)
-            for (m, _, _), row in zip(entries, read):
-                assert row.bit_length() <= 64 * width
-                assert row == red.series(runner.monomial_series(m, prec)), (runner.case.label, m)
-            rows += len(read)
-    assert rows == 1808
+        filt, dims = runner.filtration, dict(zip(plan.weights2, plan.dims))
+        unit = tuple(int(i == filt.unit) for i in range(len(runner.gens)))
+        for j2 in range(plan.k_range[1] + 1):
+            offered.clear()
+            filt.rank(j2)
+            entries = _candidates(filt, j2)  # the same candidates: they read only the weights below
+            assert [m for m, _, _ in entries] == sorted(m for m, _, _ in entries)
+            assert len(offered) == len(entries)
+            g_j = red.series(runner.monomial_series(tuple(e * (j2 // filt.step) for e in unit),
+                                                    prec))
+            for (m, _, _), (basis, row, _) in zip(entries, offered):
+                assert basis.red is red and row.bit_length() <= 64 * width
+                assert red.mul(row, g_j) == red.series(
+                    runner.monomial_series(_full(filt, m), prec)), (label, m)
+            rows += len(offered)
+            if j2 in dims:
+                assert runner.span_rank(j2, dims[j2]) == dims[j2]
+    assert rows == 481
 
 
-def test_reduced_monomial_builds_only_the_rows_of_one_and_the_generators(monkeypatch):
-    """On the shipped span and kernel checks every other row comes from one
-    product of two rows already built, so ``reduced_monomial`` is called 118
-    times, each for 1 or a generator, where the recursion built each row's
-    cofactor again (5,188 calls); the rows of 1 and of the generators take no
-    product, so the 1,808 rows read take 1,690 products, each at the rank
-    width of its check's plan."""
-    calls, products = [], []
-    reduced_monomial, mul = CaseRunner.reduced_monomial, modp.Reduction.mul
-
-    def counted(runner, exps):
-        calls.append(exps)
-        return reduced_monomial(runner, exps)
+def test_each_offered_row_takes_one_product(monkeypatch):
+    """On the shipped span and kernel checks each row a filtration offers,
+    but the row of 1, is one product of two rows already built, at the rank
+    width of its check's plan: 452 products for 481 rows, where building
+    every row from the generators' rows took 1,690 products.  The 29
+    filtrations reduce each generator series once and take 96 products
+    more in setup: for each generator x_i other than the unit g, w_i // w
+    products build x_i g^-e for e = w_i // w, and one more builds the
+    factor for e + 1 where w does not divide w_i."""
+    products = []
+    mul = modp.Reduction.mul
 
     def multiplied(red, a, b):
         products.append(red.n)
         return mul(red, a, b)
 
-    monkeypatch.setattr(CaseRunner, "reduced_monomial", counted)
     monkeypatch.setattr(modp.Reduction, "mul", multiplied)
+    setup = []
+    init = verify.Filtration.__init__
+
+    def recorded(filtration, red, rows, weights2):
+        before = len(products)
+        init(filtration, red, rows, weights2)
+        setup.append(len(products) - before)
+        assert setup[-1] == sum(w2 // filtration.step + bool(w2 % filtration.step)
+                                for w2 in filtration.weights2)
+
+    monkeypatch.setattr(verify.Filtration, "__init__", recorded)
+    series = _count_reduced_series(monkeypatch)
+    offered = _count_offered(monkeypatch)
     reports = full_report(CAT, checks={"span", "kernel"})
     assert {r.status for r in reports} == {"pass"}
-    assert len(calls) == 118
-    assert all(sum(exps) <= 1 for exps in calls)
-    assert len(products) == 1690
+    assert len(setup) == 29 and sum(setup) == 96
+    # one row of 1 per filtration, at weight 0, and one product for each other row
+    assert len(offered) == 481 and len(products) - sum(setup) == len(offered) - 29 == 452
+    assert len(series) == sum(len(CAT.case_gens(CAT.cases[r.case], r.check == "kernel"))
+                              for r in reports)
     planned = {check_plan(CAT, check, label).width
                for check, label in scheduled_checks(CAT, checks={"span", "kernel"})}
     assert set(products) == planned
@@ -883,8 +1032,9 @@ def test_ranks_at_the_rank_width_give_the_reports_of_ranks_at_the_precision(rank
 
 def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch):
     """The span of case 1 to doubled weight 8 ranks at width 2, the one width
-    with the largest ceiling, 2^31; it passes with one rank mod p per weight,
-    and each rank equals exact elimination at the full precision."""
+    with the largest ceiling, 2^31; it passes with the rank mod p of its one
+    filtration equal to dim at every weight, and each rank equals exact
+    elimination at the full precision."""
     plan = check_plan(CAT, "span", "1", 8)
     prec = plan.prec
     assert plan.width == 2 < prec
@@ -892,9 +1042,12 @@ def test_a_width_two_check_ranks_under_the_prime_below_two_to_the_31(monkeypatch
     p = modp.reduction(runner.evaluator.ctx, 2).p
     assert modp.prime_ceiling(2) == 1 << 31 and 1 << 30 < p < 1 << 31
     paths = _count_rank_paths(monkeypatch)
+    built = _count_filtrations(monkeypatch)
     report = verify_span(CAT, "1", kmax2=8)
     assert report.status == "pass" and report.precision == prec
-    assert [path[1:4] for path in paths] == [(2, 1, 0)] * len(plan.weights2)
+    assert [f.red.p for f in built] == [p]
+    assert [(rank_mod_p == bound, n) for bound, rank_mod_p, n in paths] == \
+        [(True, 0)] * len(plan.weights2)
     assert report.details["ranks"] == report.details["dims"] == [
         row_echelon_rank(runner.monomial_series(e, prec)
                          for e in weighted_monomials(runner.weights2, j2))
@@ -921,8 +1074,10 @@ def test_a_relation_divided_by_the_old_prime_gives_the_golden_report(monkeypatch
 
 
 def test_full_report_builds_one_border_per_span_or_kernel_weight(monkeypatch):
-    """A kernel check counts its standard monomials from the Hilbert series
-    of its leading monomials, and builds no border of its own."""
+    """Each span or kernel check takes the candidates of every weight from 0
+    to its top once, in its filtration, whether the check reports that
+    weight or not; a kernel check counts its standard monomials from the
+    Hilbert series of its leading monomials, and builds no border of its own."""
     border = groebner.border
     calls = []
 
@@ -932,9 +1087,9 @@ def test_full_report_builds_one_border_per_span_or_kernel_weight(monkeypatch):
 
     monkeypatch.setattr(groebner, "border", counted)
     reports = full_report(CAT)
-    weights = [j2 for r in reports if r.check in ("span", "kernel")
-               for j2 in r.details.get("weights2", [])]
-    assert len(calls) == len(weights) == 249
+    ranked = [r for r in reports if r.check in ("span", "kernel") and r.status == "pass"]
+    assert calls == [j2 for r in ranked for j2 in range(r.k_range[1] + 1)]
+    assert len(calls) == 469 > sum(len(r.details["weights2"]) for r in ranked) == 249
 
 
 def test_full_report_builds_each_constructor_series_once(monkeypatch):
