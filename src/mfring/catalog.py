@@ -51,13 +51,10 @@ from .characters import units
 from .cyclo import cyclo_context
 from .errors import CatalogError, OutOfTable, PrecisionTooHigh, QuasiModularUse, UnknownForm
 from .exprs import Evaluator, atoms, constructor, parse_expr, parse_poly, resolve, root_orders
-from .qseries import QSeries
+from .qseries import MAX_COORDINATES, QSeries
 
 # the largest field lookup_form builds: Phi_L alone takes seconds to compute past it
 MAX_CONDUCTOR = 2520
-# the most integer coordinates, prec * phi(L), that one series may hold; it bounds
-# memory, not time (varpi11 at prec 10000, 40000 coordinates, takes about 10 s)
-MAX_COORDINATES = 1_000_000
 
 
 def require_coordinates(L: int, prec: int) -> None:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle, repeat
+from itertools import repeat
 from math import gcd
-from operator import add, sub
+from operator import add, floordiv, sub
 
 from .errors import ConductorMismatch, ContextMismatch
 
@@ -31,7 +31,7 @@ def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
     if den < 0:
         g = -g
     if g != 1:
-        return den // g, tuple(x // g for x in nums)
+        return den // g, tuple(map(floordiv, nums, repeat(g)))
     return den, nums
 
 
@@ -379,36 +379,45 @@ def _bareiss_solve(a: list[list[int]]) -> tuple[list[int], int]:
     return xs, det
 
 
-def coordinate_texts(L: int, d: int, nums, den: int) -> list[str]:
-    """The signed text of each of the flat power-basis coordinates nums over
-    den, '' for a zero: '+ m' or '- m', where m is |c|/den in lowest terms
-    times z<L>^i for the coordinate's place i (its index mod d), e.g.
-    '- 3/2*z12^2'.  A magnitude 1 keeps its '1*' here; ``join_terms`` drops it."""
-    zs = cycle(["", *(f"*z{L}" if i == 1 else f"*z{L}^{i}" for i in range(1, d))])
+def signed_texts(nums, den: int, suffixes) -> list[str]:
+    """The signed text ' + m' or ' - m' of each integer coordinate c of nums over
+    den, '' for a zero: m is |c|/den in lowest terms followed by c's suffix, zipped
+    from suffixes.  Every text carries its separator, so texts concatenate; a
+    magnitude 1 keeps its '1', as in ' - 1*q^2'."""
     if den == 1:  # most series: no gcd, no quotient (BENCH_render.json, "integer_fork")
-        return [f"- {-c}{z}" if c < 0 else f"+ {c}{z}" if c else "" for c, z in zip(nums, zs)]
+        return [f" - {-c}{s}" if c < 0 else f" + {c}{s}" if c else ""
+                for c, s in zip(nums, suffixes)]
     gs = list(map(gcd, nums, repeat(den)))
     over = {g: f"/{den // g}" if g != den else "" for g in set(gs)}
-    return [f"- {-c // g}{over[g]}{z}" if c < 0 else f"+ {c // g}{over[g]}{z}" if c else ""
-            for c, g, z in zip(nums, gs, zs)]
+    return [f" - {-c // g}{over[g]}{s}" if c < 0 else f" + {c // g}{over[g]}{s}" if c else ""
+            for c, g, s in zip(nums, gs, suffixes)]
 
 
-def join_terms(texts) -> str:
-    """Signed texts joined in canonical form, '0' if there are none.
+def column_texts(L: int, k: int, col, den: int) -> list[str]:
+    """``signed_texts`` of a column of coordinates at place k of the power basis,
+    each followed by '*z<L>^k' ('*z<L>' for k = 1, nothing for k = 0); a magnitude
+    1 at k >= 1 is written as its power of z alone, as in ' - z12^2'."""
+    if not k:
+        return signed_texts(col, den, repeat(""))
+    z = f"z{L}" if k == 1 else f"z{L}^{k}"
+    texts = signed_texts(col, den, repeat("*" + z))
+    if den in col or -den in col:
+        bare = {f" + 1*{z}": f" + {z}", f" - 1*{z}": f" - {z}"}
+        texts = [bare.get(t, t) for t in texts]
+    return texts
 
-    Every magnitude follows '+ ' or '- ', so ' 1*' is exactly a magnitude 1
-    times a power of z or q, and its '1*' goes.  The first text of the whole
-    and of each parenthesis drops its '+ ' or writes '- ' as '-'.
-    """
-    s = " ".join(texts).replace(" 1*", " ").replace("(+ ", "(").replace("(- ", "(-")
-    if not s:
+
+def first_sign(text: str) -> str:
+    """Concatenated signed texts with the first separator dropped, or written '-';
+    '0' if there are none."""
+    if not text:
         return "0"
-    return s[2:] if s[0] == "+" else "-" + s[2:]
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def render_coords(L: int, nums, den: int) -> str:
     """Canonical text of sum_i (nums[i]/den) z<L>^i: ascending powers, e.g. '1/2 - 3*z12^2'."""
-    return join_terms(filter(None, coordinate_texts(L, len(nums), nums, den)))
+    return first_sign("".join([column_texts(L, k, (c,), den)[0] for k, c in enumerate(nums)]))
 
 
 def render_cyclo(x: CycloNum) -> str:

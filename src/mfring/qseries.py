@@ -24,13 +24,19 @@ from .cyclo import (
     CycloNum,
     FieldCtx,
     canonical,
-    coordinate_texts,
+    column_texts,
+    first_sign,
     fold_buckets,
-    join_terms,
     multiplication_matrix,
     power,
+    signed_texts,
 )
 from .errors import BadLeadingShape, ContextMismatch
+
+# the most integer coordinates, prec * phi(L), that one series may hold; it bounds
+# memory, not time (varpi11 at prec 10000, 40000 coordinates, takes about 10 s).
+# The catalog refuses a larger series; rendering keeps no table beyond it.
+MAX_COORDINATES = 1_000_000
 
 
 class QSeries:
@@ -260,19 +266,43 @@ def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
     return out if d == 1 else fold_buckets(out, ctx.powers[:stride], d)
 
 
+# the suffix of coefficient n, '' then '*q', '*q^2', ...: grown to the largest
+# precision rendered, up to MAX_COORDINATES entries
+_Q_POWERS: list[str] = []
+
+
+def _q_suffixes(prec: int) -> list[str]:
+    """At least the suffixes of coefficients 0..prec-1: the table, grown to prec
+    entries, or beyond MAX_COORDINATES a longer list that is not kept."""
+    table = _Q_POWERS
+    if len(table) < prec:
+        more = [f"*q^{n}" if n > 1 else ("", "*q")[n] for n in range(len(table), prec)]
+        if prec > MAX_COORDINATES:
+            return table + more
+        table += more
+    return table
+
+
 def render_qseries(f: QSeries) -> str:
     """Canonical rendering 'c0 + c1*q + ... + O(q^P)', omitting zero terms.
 
-    One pass over the integer coordinates: their signed texts
-    (``coordinate_texts``), then one text per coefficient, which is its one
-    nonzero coordinate's text or else all of them in parentheses, then
-    '*q^n' on each nonzero one; ``join_terms`` writes the signs and drops '1*'.
+    Every term is written in one step with its separator, ' + ' or ' - ', from
+    the integer coordinates (``signed_texts``) and a table of suffixes '*q^n'.
+    For phi(L) > 1 each coordinate column nums[k::d] is written with its
+    '*z<L>^k' (``column_texts``) and the columns are zipped into one block per
+    coefficient: a block with one nonzero text is that text and '*q^n', any
+    other nonzero block '+ (...)*q^n' with its first sign inside.  The terms
+    concatenate; one pass drops the '1*' before q, and ``first_sign`` writes
+    the sign of the first term.
     """
-    d = f.ctx.degree
-    texts = coordinate_texts(f.ctx.L, d, f.nums, f.den)
-    if d > 1:  # a block of d texts; "".join gives '' for a zero coefficient
-        texts = ["".join(b) if b.count("") >= d - 1 else f"+ ({' '.join(filter(None, b))})"
-                 for b in zip(*[iter(texts)] * d)]
-    terms = [t + q for t, q in zip(texts[:2], ("", "*q")) if t]
-    terms += [f"{t}*q^{n}" for n, t in enumerate(texts[2:], 2) if t]
-    return f"{join_terms(terms)} + O(q^{f.prec})"
+    d, den, nums = f.ctx.degree, f.den, f.nums
+    qs = _q_suffixes(f.prec)
+    if d == 1:
+        terms = signed_texts(nums, den, qs)
+    else:  # "".join gives a block's text, tuple.count its zeros, both in C
+        blocks = list(zip(*[column_texts(f.ctx.L, k, nums[k::d], den) for k in range(d)]))
+        one = d - 1
+        terms = [t + q if zeros == one else "" if zeros == d else
+                 f" + ({t[3:]}){q}" if t[1] == "+" else f" + (-{t[3:]}){q}"
+                 for t, zeros, q in zip(map("".join, blocks), map(tuple.count, blocks, repeat("")), qs)]
+    return f"{first_sign(''.join(terms).replace(' 1*', ' '))} + O(q^{f.prec})"

@@ -209,6 +209,9 @@ def test_rendering():
     assert render_cyclo(c12.zero) == "0"
     assert render_cyclo(-c12.one) == "-1"
     assert render_cyclo(c12.zeta_power(1)) == "z12"
+    assert render_cyclo(-c12.zeta_power(3)) == "-z12^3"
+    assert render_cyclo(c12.one - c12.zeta_power(1)) == "1 - z12"
+    assert render_cyclo(c12.zeta_power(2) * Fraction(-1, 2)) == "-1/2*z12^2"
 
 
 def _render_by_fractions(x):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfring import qseries
 from mfring.catalog import load_catalog
 from mfring.constructors import eisenstein_e
 from mfring.cyclo import cyclo_context, render_cyclo
@@ -160,6 +161,32 @@ def test_rendering():
     mixed = series_of(C4, [C4.one, C4.from_rational(3) - C4.zeta_power(1), C4.zero])
     assert str(mixed) == "1 + (3 - z4)*q + O(q^3)"
     assert str(QSeries.zero(C1, 3)) == "0 + O(q^3)"
+    # parentheses led by +z and -z, a reduced fraction before z inside them, one
+    # coordinate times z, -q^n, and a first term that is negative
+    c5 = cyclo_context(5)
+    blocks = [[-1, 0, 0, 0], [0, 2, -4, 0], [0, -2, 0, 2], [-2, 0, 0, 0], [0, 0, 0, -2],
+              [0, 1, -2, 0], [0, 0, 0, 0], [3, 0, 1, 0]]
+    assert str(QSeries(c5, sum(blocks, []), 2)) == (
+        "-1/2 + (z5 - 2*z5^2)*q + (-z5 + z5^3)*q^2 - q^3 - z5^3*q^4"
+        " + (1/2*z5 - z5^2)*q^5 + (3/2 + 1/2*z5^2)*q^7 + O(q^8)")
+    assert str(QSeries(C4, [0, -1, 0, 3, -1, 0])) == "-z4 + 3*z4*q - q^2 + O(q^3)"
+    assert str(QSeries(C4, [0, 0, -1, 1, 0, -2], 3)) == "(-1/3 + 1/3*z4)*q - 2/3*z4*q^2 + O(q^3)"
+    assert str(QSeries(C1, [0, -1, 5])) == "-q + 5*q^2 + O(q^3)"
+    assert str(QSeries(C1, [0, 0, 0, -1])) == "-q^3 + O(q^4)"
+
+
+def test_the_suffix_table_holds_no_more_than_the_largest_precision_rendered(monkeypatch):
+    monkeypatch.setattr(qseries, "_Q_POWERS", [])
+    for prec, size in [(1, 1), (40, 40), (3, 40), (50, 50)]:
+        assert str(QSeries.one(C1, prec)) == f"1 + O(q^{prec})"
+        assert len(qseries._Q_POWERS) == size
+    assert qseries._Q_POWERS[:4] == ["", "*q", "*q^2", "*q^3"]
+    # above the ceiling a series renders from a list that is not kept
+    monkeypatch.setattr(qseries, "MAX_COORDINATES", 60)
+    assert str(QSeries(C1, [1] * 70)).endswith(" + q^68 + q^69 + O(q^70)")
+    assert len(qseries._Q_POWERS) == 50
+    assert str(QSeries(C1, [1] * 60)).endswith(" + q^59 + O(q^60)")
+    assert len(qseries._Q_POWERS) == 60
 
 
 def _render_each_coefficient(f):
@@ -182,8 +209,9 @@ def _render_each_coefficient(f):
 
 # den 3*2^70 puts the denominator itself beyond 2^64
 _DENS = [1, 1, 2, 6, 35, 720, 3 * 2**70]
-# shapes of coefficients 0 and 1: +-1, +-z^i, zero, one nonzero coordinate, any
-_HEAD_SHAPES = ["unit", "unit z", "zero", "one", "any"]
+# shapes of a coefficient: +-1, +-z^i, +-z^i (i >= 1) before any later coordinates,
+# zero, one nonzero coordinate, any
+_SHAPES = ["unit", "unit z", "unit lead", "zero", "one", "any"]
 
 
 @st.composite
@@ -191,8 +219,9 @@ def _random_series(draw):
     """Series over fields of degree 1 to 8 at precisions up to 300, with random
     denominators and whole zero coefficients, and coefficients with one or
     several nonzero coordinates.  A coordinate is small, beyond 2^64, or a
-    divisor of the denominator, so that it reduces to magnitude 1 or 1/k;
-    coefficients 0 and 1 are also drawn as +-1 and +-z^i."""
+    divisor of the denominator, so that it reduces to magnitude 1 or 1/k; any
+    coefficient is also drawn as +-1, +-z^i, or led by +-z^i before other
+    coordinates (coefficients 0 and 1 by hypothesis, the others by a seeded rng)."""
     ctx = cyclo_context(draw(st.sampled_from([1, 3, 4, 5, 12, 15])))
     d, den = ctx.degree, draw(st.sampled_from(_DENS))
     prec = draw(st.integers(1, 300))
@@ -204,18 +233,24 @@ def _random_series(draw):
                           den, den // rng.choice(divisors)])
         return rng.choice([-1, 1]) * mag
 
+    def some():
+        return [coordinate() if rng.random() < 0.7 else 0 for _ in range(d)]
+
     nums = []
     for n in range(prec):
-        shape = draw(st.sampled_from(_HEAD_SHAPES)) if n < 2 else \
-            rng.choice(["zero", "one", "any"])
+        choose = (lambda xs: draw(st.sampled_from(xs))) if n < 2 else rng.choice
+        shape = choose(_SHAPES)
         block = [0] * d
         if shape in ("unit", "unit z"):
-            block[0 if shape == "unit" else draw(st.integers(0, d - 1))] = \
-                draw(st.sampled_from([den, -den]))
+            block[0 if shape == "unit" else choose(range(d))] = choose([den, -den])
+        elif shape == "unit lead":
+            i = choose(range(min(1, d - 1), d))
+            block[i + 1:] = some()[i + 1:]
+            block[i] = choose([den, -den])
         elif shape == "one":
             block[rng.randrange(d)] = coordinate()
         elif shape == "any":
-            block = [coordinate() if rng.random() < 0.7 else 0 for _ in range(d)]
+            block = some()
         nums += block
     return QSeries(ctx, nums, den)
 
