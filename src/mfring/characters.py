@@ -35,6 +35,7 @@ class DirichletCharacter:
     def __init__(self, modulus: int, turns):
         self.modulus = modulus
         self.turns = tuple(turns)
+        self._order = self._conductor = None  # each computed on first use
 
     def _map(self, f) -> "DirichletCharacter":
         return DirichletCharacter(
@@ -42,11 +43,9 @@ class DirichletCharacter:
         )
 
     def order(self) -> int:
-        out = 1
-        for t in self.turns:
-            if t is not None:
-                out = out * t.denominator // gcd(out, t.denominator)
-        return out
+        if self._order is None:
+            self._order = lcm(*(t.denominator for t in self.turns if t is not None))
+        return self._order
 
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
@@ -54,12 +53,12 @@ class DirichletCharacter:
 
     def conductor(self) -> int:
         """Smallest modulus d | N through which the character factors."""
-        N = self.modulus
-        for d in divisors(N):
-            # trivial on the kernel of reduction mod d?
-            if all(self.turns[u] == 0 for u in units(N) if u % d == 1 % d):
-                return d
-        return N
+        if self._conductor is None:
+            N = self.modulus
+            # the first d trivial on the kernel of reduction mod d; N itself always is
+            self._conductor = next(d for d in divisors(N) if all(
+                self.turns[u] == 0 for u in units(N) if u % d == 1 % d))
+        return self._conductor
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -128,6 +127,7 @@ def character(N: int, assignments) -> DirichletCharacter:
     return DirichletCharacter(N, turns)
 
 
+@lru_cache(maxsize=None)
 def trivial_character(N: int) -> DirichletCharacter:
     """Unit indicator mod N: 1 on units, 0 elsewhere (imprimitive for N > 1)."""
     return DirichletCharacter(N, (Fraction(0) if gcd(a, N) == 1 else None for a in range(N)))

@@ -9,6 +9,7 @@ series but is never registered as a modular form by the catalog.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt, lcm
 from operator import mul, sub
 
@@ -114,15 +115,21 @@ def eisenstein_c(N: int, prec: int, ctx: FieldCtx) -> QSeries:
     return QSeries(ctx, nums, N - 1)
 
 
+@lru_cache(maxsize=None)
+def eisenstein_lead(k: int, chi: DirichletCharacter) -> CycloNum:
+    """-2k/B_(k,chi), once per (k, chi) in a process: every precision and field
+    of f_k(chi) embeds it.  It lies in Q(zeta_m), m = ord chi, whose degree can
+    be far below that of the field a series is built over."""
+    return gen_bernoulli(k, chi, cyclo_context(chi.order())).invert() * (-2 * k)
+
+
 def eis_f(k: int, chi: DirichletCharacter, prec: int, ctx: FieldCtx) -> QSeries:
     """1 - (2k/B_(k,chi)) sum (sigma_(k-1)*chi)(n) q^n for primitive chi of matching parity."""
     if k < 1:
         raise BadWeight("weight must be positive")
     require_primitive(chi)
     require_parity(chi.parity(), k)
-    # B_(k,chi) lies in Q(zeta_m), m = ord chi, whose degree can be far below L's
-    small = cyclo_context(chi.order())
-    lead = embed(gen_bernoulli(k, chi, small).invert() * (-2 * k), ctx)
+    lead = embed(eisenstein_lead(k, chi), ctx)
     sums = divisor_sums(k, chi, trivial_character(1), prec, ctx)
     if lead.is_rational():
         den, nums = lead.den, list(map(lead.nums[0].__mul__, sums))

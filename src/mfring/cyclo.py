@@ -147,18 +147,22 @@ def roots_of_unity(ctx: FieldCtx, m: int) -> list[tuple[int, ...]]:
     return list(ctx.powers[:ctx.L:ctx.L // m])
 
 
-def fold_buckets(buckets, powers, degree: int) -> list:
+def fold_buckets(buckets, powers, degree: int, start: int = 0) -> list:
     """Flat power-basis coordinates of consecutive blocks of len(powers) buckets,
     bucket j of a block weighing the field element with integer coordinates
     powers[j] (a root of unity, a power of z to reduce, a matrix row).
 
     Column j (bucket j of every block) is added into coordinate i of every
-    block with one slice assignment per nonzero coordinate of powers[j].
+    block with one slice assignment per nonzero coordinate of powers[j].  The
+    first `start` rows (start <= degree) must be the unit rows z^0, z^1, ...:
+    their columns are copied into place, not folded.
     """
     m = len(powers)
     out = [0] * (len(buckets) // m * degree)
-    for j, p in enumerate(powers):
-        col = buckets[j::m]
+    for j in range(start):
+        out[j::degree] = buckets[j::m]
+    for j in range(start, m):
+        p, col = powers[j], buckets[j::m]
         if not any(col):
             continue
         for i, x in enumerate(p):

@@ -225,45 +225,64 @@ def _from_bytes(buf: bytes, nb: int):
     return map(int.from_bytes, map(buf.__getitem__, cuts), repeat("little"))
 
 
+def _columns_used(xs, d: int) -> int:
+    """One past the last power-basis coordinate that is nonzero in some
+    coefficient of xs (d coordinates each); 1 if only coordinate 0 is."""
+    for k in range(d - 1, 0, -1):
+        if any(xs[k::d]):
+            return k + 1
+    return 1
+
+
 def _kronecker_product(ctx: FieldCtx, xa, xb) -> list[int]:
     """Truncated product of two equal-length integer coordinate lists, exactly;
     pass the same object twice to square.
 
-    Coefficient n of a series and coordinate k of its zeta-part become
-    slot n*(2d-1)+k of one integer in base 2^W (d = phi(L)), so a single
-    big-int multiply convolves in q and in zeta at once.  A product slot
-    sums at most p*d terms, each bounded by max|a|*max|b|, so W bits hold
-    it as a signed value; slots are read back with an offset of 2^(W-1)
-    that makes every one of them nonnegative.  W is rounded up to 8, 16, 32
-    or 64 bits, packed by one ``struct`` call, or else to whole bytes.  The
-    2d-1 slots of a coefficient are then folded column by column with the
-    rows z^0..z^(2d-2) of the field's table of reduced powers.
+    A factor uses its first e coordinates in the power basis, those up to its
+    last one that is nonzero in some coefficient (e = 1 for a rational series;
+    never looked for when d = phi(L) = 1).  Coefficient n of a factor and
+    coordinate k of its zeta-part become slot n*(e_a+e_b-1)+k of one integer in
+    base 2^W, so a single big-int multiply convolves in q and in zeta at once.
+    A product slot sums at most p*min(e_a, e_b) terms (p coefficients), each
+    bounded by max|a|*max|b|, so W bits hold it as a signed value; slots are
+    read back with an offset of 2^(W-1) that makes every one of them
+    nonnegative.  W is rounded up to 8, 16, 32 or 64 bits, packed by one
+    ``struct`` call, or else to whole bytes.  Columns below phi(L) of a
+    product's blocks are its coordinates; only the columns from phi(L) on are
+    folded, with the rows z^phi(L), ... of the field's table of reduced powers.
     """
     d, n = ctx.degree, len(xa)
+    square = xb is xa
     top = max(map(abs, xa))
-    height = top * (top if xb is xa else max(map(abs, xb))) * n
+    height = top * (top if square else max(map(abs, xb)))
     if not height:  # a zero operand; its coordinates may not fit the slots
         return [0] * n
-    nb = (height.bit_length() + 2 + 7) // 8  # slot width in whole bytes
+    p = n // d
+    ea = eb = stride = 1
+    if d > 1:
+        ea = _columns_used(xa, d)
+        eb = ea if square else _columns_used(xb, d)
+        stride = ea + eb - 1
+        height *= min(ea, eb)
+    nb = ((height * p).bit_length() + 2 + 7) // 8  # slot width in whole bytes
     if nb <= 8:
         nb = 1 << (nb - 1).bit_length()
     half = 1 << (8 * nb - 1)
-    stride = 2 * d - 1
-    size = n // d * stride
+    size = p * stride
     offset = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
 
-    def pack(xs):
-        if d > 1:
+    def pack(xs, e):
+        if not e == stride == d:  # else xs is laid out as the slots already
             slots = [0] * size
-            for k in range(d):
+            for k in range(e):
                 slots[k::stride] = xs[k::d]
             xs = slots
         return int.from_bytes(_to_bytes(map(add, xs, repeat(half)), nb, size), "little") - offset
 
-    a = pack(xa)
-    raw = (a * (a if xb is xa else pack(xb)) + offset) & ((1 << (8 * nb * size)) - 1)
+    a = pack(xa, ea)
+    raw = (a * (a if square else pack(xb, eb)) + offset) & ((1 << (8 * nb * size)) - 1)
     out = list(map(sub, _from_bytes(raw.to_bytes(nb * size, "little"), nb), repeat(half)))
-    return out if d == 1 else fold_buckets(out, ctx.powers[:stride], d)
+    return out if stride == d else fold_buckets(out, ctx.powers[:stride], d, min(stride, d))
 
 
 # the suffix of coefficient n, '' then '*q', '*q^2', ...: grown to the largest
@@ -288,7 +307,9 @@ def render_qseries(f: QSeries) -> str:
 
     Every term is written in one step with its separator, ' + ' or ' - ', from
     the integer coordinates (``signed_texts``) and a table of suffixes '*q^n'.
-    For phi(L) > 1 each coordinate column nums[k::d] is written with its
+    A series whose coefficients are all rational (every phi(L) = 1 series) is
+    written from its column nums[::d] alone, as over Q, since no term names z.
+    Otherwise each coordinate column nums[k::d] is written with its
     '*z<L>^k' (``column_texts``) and the columns are zipped into one block per
     coefficient: a block with one nonzero text is that text and '*q^n', any
     other nonzero block '+ (...)*q^n' with its first sign inside.  The terms
@@ -297,8 +318,8 @@ def render_qseries(f: QSeries) -> str:
     """
     d, den, nums = f.ctx.degree, f.den, f.nums
     qs = _q_suffixes(f.prec)
-    if d == 1:
-        terms = signed_texts(nums, den, qs)
+    if d == 1 or not any(any(nums[k::d]) for k in range(1, d)):  # rational coefficients
+        terms = signed_texts(nums[::d], den, qs)
     else:  # "".join gives a block's text, tuple.count its zeros, both in C
         blocks = list(zip(*[column_texts(f.ctx.L, k, nums[k::d], den) for k in range(d)]))
         one = d - 1

@@ -338,3 +338,11 @@ def test_lift_roundtrip():
     lifted = rho3.lift(12)
     for u in units(12):
         assert lifted.turns[u % 12] == rho3.turns[u % 3]
+
+
+def test_trivial_characters_and_character_invariants_are_kept():
+    assert trivial_character(6) is trivial_character(6)
+    chi = named_character("chi13") ** 4
+    assert (chi.order(), chi.conductor()) == (3, 13) == (chi.order(), chi.conductor())
+    lifted = named_character("rho3").lift(12)
+    assert (lifted.order(), lifted.conductor(), lifted.is_primitive()) == (2, 3, False)

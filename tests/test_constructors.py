@@ -1,3 +1,5 @@
+import os
+from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfring import catalog, constructors
 from mfring.characters import _NAMED_DEFS, divisor_sums, named_character, trivial_character
 from mfring.constructors import (
     _bernoulli_cache,
@@ -14,6 +17,7 @@ from mfring.constructors import (
     eis_g2,
     eisenstein_c,
     eisenstein_e,
+    eisenstein_lead,
     gen_bernoulli,
     theta_bqf,
     theta_series,
@@ -291,3 +295,33 @@ def test_theta_bqf_equals_the_box_count(form, prec):
     # Q >= lambda_min (m^2 + n^2) and lambda_min >= det/trace = disc / (4(a+c))
     box = isqrt(prec * 4 * (a + c) // (4 * a * c - b * b)) + 1
     assert list(theta_bqf(a, b, c, prec, C1).coeffs) == _bqf_oracle(a, b, c, prec, box)
+
+
+def test_each_eisenstein_lead_is_computed_once_per_weight_and_character(monkeypatch):
+    # every catalog form at two precisions, each from a freshly read catalog, so
+    # that every f_k(chi) is rebuilt at each precision and in each field it is
+    # used in; B_(k,chi) is computed at the first of them only
+    calls = Counter()
+
+    def counting(k, chi, ctx):
+        calls[k, chi] += 1
+        return gen_bernoulli(k, chi, ctx)
+
+    monkeypatch.setattr(constructors, "gen_bernoulli", counting)
+    eisenstein_lead.cache_clear()
+    path = os.path.join(os.path.dirname(catalog.__file__), "data", "catalog.json")
+    for prec in (12, 30):
+        forms = catalog.load_catalog(path)
+        for name in forms.forms:
+            forms.lookup_form(name, prec)
+    assert len(calls) >= 10 and set(calls.values()) == {1}
+    info = eisenstein_lead.cache_info()
+    assert info.misses == len(calls) and info.hits >= len(calls)
+
+
+def test_the_lead_lies_in_the_field_of_the_character_values():
+    chi = named_character("chi13")
+    lead = eisenstein_lead(3, chi)  # chi13 is odd, so k is odd
+    assert lead.ctx.L == chi.order() == 12
+    assert lead == gen_bernoulli(3, chi, lead.ctx).invert() * -6
+    assert eisenstein_lead(4, trivial_character(1)) == Fraction(-8) / bernoulli(4)

@@ -273,3 +273,47 @@ def test_constructor_series_render_as_the_per_coefficient_rendering(expr):
 @pytest.mark.parametrize("prec", [1, 2, 600])
 def test_zero_series_renders_as_zero(L, prec):
     assert str(QSeries.zero(cyclo_context(L), prec)) == f"0 + O(q^{prec})"
+
+
+@st.composite
+def _rational_columns(draw):
+    """(den, nums) of a series over Q: den 1 or larger, coordinates of magnitude
+    den (terms written without '1*'), zero, small, or beyond 2^64, and a first
+    coefficient that is often -1."""
+    den = draw(st.sampled_from([1, 1, 2, 12, 3 * 2**70]))
+    coordinate = st.one_of(st.sampled_from([den, -den, 0, 0]), st.integers(-30, 30),
+                           st.integers(-(2**80), 2**80))
+    nums = draw(st.lists(coordinate, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        nums[0] = -den
+    return den, nums
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 10, 12, 15]), _rational_columns())
+def test_rational_coefficients_render_as_over_q(L, columns):
+    # the same rational coefficients in Q(zeta_L), phi(L) > 1, and in Q
+    den, nums = columns
+    ctx = cyclo_context(L)
+    d = ctx.degree
+    wide = [0] * (len(nums) * d)
+    wide[::d] = nums
+    f = QSeries(ctx, wide, den)
+    assert str(f) == str(QSeries(C1, nums, den)) == _render_each_coefficient(f)
+
+
+@pytest.mark.parametrize("L", [4, 10])
+def test_zero_and_minus_one_over_a_field_render_as_over_q(L):
+    ctx = cyclo_context(L)
+    assert str(QSeries.zero(ctx, 5)) == str(QSeries.zero(C1, 5)) == "0 + O(q^5)"
+    minus = QSeries.one(ctx, 3).scale(-1)
+    assert str(minus) == str(QSeries.one(C1, 3).scale(-1)) == "-1 + O(q^3)"
+
+
+def test_catalog_forms_with_rational_coefficients_over_a_field():
+    # F5 is built over Q(zeta_4) and alpha11 over Q(zeta_10); every coefficient is rational
+    f5, alpha11 = CATALOG.lookup_form("F5", 10), CATALOG.lookup_form("alpha11", 10)
+    assert (f5.ctx.L, alpha11.ctx.L) == (4, 10)
+    assert all(c.is_rational() for c in f5.coeffs + alpha11.coeffs)
+    assert str(f5) == "1 + 3*q + 4*q^2 + 2*q^3 + q^4 + 3*q^5 + 6*q^6 + 4*q^7 - q^9 + O(q^10)"
+    assert str(alpha11) == "q - 2*q^2 - q^3 + 2*q^4 + q^5 + 2*q^6 - 2*q^7 - 2*q^9 + O(q^10)"
