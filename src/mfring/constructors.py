@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul, sub
 
 from .characters import (
@@ -73,13 +73,20 @@ def gen_bernoulli(k: int, chi: DirichletCharacter, ctx: FieldCtx) -> CycloNum:
     N^(k-1) B_k(a/N) = sum_j C(k,j) B_j N^(j-1) a^(k-j), so the residues a
     on which chi takes one value need only their integer power sums
     S_e = sum a^e: that bucket is sum_j c_j S_(k-j), c_j = C(k,j) B_j N^(j-1),
-    one integer dot product over the common denominator of the c_j.  The
-    buckets are then folded into the power basis once."""
+    one integer dot product over the common denominator N * lcm(den B_j):
+    c_j times it is C(k,j) num(B_j) N^j times lcm/den(B_j), built on ints
+    with C(k,j) and N^j stepped along j.  The buckets are then folded into the
+    power basis once."""
     N, m0 = chi.modulus, chi.order()
     powers = roots_of_unity(ctx, m0)
-    coeffs = [comb(k, j) * bernoulli(j) * Fraction(N) ** (j - 1) for j in range(k + 1)]
-    den = lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    bernoulli(k)  # grows the table through B_k
+    bern = _bernoulli_cache[:k + 1]
+    big = lcm(*(b.denominator for b in bern))
+    scaled, binom, npow = [], 1, 1  # C(k, j) and N^j
+    for j, b in enumerate(bern):
+        scaled.append(binom * npow * b.numerator * (big // b.denominator))
+        binom, npow = binom * (k - j) // (j + 1), npow * N
+    den = N * big
     residues: list[list[int]] = [[] for _ in range(m0)]
     for a in range(1, N + 1):
         t = chi.turns[a % N]

@@ -6,7 +6,10 @@ dimension of a relation ideal comes from a Gröbner basis.  Each rank has a
 known upper bound, and a rank modulo a prime equal to the bound proves it
 (``certified_rank``); at every other weight, whether the rank mod p falls
 short of the bound or exceeds it, the rank is computed by exact
-elimination, so a failing report carries exact ranks.
+elimination.  A rank above dim refutes the premise that bounds every rank
+of its check by dim, so that check proves each of its ranks mod p against
+the number of monomials instead (``_weight_ranks``), and a failing report
+carries exact ranks.
 Each check runs at the one precision of its plan (``check_plan``), GUARD
 coefficients past the largest Sturm cutoff of its weights.  Span and kernel
 checks climb their weights on one ``CaseRunner``, built for that precision
@@ -35,7 +38,7 @@ import json
 import time
 from functools import cached_property
 from itertools import repeat
-from operator import mul, sub
+from operator import gt, mul, sub
 from typing import NamedTuple
 
 from . import groebner, modp
@@ -279,24 +282,25 @@ class CaseRunner:
             return None
         return Filtration(red, rows, self.weights2)
 
-    def span_rank(self, k2: int, dim: int) -> int:
+    def span_rank(self, k2: int, bound: int) -> int:
         """Rank of the weight-k2 monomials truncated to the runner's prec
-        coefficients.
+        coefficients, given a bound on it.
 
-        They lie in M_k and truncation only lowers rank, so dim = dim M_k
-        bounds it.  The runner's ``Filtration`` gives the rank mod p of all
-        of them, truncated further to their first width coefficients; if it
-        equals dim it proves the rank, and otherwise all of them are ranked
-        by exact elimination at prec (``certified_rank``).
+        The bound is dim M_k, since they lie in M_k and truncation only
+        lowers rank, or, where that premise is refuted, their number capped
+        by prec.  The runner's ``Filtration`` gives the rank mod p of all of
+        them, truncated further to their first width coefficients; if it
+        equals the bound it proves the rank, and otherwise all of them are
+        ranked by exact elimination at prec (``certified_rank``).
         """
-        prec, width, bound = self.prec, self.width, self.sturm2(k2)
-        if prec < bound:
-            raise PrecisionTooLow(f"need at least {bound} coefficients, got {prec}")
+        prec, width, cutoff = self.prec, self.width, self.sturm2(k2)
+        if prec < cutoff:
+            raise PrecisionTooLow(f"need at least {cutoff} coefficients, got {prec}")
         if width > prec:  # the rows' products would read coefficients never computed
             raise ValueError(f"rank width {width} exceeds the precision {prec}")
         filtration = self.filtration
         return certified_rank(
-            dim, None if filtration is None else filtration.rank(k2),
+            bound, None if filtration is None else filtration.rank(k2),
             lambda: (self.monomial_series(e, prec) for e in weighted_monomials(self.weights2, k2)))
 
     def relation_terms(self, rel) -> dict:
@@ -435,13 +439,29 @@ def _ms_since(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
+def _weight_ranks(runner: CaseRunner, plan: Plan) -> list[int]:
+    """The rank of the monomials at each weight of a span or kernel plan.
+
+    dim M_k bounds a rank only if the monomials lie in M_k, so a rank above
+    dim at any weight refutes that premise for the whole check.  Then each
+    weight whose rank mod p reached dim is ranked again against the bound
+    that holds without it, its number of monomials capped by the precision,
+    which makes every reported rank exact: a rank that missed dim was exact
+    already."""
+    ranks = [runner.span_rank(j2, d) for j2, d in zip(plan.weights2, plan.dims)]
+    if any(map(gt, ranks, plan.dims)):
+        ranks = [runner.span_rank(j2, min(plan.prec, len(weighted_monomials(runner.weights2, j2))))
+                 if r == d else r for j2, r, d in zip(plan.weights2, ranks, plan.dims)]
+    return ranks
+
+
 def verify_span(catalog: Catalog, case_label: str, kmax2: int | None = None) -> VerificationReport:
     t0 = time.monotonic()
     plan = check_plan(catalog, "span", case_label, kmax2)
     if plan.skip:
         return _skipped(case_label, "span", plan.skip)
     runner = CaseRunner(catalog, catalog.cases[case_label], prec=plan.prec, width=plan.width)
-    ranks = [runner.span_rank(j2, d) for j2, d in zip(plan.weights2, plan.dims)]
+    ranks = _weight_ranks(runner, plan)
     details = {"weights2": list(plan.weights2), "ranks": ranks, "dims": list(plan.dims)}
     bad = [(j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d]
     if bad:
@@ -500,8 +520,7 @@ def verify_kernel(catalog: Catalog, case_label: str,
     counts = HilbertSeries([(1, 0)], runner.weights2).expand(top2)
     std = monomial_quotient(leads, runner.weights2).expand(top2)
     kernel_dims, ideal_dims = [], []
-    for j2, want in zip(plan.weights2, plan.dims):
-        rank = runner.span_rank(j2, want)
+    for j2, want, rank in zip(plan.weights2, plan.dims, _weight_ranks(runner, plan)):
         dim_kernel = counts[j2] - rank
         dim_ideal = counts[j2] - std[j2]
         kernel_dims.append(dim_kernel)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfring import characters
 from mfring.characters import (
     _NAMED_DEFS,
     character,
@@ -331,6 +332,83 @@ def test_divisor_sums_refuse_a_field_without_the_values():
         divisor_sums(1, chi5, triv1, 5, C2)
     with pytest.raises(ConductorMismatch):
         divisor_sums(2, triv1, named_character("chi7"), 5, C4)
+    # a real pair takes the prime sieve, which refuses the same fields
+    rho3 = named_character("rho3")
+    for L in (1, 3):
+        with pytest.raises(ConductorMismatch):
+            divisor_sums(1, rho3, triv1, 5, cyclo_context(L))
+        with pytest.raises(ConductorMismatch):
+            divisor_sums(2, triv1, rho3, 5, cyclo_context(L))
+
+
+# characters of order at most 2, whose pairs take the prime sieve
+_REAL = {
+    "triv1": trivial_character(1), "triv2": trivial_character(2), "triv6": trivial_character(6),
+    **{n: named_character(n) for n in ("rho3", "rho4", "rho5", "rho8")},
+    "rho3rho4": named_character("rho3").lift(12) * named_character("rho4").lift(12),
+}
+_REAL_PAIRS = [(a, b) for a in _REAL for b in _REAL]
+# next to the squares of primes, where a(p^2) first enters, next to powers of 2,
+# where each new power of 2 first enters, and the two smallest precisions
+_SIEVE_PRECS = sorted({1, 2} | {q + e for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                                for q in [p * p] for e in (-1, 0, 1)}
+                      | {2 ** j + e for j in range(1, 11) for e in (-1, 1)})
+
+
+def test_the_real_pairs_have_order_at_most_two():
+    assert all(chi.order() <= 2 for chi in _REAL.values())
+    assert _REAL["rho3rho4"].is_primitive() and _REAL["rho3rho4"].conductor() == 12
+    assert _SIEVE_PRECS[:3] == [1, 2, 3] and _SIEVE_PRECS[-1] == 1025
+
+
+def test_divisor_sums_take_the_sieve_exactly_for_real_pairs(monkeypatch):
+    calls = []
+    sieve = characters._real_pair_sums
+    monkeypatch.setattr(characters, "_real_pair_sums",
+                        lambda *args: calls.append(args) or sieve(*args))
+    for chi in _SUM_CHARACTERS:
+        for psi in (trivial_character(1), named_character("rho4")):
+            calls.clear()
+            ctx = cyclo_context(lcm(chi.order(), psi.order()))
+            divisor_sums(2, chi, psi, 30, ctx)
+            assert len(calls) == (lcm(chi.order(), psi.order()) <= 2), (chi, psi)
+
+
+@pytest.mark.parametrize("chi_name, psi_name", _REAL_PAIRS)
+def test_real_pair_sums_at_every_precision_next_to_a_prime_square(chi_name, psi_name):
+    chi, psi = _REAL[chi_name], _REAL[psi_name]
+    ctx = cyclo_context(lcm(chi.order(), psi.order()))
+    for k in (1, 4):
+        want = _reference_sums(k, chi, psi, _SIEVE_PRECS[-1], ctx)
+        for p in _SIEVE_PRECS:
+            assert divisor_sums(k, chi, psi, p, ctx) == want[:p * ctx.degree], (k, p)
+
+
+@pytest.mark.parametrize("chi_name, psi_name", [
+    ("triv1", "triv1"), ("triv2", "rho4"), ("rho3", "triv6"), ("rho5", "rho8"),
+    ("rho3rho4", "rho3"), ("rho8", "rho3rho4"),
+])
+def test_real_pair_sums_at_weights_up_to_30(chi_name, psi_name):
+    chi, psi = _REAL[chi_name], _REAL[psi_name]
+    ctx = cyclo_context(lcm(chi.order(), psi.order()))
+    for k in range(1, 31):
+        want = _reference_sums(k, chi, psi, 257, ctx)
+        for p in (1, 2, 26, 122, 257):
+            assert divisor_sums(k, chi, psi, p, ctx) == want[:p * ctx.degree], (k, p)
+
+
+@pytest.mark.parametrize("chi_name, psi_name", _REAL_PAIRS)
+def test_real_pair_sums_in_every_field_that_holds_their_values(chi_name, psi_name):
+    chi, psi = _REAL[chi_name], _REAL[psi_name]
+    m0 = lcm(chi.order(), psi.order())
+    fields = [L for L in (1, 2, 4, 6) if L % m0 == 0]
+    assert fields == ([1, 2, 4, 6] if m0 == 1 else [2, 4, 6])
+    for L in fields:
+        ctx = cyclo_context(L)
+        for k in (1, 2, 7):
+            got = divisor_sums(k, chi, psi, 170, ctx)
+            assert got == _reference_sums(k, chi, psi, 170, ctx), (L, k)
+            assert all(got[j::ctx.degree] == [0] * 170 for j in range(1, ctx.degree))
 
 
 def test_lift_roundtrip():

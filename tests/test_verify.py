@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from operator import mul
+from operator import gt, le, mul
 from pathlib import Path
 
 import pytest
@@ -628,12 +628,13 @@ def _swap(name: str, expr: str):
 
 
 # a generator of the wrong level, each with the exact ranks of every monomial at
-# the check's precision from the first weight whose rank mod p is not dim
+# the check's precision at every weight: each has a rank above dim
 _WRONG_LEVEL = {
     "25h6": ("beta25", "(v 2 beta25)", 7, 45, [1, 6, 17, 33, 45, 45, 45, 45],
              {"j2": 4, "rank": 17, "dim": 11}),
     "12": ("frho3v4", "(v 2 alpha12)", 10, 50, [1, 5, 12, 19, 26, 33, 40, 43, 42, 41, 40],
            {"j2": 4, "rank": 12, "dim": 9}),
+    "7": ("alpha7", "(v 2 alpha7)", 3, 16, [1, 3, 6, 10], {"j2": 4, "rank": 6, "dim": 5}),
 }
 
 
@@ -670,12 +671,53 @@ def test_a_generator_of_the_wrong_level_fails_the_case_12_span_with_exact_ranks(
                     "dims": [1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41], "first_failure": first}}
 
 
+def test_a_generator_of_the_wrong_level_fails_the_case_7_span_with_exact_ranks(
+        tmp_path, capsys):
+    """alpha7 replaced by (v 2 alpha7): at doubled weight 4 the rank is 6,
+    above dim 5, which refutes the premise that bounds every rank by dim.  So
+    at 6, where the rank mod p at width 8 is 7 = dim, the check ranks the 10
+    monomials exactly at its precision 16 and reports 10, not 7.  At
+    ``--kmax 2`` no rank passes dim within the width, and the check passes."""
+    name, expr, kmax, prec, ranks, first = _WRONG_LEVEL["7"]
+    code, report = _mutant_span(tmp_path, capsys, "7", kmax, _swap(name, expr))
+    assert code == 1
+    assert report == {
+        "case": "7", "check": "span", "k_range": [0, 6], "precision": prec, "status": "fail",
+        "details": {"weights2": [0, 2, 4, 6], "ranks": ranks, "dims": [1, 3, 5, 7],
+                    "first_failure": first}}
+    code, report = _mutant_span(tmp_path, capsys, "7", 2, _swap(name, expr))
+    assert (code, report["status"], report["details"]["ranks"]) == (0, "pass", [1, 3, 5])
+
+
+def test_a_kernel_check_whose_rank_passes_dim_reports_exact_kernel_dims(tmp_path, capsys):
+    """Case 7's presentation generators given the span mutant's series
+    (f[1;rho7], (v 2 alpha7), beta7): the relation fails, and the rank above
+    dim at doubled weight 4 makes the kernel dims exact at every weight, so 0
+    at 6, where the rank mod p of the 10 monomials stops at dim 7."""
+    raw = _shipped()
+    gens = next(c for c in raw["cases"] if c["label"] == "7")["presentation"]["gens"]
+    for g, expr in zip(gens, ("f[1;rho7]", "(v 2 alpha7)", "beta7")):
+        g["expr"] = expr
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(raw))
+    code = cli.main(["--catalog", str(path), "verify", "kernel", "--case", "7",
+                     "--kmax", "3", "--output", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["details"] == {
+        "weights2": [2, 4, 6], "kernel_dims": [0, 0, 0], "ideal_dims": [0, 1, 3],
+        "first_failure": {"relation_nonzero": "O7"}}
+
+
 @pytest.mark.parametrize("label", sorted(_WRONG_LEVEL))
 def test_the_wrong_level_ranks_are_the_exact_ranks_of_every_monomial(label):
-    """The pinned ranks of the two wrong-level mutants, derived here: dim
-    where the rank mod p of every monomial at the plan's width equals it,
-    and elsewhere the exact rank of every monomial at the plan's precision,
-    from a runner of the mutant catalog that no check built.
+    """The pinned ranks of the wrong-level mutants, derived here: the exact
+    rank of every monomial at the plan's precision, at every weight, from a
+    runner of the mutant catalog that no check built.  Each mutant has a rank
+    above dim, so its check may state no rank from the premise that dim bounds
+    it; the rank mod p of every monomial at the plan's width is at most the
+    exact rank, and at doubled weight 6 of case 7 it reaches dim 7 while the
+    exact rank is 10.
 
     A rank mod p cannot exceed the width, so a wrong level is caught only
     where the monomials' rank passes dim within it: case 7 with (v 2 alpha7)
@@ -689,15 +731,20 @@ def test_the_wrong_level_ranks_are_the_exact_ranks_of_every_monomial(label):
     assert plan.prec == prec
     runner = CaseRunner(cat, cat.cases[label], prec=plan.prec, width=plan.width)
     red, row = _packed_rows(runner)
-    derived = []
-    for j2, dim in zip(plan.weights2, plan.dims):
+    derived, mod_p = [], []
+    for j2 in plan.weights2:
         mons = weighted_monomials(runner.weights2, j2)
         every = modp.Echelon(red)
         for m in mons:
             every.insert(row(m))
-        derived.append(dim if len(every) == dim else row_echelon_rank(
-            runner.monomial_series(m, prec) for m in mons))
+        mod_p.append(len(every))
+        derived.append(row_echelon_rank(runner.monomial_series(m, prec) for m in mons))
     assert derived == ranks
+    assert any(map(gt, ranks, plan.dims))
+    assert all(map(le, mod_p, ranks))
+    # where the rank mod p reached dim but the exact rank is larger, stating dim misstated it
+    misstated = [j2 for j2, m, r, d in zip(plan.weights2, mod_p, ranks, plan.dims) if m == d != r]
+    assert misstated == ([6] if label == "7" else [])
     j2, rank, dim = next((j2, r, d) for j2, r, d in zip(plan.weights2, ranks, plan.dims) if r != d)
     assert {"j2": j2, "rank": rank, "dim": dim} == first
     assert (runner.filtration.unit is None) == (label == "12")
